@@ -1,17 +1,14 @@
 //! Weekly population re-ranking: the operational loop's hot path.
 //!
 //! Every simulated Saturday the proactive policy re-ranks the whole line
-//! population and dispatches the top-budget. The original implementation
-//! cloned the accumulated logs, rebuilt the batch encoder's indexes,
-//! walked every stump per row serially and fully sorted the population —
-//! every single week, at a cost growing with elapsed time. The incremental
-//! engine ([`WeeklyScorer`]) ingests only each week's fresh events into
-//! rolling per-line state, scores through compiled lookup tables on scoped
-//! threads, and partially selects the budgeted head.
-//!
-//! Both paths produce identical dispatch lists (pinned by tests in the
-//! `scoring` and `incremental` modules); this bench measures 20 consecutive
-//! Saturdays at 10k- and 100k-line populations.
+//! population and dispatches the top-budget. The incremental engine
+//! ([`WeeklyScorer`]) ingests only each week's fresh events into rolling
+//! per-line state, scores through compiled lookup tables on every core,
+//! and partially selects the budgeted head. This bench measures 20
+//! consecutive Saturdays at 10k- and 100k-line populations, with each
+//! observability layer on, to hold those layers to their overhead budgets.
+//! (The pre-incremental `rebuild_each_week` baseline is retired; its last
+//! ratio stays recorded in `BENCH_scoring.json`.)
 //!
 //! # Paired, interleaved measurement
 //!
@@ -48,7 +45,6 @@ use nevermind::provenance::emit_week_trace;
 use nevermind::scoring::WeeklyScorer;
 use nevermind_dslsim::topology::Topology;
 use nevermind_dslsim::{SimConfig, SimOutput, World};
-use nevermind_ml::rank::argsort_desc;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -65,7 +61,6 @@ fn trained_predictor() -> TicketPredictor {
 }
 
 struct Population {
-    sim_config: SimConfig,
     topology: Topology,
     output: SimOutput,
     /// The 20 Saturdays being re-ranked, ascending.
@@ -77,7 +72,7 @@ fn population(n_lines: usize) -> Population {
     let mut sim_config = SimConfig::small(12);
     sim_config.n_lines = n_lines;
     sim_config.days = 420;
-    let world = World::generate(sim_config.clone());
+    let world = World::generate(sim_config);
     let topology = world.topology().clone();
     let output = world.run();
     let saturdays: Vec<u32> = (6..output.days)
@@ -86,7 +81,7 @@ fn population(n_lines: usize) -> Population {
         .split_off((output.days as usize / 7).saturating_sub(WEEKS));
     assert_eq!(saturdays.len(), WEEKS);
     let budget = PredictorConfig::default().budget(n_lines);
-    Population { sim_config, topology, output, saturdays, budget }
+    Population { topology, output, saturdays, budget }
 }
 
 /// Log prefixes visible at the end of `day` (global logs are day-ordered).
@@ -95,38 +90,6 @@ fn frontier(out: &SimOutput, day: u32) -> (usize, usize) {
         out.measurements.partition_point(|m| m.day <= day),
         out.tickets.partition_point(|t| t.day <= day),
     )
-}
-
-/// The pre-incremental weekly path, as `run_proactive_trial` used to do it:
-/// clone the world's accumulated output (all log streams, as
-/// `world.output().clone()` did), rebuild the batch encoder over it, score
-/// serially, fully sort, take the budget head.
-fn rebuild_each_week(p: &Population, predictor: &TicketPredictor) -> usize {
-    let mut dispatched = 0;
-    for &day in &p.saturdays {
-        let (m_end, t_end) = frontier(&p.output, day);
-        let data = ExperimentData {
-            config: p.sim_config.clone(),
-            topology: p.topology.clone(),
-            output: SimOutput {
-                measurements: p.output.measurements[..m_end].to_vec(),
-                tickets: p.output.tickets[..t_end].to_vec(),
-                notes: p.output.notes[..p.output.notes.partition_point(|n| n.day <= day)].to_vec(),
-                outage_events: p.output.outage_events.clone(),
-                traffic: p.output.traffic.clone(),
-                ivr_calls: p.output.ivr_calls
-                    [..p.output.ivr_calls.partition_point(|c| c.day <= day)]
-                    .to_vec(),
-                churn_events: p.output.churn_events
-                    [..p.output.churn_events.partition_point(|c| c.day <= day)]
-                    .to_vec(),
-                days: day + 1,
-            },
-        };
-        let ranking = predictor.rank(&data, &[day]);
-        dispatched += argsort_desc(&ranking.probabilities).into_iter().take(p.budget).count();
-    }
-    dispatched
 }
 
 /// The incremental weekly path: ingest the fresh suffix, encode from
@@ -223,7 +186,7 @@ fn run_paired(n_lines: usize, samples: usize, variants: &mut [(&str, &mut dyn Fn
     // Paired deltas against the plain incremental path.
     if let Some(&(_, base)) = medians.iter().find(|(n, _)| *n == "incremental") {
         for &(name, med) in &medians {
-            if name != "incremental" && name != "rebuild_each_week" {
+            if name != "incremental" {
                 println!(
                     "weekly_rerank/{name}/{n_lines}: overhead vs incremental {:+.2}%",
                     (med / base - 1.0) * 100.0
@@ -236,9 +199,8 @@ fn run_paired(n_lines: usize, samples: usize, variants: &mut [(&str, &mut dyn Fn
 fn main() {
     let predictor = trained_predictor();
     // The million-line row is opt-in (`NEVERMIND_BENCH_1M=1`): simulating
-    // the population alone takes minutes and several GB, and the rebuild
-    // baseline at that scale is minutes *per Saturday* — it exists to put a
-    // number on the ISSUE's million-line operational year, not for CI.
+    // the population alone takes minutes and several GB — it exists to put
+    // a number on the million-line operational year, not for CI.
     let mut populations = vec![10_000usize, 100_000];
     if std::env::var_os("NEVERMIND_BENCH_1M").is_some() {
         populations.push(1_000_000);
@@ -251,7 +213,6 @@ fn main() {
         println!(
             "\n== weekly_rerank @ {n_lines} lines, {WEEKS} weeks, {samples} paired samples =="
         );
-        let mut rebuild = || rebuild_each_week(&p, &predictor);
         let mut incr = || incremental(&p, &predictor);
         // Metrics registry live for the whole call: spans, counters and
         // histograms all record. The paired delta against `incremental` is
@@ -299,18 +260,13 @@ fn main() {
             nevermind_obs::set_enabled(false);
             n
         };
-        // The rebuild baseline at 1M lines costs minutes per Saturday and
-        // its asymptotics are already pinned by the 10k/100k rows — the
-        // million-line row measures only the incremental engine.
-        let mut variants: Vec<(&str, &mut dyn FnMut() -> usize)> = Vec::new();
-        if n_lines < 1_000_000 {
-            variants.push(("rebuild_each_week", &mut rebuild));
-        }
-        variants.push(("incremental", &mut incr));
-        variants.push(("incremental_instrumented", &mut instrumented));
-        variants.push(("incremental_profiled", &mut profiled));
-        variants.push(("incremental_traced", &mut traced));
-        variants.push(("incremental_history", &mut history));
+        let mut variants: Vec<(&str, &mut dyn FnMut() -> usize)> = vec![
+            ("incremental", &mut incr),
+            ("incremental_instrumented", &mut instrumented),
+            ("incremental_profiled", &mut profiled),
+            ("incremental_traced", &mut traced),
+            ("incremental_history", &mut history),
+        ];
         run_paired(n_lines, samples, &mut variants);
     }
 }

@@ -565,7 +565,6 @@ pub fn selection_overlap(ctx: &Ctx) -> serde_json::Value {
     let select_cfg = nevermind_ml::select::SelectConfig {
         model_iterations: ctx.predictor_cfg.selection_iterations,
         n_bins: ctx.predictor_cfg.n_bins,
-        threads: 0,
     };
     let methods: Vec<(&str, SelectionCriterion)> = vec![
         ("top-N AP", SelectionCriterion::TopNAp { n: sel_budget }),

@@ -189,6 +189,15 @@ pub(crate) fn write_trace(path: &str) -> CliResult {
     Ok(())
 }
 
+/// How a `--shards N` value reads in a progress line (`0` = every core).
+pub(crate) fn shards_note(shards: usize) -> String {
+    match shards {
+        0 => "one shard per core".to_string(),
+        1 => "1 shard".to_string(),
+        n => format!("{n} shards"),
+    }
+}
+
 /// Resolves a scenario flag into a simulator config.
 pub(crate) fn sim_config_from(
     args: &crate::args::Args,

@@ -19,6 +19,7 @@ pub(crate) fn run(args: &Args) -> CliResult {
         .map_err(|e| format!("cannot open model '{model_path}': {e}"))?;
     let predictor: TicketPredictor = serde_json::from_reader(std::io::BufReader::new(file))
         .map_err(|e| format!("cannot parse model '{model_path}': {e}"))?;
+    predictor.validate()?;
 
     let split = SplitSpec::paper_like(&data)?;
     eprintln!("ranking test Saturdays {:?} ...", split.test_days);

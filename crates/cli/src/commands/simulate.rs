@@ -30,11 +30,11 @@ pub(crate) fn run(args: &Args) -> CliResult {
     let plane = ObsPlane::start(args)?;
 
     eprintln!(
-        "simulating {} lines over {} days (seed {}, {shards} shard{}) ...",
+        "simulating {} lines over {} days (seed {}, {}) ...",
         cfg.n_lines,
         cfg.days,
         cfg.seed,
-        if shards == 1 { "" } else { "s" }
+        super::shards_note(shards)
     );
     let span = nevermind_obs::span!("cli/simulate");
     let data = ExperimentData::simulate_sharded(cfg.clone(), shards);

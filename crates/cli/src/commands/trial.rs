@@ -114,11 +114,10 @@ pub(crate) fn run(args: &Args) -> CliResult {
     let plane = ObsPlane::start(args)?;
 
     eprintln!(
-        "running twin worlds: {} lines, {} days, policy starts week {warmup}, {} shard{} ...",
+        "running twin worlds: {} lines, {} days, policy starts week {warmup}, {} ...",
         cfg.n_lines,
         cfg.days,
-        shards.max(1),
-        if shards.max(1) == 1 { "" } else { "s" }
+        super::shards_note(shards)
     );
     let span = nevermind_obs::span!("cli/trial");
     let result = run_proactive_trial_with(cfg, &predictor_cfg, warmup, &options)?;

@@ -146,7 +146,10 @@ causal chain, and 'nevermind report FILE' summarizes a trace file.
 'trial --train-scenario NAME' trains the model in a separate world to
 inject drift that the telemetry must detect. '--shards N' (simulate,
 trial) steps the plant N DSLAM-subtree shards in parallel and runs the
-weekly scoring stages N-way; outputs are bit-identical for every N. 'nevermind lint' walks the
+weekly scoring stages N-way; '--shards 0' (trial's default) means one
+shard per available core, and simulate defaults to 1. Training always
+uses every core. Outputs are bit-identical for every N; only wall time
+changes. 'nevermind lint' walks the
 workspace sources and enforces the determinism/robustness rules — token
 bans plus call-graph passes for lock order, effects under locks, schema
 drift and hash-iteration nondeterminism ('--rules a,b' runs a subset,

@@ -267,3 +267,76 @@ fn bad_invocations_fail_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument"));
 }
+
+/// Simulates a small world and trains a model on it in a fresh work dir;
+/// returns the dir, the dataset path and the saved model's JSON.
+fn trained_model(tag: &str) -> (PathBuf, PathBuf, String) {
+    let dir = named_work_dir(tag);
+    let dataset = dir.join("dataset.json");
+    let model = dir.join("model.json");
+    let out = bin()
+        .args(["simulate", "--out", dir.to_str().expect("utf8"), "--lines", "600"])
+        .args(["--days", "270", "--seed", "9"])
+        .output()
+        .expect("run simulate");
+    assert!(out.status.success(), "simulate failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = bin()
+        .args(["train", "--data", dataset.to_str().expect("utf8")])
+        .args(["--model", model.to_str().expect("utf8"), "--iterations", "20"])
+        .args(["--selection-row-cap", "2000", "--n-base", "8"])
+        .args(["--n-quadratic", "2", "--n-product", "2"])
+        .output()
+        .expect("run train");
+    assert!(out.status.success(), "train failed: {}", String::from_utf8_lossy(&out.stderr));
+    let json = std::fs::read_to_string(&model).expect("read model");
+    (dir, dataset, json)
+}
+
+/// Replaces the first number after `"key":` (past an opening `[`, if any)
+/// with `value`.
+fn tamper(json: &str, key: &str, value: &str) -> String {
+    let at = json.find(&format!("\"{key}\":")).unwrap_or_else(|| panic!("no {key} in model"));
+    let start = at + json[at..].find(|c: char| c.is_ascii_digit()).expect("a number follows");
+    let len = json[start..].find(|c: char| !c.is_ascii_digit()).expect("the number ends");
+    format!("{}{value}{}", &json[..start], &json[start + len..])
+}
+
+/// Ranks with a tampered model and asserts a typed error: exit 1 (never a
+/// panic's 101) with the named error on stderr.
+fn assert_rank_rejects(
+    dir: &std::path::Path,
+    dataset: &std::path::Path,
+    model: &str,
+    needle: &str,
+) {
+    let path = dir.join("tampered.json");
+    std::fs::write(&path, model).expect("write tampered model");
+    let out = bin()
+        .args(["rank", "--data", dataset.to_str().expect("utf8")])
+        .args(["--model", path.to_str().expect("utf8")])
+        .output()
+        .expect("run rank");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "rank must fail cleanly: {stderr}");
+    assert!(stderr.contains("error: invalid model"), "named error expected: {stderr}");
+    assert!(stderr.contains(needle), "expected '{needle}' in: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn rank_rejects_out_of_range_stump_feature() {
+    let (dir, dataset, json) = trained_model("tamper-stump");
+    let tampered = tamper(&json, "feature", "1000000");
+    assert_ne!(tampered, json);
+    assert_rank_rejects(&dir, &dataset, &tampered, "reads feature 1000000");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn rank_rejects_out_of_range_selected_base() {
+    let (dir, dataset, json) = trained_model("tamper-base");
+    let tampered = tamper(&json, "selected_base", "99999");
+    assert_ne!(tampered, json);
+    assert_rank_rejects(&dir, &dataset, &tampered, "selected column 99999");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -40,6 +40,13 @@ pub enum PipelineError {
         /// Human-readable description of the mismatch.
         detail: String,
     },
+    /// A deserialized predictor is internally inconsistent — a stump or
+    /// selected column out of range, or a non-finite parameter — so using
+    /// it would index out of bounds or score garbage.
+    InvalidModel {
+        /// Which check failed, with the offending value.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -62,6 +69,7 @@ impl std::fmt::Display for PipelineError {
             Self::StoreMismatch { detail } => {
                 write!(f, "resume store does not match this trial: {detail}")
             }
+            Self::InvalidModel { detail } => write!(f, "invalid model: {detail}"),
         }
     }
 }

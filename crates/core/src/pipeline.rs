@@ -36,11 +36,11 @@ impl ExperimentData {
     }
 
     /// [`ExperimentData::simulate`] stepping the plant `shards` DSLAM-subtree
-    /// shards at a time. Bit-identical to the serial run for any shard
-    /// count (`0` is treated as `1`); pinned by the dslsim equivalence
-    /// tests.
+    /// shards at a time (`0` = one per available core). Bit-identical to
+    /// the serial run for any shard count; pinned by the dslsim
+    /// equivalence tests.
     pub fn simulate_sharded(config: SimConfig, shards: usize) -> Self {
-        let world = World::generate(config.clone()).with_shards(shards.max(1));
+        let world = World::generate(config.clone()).with_shards(shards);
         let topology = world.topology().clone();
         let output = world.run();
         Self { config, topology, output }
@@ -199,11 +199,13 @@ pub struct TrialOptions {
     /// itself runs only while [`nevermind_obs::enabled`] — with recording
     /// off the trial is telemetry-free (and bit-identical either way).
     pub telemetry: crate::telemetry::TelemetryConfig,
-    /// Shard-parallelism degree for the simulated worlds and the weekly
-    /// scoring engine. `0` (the default) runs everything serial; `n >= 1`
-    /// steps the plant `n` DSLAM-subtree shards at a time and pins `n`-way
-    /// parallelism on every weekly stage. Outcomes are bit-identical for
-    /// every setting — sharding is an execution detail.
+    /// Part count for the simulated worlds and every weekly stage — the
+    /// one `nevermind_obs::par` rule: `0` (the default) means one part per
+    /// available core, `n` steps the plant `n` DSLAM-subtree shards at a
+    /// time and spreads ingest, encode, scoring and top-`B` over `n`
+    /// parts. Training spreads its stump search and feature selection
+    /// over every core whatever this says. Outcomes are bit-identical for
+    /// every setting — sharding changes wall time only.
     pub shards: usize,
     /// Stop the trial after ranking calendar week `w` (the Saturday `7w +
     /// 6`) instead of running the full horizon — the checkpointing half of
@@ -275,7 +277,6 @@ pub fn run_proactive_trial_with(
     // Named to read cleanly under the CLI's `cli/trial` wrapper span
     // (`cli/trial/proactive_trial/...`) and standalone alike.
     let _trial_span = nevermind_obs::span!("proactive_trial");
-    let shards = options.shards.max(1);
     let policy_start_day = warmup_weeks * 7;
     if policy_start_day >= sim_config.days {
         return Err(PipelineError::WarmupExceedsHorizon {
@@ -305,7 +306,7 @@ pub fn run_proactive_trial_with(
         // interleave with (and displace) the live world's windows.
         let history = nevermind_obs::history::enabled();
         nevermind_obs::history::set_enabled(false);
-        let mut baseline_world = World::generate(sim_config.clone()).with_shards(shards);
+        let mut baseline_world = World::generate(sim_config.clone()).with_shards(options.shards);
         while baseline_world.day() < end_day {
             baseline_world.step_day();
         }
@@ -319,7 +320,7 @@ pub fn run_proactive_trial_with(
     let reactive_churn = baseline.churn_events.iter().filter(|c| c.day >= policy_start_day).count();
 
     // Proactive run.
-    let mut world = World::generate(sim_config.clone()).with_shards(shards);
+    let mut world = World::generate(sim_config.clone()).with_shards(options.shards);
     {
         let _s = nevermind_obs::span!("warmup");
         while world.day() < policy_start_day {
@@ -346,7 +347,7 @@ pub fn run_proactive_trial_with(
             nevermind_obs::trace::set_enabled(false);
             let history = nevermind_obs::history::enabled();
             nevermind_obs::history::set_enabled(false);
-            let mut train_world = World::generate(train_cfg.clone()).with_shards(shards);
+            let mut train_world = World::generate(train_cfg.clone()).with_shards(options.shards);
             while train_world.day() < policy_start_day {
                 train_world.step_day();
             }
@@ -437,7 +438,7 @@ pub fn run_proactive_trial_with(
                 scorer.rank_week(just_finished)
             };
             let to_dispatch: Vec<_> = ranking
-                .top_rows_sharded(budget, shards)
+                .top_rows_sharded(budget, options.shards)
                 .into_iter()
                 .map(|(key, _, _)| key.line)
                 .collect();

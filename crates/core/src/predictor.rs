@@ -27,7 +27,7 @@ use nevermind_ml::boost::{BStump, BoostConfig};
 use nevermind_ml::calibrate::PlattScale;
 use nevermind_ml::data::Dataset;
 use nevermind_ml::metrics;
-use nevermind_ml::rank::{top_k, top_k_sharded};
+use nevermind_ml::rank::top_k_sharded;
 use nevermind_ml::select::{score_features, FeatureScore, SelectConfig, SelectionCriterion};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -182,15 +182,13 @@ impl RankedPredictions {
     /// result is identical to taking the first `n` of a stable descending
     /// argsort — ties keep row order, `NaN` sorts last.
     pub fn top_rows(&self, n: usize) -> Vec<(RowKey, f64, bool)> {
-        top_k(&self.probabilities, n)
-            .into_iter()
-            .map(|i| (self.rows[i], self.probabilities[i], self.labels[i]))
-            .collect()
+        self.top_rows_sharded(n, 1)
     }
 
-    /// [`Self::top_rows`] with the selection fanned out over `shards`
-    /// scoped threads (merge-based top-`B`). Bit-identical to the serial
-    /// result for any shard count — see `nevermind_ml::rank::top_k_sharded`.
+    /// [`Self::top_rows`] with the selection spread over `shards`
+    /// `nevermind_obs::par` parts (`0` = every core; merge-based top-`B`).
+    /// Bit-identical for any shard count — see
+    /// `nevermind_ml::rank::top_k_sharded`.
     pub fn top_rows_sharded(&self, n: usize, shards: usize) -> Vec<(RowKey, f64, bool)> {
         top_k_sharded(&self.probabilities, n, shards)
             .into_iter()
@@ -261,11 +259,8 @@ impl TicketPredictor {
         let eval_sub = subsample_uniform(&base_eval, config.selection_row_cap, config.seed ^ 1);
         let selection_budget = config.budget(eval_sub.data.len());
 
-        let select_cfg = SelectConfig {
-            model_iterations: config.selection_iterations,
-            n_bins: config.n_bins,
-            threads: 0,
-        };
+        let select_cfg =
+            SelectConfig { model_iterations: config.selection_iterations, n_bins: config.n_bins };
         let criterion = SelectionCriterion::TopNAp { n: selection_budget };
 
         // --- base features ---
@@ -414,11 +409,8 @@ impl TicketPredictor {
             subsample_keep_positives(&base_train, config.selection_row_cap, config.seed);
         let eval_sub = subsample_uniform(&base_eval, config.selection_row_cap, config.seed ^ 1);
 
-        let select_cfg = SelectConfig {
-            model_iterations: config.selection_iterations,
-            n_bins: config.n_bins,
-            threads: 0,
-        };
+        let select_cfg =
+            SelectConfig { model_iterations: config.selection_iterations, n_bins: config.n_bins };
         let scores = score_features(&train_sub.data, &eval_sub.data, criterion, &select_cfg);
         let selected_base = top_scores(&scores, top_k);
 
@@ -440,6 +432,51 @@ impl TicketPredictor {
             selected_derived: Vec::new(),
             encoder_config: config.encoder.clone(),
         })
+    }
+
+    /// Checks a deserialized predictor's internal consistency, once,
+    /// before it is used: selected base and derived columns lie inside the
+    /// encoder's base space, every stump reads a column of the assembled
+    /// space (whose width the model must record), and every threshold,
+    /// stump score and Platt parameter is finite. A model written by
+    /// [`Self::fit`] always passes; a tampered or truncated one fails here
+    /// instead of panicking mid-ranking.
+    ///
+    /// # Errors
+    /// Returns [`PipelineError::InvalidModel`] naming the first failed check.
+    pub fn validate(&self) -> Result<(), PipelineError> {
+        let invalid = |detail: String| Err(PipelineError::InvalidModel { detail });
+        let n_base = nevermind_features::BaseEncoder::base_meta().0.len();
+        let derived_cols = self.selected_derived.iter().flat_map(|d| match *d {
+            DerivedFeature::Quadratic { col } => [col, col],
+            DerivedFeature::Product { a, b } => [a, b],
+        });
+        if let Some(c) =
+            self.selected_base.iter().copied().chain(derived_cols).find(|&c| c >= n_base)
+        {
+            return invalid(format!(
+                "selected column {c} is outside the {n_base}-column base space"
+            ));
+        }
+        let width = self.selected_base.len() + self.selected_derived.len();
+        if self.model.n_features() != width {
+            return invalid(format!(
+                "model records {} features but the selection assembles {width}",
+                self.model.n_features()
+            ));
+        }
+        for (i, s) in self.model.stumps().iter().enumerate() {
+            if s.feature >= width {
+                return invalid(format!("stump {i} reads feature {} of {width}", s.feature));
+            }
+            if !(s.threshold.is_finite() && s.s_le.is_finite() && s.s_gt.is_finite()) {
+                return invalid(format!("stump {i} has a non-finite threshold or score"));
+            }
+        }
+        if !(self.calibration.a.is_finite() && self.calibration.b.is_finite()) {
+            return invalid("non-finite Platt calibration parameter".to_string());
+        }
+        Ok(())
     }
 
     /// Projects a base-encoded dataset onto the selected feature space
@@ -723,6 +760,31 @@ mod tests {
         let cor = ranking.correct_in_top(n).len();
         assert_eq!(inc + cor, n.min(ranking.len()));
         assert_eq!(cor, ranking.hits_at(n));
+    }
+
+    #[test]
+    fn validate_accepts_fitted_and_rejects_inconsistent_models() {
+        let (_, _, predictor, _) = fitted();
+        assert_eq!(predictor.validate(), Ok(()));
+        let rejects = |edit: &dyn Fn(&mut TicketPredictor), needle: &str| {
+            let mut p = predictor.clone();
+            edit(&mut p);
+            let err = p.validate().expect_err(needle).to_string();
+            assert!(err.starts_with("invalid model: ") && err.contains(needle), "{err}");
+        };
+        rejects(&|p| p.selected_base[0] = 99_999, "selected column 99999");
+        rejects(&|p| p.selected_derived.push(DerivedFeature::Product { a: 0, b: 5_000 }), "5000");
+        rejects(
+            &|p| p.selected_base.truncate(p.selected_base.len() - 1),
+            "the selection assembles",
+        );
+        rejects(&|p| p.calibration.b = f64::INFINITY, "Platt");
+        let json = serde_json::to_string(&predictor).expect("serialize");
+        let at = json.find("\"feature\":").expect("a stump") + "\"feature\":".len();
+        let digits = json[at..].find(|c: char| !c.is_ascii_digit()).expect("number ends");
+        let tampered = format!("{}4096{}", &json[..at], &json[at + digits..]);
+        let p: TicketPredictor = serde_json::from_str(&tampered).expect("still parses");
+        assert!(p.validate().is_err_and(|e| e.to_string().contains("reads feature 4096")));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   per-stump bin→score lookup tables, evaluated straight off the store's
 //!   lanes via [`BatchScorer::margins_gather_parallel`] (derived features
 //!   computed on the fly by the same `f32` arithmetic as the batch
-//!   `derive` pass), bit-identical to the serial per-row path;
+//!   `derive` pass), bit-identical to the per-row path;
 //! * partial top-`B` selection — [`RankedPredictions::top_rows`] selects
 //!   the budgeted head without sorting the whole population.
 //!
@@ -77,10 +77,9 @@ pub struct WeeklyScorer<'a> {
     store: FeatureStore,
     /// Checkpointed frames waiting to be adopted, ascending by day.
     pending: VecDeque<WeekFrame>,
-    /// Shard-parallelism degree. `0` (the default) keeps the legacy
-    /// behaviour: serial ingest/encode, auto-threaded margins, serial
-    /// top-`B`. `>= 1` pins that many shards on every stage. Every stage
-    /// is bit-identical across settings, so this is pure execution policy.
+    /// The `nevermind_obs::par` part count of every weekly stage (`0`, the
+    /// default, = every core). Pure execution policy: every stage is
+    /// bit-identical across settings.
     shards: usize,
     meas_cursor: usize,
     ticket_cursor: usize,
@@ -231,18 +230,13 @@ impl<'a> WeeklyScorer<'a> {
         self.pending.push_back(frame);
     }
 
-    /// Sets the shard-parallelism degree for every weekly stage (ingest,
-    /// encode, margins, top-`B`). `0` restores the legacy policy (serial
-    /// ingest/encode, auto-threaded margins). Rankings are bit-identical
-    /// for every setting — shard count is an execution detail, pinned by
-    /// the equivalence tests below.
+    /// Sets how many `nevermind_obs::par` parts every weekly stage
+    /// (ingest, encode, margins, top-`B`) is spread over: `0` (the
+    /// default) means one per available core, `n` means `n`. Rankings are
+    /// bit-identical for every setting — shard count is an execution
+    /// detail, pinned by the equivalence tests below.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards;
-    }
-
-    /// The configured shard-parallelism degree (`0` = legacy/auto).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Ingests whatever the logs have accrued since the last call. Pass the
@@ -260,7 +254,7 @@ impl<'a> WeeklyScorer<'a> {
         self.encoder.ingest_sharded(
             &measurements[self.meas_cursor..],
             &tickets[self.ticket_cursor..],
-            self.shards.max(1),
+            self.shards,
         );
         self.meas_cursor = measurements.len();
         self.ticket_cursor = tickets.len();
@@ -291,8 +285,7 @@ impl<'a> WeeklyScorer<'a> {
             nevermind_obs::counter_add!("weekly/frames_adopted", 1);
             self.store.adopt_frame(frame);
         } else {
-            let ds =
-                self.encoder.encode_day_cols_sharded(day, self.store.cols(), self.shards.max(1));
+            let ds = self.encoder.encode_day_cols_sharded(day, self.store.cols(), self.shards);
             self.store.ingest_frame(day, &ds);
         }
         let n_rows = self.lines.len();
@@ -348,10 +341,9 @@ impl<'a> WeeklyScorer<'a> {
 
     /// The week's top-`budget` lines, best first — the dispatch list.
     pub fn top_lines(&mut self, day: u32, budget: usize) -> Vec<LineId> {
-        let shards = self.shards.max(1);
         let top: Vec<LineId> = self
             .rank_week(day)
-            .top_rows_sharded(budget, shards)
+            .top_rows_sharded(budget, self.shards)
             .into_iter()
             .map(|(key, _, _)| key.line)
             .collect();
@@ -385,10 +377,10 @@ mod tests {
 
         let mut engine = WeeklyScorer::new(&predictor, &data.topology.lines);
         engine.observe(&data.output.measurements, &data.output.tickets);
-        // A second engine running every stage shard-parallel — and tracking
-        // extra telemetry lanes, which widens the store but must not perturb
-        // the plan's values — must agree bit-for-bit with both the legacy
-        // engine and the batch ranking.
+        // A second engine pinned to seven parts on every stage — and
+        // tracking extra telemetry lanes, which widens the store but must
+        // not perturb the plan's values — must agree bit-for-bit with both
+        // the every-core engine and the batch ranking.
         let mut sharded = WeeklyScorer::new(&predictor, &data.topology.lines);
         sharded.track_columns(&predictor.selected_base()[..4.min(predictor.selected_base().len())]);
         sharded.set_shards(7);

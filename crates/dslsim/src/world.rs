@@ -23,13 +23,13 @@
 //! customer, measure, dispatch, misc), each seeded
 //! `subseed(subseed(world_seed, subsystem), dslam_id)` — so the draw
 //! sequence behind any line depends only on its DSLAM, never on how many
-//! shards the plant happens to be split into. `step_day` steps shards on
-//! scoped threads, each writing tickets, notes, measurements, traffic and
-//! trace events into a private per-day buffer; the buffers are merged in
-//! shard order (= plant line order) with ticket ids renumbered at the
-//! merge. The one-shard path runs the identical buffer-and-merge code
-//! inline, which is what makes `--shards N` bit-identical to serial for
-//! every `N` (see `tests/sharding.rs`).
+//! shards the plant happens to be split into. `step_day` steps the shards
+//! as [`nevermind_obs::par`] parts, each writing tickets, notes,
+//! measurements, traffic and trace events into a private per-day buffer;
+//! the buffers are merged in shard order (= plant line order) with ticket
+//! ids renumbered at the merge. One shard runs the identical
+//! buffer-and-merge code inline, which is what makes `--shards N`
+//! bit-identical to serial for every `N` (see `tests/sharding.rs`).
 
 use crate::config::{DayOfWeek, SimConfig};
 use crate::customer::{generate_customers, Customer};
@@ -341,62 +341,44 @@ fn fault_onset_prob(daily_rate: f64, total_hazard: f64, mean_base_hazard: f64) -
     (daily_rate * total_hazard / mean_base_hazard).clamp(0.0, 1.0)
 }
 
-/// Splits `n_dslams` DSLAMs into at most `n_shards` contiguous,
-/// near-equal, non-empty ranges.
-fn shard_bounds(n_dslams: usize, n_shards: usize) -> Vec<(usize, usize)> {
-    let k = n_shards.clamp(1, n_dslams.max(1));
-    (0..k).map(|s| (s * n_dslams / k, (s + 1) * n_dslams / k)).collect()
-}
-
-/// Carves the plant state into per-shard mutable slices along `bounds`.
+/// Carves the plant state into per-shard mutable slices along `dslams`
+/// (a partition of the DSLAMs) and the line ranges those DSLAMs terminate.
 fn split_shards<'a>(
     topology: &Topology,
-    bounds: &[(usize, usize)],
+    dslams: &[std::ops::Range<usize>],
     state: &'a mut PlantState,
 ) -> Vec<ShardMut<'a>> {
-    let n_lines = topology.lines.len();
+    use nevermind_obs::par::split_mut;
     // First line terminated at or after DSLAM `d`.
-    let line_at = |d: usize| -> usize {
-        if d >= topology.dslams.len() {
-            n_lines
-        } else {
-            topology.dslams[d].first_line.index()
-        }
-    };
-    let mut faults = state.faults.as_mut_slice();
-    let mut aware_since = state.aware_since.as_mut_slice();
-    let mut churned = state.churned.as_mut_slice();
-    let mut usage_bits = state.usage_bits.as_mut_slice();
-    let mut pending = state.pending.as_mut_slice();
-    let mut rngs = state.rngs.as_mut_slice();
-    let mut outage_reports = state.outage_reports.as_mut_slice();
-    let mut outage_known = state.outage_known.as_mut_slice();
-    macro_rules! take {
-        ($slice:ident, $n:expr) => {{
-            let (head, tail) = std::mem::take(&mut $slice).split_at_mut($n);
-            $slice = tail;
-            head
-        }};
-    }
-    let mut shards = Vec::with_capacity(bounds.len());
-    for &(d0, d1) in bounds {
-        let first_line = line_at(d0);
-        let n_l = line_at(d1) - first_line;
-        let n_d = d1 - d0;
-        shards.push(ShardMut {
-            first_dslam: d0,
-            first_line,
-            faults: take!(faults, n_l),
-            aware_since: take!(aware_since, n_l),
-            churned: take!(churned, n_l),
-            usage_bits: take!(usage_bits, n_l),
-            pending: take!(pending, n_l),
-            rngs: take!(rngs, n_d),
-            outage_reports: take!(outage_reports, n_d),
-            outage_known: take!(outage_known, n_d),
-        });
-    }
-    shards
+    let line_at =
+        |d: usize| topology.dslams.get(d).map_or(topology.lines.len(), |x| x.first_line.index());
+    let lines: Vec<_> = dslams.iter().map(|d| line_at(d.start)..line_at(d.end)).collect();
+    let mut faults = split_mut(&mut state.faults, &lines, 1).into_iter();
+    let mut aware_since = split_mut(&mut state.aware_since, &lines, 1).into_iter();
+    let mut churned = split_mut(&mut state.churned, &lines, 1).into_iter();
+    let mut usage_bits = split_mut(&mut state.usage_bits, &lines, 1).into_iter();
+    let mut pending = split_mut(&mut state.pending, &lines, 1).into_iter();
+    let mut rngs = split_mut(&mut state.rngs, dslams, 1).into_iter();
+    let mut outage_reports = split_mut(&mut state.outage_reports, dslams, 1).into_iter();
+    let mut outage_known = split_mut(&mut state.outage_known, dslams, 1).into_iter();
+    dslams
+        .iter()
+        .zip(&lines)
+        .map_while(|(d, l)| {
+            Some(ShardMut {
+                first_dslam: d.start,
+                first_line: l.start,
+                faults: faults.next()?,
+                aware_since: aware_since.next()?,
+                churned: churned.next()?,
+                usage_bits: usage_bits.next()?,
+                pending: pending.next()?,
+                rngs: rngs.next()?,
+                outage_reports: outage_reports.next()?,
+                outage_known: outage_known.next()?,
+            })
+        })
+        .collect()
 }
 
 /// One shard's full day: outage bookkeeping, per-line advancement, due
@@ -823,18 +805,19 @@ impl World {
         }
     }
 
-    /// Returns the world stepping with `shards` parallel shards (clamped
-    /// to at least 1; shards beyond the DSLAM count are merged away).
+    /// Returns the world stepping with `shards` parallel shards — the
+    /// [`nevermind_obs::par`] part count: `0` means one per available
+    /// core, and shards beyond the DSLAM count are merged away.
     ///
     /// Sharding is an execution detail, not a modelling one: any shard
     /// count produces bit-identical [`SimOutput`] logs and trace bytes.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+        self.shards = shards;
         self
     }
 
-    /// Number of shards [`World::step_day`] splits the plant into.
+    /// The shard count [`World::with_shards`] set (`0` = every core).
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -918,8 +901,9 @@ impl World {
         self.out
     }
 
-    /// Advances the simulation by one day, stepping each shard on its own
-    /// scoped thread and merging the per-shard buffers in shard order.
+    /// Advances the simulation by one day, stepping the shards as
+    /// [`nevermind_obs::par`] parts and merging the per-shard buffers in
+    /// shard order.
     ///
     /// # Panics
     /// Panics if stepped past the configured horizon.
@@ -942,21 +926,13 @@ impl World {
             day,
             trace: nevermind_obs::trace::enabled(),
         };
-        let bounds = shard_bounds(self.topology.dslams.len(), self.shards);
-        let mut bufs: Vec<DayBuffer> = bounds.iter().map(|_| DayBuffer::default()).collect();
-        let mut shards = split_shards(&self.topology, &bounds, &mut self.state);
-        if shards.len() == 1 {
-            // Same buffer-and-merge path as the threaded case, inline.
-            step_shard(&ctx, &mut shards[0], &mut bufs[0]);
-        } else {
-            let ctx = &ctx;
-            std::thread::scope(|scope| {
-                for (shard, buf) in shards.iter_mut().zip(bufs.iter_mut()) {
-                    scope.spawn(move || step_shard(ctx, shard, buf));
-                }
-            });
-        }
-        drop(shards);
+        let bounds = nevermind_obs::par::bounds(self.topology.dslams.len(), self.shards);
+        let shards = split_shards(&self.topology, &bounds, &mut self.state);
+        let bufs = nevermind_obs::par::run(shards, |mut shard| {
+            let mut buf = DayBuffer::default();
+            step_shard(&ctx, &mut shard, &mut buf);
+            buf
+        });
         self.merge_day(day, bufs);
         self.day += 1;
         // History snapshots are clocked on *simulated* days — the only time
@@ -1306,26 +1282,6 @@ mod tests {
             out.tickets.iter().filter(|t| t.category == TicketCategory::Outage).count();
         assert!(outage_tickets > 0, "outage tickets before the IVR");
         assert!(!out.ivr_calls.is_empty(), "IVR suppression engaged");
-    }
-
-    #[test]
-    fn shard_bounds_cover_and_clamp() {
-        assert_eq!(shard_bounds(10, 1), vec![(0, 10)]);
-        assert_eq!(shard_bounds(10, 3), vec![(0, 3), (3, 6), (6, 10)]);
-        // More shards than DSLAMs: clamp to one DSLAM per shard.
-        assert_eq!(shard_bounds(2, 7), vec![(0, 1), (1, 2)]);
-        assert_eq!(shard_bounds(0, 4), vec![(0, 0)]);
-        for n in [1usize, 5, 42, 100] {
-            for k in [1usize, 2, 7, 16] {
-                let b = shard_bounds(n, k);
-                assert_eq!(b[0].0, 0);
-                assert_eq!(b[b.len() - 1].1, n);
-                for w in b.windows(2) {
-                    assert_eq!(w[0].1, w[1].0, "contiguous");
-                    assert!(w[0].0 < w[0].1, "non-empty");
-                }
-            }
-        }
     }
 
     #[test]

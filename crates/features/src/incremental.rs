@@ -26,11 +26,11 @@
 //!
 //! Both phases shard by contiguous line ranges
 //! ([`IncrementalEncoder::ingest_sharded`],
-//! [`IncrementalEncoder::encode_day_cols_sharded`]): per-line state is
-//! independent, so each scoped thread owns a disjoint slice of it and
-//! writes a disjoint slice of the output — the serial and sharded paths
-//! run the identical per-line routine, which keeps every shard count
-//! bit-identical.
+//! [`IncrementalEncoder::encode_day_cols_sharded`]) over
+//! [`nevermind_obs::par`] parts: per-line state is independent, so each
+//! part owns a disjoint slice of it and writes a disjoint slice of the
+//! output — every part count runs the identical per-line routine, which
+//! keeps every shard count bit-identical.
 
 use crate::encode::{days_since_ticket, fill_row_except_ts, EncodedDataset, EncoderConfig, RowKey};
 use crate::BaseEncoder;
@@ -176,45 +176,31 @@ impl<'a> IncrementalEncoder<'a> {
         self.ingest_sharded(measurements, tickets, 1);
     }
 
-    /// [`IncrementalEncoder::ingest`] fanned out over `shards` scoped
-    /// threads. Per-line state is independent, so each thread filters the
-    /// batch to its own contiguous line range and applies exactly the
-    /// serial per-event routine — any shard count leaves identical state.
+    /// [`IncrementalEncoder::ingest`] spread over `shards`
+    /// [`nevermind_obs::par`] parts (`0` = every core). Per-line state is
+    /// independent, so each part filters the batch to its own contiguous
+    /// line range and applies exactly the per-event routine — any shard
+    /// count leaves identical state.
     ///
     /// # Panics
     /// Panics under [`IncrementalEncoder::ingest`]'s conditions.
     pub fn ingest_sharded(&mut self, measurements: &[LineTest], tickets: &[Ticket], shards: usize) {
         let _span = nevermind_obs::span!("features/ingest");
         nevermind_obs::counter_add!("features/events_ingested", measurements.len() + tickets.len());
-        let n = self.state.len();
-        let shards = shards.clamp(1, n.max(1));
-        let apply = |state: &mut [LineState], lo: usize, hi: usize| {
+        let ranges = nevermind_obs::par::bounds(self.state.len(), shards);
+        let parts = nevermind_obs::par::split_mut(&mut self.state, &ranges, 1);
+        nevermind_obs::par::run(ranges.iter().zip(parts), |(lines, state)| {
             for m in measurements {
                 let li = m.line.index();
-                if (lo..hi).contains(&li) {
-                    state[li - lo].push_test(m.line, m.day, m.values);
+                if lines.contains(&li) {
+                    state[li - lines.start].push_test(m.line, m.day, m.values);
                 }
             }
             for t in tickets {
                 let li = t.line.index();
-                if t.is_customer_edge() && (lo..hi).contains(&li) {
-                    state[li - lo].push_ticket(t.day);
+                if t.is_customer_edge() && lines.contains(&li) {
+                    state[li - lines.start].push_ticket(t.day);
                 }
-            }
-        };
-        if shards == 1 {
-            apply(&mut self.state, 0, n);
-            return;
-        }
-        std::thread::scope(|scope| {
-            let mut rest = self.state.as_mut_slice();
-            for s in 0..shards {
-                let lo = s * n / shards;
-                let hi = (s + 1) * n / shards;
-                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
-                rest = tail;
-                let apply = &apply;
-                scope.spawn(move || apply(chunk, lo, hi));
             }
         });
     }
@@ -269,11 +255,11 @@ impl<'a> IncrementalEncoder<'a> {
         store.ingest_frame(day, &ds)
     }
 
-    /// [`IncrementalEncoder::encode_day_cols`] fanned out over `shards`
-    /// scoped threads, each encoding a contiguous line range into a
-    /// disjoint slice of the output matrix. Bit-identical to the serial
-    /// encode for any shard count: both paths run the same per-line
-    /// routine, and rows never interact.
+    /// [`IncrementalEncoder::encode_day_cols`] spread over `shards`
+    /// [`nevermind_obs::par`] parts (`0` = every core), each encoding a
+    /// contiguous line range into a disjoint slice of the output matrix.
+    /// Bit-identical for any shard count: every part runs the same
+    /// per-line routine, and rows never interact.
     ///
     /// # Panics
     /// Panics under [`IncrementalEncoder::encode_day_cols`]'s conditions.
@@ -307,60 +293,37 @@ impl<'a> IncrementalEncoder<'a> {
             .collect();
 
         let n_rows = self.lines.len();
-        let shards = shards.clamp(1, n_rows.max(1));
         let window_start = day.saturating_sub(self.config.history_weeks as u32 * 7);
         let mut values = vec![0.0f32; n_rows * cols.len()];
         let mut rows = vec![RowKey { line: LineId(0), day }; n_rows];
         let mut labels = vec![false; n_rows];
 
-        let encode_range = |state: &mut [LineState],
-                            vals: &mut [f32],
-                            rks: &mut [RowKey],
-                            lbs: &mut [bool],
-                            lo: usize| {
+        let ranges = nevermind_obs::par::bounds(n_rows, shards);
+        let parts = nevermind_obs::par::split_mut(&mut self.state, &ranges, 1)
+            .into_iter()
+            .zip(nevermind_obs::par::split_mut(&mut values, &ranges, cols.len()))
+            .zip(nevermind_obs::par::split_mut(&mut rows, &ranges, 1))
+            .zip(nevermind_obs::par::split_mut(&mut labels, &ranges, 1))
+            .zip(&ranges);
+        let (lines, config) = (self.lines, &self.config);
+        nevermind_obs::par::run(parts, |((((state, vals), rks), lbs), range)| {
             let mut scratch = vec![f32::NAN; n_full];
             for (k, st) in state.iter_mut().enumerate() {
                 let (rk, label) = encode_line_into(
-                    &self.lines[lo + k],
+                    &lines[range.start + k],
                     st,
                     day,
                     window_start,
                     cols,
                     &lanes,
-                    &self.config,
+                    config,
                     &mut scratch,
                     &mut vals[k * cols.len()..(k + 1) * cols.len()],
                 );
                 rks[k] = rk;
                 lbs[k] = label;
             }
-        };
-        if shards == 1 {
-            encode_range(&mut self.state, &mut values, &mut rows, &mut labels, 0);
-        } else {
-            std::thread::scope(|scope| {
-                let mut state_rest = self.state.as_mut_slice();
-                let mut values_rest = values.as_mut_slice();
-                let mut rows_rest = rows.as_mut_slice();
-                let mut labels_rest = labels.as_mut_slice();
-                for s in 0..shards {
-                    let lo = s * n_rows / shards;
-                    let hi = (s + 1) * n_rows / shards;
-                    let n = hi - lo;
-                    let (st, tail) = std::mem::take(&mut state_rest).split_at_mut(n);
-                    state_rest = tail;
-                    let (vals, tail) =
-                        std::mem::take(&mut values_rest).split_at_mut(n * cols.len());
-                    values_rest = tail;
-                    let (rks, tail) = std::mem::take(&mut rows_rest).split_at_mut(n);
-                    rows_rest = tail;
-                    let (lbs, tail) = std::mem::take(&mut labels_rest).split_at_mut(n);
-                    labels_rest = tail;
-                    let encode_range = &encode_range;
-                    scope.spawn(move || encode_range(st, vals, rks, lbs, lo));
-                }
-            });
-        }
+        });
 
         EncodedDataset {
             data: Dataset::new(FeatureMatrix::new(n_rows, meta, values), labels),

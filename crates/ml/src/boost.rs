@@ -9,9 +9,10 @@
 //! label noise in ticket data (unreported problems are mislabelled
 //! negatives).
 //!
-//! The trainer can fan the per-iteration stump search out across threads
-//! with `std::thread` scoped threads; results are bit-identical to the serial
-//! path because ties are broken by `(Z, feature index)` in both.
+//! The per-iteration stump search fans the candidate features out over
+//! [`nevermind_obs::par`] parts; the model is bit-identical for any part
+//! count because the per-part winners reduce under the total order
+//! `(Z, feature index)`.
 
 use crate::data::{Dataset, FeatureMatrix};
 use crate::stump::{best_stump_for_feature, BinnedDataset, Stump, StumpSearchResult, MISSING_BIN};
@@ -27,7 +28,8 @@ pub struct BoostConfig {
     pub n_bins: usize,
     /// Score-smoothing ε; `None` uses the Schapire–Singer default `1/(2n)`.
     pub smoothing: Option<f64>,
-    /// Whether to parallelize the per-iteration stump search across features.
+    /// Whether the per-iteration stump search spreads the features over
+    /// every core (it does so only from 8 candidate features up).
     pub parallel: bool,
 }
 
@@ -120,18 +122,19 @@ impl BStump {
         let mut weights: Vec<f64> = initial_weights.to_vec();
         normalize(&mut weights);
 
-        let features: Vec<usize> = candidate_features.to_vec();
+        let threads = if config.parallel && candidate_features.len() >= 8 { 0 } else { 1 };
         let mut stumps = Vec::with_capacity(config.iterations);
 
-        // Per-feature split-bin cache lets us score training rows from bins
-        // rather than raw values.
         for _t in 0..config.iterations {
-            let result = if config.parallel && features.len() >= 8 {
-                search_parallel(binned, &features, y, &weights, smoothing)
-            } else {
-                search_serial(binned, &features, y, &weights, smoothing)
-            };
-            let Some(res) = result else { break };
+            let per_part = nevermind_obs::par::map(candidate_features.len(), threads, |r| {
+                candidate_features[r]
+                    .iter()
+                    .filter_map(|&f| {
+                        best_stump_for_feature(f, binned.feature(f), y, &weights, smoothing)
+                    })
+                    .fold(None, best_of)
+            });
+            let Some(res) = per_part.into_iter().flatten().fold(None, best_of) else { break };
             // Z >= 1 means the stump no longer reduces training loss; any
             // further rounds would just oscillate.
             if res.z >= 1.0 - 1e-12 {
@@ -218,68 +221,23 @@ fn normalize(weights: &mut [f64]) {
     }
 }
 
-fn search_serial(
-    binned: &BinnedDataset,
-    features: &[usize],
-    y: &[bool],
-    weights: &[f64],
-    smoothing: f64,
+/// Folds a candidate into the running best under the total order
+/// `(Z, feature index)`: ties break on the lowest feature index, so the
+/// winner does not depend on how the features were partitioned.
+fn best_of(
+    incumbent: Option<StumpSearchResult>,
+    candidate: StumpSearchResult,
 ) -> Option<StumpSearchResult> {
-    let mut best: Option<StumpSearchResult> = None;
-    for &f in features {
-        if let Some(res) = best_stump_for_feature(f, binned.feature(f), y, weights, smoothing) {
-            if better(&res, best.as_ref()) {
-                best = Some(res);
-            }
-        }
+    match incumbent {
+        Some(inc) if !better(&candidate, &inc) => Some(inc),
+        _ => Some(candidate),
     }
-    best
-}
-
-fn search_parallel(
-    binned: &BinnedDataset,
-    features: &[usize],
-    y: &[bool],
-    weights: &[f64],
-    smoothing: f64,
-) -> Option<StumpSearchResult> {
-    let n_threads = std::thread::available_parallelism().map_or(1, |p| p.get()).min(features.len());
-    if n_threads <= 1 {
-        return search_serial(binned, features, y, weights, smoothing);
-    }
-    let chunk = features.len().div_ceil(n_threads);
-    let mut per_chunk: Vec<Option<StumpSearchResult>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = features
-            .chunks(chunk)
-            .map(|fs| scope.spawn(move || search_serial(binned, fs, y, weights, smoothing)))
-            .collect();
-        for h in handles {
-            // lint:allow(no-panic-in-lib) -- re-raises a worker-thread panic instead of deadlocking
-            per_chunk.push(h.join().expect("stump search thread panicked"));
-        }
-    });
-
-    // Deterministic reduction: ties break on the lowest feature index,
-    // matching the serial path (chunks are in feature order).
-    let mut best: Option<StumpSearchResult> = None;
-    for res in per_chunk.into_iter().flatten() {
-        if better(&res, best.as_ref()) {
-            best = Some(res);
-        }
-    }
-    best
 }
 
 /// Whether `candidate` beats `incumbent` under `(Z, feature index)` order.
-fn better(candidate: &StumpSearchResult, incumbent: Option<&StumpSearchResult>) -> bool {
-    match incumbent {
-        None => true,
-        Some(inc) => {
-            candidate.z < inc.z
-                || (candidate.z == inc.z && candidate.stump.feature < inc.stump.feature)
-        }
-    }
+fn better(candidate: &StumpSearchResult, incumbent: &StumpSearchResult) -> bool {
+    candidate.z < incumbent.z
+        || (candidate.z == incumbent.z && candidate.stump.feature < incumbent.stump.feature)
 }
 
 /// Applies the AdaBoost weight update `w_i ← w_i·exp(-y_i·g(x_i))` using the
@@ -376,6 +334,15 @@ mod tests {
         let serial = BStump::fit(&train, &cfg);
         cfg.parallel = true;
         let parallel = BStump::fit(&train, &cfg);
+        assert_eq!(serial.stumps(), parallel.stumps());
+
+        // Ten columns clear the eight-feature floor, so the search really
+        // fans out; repeated columns force exact `Z` ties across parts.
+        let wide = train.select_columns(&[0, 1, 2, 3, 0, 1, 2, 3, 1, 0]);
+        cfg.parallel = false;
+        let serial = BStump::fit(&wide, &cfg);
+        cfg.parallel = true;
+        let parallel = BStump::fit(&wide, &cfg);
         assert_eq!(serial.stumps(), parallel.stumps());
     }
 

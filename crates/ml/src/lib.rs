@@ -26,8 +26,9 @@
 //!   curves and the paper's novel **top-N average precision** `AP(N)`
 //!   (Sec. 4.3).
 //! * [`score`] — **BatchScorer**: the trained ensemble compiled into
-//!   per-stump bin→score lookup tables for fast (and optionally parallel)
-//!   population-scale margin evaluation, bit-identical to the per-row path.
+//!   per-stump bin→score lookup tables for fast population-scale margin
+//!   evaluation over a columnar source, bit-identical to the per-row path
+//!   at any part count.
 //! * [`select`] — the single-feature-model feature-selection framework that
 //!   ranks every candidate feature under any of the five criteria of Table 4.
 //! * [`tree`], [`bayes`] — a CART decision tree and Gaussian Naive Bayes,

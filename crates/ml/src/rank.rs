@@ -21,62 +21,37 @@ pub fn argsort_desc(scores: &[f64]) -> Vec<usize> {
 /// `k`. The weekly budgeted ranking asks for ~1% of the population, so this
 /// replaces the dominant `O(n log n)` full sort with `O(n + k log k)`.
 pub fn top_k(scores: &[f64], k: usize) -> Vec<usize> {
-    let k = k.min(scores.len());
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    // Augmenting the descending comparator with the original index yields a
-    // total order whose sorted prefix coincides with the *stable* sort's
-    // prefix — so unstable selection/sorting is safe.
-    let total = |&a: &usize, &b: &usize| cmp_desc(scores[a], scores[b]).then(a.cmp(&b));
-    if k < idx.len() {
-        idx.select_nth_unstable_by(k - 1, total);
-        idx.truncate(k);
-    }
-    idx.sort_unstable_by(total);
-    idx
+    top_k_sharded(scores, k, 1)
 }
 
-/// [`top_k`] computed shard-parallel: contiguous chunks select their local
-/// top `k` on scoped threads, then the merged candidate pool is selected
-/// again under the same total order.
+/// [`top_k`] spread over [`nevermind_obs::par`] parts (`n_shards` as its
+/// part count, `0` = every core): each contiguous part selects its local
+/// top `k`, then the merged candidate pool is selected again under the
+/// same total order.
 ///
 /// Bit-identical to [`top_k`] for every `n_shards` (any global top-`k`
-/// index is necessarily in its own chunk's top `k`, and the final
-/// selection applies the identical index-augmented comparator), so the
-/// weekly budgeted ranking can scale with the plant shards without
-/// perturbing a single rank. `n_shards` is clamped to `[1, len]`.
+/// index is necessarily in its own part's top `k`, and the final selection
+/// applies the identical index-augmented comparator), so the weekly
+/// budgeted ranking can scale with the plant shards without perturbing a
+/// single rank.
 pub fn top_k_sharded(scores: &[f64], k: usize, n_shards: usize) -> Vec<usize> {
     let k = k.min(scores.len());
     if k == 0 {
         return Vec::new();
     }
-    let shards = n_shards.clamp(1, scores.len());
+    // Augmenting the descending comparator with the original index yields a
+    // total order whose sorted prefix coincides with the *stable* sort's
+    // prefix — so unstable selection/sorting is safe.
     let total = |&a: &usize, &b: &usize| cmp_desc(scores[a], scores[b]).then(a.cmp(&b));
-    if shards == 1 {
-        return top_k(scores, k);
-    }
-    let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    std::thread::scope(|scope| {
-        for (s, out) in per_shard.iter_mut().enumerate() {
-            let lo = s * scores.len() / shards;
-            let hi = (s + 1) * scores.len() / shards;
-            scope.spawn(move || {
-                let mut idx: Vec<usize> = (lo..hi).collect();
-                if k < idx.len() {
-                    idx.select_nth_unstable_by(k - 1, total);
-                    idx.truncate(k);
-                }
-                *out = idx;
-            });
+    let select = |mut idx: Vec<usize>| {
+        if k < idx.len() {
+            idx.select_nth_unstable_by(k - 1, total);
+            idx.truncate(k);
         }
-    });
-    let mut candidates: Vec<usize> = per_shard.into_iter().flatten().collect();
-    if k < candidates.len() {
-        candidates.select_nth_unstable_by(k - 1, total);
-        candidates.truncate(k);
-    }
+        idx
+    };
+    let per_part = nevermind_obs::par::map(scores.len(), n_shards, |r| select(r.collect()));
+    let mut candidates = select(per_part.concat());
     candidates.sort_unstable_by(total);
     candidates
 }
@@ -174,6 +149,7 @@ mod tests {
                 .collect();
             let k = rng.random_range(0..=n);
             let serial = top_k(&scores, k);
+            assert_eq!(serial, argsort_desc(&scores)[..k], "trial {trial}, k = {k}");
             for shards in [1usize, 2, 7, 16, 64] {
                 assert_eq!(
                     top_k_sharded(&scores, k, shards),

@@ -18,14 +18,13 @@
 //!
 //! Scoring a row is then one table load per stump, added **in boosting
 //! order** — the same left-to-right summation as [`BStump::margin`], so the
-//! result is bit-identical to the serial per-row path. Rows are independent,
-//! which lets [`BatchScorer::margins_parallel`] fan row chunks out across
-//! scoped threads with no effect on the output.
+//! result is bit-identical to the per-row path. Rows are independent, which
+//! lets [`BatchScorer::margins_gather_parallel`] spread row ranges over
+//! [`nevermind_obs::par`] parts with no effect on the output.
 
 use crate::boost::BStump;
-use crate::data::FeatureMatrix;
 
-/// Cache-sized row block both scoring loops work in.
+/// Cache-sized row block the scoring loop works in.
 const BLOCK: usize = 256;
 
 /// One compiled stump: which reduced feature it reads and its bin→score
@@ -39,15 +38,6 @@ struct CompiledStump {
     lut: Vec<f64>,
 }
 
-/// How a scored matrix lays out the ensemble's features.
-#[derive(Debug, Clone, Copy)]
-enum ColumnLayout {
-    /// Training-width matrix: slot `j` reads its original column.
-    Full,
-    /// Narrow matrix of only the used features: slot `j` reads column `j`.
-    Compact,
-}
-
 /// A [`BStump`] compiled into per-feature threshold grids and per-stump
 /// bin→score lookup tables for fast batch evaluation.
 #[derive(Debug, Clone)]
@@ -57,8 +47,6 @@ pub struct BatchScorer {
     features: Vec<(usize, Vec<f32>)>,
     /// Compiled stumps in boosting order.
     stumps: Vec<CompiledStump>,
-    /// Minimum column count a scored matrix must have.
-    n_features: usize,
 }
 
 impl BatchScorer {
@@ -96,50 +84,7 @@ impl BatchScorer {
             })
             .collect();
 
-        Self { features, stumps, n_features: model.n_features() }
-    }
-
-    /// Margins for every row, identical to [`BStump::margins`] bit for bit.
-    ///
-    /// # Panics
-    /// Panics if the matrix has fewer columns than the training data.
-    pub fn margins(&self, x: &FeatureMatrix) -> Vec<f64> {
-        self.check_width(x);
-        let mut out = vec![0.0f64; x.n_rows()];
-        self.score_rows(x, 0, &mut out, ColumnLayout::Full);
-        out
-    }
-
-    /// [`BatchScorer::margins`] with row chunks spread over `n_threads`
-    /// scoped threads (`0` = available parallelism). Each thread writes a
-    /// disjoint output slice and per-row sums don't depend on chunking, so
-    /// the result is bit-identical to the serial path for any thread count.
-    pub fn margins_parallel(&self, x: &FeatureMatrix, n_threads: usize) -> Vec<f64> {
-        self.check_width(x);
-        self.margins_parallel_with(x, n_threads, ColumnLayout::Full)
-    }
-
-    /// Margins over a *compact* matrix whose column `j` is the ensemble's
-    /// `j`-th used feature ([`BatchScorer::used_columns`] order), skipping
-    /// the full training-width layout entirely. Bit-identical to
-    /// [`BatchScorer::margins`] on a full matrix with the same values in
-    /// the used columns.
-    ///
-    /// # Panics
-    /// Panics if the matrix doesn't have exactly
-    /// [`BatchScorer::n_used_features`] columns.
-    pub fn margins_compact(&self, x: &FeatureMatrix) -> Vec<f64> {
-        self.check_compact_width(x);
-        let mut out = vec![0.0f64; x.n_rows()];
-        self.score_rows(x, 0, &mut out, ColumnLayout::Compact);
-        out
-    }
-
-    /// [`BatchScorer::margins_compact`] spread over `n_threads` scoped
-    /// threads, bit-identical for any thread count.
-    pub fn margins_compact_parallel(&self, x: &FeatureMatrix, n_threads: usize) -> Vec<f64> {
-        self.check_compact_width(x);
-        self.margins_parallel_with(x, n_threads, ColumnLayout::Compact)
+        Self { features, stumps }
     }
 
     /// Margins gathered straight from a columnar source, with no
@@ -149,57 +94,27 @@ impl BatchScorer {
     /// how the weekly engine scores a `FeatureStore` week — the closure
     /// reads borrowed lane slices and computes derived features on the fly.
     ///
-    /// Bit-identical to [`BatchScorer::margins`] over a matrix carrying the
-    /// same values: binning is per-value, and the per-row LUT accumulation
-    /// runs in the identical boosting order.
-    pub fn margins_gather<F>(&self, n_rows: usize, fill: &F) -> Vec<f64>
-    where
-        F: Fn(usize, std::ops::Range<usize>, &mut [f32]),
-    {
-        let mut out = vec![0.0f64; n_rows];
-        self.score_rows_gather(0, &mut out, fill);
-        out
-    }
-
-    /// [`BatchScorer::margins_gather`] with row chunks spread over
-    /// `n_threads` scoped threads (`0` = available parallelism). Each
-    /// thread gathers and scores a disjoint row range, so the result is
-    /// bit-identical to the serial path for any thread count.
+    /// Row ranges are spread over [`nevermind_obs::par`] parts (`n_threads`
+    /// as its part count, `0` = every core); each part gathers and scores a
+    /// disjoint range. Bit-identical to [`BStump::margins`] over a matrix
+    /// carrying the same values, for any part count: binning is per-value,
+    /// and the per-row LUT accumulation runs in boosting order.
     pub fn margins_gather_parallel<F>(&self, n_rows: usize, n_threads: usize, fill: &F) -> Vec<f64>
     where
         F: Fn(usize, std::ops::Range<usize>, &mut [f32]) + Sync,
     {
-        let n_threads = if n_threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            n_threads
-        }
-        .min(n_rows.max(1));
         let mut out = vec![0.0f64; n_rows];
-        if n_threads <= 1 {
-            self.score_rows_gather(0, &mut out, fill);
-            return out;
-        }
-
-        let chunk = n_rows.div_ceil(n_threads);
-        std::thread::scope(|scope| {
-            let mut rest: &mut [f64] = &mut out;
-            let mut start = 0usize;
-            while !rest.is_empty() {
-                let len = chunk.min(rest.len());
-                let (slice, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let first_row = start;
-                scope.spawn(move || self.score_rows_gather(first_row, slice, fill));
-                start += len;
-            }
+        let ranges = nevermind_obs::par::bounds(n_rows, n_threads);
+        let parts = nevermind_obs::par::split_mut(&mut out, &ranges, 1);
+        nevermind_obs::par::run(ranges.iter().zip(parts), |(rows, out)| {
+            self.score_rows(rows.start, out, fill);
         });
         out
     }
 
     /// Scores rows `first_row..first_row + out.len()` into `out`, pulling
     /// feature values through `fill` one (slot, block) at a time.
-    fn score_rows_gather<F>(&self, first_row: usize, out: &mut [f64], fill: &F)
+    fn score_rows<F>(&self, first_row: usize, out: &mut [f64], fill: &F)
     where
         F: Fn(usize, std::ops::Range<usize>, &mut [f32]),
     {
@@ -231,105 +146,10 @@ impl BatchScorer {
         }
     }
 
-    fn margins_parallel_with(
-        &self,
-        x: &FeatureMatrix,
-        n_threads: usize,
-        layout: ColumnLayout,
-    ) -> Vec<f64> {
-        let n_rows = x.n_rows();
-        let n_threads = if n_threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            n_threads
-        }
-        .min(n_rows.max(1));
-        let mut out = vec![0.0f64; n_rows];
-        if n_threads <= 1 {
-            self.score_rows(x, 0, &mut out, layout);
-            return out;
-        }
-
-        let chunk = n_rows.div_ceil(n_threads);
-        std::thread::scope(|scope| {
-            let mut rest: &mut [f64] = &mut out;
-            let mut start = 0usize;
-            while !rest.is_empty() {
-                let len = chunk.min(rest.len());
-                let (slice, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let first_row = start;
-                scope.spawn(move || self.score_rows(x, first_row, slice, layout));
-                start += len;
-            }
-        });
-        out
-    }
-
-    /// Scores rows `first_row..first_row + out.len()` into `out`.
-    ///
-    /// Works in cache-sized row blocks: bin every used feature for the
-    /// block, then accumulate the stump LUT loads in boosting order.
-    fn score_rows(
-        &self,
-        x: &FeatureMatrix,
-        first_row: usize,
-        out: &mut [f64],
-        layout: ColumnLayout,
-    ) {
-        let n_feat = self.features.len();
-        let mut bins = vec![0u32; BLOCK * n_feat];
-        for (block_idx, block) in out.chunks_mut(BLOCK).enumerate() {
-            let base = first_row + block_idx * BLOCK;
-            for (i, acc) in block.iter_mut().enumerate() {
-                let row = x.row(base + i);
-                let row_bins = &mut bins[i * n_feat..(i + 1) * n_feat];
-                for (slot, (col, ts)) in self.features.iter().enumerate() {
-                    let v = match layout {
-                        ColumnLayout::Full => row[*col],
-                        ColumnLayout::Compact => row[slot],
-                    };
-                    row_bins[slot] = if v.is_nan() {
-                        ts.len() as u32 + 1 // missing bin: last LUT entry
-                    } else {
-                        ts.partition_point(|&t| t < v) as u32
-                    };
-                }
-                let mut m = 0.0f64;
-                for s in &self.stumps {
-                    m += s.lut[row_bins[s.slot as usize] as usize];
-                }
-                *acc = m;
-            }
-        }
-    }
-
-    /// Number of distinct features the compiled ensemble reads.
-    pub fn n_used_features(&self) -> usize {
-        self.features.len()
-    }
-
     /// The distinct (training-space) columns the ensemble reads, in slot
-    /// order — the column layout [`BatchScorer::margins_compact`] expects.
+    /// order — what `fill`'s slot argument indexes.
     pub fn used_columns(&self) -> impl Iterator<Item = usize> + '_ {
         self.features.iter().map(|(col, _)| *col)
-    }
-
-    fn check_width(&self, x: &FeatureMatrix) {
-        assert!(
-            x.n_cols() >= self.n_features,
-            "matrix has {} columns, model expects {}",
-            x.n_cols(),
-            self.n_features
-        );
-    }
-
-    fn check_compact_width(&self, x: &FeatureMatrix) {
-        assert_eq!(
-            x.n_cols(),
-            self.features.len(),
-            "compact matrix must have exactly one column per used feature"
-        );
     }
 }
 
@@ -337,7 +157,7 @@ impl BatchScorer {
 mod tests {
     use super::*;
     use crate::boost::BoostConfig;
-    use crate::data::{Dataset, FeatureMeta};
+    use crate::data::{Dataset, FeatureMatrix, FeatureMeta};
     use rand::{RngExt, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -366,21 +186,38 @@ mod tests {
         Dataset::new(FeatureMatrix::new(n, meta, values), labels)
     }
 
+    /// Gathers every used column of `x` (slot order) for the scorer.
+    fn matrix_fill<'a>(
+        scorer: &BatchScorer,
+        x: &'a FeatureMatrix,
+    ) -> impl Fn(usize, std::ops::Range<usize>, &mut [f32]) + Sync + 'a {
+        let cols: Vec<usize> = scorer.used_columns().collect();
+        move |slot, rows, out| {
+            for (o, r) in out.iter_mut().zip(rows) {
+                *o = x.row(r)[cols[slot]];
+            }
+        }
+    }
+
+    fn assert_bits_eq(expected: &[f64], got: &[f64], label: &str) {
+        assert_eq!(expected.len(), got.len(), "{label}: length");
+        for (r, (a, b)) in expected.iter().zip(got).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{label} row {r}: {a} vs {b}");
+        }
+    }
+
     #[test]
     fn compiled_margins_are_bit_identical_to_model() {
         let train = noisy_dataset(1500, 6, 42);
         let model = BStump::fit(&train, &BoostConfig::with_iterations(120));
         assert!(model.stumps().len() > 20, "model should be non-trivial");
         let scorer = BatchScorer::new(&model);
-        assert!(scorer.n_used_features() <= 6);
+        assert!(scorer.used_columns().count() <= 6);
 
         let test = noisy_dataset(700, 6, 43);
-        let reference = model.margins(&test.x);
-        let compiled = scorer.margins(&test.x);
-        assert_eq!(reference.len(), compiled.len());
-        for (r, (a, b)) in reference.iter().zip(&compiled).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "row {r}: {a} vs {b}");
-        }
+        let compiled =
+            scorer.margins_gather_parallel(test.len(), 1, &matrix_fill(&scorer, &test.x));
+        assert_bits_eq(&model.margins(&test.x), &compiled, "one part");
     }
 
     #[test]
@@ -388,13 +225,12 @@ mod tests {
         let train = noisy_dataset(1200, 5, 44);
         let model = BStump::fit(&train, &BoostConfig::with_iterations(80));
         let scorer = BatchScorer::new(&model);
-        let test = noisy_dataset(997, 5, 45); // odd count: uneven chunks
-        let serial = scorer.margins(&test.x);
+        let test = noisy_dataset(997, 5, 45); // odd count: uneven parts
+        let reference = model.margins(&test.x);
+        let fill = matrix_fill(&scorer, &test.x);
         for threads in [0, 1, 2, 3, 7, 64] {
-            let parallel = scorer.margins_parallel(&test.x, threads);
-            for (r, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads, row {r}");
-            }
+            let parallel = scorer.margins_gather_parallel(test.len(), threads, &fill);
+            assert_bits_eq(&reference, &parallel, &format!("{threads} threads"));
         }
     }
 
@@ -404,9 +240,9 @@ mod tests {
         let model = BStump::fit(&train, &BoostConfig::with_iterations(90));
         let scorer = BatchScorer::new(&model);
         let test = noisy_dataset(431, 6, 48);
-        let full = scorer.margins(&test.x);
 
-        // Gather only the used columns, in slot order.
+        // A narrow matrix of only the used columns, in slot order: slot `j`
+        // reads column `j` — the layout the weekly engine's plan produces.
         let cols: Vec<usize> = scorer.used_columns().collect();
         let meta = cols.iter().map(|c| FeatureMeta::continuous(format!("f{c}"))).collect();
         let mut values = Vec::with_capacity(test.len() * cols.len());
@@ -415,14 +251,15 @@ mod tests {
             values.extend(cols.iter().map(|&c| row[c]));
         }
         let narrow = FeatureMatrix::new(test.len(), meta, values);
-
-        for (serial, label) in [
-            (scorer.margins_compact(&narrow), "serial"),
-            (scorer.margins_compact_parallel(&narrow, 3), "parallel"),
-        ] {
-            for (r, (a, b)) in full.iter().zip(&serial).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{label} row {r}: {a} vs {b}");
+        let fill = |slot: usize, rows: std::ops::Range<usize>, out: &mut [f32]| {
+            for (o, r) in out.iter_mut().zip(rows) {
+                *o = narrow.row(r)[slot];
             }
+        };
+        let reference = model.margins(&test.x);
+        for threads in [1, 3] {
+            let compact = scorer.margins_gather_parallel(test.len(), threads, &fill);
+            assert_bits_eq(&reference, &compact, &format!("{threads} threads"));
         }
     }
 
@@ -431,8 +268,8 @@ mod tests {
         let train = noisy_dataset(1100, 6, 49);
         let model = BStump::fit(&train, &BoostConfig::with_iterations(100));
         let scorer = BatchScorer::new(&model);
-        let test = noisy_dataset(733, 6, 50); // odd count: uneven chunks
-        let full = scorer.margins(&test.x);
+        let test = noisy_dataset(733, 6, 50); // odd count: uneven parts
+        let reference = model.margins(&test.x);
 
         // Columnar source: one lane per used feature, NaNs re-canonicalized
         // to the default payload — gather scoring must not care which NaN
@@ -456,16 +293,9 @@ mod tests {
         let fill = |slot: usize, rows: std::ops::Range<usize>, out: &mut [f32]| {
             out.copy_from_slice(&lanes[slot][rows]);
         };
-
-        let serial = scorer.margins_gather(test.len(), &fill);
-        for (r, (a, b)) in full.iter().zip(&serial).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "serial gather row {r}: {a} vs {b}");
-        }
-        for threads in [0, 2, 3, 7, 64] {
-            let parallel = scorer.margins_gather_parallel(test.len(), threads, &fill);
-            for (r, (a, b)) in full.iter().zip(&parallel).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads, row {r}");
-            }
+        for threads in [0, 1, 2, 3, 7, 64] {
+            let gathered = scorer.margins_gather_parallel(test.len(), threads, &fill);
+            assert_bits_eq(&reference, &gathered, &format!("{threads} threads"));
         }
     }
 
@@ -476,8 +306,12 @@ mod tests {
         let scorer = BatchScorer::new(&model);
         let meta = (0..4).map(|c| FeatureMeta::continuous(format!("f{c}"))).collect();
         let x = FeatureMatrix::new(3, meta, vec![f32::NAN; 12]);
-        assert!(scorer.margins(&x).iter().all(|&m| m == 0.0));
-        assert!(scorer.margins_parallel(&x, 2).iter().all(|&m| m == 0.0));
+        let fill = matrix_fill(&scorer, &x);
+        for threads in [1, 2] {
+            let margins = scorer.margins_gather_parallel(3, threads, &fill);
+            assert_eq!(margins, model.margins(&x), "{threads} threads");
+            assert!(margins.iter().all(|&m| m == 0.0));
+        }
     }
 
     #[test]
@@ -491,6 +325,8 @@ mod tests {
         assert!(model.stumps().is_empty());
         let scorer = BatchScorer::new(&model);
         let probe = FeatureMatrix::new(2, meta, vec![0.3, 0.9]);
-        assert_eq!(scorer.margins(&probe), vec![0.0, 0.0]);
+        let margins = scorer.margins_gather_parallel(2, 0, &matrix_fill(&scorer, &probe));
+        assert_eq!(margins, vec![0.0, 0.0]);
+        assert_eq!(margins, model.margins(&probe));
     }
 }

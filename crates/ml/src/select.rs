@@ -7,9 +7,9 @@
 //! budget; the baselines (Table 4) are ROC AUC, classic average precision,
 //! PCA loadings and gain ratio.
 //!
-//! Model-based criteria parallelize across features with `std::thread` scoped
-//! threads; results are deterministic because each feature's score depends
-//! only on its own column.
+//! Model-based criteria spread the features over [`nevermind_obs::par`]
+//! parts on every core; results are deterministic because each feature's
+//! score depends only on its own column.
 
 use crate::boost::{BStump, BoostConfig};
 use crate::data::Dataset;
@@ -62,13 +62,11 @@ pub struct SelectConfig {
     pub model_iterations: usize,
     /// Bin count for the stump threshold search.
     pub n_bins: usize,
-    /// Number of worker threads (0 = one per available core).
-    pub threads: usize,
 }
 
 impl Default for SelectConfig {
     fn default() -> Self {
-        Self { model_iterations: 8, n_bins: 64, threads: 0 }
+        Self { model_iterations: 8, n_bins: 64 }
     }
 }
 
@@ -104,7 +102,9 @@ pub fn score_features(
             .collect(),
         SelectionCriterion::TopNAp { .. }
         | SelectionCriterion::Auc
-        | SelectionCriterion::AveragePrecision => score_model_based(train, eval, criterion, config),
+        | SelectionCriterion::AveragePrecision => {
+            score_model_based(train, eval, criterion, config, 0)
+        }
     }
 }
 
@@ -129,11 +129,14 @@ pub fn select_above_threshold(scores: &[FeatureScore], threshold: f64) -> Vec<us
     scores.iter().filter(|s| s.score > threshold).map(|s| s.feature).collect()
 }
 
+/// Model-based scores over `threads` [`nevermind_obs::par`] parts (`0` =
+/// every core; fewer than 4 features always score on the caller).
 fn score_model_based(
     train: &Dataset,
     eval: &Dataset,
     criterion: SelectionCriterion,
     config: &SelectConfig,
+    threads: usize,
 ) -> Vec<FeatureScore> {
     let n_features = train.x.n_cols();
     let binned = BinnedDataset::from_matrix(&train.x, config.n_bins);
@@ -168,32 +171,11 @@ fn score_model_based(
         }
     };
 
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        config.threads
-    };
-    let mut scores = vec![0.0f64; n_features];
-    if threads <= 1 || n_features < 4 {
-        for (f, slot) in scores.iter_mut().enumerate() {
-            *slot = score_one(f);
-        }
-    } else {
-        let chunk = n_features.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_idx, slot_chunk) in scores.chunks_mut(chunk).enumerate() {
-                let start = chunk_idx * chunk;
-                let score_one = &score_one;
-                scope.spawn(move || {
-                    for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                        *slot = score_one(start + off);
-                    }
-                });
-            }
-        });
-    }
-
-    scores.into_iter().enumerate().map(|(feature, score)| FeatureScore { feature, score }).collect()
+    let threads = if n_features < 4 { 1 } else { threads };
+    let scores = nevermind_obs::par::map(n_features, threads, |r| {
+        r.map(|feature| FeatureScore { feature, score: score_one(feature) }).collect::<Vec<_>>()
+    });
+    scores.concat()
 }
 
 #[cfg(test)]
@@ -225,7 +207,7 @@ mod tests {
     }
 
     fn cfg() -> SelectConfig {
-        SelectConfig { threads: 2, ..SelectConfig::default() }
+        SelectConfig::default()
     }
 
     #[test]
@@ -274,13 +256,17 @@ mod tests {
 
     #[test]
     fn parallel_scores_match_serial() {
-        let train = graded_dataset(1200, 11);
-        let eval = graded_dataset(600, 12);
-        let serial_cfg = SelectConfig { threads: 1, ..SelectConfig::default() };
-        let parallel_cfg = SelectConfig { threads: 4, ..SelectConfig::default() };
-        let a = score_features(&train, &eval, SelectionCriterion::TopNAp { n: 60 }, &serial_cfg);
-        let b = score_features(&train, &eval, SelectionCriterion::TopNAp { n: 60 }, &parallel_cfg);
-        assert_eq!(a, b);
+        // Five columns (the graded three plus two repeats) clear the
+        // four-feature floor below which scoring stays on the caller.
+        let train = graded_dataset(1200, 11).select_columns(&[0, 1, 2, 0, 1]);
+        let eval = graded_dataset(600, 12).select_columns(&[0, 1, 2, 0, 1]);
+        let criterion = SelectionCriterion::TopNAp { n: 60 };
+        let serial = score_model_based(&train, &eval, criterion, &cfg(), 1);
+        for threads in [0, 2, 4] {
+            let parallel = score_model_based(&train, &eval, criterion, &cfg(), threads);
+            assert_eq!(serial, parallel, "{threads} parts");
+        }
+        assert_eq!(serial, score_features(&train, &eval, criterion, &cfg()));
     }
 
     #[test]

@@ -27,9 +27,12 @@
 //! assert!(json.contains("fit/encode"));
 //! ```
 //!
-//! Span paths are per-thread: a span opened on a worker thread does not
-//! nest under its spawner's spans. Guards are expected to drop in LIFO
-//! order within a thread (the natural result of binding them to scopes).
+//! Span paths follow the work across threads: a [`par`] worker starts from
+//! its caller's open spans, so a span it opens records under the caller's
+//! path. Totals add up across workers — a parent's total can therefore be
+//! less than the sum of its children's when they ran in parallel. Guards
+//! are expected to drop in LIFO order within a thread (the natural result
+//! of binding them to scopes).
 //!
 //! Aggregates answer "how much"; the sibling [`trace`] module answers
 //! "*why this line*" — a bounded ring of typed decision-provenance events
@@ -57,6 +60,7 @@ pub mod distribution;
 pub mod history;
 pub mod http;
 pub mod json;
+pub mod par;
 pub mod profile;
 pub mod registry;
 pub mod rules;
@@ -73,6 +77,11 @@ pub use span::SpanGuard;
 use std::sync::OnceLock;
 
 static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
+
+/// Serializes the unit tests that toggle the process-global recording and
+/// profiling flags.
+#[cfg(test)]
+static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// The process-global registry (created disabled on first use).
 pub fn global() -> &'static MetricsRegistry {

@@ -241,10 +241,7 @@ pub fn global() -> &'static Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The profiler and the registry's enabled flag are process-global;
-    /// serialize the tests that toggle them.
-    static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
+    use crate::TEST_LOCK as GLOBAL_LOCK;
 
     #[test]
     fn disabled_profiler_observes_nothing() {

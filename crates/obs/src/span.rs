@@ -2,9 +2,13 @@
 //!
 //! Entering a span pushes its name onto a thread-local stack; dropping the
 //! guard records the elapsed nanoseconds under the `/`-joined path of the
-//! stack at that moment ("fit/select_base") and pops. Nesting is therefore
-//! purely lexical and per-thread: spans opened on worker threads start
-//! their own root.
+//! stack at that moment ("fit/select_base") and pops. Nesting is lexical
+//! per thread, and [`crate::par`] carries it across threads: a worker's
+//! stack starts from its caller's open spans, so spans opened inside a
+//! fan-out record under the caller's path. A path's total sums every
+//! thread's time under it, so a parent's total can be less than the sum of
+//! its children's when they ran in parallel. Threads started any other way
+//! (the HTTP server, the profiler's sampler) start their own root.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
@@ -51,6 +55,34 @@ impl SpanGuard {
     }
 }
 
+/// The calling thread's open span names, outermost first — `None` while
+/// recording is disabled (one relaxed atomic load, no stack read).
+pub(crate) fn open_spans() -> Option<Vec<&'static str>> {
+    crate::enabled().then(|| SPAN_STACK.with(|s| s.borrow().clone()))
+}
+
+/// Runs `f` on this (fresh worker) thread with its span stack seeded from
+/// a caller's [`open_spans`] — mirrored into the profiler's frames too
+/// while it samples — and unwinds the seed afterwards.
+pub(crate) fn seeded<R>(open: Option<&[&'static str]>, f: impl FnOnce() -> R) -> R {
+    let Some(open) = open else { return f() };
+    SPAN_STACK.with(|s| s.borrow_mut().extend_from_slice(open));
+    let profiled = crate::profile::enabled();
+    if profiled {
+        open.iter().for_each(|&name| crate::profile::push_frame(name));
+    }
+    let out = f();
+    if profiled {
+        open.iter().for_each(|_| crate::profile::pop_frame());
+    }
+    SPAN_STACK.with(|s| {
+        let mut stack = s.borrow_mut();
+        let depth = stack.len().saturating_sub(open.len());
+        stack.truncate(depth);
+    });
+    out
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
@@ -71,11 +103,7 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// The global registry's enabled flag is process-wide; serialize the
-    /// tests that toggle it.
-    static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
+    use crate::TEST_LOCK as GLOBAL_LOCK;
 
     #[test]
     fn nested_spans_record_joined_paths() {
