@@ -213,7 +213,8 @@ pub(crate) fn sim_config_from(
     Ok(cfg)
 }
 
-/// Loads a dataset written by `nevermind simulate`.
+/// Loads a dataset written by `nevermind simulate` and checks its line ids
+/// against its topology.
 pub(crate) fn load_dataset(
     path: &str,
 ) -> Result<nevermind::pipeline::ExperimentData, Box<dyn std::error::Error>> {
@@ -222,5 +223,6 @@ pub(crate) fn load_dataset(
     let reader = std::io::BufReader::new(file);
     let data: nevermind::pipeline::ExperimentData = serde_json::from_reader(reader)
         .map_err(|e| format!("cannot parse dataset '{path}': {e}"))?;
+    data.validate()?;
     Ok(data)
 }

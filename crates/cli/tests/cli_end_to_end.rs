@@ -340,3 +340,64 @@ fn rank_rejects_out_of_range_selected_base() {
     assert_rank_rejects(&dir, &dataset, &tampered, "selected column 99999");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Simulates a small world in a fresh work dir; returns the dir and the
+/// `dataset.json` text.
+fn simulated_dataset(tag: &str) -> (PathBuf, String) {
+    let dir = named_work_dir(tag);
+    let out = bin()
+        .args(["simulate", "--out", dir.to_str().expect("utf8"), "--lines", "300"])
+        .args(["--days", "120", "--seed", "3"])
+        .output()
+        .expect("run simulate");
+    assert!(out.status.success(), "simulate failed: {}", String::from_utf8_lossy(&out.stderr));
+    let json = std::fs::read_to_string(dir.join("dataset.json")).expect("read dataset");
+    (dir, json)
+}
+
+/// [`tamper`] applied to the first `key` inside the `section` array.
+fn tamper_in(json: &str, section: &str, key: &str, value: &str) -> String {
+    let at = json.find(&format!("\"{section}\":")).unwrap_or_else(|| panic!("no {section}"));
+    format!("{}{}", &json[..at], tamper(&json[at..], key, value))
+}
+
+/// Runs `train`, `locate` and `rank` on a tampered dataset and asserts a
+/// typed error from each: exit 1 (never a panic's 101) with the named
+/// error on stderr.
+fn assert_dataset_rejected(dir: &std::path::Path, dataset: &str, needle: &str) {
+    let path = dir.join("tampered.json");
+    std::fs::write(&path, dataset).expect("write tampered dataset");
+    let data = path.to_str().expect("utf8");
+    let model = dir.join("model.json");
+    let model = model.to_str().expect("utf8");
+    for args in [
+        vec!["train", "--data", data, "--model", model],
+        vec!["locate", "--data", data],
+        vec!["rank", "--data", data, "--model", model],
+    ] {
+        let out = bin().args(&args).output().expect("run command");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{} must fail cleanly: {stderr}", args[0]);
+        assert!(stderr.contains("error: invalid dataset"), "named error expected: {stderr}");
+        assert!(stderr.contains(needle), "expected '{needle}' in: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+#[test]
+fn out_of_range_measurement_line_is_a_typed_error() {
+    let (dir, json) = simulated_dataset("bad-measurement-line");
+    let tampered = tamper_in(&json, "measurements", "line", "999999");
+    assert_ne!(tampered, json);
+    assert_dataset_rejected(&dir, &tampered, "measurement 0 names line 999999");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn out_of_range_ticket_line_is_a_typed_error() {
+    let (dir, json) = simulated_dataset("bad-ticket-line");
+    let tampered = tamper_in(&json, "tickets", "line", "999999");
+    assert_ne!(tampered, json);
+    assert_dataset_rejected(&dir, &tampered, "ticket 0 names line 999999");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -47,6 +47,12 @@ pub enum PipelineError {
         /// Which check failed, with the offending value.
         detail: String,
     },
+    /// A deserialized dataset's logs name a line outside its topology, so
+    /// the per-line indexes would read out of bounds.
+    InvalidDataset {
+        /// The offending record and line id.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -70,6 +76,7 @@ impl std::fmt::Display for PipelineError {
                 write!(f, "resume store does not match this trial: {detail}")
             }
             Self::InvalidModel { detail } => write!(f, "invalid model: {detail}"),
+            Self::InvalidDataset { detail } => write!(f, "invalid dataset: {detail}"),
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::error::PipelineError;
 use nevermind_dslsim::topology::Topology;
-use nevermind_dslsim::{SimConfig, SimOutput, World};
+use nevermind_dslsim::{LineId, SimConfig, SimOutput, World};
 use nevermind_features::encode::EncoderConfig;
 use nevermind_features::BaseEncoder;
 use serde::{Deserialize, Serialize};
@@ -46,6 +46,24 @@ impl ExperimentData {
         Self { config, topology, output }
     }
 
+    /// Checks that every measurement, ticket, disposition note, IVR call and
+    /// churn event names a line of [`ExperimentData::topology`]. The
+    /// encoder and the locator index per-line tables by line id, so a
+    /// dataset read from disk must pass this before it is used.
+    ///
+    /// # Errors
+    /// Returns [`PipelineError::InvalidDataset`] naming the first record
+    /// whose line id is out of range.
+    pub fn validate(&self) -> Result<(), PipelineError> {
+        let n_lines = self.topology.lines.len();
+        let out = &self.output;
+        check_lines("measurement", &out.measurements, |m| m.line, n_lines)?;
+        check_lines("ticket", &out.tickets, |t| t.line, n_lines)?;
+        check_lines("disposition note", &out.notes, |n| n.line, n_lines)?;
+        check_lines("IVR call", &out.ivr_calls, |c| c.line, n_lines)?;
+        check_lines("churn event", &out.churn_events, |c| c.line, n_lines)
+    }
+
     /// Builds the feature encoder over these logs.
     pub fn encoder(&self, encoder_config: EncoderConfig) -> BaseEncoder<'_> {
         BaseEncoder::new(
@@ -64,6 +82,24 @@ impl ExperimentData {
     /// Saturdays whose 4-week label window fits inside the horizon.
     pub fn label_complete_saturdays(&self, horizon_days: u32) -> Vec<u32> {
         self.saturdays().into_iter().filter(|&d| d + horizon_days <= self.config.days).collect()
+    }
+}
+
+/// The first of `records` whose line is not below `n_lines`, as an error.
+fn check_lines<T>(
+    log: &str,
+    records: &[T],
+    line: impl Fn(&T) -> LineId,
+    n_lines: usize,
+) -> Result<(), PipelineError> {
+    match records.iter().map(line).enumerate().find(|(_, l)| l.index() >= n_lines) {
+        Some((i, l)) => Err(PipelineError::InvalidDataset {
+            detail: format!(
+                "{log} {i} names line {}, but the topology has {n_lines} lines",
+                l.index()
+            ),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -555,6 +591,39 @@ mod tests {
         assert_eq!(split.train_days.len(), 9);
         assert_eq!(split.selection_eval_days.len(), 4);
         assert_eq!(split.test_days.len(), 4);
+    }
+
+    #[test]
+    fn validate_names_the_first_out_of_range_line() {
+        let data = small_data();
+        assert_eq!(data.validate(), Ok(()));
+        let n = data.topology.lines.len();
+        let bad = LineId(n as u32);
+        let rejects = |data: &ExperimentData, needle: &str| match data.validate() {
+            Err(PipelineError::InvalidDataset { detail }) => {
+                assert!(detail.contains(needle), "{detail}");
+                assert!(detail.contains(&format!("names line {n},")), "{detail}");
+            }
+            other => panic!("expected InvalidDataset for {needle}, got {other:?}"),
+        };
+
+        let mut d = small_data();
+        d.output.measurements[3].line = bad;
+        rejects(&d, "measurement 3 ");
+        let mut d = small_data();
+        d.output.tickets[0].line = bad;
+        rejects(&d, "ticket 0 ");
+        let mut d = small_data();
+        let mut note = d.output.notes.first().cloned().expect("small world dispatches");
+        note.line = bad;
+        d.output.notes.push(note);
+        rejects(&d, "disposition note");
+        let mut d = small_data();
+        d.output.ivr_calls.push(nevermind_dslsim::world::IvrCall { line: bad, day: 0 });
+        rejects(&d, "IVR call");
+        let mut d = small_data();
+        d.output.churn_events.push(nevermind_dslsim::world::ChurnEvent { line: bad, day: 0 });
+        rejects(&d, "churn event");
     }
 
     #[test]

@@ -9,13 +9,28 @@
 //! label noise in ticket data (unreported problems are mislabelled
 //! negatives).
 //!
-//! The per-iteration stump search fans the candidate features out over
+//! A fit's labels never change, so each fit folds them into one `u16`
+//! *slot code* per row and candidate column before the first round:
+//! `2·bin + y` for a present value, `2·k` for a missing one (`k` = the
+//! column's bin count). Each round then fills the slot histograms of
+//! four candidates per pass over the rows with a branch-free
+//! `h[code] += w`, hands each histogram to the one split scan
+//! ([`crate::stump`]), and reweights the rows through a `2k + 1`-entry
+//! factor table indexed by the winner's codes — no per-row branch and no
+//! per-row `exp`. Every slot sums its rows in row order, so the stumps are
+//! bit-identical to [`crate::stump::best_stump`]'s row-by-row search
+//! (DESIGN.md, "Stump search kernel").
+//!
+//! The per-iteration stump search fans the candidate groups out over
 //! [`nevermind_obs::par`] parts; the model is bit-identical for any part
 //! count because the per-part winners reduce under the total order
 //! `(Z, feature index)`.
 
 use crate::data::{Dataset, FeatureMatrix};
-use crate::stump::{best_stump_for_feature, BinnedDataset, Stump, StumpSearchResult, MISSING_BIN};
+use crate::stump::{
+    best_split, binned_columns, BinnedDataset, BinnedFeature, Stump, StumpSearchResult, MAX_BINS,
+    MISSING_BIN,
+};
 use serde::{Deserialize, Serialize};
 
 /// Training configuration for [`BStump`].
@@ -85,6 +100,10 @@ impl BStump {
     /// Trains with caller-supplied initial weights (they are normalized
     /// internally).
     ///
+    /// The columns are binned and coded one at a time, so the fit holds its
+    /// slot codes (2 bytes per cell) but never a whole binned copy of `x`
+    /// beside them.
+    ///
     /// # Panics
     /// Panics if the label or weight slices do not match the matrix rows, or
     /// if the dataset is empty.
@@ -98,15 +117,24 @@ impl BStump {
         assert_eq!(x.n_rows(), initial_weights.len(), "weight/row mismatch");
         assert!(x.n_rows() > 0, "cannot train on an empty dataset");
 
-        let binned = BinnedDataset::from_matrix(x, config.n_bins);
-        let candidates: Vec<usize> = (0..x.n_cols()).collect();
-        Self::fit_binned(&binned, y, initial_weights, config, &candidates)
+        let columns: Vec<CodedColumn> = binned_columns(x, config.n_bins)
+            .enumerate()
+            .map(|(c, column)| CodedColumn::new(c, &column, y))
+            .collect();
+        Self::boost(&columns, initial_weights, config, x.n_cols())
     }
 
     /// Trains from an already-binned dataset, restricted to the given
     /// candidate feature columns (lets callers amortize binning across many
     /// models — e.g. the per-feature selection models train one single-column
     /// model per candidate from one shared binning).
+    ///
+    /// The fit holds 2 bytes per row and candidate of slot codes while it
+    /// runs.
+    ///
+    /// # Panics
+    /// Panics if the label or weight slices do not match the dataset rows,
+    /// or if the weights sum to zero.
     pub fn fit_binned(
         binned: &BinnedDataset,
         y: &[bool],
@@ -114,36 +142,41 @@ impl BStump {
         config: &BoostConfig,
         candidate_features: &[usize],
     ) -> Self {
+        assert_eq!(binned.n_rows(), y.len(), "label/row mismatch");
+        assert_eq!(binned.n_rows(), initial_weights.len(), "weight/row mismatch");
+        let columns: Vec<CodedColumn> =
+            candidate_features.iter().map(|&f| CodedColumn::new(f, binned.feature(f), y)).collect();
+        Self::boost(&columns, initial_weights, config, binned.n_features())
+    }
+
+    /// The boosting rounds over a fit's coded candidate columns.
+    fn boost(
+        columns: &[CodedColumn],
+        initial_weights: &[f64],
+        config: &BoostConfig,
+        n_features: usize,
+    ) -> Self {
         let _span = nevermind_obs::span!("ml/bstump_fit");
-        nevermind_obs::counter_add!("ml/boost_rounds", config.iterations);
-        let n = binned.n_rows();
-        let n_features = binned.n_features();
+        let n = initial_weights.len();
         let smoothing = config.smoothing.unwrap_or(1.0 / (2.0 * n as f64));
         let mut weights: Vec<f64> = initial_weights.to_vec();
         normalize(&mut weights);
 
-        let threads = if config.parallel && candidate_features.len() >= 8 { 0 } else { 1 };
+        let threads = if config.parallel && columns.len() >= 8 { 0 } else { 1 };
         let mut stumps = Vec::with_capacity(config.iterations);
 
         for _t in 0..config.iterations {
-            let per_part = nevermind_obs::par::map(candidate_features.len(), threads, |r| {
-                candidate_features[r]
-                    .iter()
-                    .filter_map(|&f| {
-                        best_stump_for_feature(f, binned.feature(f), y, &weights, smoothing)
-                    })
-                    .fold(None, best_of)
-            });
-            let Some(res) = per_part.into_iter().flatten().fold(None, best_of) else { break };
+            let Some((c, res)) = search(columns, &weights, smoothing, threads) else { break };
             // Z >= 1 means the stump no longer reduces training loss; any
             // further rounds would just oscillate.
             if res.z >= 1.0 - 1e-12 {
                 break;
             }
 
-            apply_weight_update(binned, &res.stump, y, &mut weights);
+            columns[c].reweight(&res.stump, &mut weights);
             stumps.push(res.stump);
         }
+        nevermind_obs::counter_add!("ml/boost_rounds", stumps.len());
 
         Self { stumps, n_features }
     }
@@ -221,15 +254,157 @@ fn normalize(weights: &mut [f64]) {
     }
 }
 
-/// Folds a candidate into the running best under the total order
-/// `(Z, feature index)`: ties break on the lowest feature index, so the
-/// winner does not depend on how the features were partitioned.
+/// Candidates whose histograms one pass over the rows fills. Four
+/// independent `h[code] += w` chains keep the adds from waiting on each
+/// other's stores; eight measured no faster (DESIGN.md §14).
+const LANES: usize = 4;
+
+/// One candidate column of a fit with the fit's labels folded in: a `u16`
+/// slot code per row, `2·bin + y` for a present value and `2·k` for a
+/// missing one (`k` = the column's bin count), so slot `code` of the
+/// column's histogram collects the row's weight.
+struct CodedColumn {
+    /// The column's feature index.
+    feature: usize,
+    /// Its bin edges.
+    edges: Vec<f32>,
+    /// One slot code per row.
+    codes: Vec<u16>,
+}
+
+impl CodedColumn {
+    fn new(feature: usize, column: &BinnedFeature, y: &[bool]) -> Self {
+        let k = column.n_bins();
+        assert!(
+            k <= MAX_BINS + 1,
+            "feature {feature}: {k} bins; slot codes allow {}",
+            MAX_BINS + 1
+        );
+        assert_eq!(column.bin_of_row.len(), y.len(), "feature {feature}: bin/label mismatch");
+        let missing = (2 * k) as u16;
+        let codes = column
+            .bin_of_row
+            .iter()
+            .zip(y)
+            .map(|(&bin, &label)| match bin {
+                MISSING_BIN => missing,
+                _ => 2 * bin + u16::from(label),
+            })
+            .collect();
+        Self { feature, edges: column.edges.clone(), codes }
+    }
+
+    /// Applies the AdaBoost update `w_i ← w_i·exp(-y_i·g(x_i))` for a
+    /// stump on this column, then renormalizes. Every row with the same
+    /// slot code gets the same factor, so the `exp` runs once per slot,
+    /// not once per row.
+    fn reweight(&self, stump: &Stump, weights: &mut [f64]) {
+        let k = self.edges.len();
+        // The stump threshold is always one of the bin edges; rows in bins
+        // up to and including that edge go left.
+        let split_bin = self.edges.partition_point(|&e| e < stump.threshold);
+        let factor: Vec<f64> = (0..=2 * k)
+            .map(|code| {
+                let bin = code / 2;
+                let g = if bin == k {
+                    0.0
+                } else if bin <= split_bin {
+                    stump.s_le
+                } else {
+                    stump.s_gt
+                };
+                let signed = if code % 2 == 1 { g } else { -g };
+                (-signed).exp()
+            })
+            .collect();
+        for (w, &code) in weights.iter_mut().zip(&self.codes) {
+            *w *= factor[usize::from(code)];
+        }
+        normalize(weights);
+    }
+}
+
+/// The best stump over every column under `weights`, with the winner's
+/// position in `columns`. Groups of [`LANES`] columns are spread over
+/// `threads` [`nevermind_obs::par`] parts.
+fn search(
+    columns: &[CodedColumn],
+    weights: &[f64],
+    smoothing: f64,
+    threads: usize,
+) -> Option<(usize, StumpSearchResult)> {
+    let n_groups = columns.len().div_ceil(LANES);
+    let per_part = nevermind_obs::par::map(n_groups, threads, |groups| {
+        let mut hists = Default::default();
+        groups
+            .flat_map(|g| group_splits(columns, g, weights, smoothing, &mut hists))
+            .fold(None, best_of)
+    });
+    per_part.into_iter().flatten().fold(None, best_of)
+}
+
+/// The best split of each column in group `g` (positions `g·LANES..`, at
+/// most [`LANES`] of them) that admits one, with its position — all from
+/// one pass over the rows. `hists` is scratch space.
+fn group_splits(
+    columns: &[CodedColumn],
+    g: usize,
+    weights: &[f64],
+    smoothing: f64,
+    hists: &mut [Vec<f64>; LANES],
+) -> Vec<(usize, StumpSearchResult)> {
+    let lanes = g * LANES..((g + 1) * LANES).min(columns.len());
+    let group = &columns[lanes.clone()];
+    let hists = &mut hists[..group.len()];
+    for (h, column) in hists.iter_mut().zip(group) {
+        h.clear();
+        h.resize(2 * column.edges.len() + 1, 0.0);
+    }
+    let codes: Vec<&[u16]> = group.iter().map(|column| column.codes.as_slice()).collect();
+    fill_histograms(&codes, weights, hists);
+    lanes
+        .zip(group.iter().zip(hists.iter()))
+        .filter_map(|(c, (column, h))| {
+            best_split(column.feature, &column.edges, h, smoothing).map(|res| (c, res))
+        })
+        .collect()
+}
+
+/// Adds each row's weight to slot `codes[j][row]` of `hists[j]`, for every
+/// lane `j` (one to [`LANES`]) in one pass over the rows.
+fn fill_histograms(codes: &[&[u16]], weights: &[f64], hists: &mut [Vec<f64>]) {
+    match (codes, hists) {
+        ([a, b, c, d], [ha, hb, hc, hd]) => fill([a, b, c, d], weights, [ha, hb, hc, hd]),
+        ([a, b, c], [ha, hb, hc]) => fill([a, b, c], weights, [ha, hb, hc]),
+        ([a, b], [ha, hb]) => fill([a, b], weights, [ha, hb]),
+        ([a], [ha]) => fill([a], weights, [ha]),
+        _ => {}
+    }
+}
+
+/// The branch-free histogram kernel: `N` independent scatters per row.
+#[inline(always)]
+fn fill<const N: usize>(codes: [&[u16]; N], weights: &[f64], hists: [&mut Vec<f64>; N]) {
+    let n = weights.len();
+    let codes = codes.map(|c| &c[..n]);
+    let mut hists = hists.map(|h| h.as_mut_slice());
+    for (r, &w) in weights.iter().enumerate() {
+        for (h, c) in hists.iter_mut().zip(&codes) {
+            h[usize::from(c[r])] += w;
+        }
+    }
+}
+
+/// Folds a candidate (with its candidate position) into the running best
+/// under the total order `(Z, feature index)`: ties break on the lowest
+/// feature index, so the winner does not depend on how the features were
+/// partitioned.
 fn best_of(
-    incumbent: Option<StumpSearchResult>,
-    candidate: StumpSearchResult,
-) -> Option<StumpSearchResult> {
+    incumbent: Option<(usize, StumpSearchResult)>,
+    candidate: (usize, StumpSearchResult),
+) -> Option<(usize, StumpSearchResult)> {
     match incumbent {
-        Some(inc) if !better(&candidate, &inc) => Some(inc),
+        Some(inc) if !better(&candidate.1, &inc.1) => Some(inc),
         _ => Some(candidate),
     }
 }
@@ -240,31 +415,11 @@ fn better(candidate: &StumpSearchResult, incumbent: &StumpSearchResult) -> bool 
         || (candidate.z == incumbent.z && candidate.stump.feature < incumbent.stump.feature)
 }
 
-/// Applies the AdaBoost weight update `w_i ← w_i·exp(-y_i·g(x_i))` using the
-/// binned representation (threshold comparisons reduce to bin comparisons).
-fn apply_weight_update(binned: &BinnedDataset, stump: &Stump, y: &[bool], weights: &mut [f64]) {
-    let feature = binned.feature(stump.feature);
-    // The stump threshold is always one of the bin edges; rows in bins up to
-    // and including that edge go left.
-    let split_bin = feature.edges.partition_point(|&e| e < stump.threshold) as u16;
-    for ((&bin, &label), w) in feature.bin_of_row.iter().zip(y).zip(weights.iter_mut()) {
-        let g = if bin == MISSING_BIN {
-            0.0
-        } else if bin <= split_bin {
-            stump.s_le
-        } else {
-            stump.s_gt
-        };
-        let signed = if label { g } else { -g };
-        *w *= (-signed).exp();
-    }
-    normalize(weights);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::FeatureMeta;
+    use crate::stump::best_stump_for_feature;
     use rand::{RngExt, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -413,6 +568,182 @@ mod tests {
         assert_eq!(usage.iter().sum::<usize>(), model.stumps().len());
         // The two signal features should dominate usage.
         assert!(usage[0] + usage[1] > usage[2] + usage[3]);
+    }
+
+    /// A column drawn from one of several shapes: continuous, a coarse grid
+    /// (forces tied values), binary, constant or all-missing, each with its
+    /// own missing rate from 0 to 100%.
+    fn random_column(rng: &mut ChaCha8Rng, n: usize) -> Vec<f32> {
+        let missing = [0.0, 0.05, 0.3, 0.9, 1.0][rng.random_range(0..5usize)];
+        let shape = rng.random_range(0..5u32);
+        (0..n)
+            .map(|_| {
+                if rng.random_bool(missing) {
+                    return f32::NAN;
+                }
+                match shape {
+                    0 => rng.random::<f32>() * 100.0 - 50.0,
+                    1 => rng.random_range(0..6u32) as f32 / 4.0,
+                    2 => rng.random_range(0..2u32) as f32,
+                    3 => 7.0,
+                    _ => f32::NAN,
+                }
+            })
+            .collect()
+    }
+
+    fn random_dataset(rng: &mut ChaCha8Rng, n: usize, n_cols: usize) -> Dataset {
+        let cols: Vec<Vec<f32>> = (0..n_cols).map(|_| random_column(rng, n)).collect();
+        let values = (0..n).flat_map(|r| cols.iter().map(move |c| c[r])).collect();
+        let meta = (0..n_cols).map(|c| FeatureMeta::continuous(format!("f{c}"))).collect();
+        let positives = rng.random_range(0.05..0.5);
+        let labels = (0..n).map(|_| rng.random_bool(positives)).collect();
+        Dataset::new(FeatureMatrix::new(n, meta, values), labels)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Each candidate's split from the four-wide code kernel equals
+        /// the row-by-row reference bit for bit, for every remainder of
+        /// the four-wide pass (1–9 candidates) and every bin count the
+        /// ablations use.
+        #[test]
+        fn kernel_splits_match_the_row_by_row_reference(
+            seed in 0u64..u64::MAX,
+            n in 1usize..400,
+            n_cols in 1usize..10,
+            n_bins in 2usize..257,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let data = random_dataset(&mut rng, n, n_cols);
+            let weights: Vec<f64> = (0..n).map(|_| rng.random_range(0.01..1.0)).collect();
+            let smoothing = 1.0 / (2.0 * n as f64);
+            let binned = BinnedDataset::from_matrix(&data.x, n_bins);
+            // Candidates out of column order, so positions and feature
+            // indices differ.
+            let candidates: Vec<usize> = (0..n_cols).rev().collect();
+            let columns: Vec<CodedColumn> = candidates
+                .iter()
+                .map(|&f| CodedColumn::new(f, binned.feature(f), &data.y))
+                .collect();
+            let mut hists = Default::default();
+            let mut kernel = vec![None; n_cols];
+            for g in 0..n_cols.div_ceil(LANES) {
+                for (c, res) in group_splits(&columns, g, &weights, smoothing, &mut hists) {
+                    kernel[c] = Some(res);
+                }
+            }
+            for (c, &f) in candidates.iter().enumerate() {
+                let feature = binned.feature(f);
+                let reference = best_stump_for_feature(f, feature, &data.y, &weights, smoothing);
+                let present: Vec<f32> =
+                    data.x.column(f).filter(|v| !v.is_nan()).collect();
+                if present.iter().all(|&v| v == present.first().copied().unwrap_or(0.0)) {
+                    // Constant and all-missing columns admit no split.
+                    proptest::prop_assert!(kernel[c].is_none() && reference.is_none());
+                }
+                match (&kernel[c], &reference) {
+                    (None, None) => {}
+                    (Some(k), Some(r)) => {
+                        proptest::prop_assert_eq!(k.stump.feature, r.stump.feature);
+                        proptest::prop_assert_eq!(
+                            k.stump.threshold.to_bits(),
+                            r.stump.threshold.to_bits()
+                        );
+                        proptest::prop_assert_eq!(k.stump.s_le.to_bits(), r.stump.s_le.to_bits());
+                        proptest::prop_assert_eq!(k.stump.s_gt.to_bits(), r.stump.s_gt.to_bits());
+                        proptest::prop_assert_eq!(k.z.to_bits(), r.z.to_bits());
+                    }
+                    (k, r) => panic!("candidate {c}: kernel {k:?} vs reference {r:?}"),
+                }
+            }
+        }
+    }
+
+    /// The boosting loop as it ran before slot codes: a row-by-row stump
+    /// search over all columns and a per-row `exp` weight update.
+    fn reference_fit(data: &Dataset, config: &BoostConfig) -> Vec<Stump> {
+        let n = data.len();
+        let binned = BinnedDataset::from_matrix(&data.x, config.n_bins);
+        let candidates: Vec<usize> = (0..data.x.n_cols()).collect();
+        let smoothing = config.smoothing.unwrap_or(1.0 / (2.0 * n as f64));
+        let mut weights = vec![1.0 / n as f64; n];
+        normalize(&mut weights);
+        let mut stumps = Vec::new();
+        for _ in 0..config.iterations {
+            let Some(res) =
+                crate::stump::best_stump(&binned, &candidates, &data.y, &weights, smoothing)
+            else {
+                break;
+            };
+            if res.z >= 1.0 - 1e-12 {
+                break;
+            }
+            let feature = binned.feature(res.stump.feature);
+            let split_bin = feature.edges.partition_point(|&e| e < res.stump.threshold) as u16;
+            for ((&bin, &label), w) in feature.bin_of_row.iter().zip(&data.y).zip(&mut weights) {
+                let g = if bin == MISSING_BIN {
+                    0.0
+                } else if bin <= split_bin {
+                    res.stump.s_le
+                } else {
+                    res.stump.s_gt
+                };
+                let signed = if label { g } else { -g };
+                *w *= (-signed).exp();
+            }
+            normalize(&mut weights);
+            stumps.push(res.stump);
+        }
+        stumps
+    }
+
+    /// Every stump field's bit pattern.
+    fn bits(stumps: &[Stump]) -> Vec<(usize, u32, u64, u64)> {
+        stumps
+            .iter()
+            .map(|s| (s.feature, s.threshold.to_bits(), s.s_le.to_bits(), s.s_gt.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn fit_matches_the_reference_loop_stump_for_stump() {
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let mut corner = corner_dataset(700, 0.1, 22);
+        for r in (0..corner.len()).step_by(3) {
+            corner.x.set(r, (r / 3) % 4, f32::NAN);
+        }
+        // Balanced labels on both sides of a binary feature: Z = 1 at once.
+        let meta = vec![FeatureMeta::continuous("f")];
+        let balanced = Dataset::new(
+            FeatureMatrix::new(4, meta, vec![0.0, 0.0, 1.0, 1.0]),
+            vec![true, false, true, false],
+        );
+        let datasets = [
+            corner.clone(),
+            corner.select_columns(&[0, 1, 2, 3, 0, 1, 2, 3, 1, 0]),
+            random_dataset(&mut rng, 900, 11),
+            random_dataset(&mut rng, 300, 9),
+            balanced,
+        ];
+        let mut early_stops = 0;
+        for data in &datasets {
+            for n_bins in [4, 64, 256] {
+                for parallel in [false, true] {
+                    let cfg = BoostConfig { iterations: 40, n_bins, smoothing: None, parallel };
+                    let fitted = BStump::fit(data, &cfg);
+                    let reference = reference_fit(data, &cfg);
+                    assert_eq!(
+                        bits(fitted.stumps()),
+                        bits(&reference),
+                        "{n_bins} bins, parallel {parallel}"
+                    );
+                    early_stops += usize::from(reference.len() < cfg.iterations);
+                }
+            }
+        }
+        assert!(early_stops > 0, "some fit must stop before its budget");
     }
 
     #[test]

@@ -9,12 +9,25 @@
 //! once into at most `n_bins` quantile bins, after which every boosting
 //! iteration only needs one O(rows) accumulation pass plus an O(bins) scan
 //! per feature, independent of how many distinct values the feature has.
+//!
+//! The accumulation fills one *slot histogram* per feature: slot `2·b + y`
+//! holds the weight of bin `b`'s rows with label `y`, and slot `2·k` (for a
+//! `k`-bin feature) the weight of its missing rows. [`best_split`] is the one
+//! split scan over such a histogram. Boosting fills the histograms from
+//! per-fit slot codes ([`crate::boost`]); [`best_stump_for_feature`] fills
+//! one row by row and is the reference the boosting kernel is tested
+//! against.
 
 use crate::data::FeatureMatrix;
 use serde::{Deserialize, Serialize};
 
 /// Bin id used for missing (`NaN`) values in [`BinnedDataset`].
 pub const MISSING_BIN: u16 = u16::MAX;
+
+/// Largest `n_bins` [`BinnedFeature::from_column`] accepts: the largest
+/// count for which `2·(n_bins + 1)`, the top slot code of a column with one
+/// extra bin, fits in a `u16`.
+pub const MAX_BINS: usize = (u16::MAX as usize) / 2 - 1;
 
 /// A one-level decision tree with confidence-rated outputs.
 ///
@@ -64,9 +77,17 @@ impl BinnedFeature {
     ///
     /// Duplicate cut points are merged, so constant or low-cardinality
     /// columns get correspondingly fewer bins (a binary feature gets two).
+    ///
+    /// # Panics
+    /// Panics unless `2 ≤ n_bins ≤` [`MAX_BINS`]: boosting numbers the
+    /// `2·k + 1` histogram slots of a `k`-bin column with `u16` slot
+    /// codes, and a column gets at most `n_bins + 1` bins.
     pub fn from_column(values: &[f32], n_bins: usize) -> Self {
         assert!(n_bins >= 2, "need at least 2 bins");
-        assert!(n_bins < MISSING_BIN as usize, "bin count must fit in u16");
+        assert!(
+            n_bins <= MAX_BINS,
+            "bin count {n_bins} above {MAX_BINS}: slot codes must fit in u16"
+        );
         let mut present: Vec<f32> = values.iter().copied().filter(|v| !v.is_nan()).collect();
         if present.is_empty() {
             return Self { edges: vec![0.0], bin_of_row: vec![MISSING_BIN; values.len()] };
@@ -122,15 +143,7 @@ pub struct BinnedDataset {
 impl BinnedDataset {
     /// Quantizes every column of a feature matrix.
     pub fn from_matrix(x: &FeatureMatrix, n_bins: usize) -> Self {
-        let mut features = Vec::with_capacity(x.n_cols());
-        let mut col = vec![0f32; x.n_rows()];
-        for c in 0..x.n_cols() {
-            for (r, slot) in col.iter_mut().enumerate() {
-                *slot = x.get(r, c);
-            }
-            features.push(BinnedFeature::from_column(&col, n_bins));
-        }
-        Self { n_rows: x.n_rows(), features }
+        Self { n_rows: x.n_rows(), features: binned_columns(x, n_bins).collect() }
     }
 
     /// Number of rows in the quantized dataset.
@@ -147,6 +160,18 @@ impl BinnedDataset {
     pub fn feature(&self, idx: usize) -> &BinnedFeature {
         &self.features[idx]
     }
+}
+
+/// Quantizes the columns of `x` one at a time, in column order, for
+/// callers that need each binned column only briefly.
+pub(crate) fn binned_columns(
+    x: &FeatureMatrix,
+    n_bins: usize,
+) -> impl Iterator<Item = BinnedFeature> + '_ {
+    (0..x.n_cols()).map(move |c| {
+        let col: Vec<f32> = x.column(c).collect();
+        BinnedFeature::from_column(&col, n_bins)
+    })
 }
 
 /// Result of a stump search: the stump plus its Schapire–Singer `Z` value
@@ -166,6 +191,10 @@ pub struct StumpSearchResult {
 /// `weights[i]` must be non-negative; `labels[i]` is the ±1 class encoded as
 /// a bool. `smoothing` is the ε added to each block's class weight before
 /// taking the log-ratio (Schapire–Singer recommend `1/(2n)` of total weight).
+///
+/// This fills the slot histogram one row at a time, branching on the
+/// missing bin and the label; boosting fills the same histogram from slot
+/// codes and must match this bit for bit.
 pub fn best_stump_for_feature(
     feature_idx: usize,
     feature: &BinnedFeature,
@@ -177,28 +206,44 @@ pub fn best_stump_for_feature(
     if k < 2 {
         return None;
     }
-    let mut w_pos = vec![0f64; k];
-    let mut w_neg = vec![0f64; k];
-    let mut w_missing = 0f64;
+    let mut hist = vec![0f64; 2 * k + 1];
     for ((&bin, &y), &w) in feature.bin_of_row.iter().zip(labels).zip(weights) {
         if bin == MISSING_BIN {
-            w_missing += w;
-        } else if y {
-            w_pos[bin as usize] += w;
+            hist[2 * k] += w;
         } else {
-            w_neg[bin as usize] += w;
+            hist[2 * usize::from(bin) + usize::from(y)] += w;
         }
     }
-    let tot_pos: f64 = w_pos.iter().sum();
-    let tot_neg: f64 = w_neg.iter().sum();
+    best_split(feature_idx, &feature.edges, &hist, smoothing)
+}
+
+/// The split scan: the best threshold for the feature with bin `edges`,
+/// given its slot histogram `hist` (`2·k + 1` slots for `k` bins — the
+/// class weights of each bin interleaved, then the missing weight).
+///
+/// Returns `None` for fewer than two bins (no split exists).
+pub(crate) fn best_split(
+    feature_idx: usize,
+    edges: &[f32],
+    hist: &[f64],
+    smoothing: f64,
+) -> Option<StumpSearchResult> {
+    let k = edges.len();
+    if k < 2 {
+        return None;
+    }
+    let (by_bin, missing) = hist.split_at(2 * k);
+    let w_missing = missing[0];
+    let tot_pos: f64 = by_bin.chunks_exact(2).map(|s| s[1]).sum();
+    let tot_neg: f64 = by_bin.chunks_exact(2).map(|s| s[0]).sum();
 
     let mut best: Option<(usize, f64)> = None;
     let mut le_pos = 0f64;
     let mut le_neg = 0f64;
     // Split after bin b: left = bins 0..=b, right = bins b+1..k.
-    for b in 0..k - 1 {
-        le_pos += w_pos[b];
-        le_neg += w_neg[b];
+    for (b, s) in by_bin.chunks_exact(2).take(k - 1).enumerate() {
+        le_pos += s[1];
+        le_neg += s[0];
         let gt_pos = tot_pos - le_pos;
         let gt_neg = tot_neg - le_neg;
         let z = 2.0 * (le_pos * le_neg).sqrt() + 2.0 * (gt_pos * gt_neg).sqrt() + w_missing;
@@ -209,20 +254,23 @@ pub fn best_stump_for_feature(
     let (split_bin, z) = best?;
 
     // Recompute the block weights for the winning split to derive scores.
-    let le_pos: f64 = w_pos[..=split_bin].iter().sum();
-    let le_neg: f64 = w_neg[..=split_bin].iter().sum();
+    let left = &by_bin[..2 * (split_bin + 1)];
+    let le_pos: f64 = left.chunks_exact(2).map(|s| s[1]).sum();
+    let le_neg: f64 = left.chunks_exact(2).map(|s| s[0]).sum();
     let gt_pos = tot_pos - le_pos;
     let gt_neg = tot_neg - le_neg;
     let s_le = 0.5 * ((le_pos + smoothing) / (le_neg + smoothing)).ln();
     let s_gt = 0.5 * ((gt_pos + smoothing) / (gt_neg + smoothing)).ln();
 
     Some(StumpSearchResult {
-        stump: Stump { feature: feature_idx, threshold: feature.edges[split_bin], s_le, s_gt },
+        stump: Stump { feature: feature_idx, threshold: edges[split_bin], s_le, s_gt },
         z,
     })
 }
 
-/// Finds the best stump across a set of candidate feature columns.
+/// Finds the best stump across a set of candidate feature columns, one
+/// [`best_stump_for_feature`] per column (the reference for boosting's
+/// per-round search; ties go to the earlier candidate).
 ///
 /// Returns `None` only when no feature admits a split (e.g. all columns are
 /// constant or entirely missing).
@@ -294,6 +342,23 @@ mod tests {
         let vals = vec![f32::NAN; 4];
         let bf = BinnedFeature::from_column(&vals, 8);
         assert!(bf.bin_of_row.iter().all(|&b| b == MISSING_BIN));
+    }
+
+    #[test]
+    fn bin_count_bound_keeps_slot_codes_in_u16() {
+        // A column gets at most `n_bins + 1` bins; its top slot code,
+        // `2·bins`, fits in u16 at the bound and would not one above it.
+        assert_eq!(u16::try_from(2 * (MAX_BINS + 1)), Ok(u16::MAX - 1));
+        assert!(u16::try_from(2 * (MAX_BINS + 2)).is_err());
+        let vals: Vec<f32> = (0..40).map(|v| v as f32).collect();
+        assert_eq!(BinnedFeature::from_column(&vals, MAX_BINS).n_bins(), 40);
+        assert_eq!(BinnedFeature::from_column(&vals, 256).n_bins(), 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot codes must fit in u16")]
+    fn binning_rejects_bin_counts_above_the_bound() {
+        BinnedFeature::from_column(&[1.0, 2.0], MAX_BINS + 1);
     }
 
     #[test]

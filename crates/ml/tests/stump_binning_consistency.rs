@@ -2,9 +2,10 @@
 //! binned representation used inside boosting and the raw-value scoring
 //! used at prediction time must agree on every row.
 //!
-//! `apply_weight_update` scores training rows from bin ids (`bin <=
-//! split_bin` → `s_le`), while `Stump::score` compares the raw value with
-//! the threshold (`v <= threshold` → `s_le`). Rows whose value equals the
+//! The boosting weight update scores training rows from bin ids (`bin <=
+//! split_bin` → `s_le`, through its per-slot factor table), while
+//! `Stump::score` compares the raw value with the threshold
+//! (`v <= threshold` → `s_le`). Rows whose value equals the
 //! threshold exactly and rows with missing (`NaN`) values are the edge
 //! cases; the generator forces plenty of both by drawing from a coarse
 //! value grid and injecting `NaN`s.
