@@ -112,37 +112,46 @@ impl ObsPlane {
 /// `for`-duration alert rules, SLO error-budget objectives — see the
 /// README's "Metrics history & alerting" section for the grammar) and
 /// installs it as the global rule engine, which implies `--history on`.
-/// The history ring snapshots the registry on *simulated* day ticks, so
-/// everything it retains — and every alert transition the engine takes —
-/// is byte-reproducible across reruns and shard counts, and outcomes are
-/// byte-identical with the layer on or off.
-pub(crate) fn setup_history(args: &crate::args::Args) -> CliResult {
-    let rules = match args.get("rules") {
+/// Without `--rules`, a subcommand's `builtin` rule text (`trial`'s
+/// model-health set) is installed instead, and the layer defaults to on;
+/// `--history off` turns both off. The history ring snapshots the registry
+/// on *simulated* day ticks, so everything it retains — and every alert
+/// transition the engine takes — is byte-reproducible across reruns and
+/// shard counts, and outcomes are byte-identical with the layer on or off.
+pub(crate) fn setup_history(args: &crate::args::Args, builtin: Option<&str>) -> CliResult {
+    let history = match args.get("history") {
         None => None,
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read rules '{path}': {e}"))?;
-            let rules = nevermind_obs::rules::parse_rules(&text)
-                .map_err(|e| format!("cannot parse rules '{path}': {e}"))?;
-            Some((path.to_string(), rules))
-        }
-    };
-    let history_on = match args.get("history") {
-        None => rules.is_some(),
-        Some("on") => true,
-        Some("off") => false,
+        Some("on") => Some(true),
+        Some("off") => Some(false),
         Some(other) => {
             return Err(format!("--history takes 'on' or 'off', not '{other}'").into());
         }
     };
-    if let Some((path, rules)) = rules {
-        if !history_on {
-            return Err(
-                format!("--rules '{path}' needs the history layer; drop '--history off'").into()
-            );
+    let rules = match (args.get("rules"), builtin) {
+        (Some(path), _) => {
+            if history == Some(false) {
+                return Err(format!(
+                    "--rules '{path}' needs the history layer; drop '--history off'"
+                )
+                .into());
+            }
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read rules '{path}': {e}"))?;
+            let rules = nevermind_obs::rules::parse_rules(&text)
+                .map_err(|e| format!("cannot parse rules '{path}': {e}"))?;
+            Some((format!("rules from {path}"), rules))
         }
+        (None, Some(text)) if history != Some(false) => {
+            let rules = nevermind_obs::rules::parse_rules(text)
+                .map_err(|e| format!("cannot parse the built-in rules: {e}"))?;
+            Some(("the built-in rules".to_string(), rules))
+        }
+        (None, _) => None,
+    };
+    let history_on = history.unwrap_or(rules.is_some());
+    if let Some((source, rules)) = rules {
         eprintln!(
-            "obs: installed rules from {path} ({} recording, {} alert, {} slo)",
+            "obs: installed {source} ({} recording, {} alert, {} slo)",
             rules.records.len(),
             rules.alerts.len(),
             rules.slos.len()

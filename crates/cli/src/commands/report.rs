@@ -1,9 +1,9 @@
 //! `nevermind report` — render a `--metrics` JSON dump as a terminal
 //! report: top spans by total time, per-week series as sparkline tables,
-//! the model-health drift/calibration table with threshold breaches
-//! called out, and — for dumps written with `--history` — the
-//! `nevermind-history/v1` section as week-window sparklines plus the
-//! alert scoreboard and transition timeline.
+//! the model-health drift/calibration numbers, and — for dumps written
+//! with the history layer on — the `nevermind-history/v1` section as
+//! week-window sparklines plus the alert scoreboard and transition
+//! timeline, which is where the model-health verdicts show.
 //!
 //! Reads any `nevermind-metrics/v1` document, including pre-telemetry dumps
 //! (the sections it cannot find are reported as absent, not errors).
@@ -226,58 +226,24 @@ fn render_telemetry(doc: &serde_json::Map) {
         println!("\n(no telemetry section — dump predates model-health telemetry)");
         return;
     };
-    let status = tele.get("status").and_then(Value::as_str).unwrap_or("unknown");
     let weeks = tele.get("weeks_observed").and_then(Value::as_u64).unwrap_or(0);
-    let breaches = tele.get("breaches").and_then(Value::as_u64).unwrap_or(0);
     println!("\nmodel-health telemetry");
-    if status == "none" && weeks == 0 {
+    if weeks == 0 {
         println!("  (none recorded — run a trial with --metrics to populate it)");
         return;
     }
-    println!(
-        "  status: {}   weeks observed: {weeks}   threshold breaches: {breaches}",
-        status.to_uppercase()
-    );
-
-    let threshold =
-        |key: &str| -> Option<f64> { tele.get("thresholds")?.as_object()?.get(key)?.as_f64() };
-    // Classic scorecard fallbacks, for dumps written without thresholds.
-    let psi_warn = threshold("psi_warning").unwrap_or(0.1);
-    let psi_alert = threshold("psi_alert").unwrap_or(0.25);
-    let ece_warn = threshold("ece_warning").unwrap_or(0.05);
-    let ece_alert = threshold("ece_alert").unwrap_or(0.15);
-    println!(
-        "  thresholds: PSI warn {psi_warn} / alert {psi_alert} · ECE warn {ece_warn} / alert {ece_alert}"
-    );
-
+    println!("  weeks observed: {weeks}");
     let Some(series) = tele.get("series").and_then(Value::as_object) else {
         return;
     };
     if series.is_empty() {
         return;
     }
-    println!("  {:<34}  {:>9}  {:>9}  {:>9}  status", "metric", "last", "max", "mean");
+    println!("  {:<34}  {:>9}  {:>9}  {:>9}", "metric", "last", "max", "mean");
     for (name, summary) in series.iter() {
         let Some(s) = summary.as_object() else { continue };
-        let last = s.get("last").and_then(Value::as_f64).unwrap_or(f64::NAN);
-        let max = s.get("max").and_then(Value::as_f64).unwrap_or(f64::NAN);
-        let mean = s.get("mean").and_then(Value::as_f64).unwrap_or(f64::NAN);
-        // Drift metrics judge against PSI thresholds, calibration against
-        // ECE thresholds; everything else (brier, health) is informational.
-        let verdict = if name.starts_with("psi/") || name == "score_psi" {
-            classify(max, psi_warn, psi_alert)
-        } else if name == "ece" {
-            classify(max, ece_warn, ece_alert)
-        } else {
-            "-"
-        };
-        println!(
-            "  {:<34}  {:>9}  {:>9}  {:>9}  {verdict}",
-            name,
-            fmt_val(last),
-            fmt_val(max),
-            fmt_val(mean)
-        );
+        let stat = |key: &str| fmt_val(s.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN));
+        println!("  {name:<34}  {:>9}  {:>9}  {:>9}", stat("last"), stat("max"), stat("mean"));
     }
 }
 
@@ -381,18 +347,6 @@ fn render_history(doc: &serde_json::Map) {
         let from = f.get("from").and_then(Value::as_str).unwrap_or("?");
         let to = f.get("to").and_then(Value::as_str).unwrap_or("?");
         println!("    day {day:>4}  {rule}: {from} -> {to}");
-    }
-}
-
-fn classify(value: f64, warn: f64, alert: f64) -> &'static str {
-    if !value.is_finite() {
-        "-"
-    } else if value >= alert {
-        "ALERT"
-    } else if value >= warn {
-        "warning"
-    } else {
-        "ok"
     }
 }
 
@@ -528,14 +482,6 @@ mod tests {
         let s = sparkline(&long, 48);
         assert_eq!(s.chars().count(), 48);
         assert!(s.starts_with('▁') && s.ends_with('█'));
-    }
-
-    #[test]
-    fn classification_against_thresholds() {
-        assert_eq!(classify(0.05, 0.1, 0.25), "ok");
-        assert_eq!(classify(0.12, 0.1, 0.25), "warning");
-        assert_eq!(classify(0.30, 0.1, 0.25), "ALERT");
-        assert_eq!(classify(f64::NAN, 0.1, 0.25), "-");
     }
 
     #[test]

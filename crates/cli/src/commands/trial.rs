@@ -1,11 +1,12 @@
 //! `nevermind trial` — proactive-vs-reactive twin-world comparison, with
-//! model-health telemetry and optional drift injection.
+//! model-health telemetry judged by the built-in rule set and optional
+//! drift injection.
 
 use super::{sim_config_from, CliResult, ObsPlane};
 use crate::args::Args;
 use nevermind::pipeline::{run_proactive_trial_with, TrialOptions};
 use nevermind::predictor::PredictorConfig;
-use nevermind::telemetry::TelemetryConfig;
+use nevermind::telemetry::MODEL_HEALTH_RULES;
 use nevermind_dslsim::scenario::Scenario;
 use nevermind_features::FeatureStore;
 
@@ -21,10 +22,6 @@ pub(crate) fn run(args: &Args) -> CliResult {
         "budget-fraction",
         "iterations",
         "train-scenario",
-        "psi-warn",
-        "psi-alert",
-        "ece-warn",
-        "ece-alert",
         "metrics",
         "trace",
         "trace-sample",
@@ -88,29 +85,23 @@ pub(crate) fn run(args: &Args) -> CliResult {
             )
         }
     };
-    let defaults = TelemetryConfig::default();
     let shards: usize = args.get_parsed_or("shards", 0usize)?;
     let options = TrialOptions {
         train_config,
-        telemetry: TelemetryConfig {
-            psi_warning: args.get_parsed_or("psi-warn", defaults.psi_warning)?,
-            psi_alert: args.get_parsed_or("psi-alert", defaults.psi_alert)?,
-            ece_warning: args.get_parsed_or("ece-warn", defaults.ece_warning)?,
-            ece_alert: args.get_parsed_or("ece-alert", defaults.ece_alert)?,
-            ..defaults
-        },
         shards,
         stop_after_week,
         resume_store,
         keep_store: store_out.is_some(),
+        ..TrialOptions::default()
     };
 
     // The live observability plane (`--obs-listen` / `--profile`) comes up
     // before the run and is torn down after the outcome prints, so a
-    // scraper can watch the whole trial. The metrics-history layer
-    // (`--history` / `--rules`) likewise starts first so the earliest
-    // simulated day already lands in the ring.
-    super::setup_history(args)?;
+    // scraper can watch the whole trial. The metrics-history layer starts
+    // first too, so the earliest simulated day already lands in the ring;
+    // it is on by default here, judging the model-health series with the
+    // built-in rules unless `--rules` replaces them.
+    super::setup_history(args, Some(MODEL_HEALTH_RULES))?;
     let plane = ObsPlane::start(args)?;
 
     eprintln!(
@@ -123,6 +114,12 @@ pub(crate) fn run(args: &Args) -> CliResult {
     let result = run_proactive_trial_with(cfg, &predictor_cfg, warmup, &options)?;
     eprintln!("trial finished in {:.1}s", span.elapsed().as_secs_f64());
     drop(span);
+    // The verdict depends on the installed rules, so it stays off stdout:
+    // the printed outcome is the same whatever rules judged it.
+    let (health, firing) = nevermind_obs::rules::health();
+    let firing =
+        if firing.is_empty() { String::new() } else { format!(" (firing: {})", firing.join(", ")) };
+    eprintln!("health at end of run: {}{firing}", health.name());
 
     if let Some(path) = &store_out {
         let store = result

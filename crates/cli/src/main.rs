@@ -124,8 +124,7 @@ USAGE:
   nevermind rank     --data FILE --model FILE [--top N] [--explain N]
   nevermind locate   --data FILE [--top N] [--dispatches N]
   nevermind trial    [--scenario NAME] [--lines N] [--days D] [--seed S] [--warmup-weeks W]
-                     [--shards N] [--train-scenario NAME] [--psi-warn F] [--psi-alert F]
-                     [--ece-warn F] [--ece-alert F] [--obs-listen ADDR] [--profile PATH]
+                     [--shards N] [--train-scenario NAME] [--obs-listen ADDR] [--profile PATH]
                      [--history on|off] [--rules PATH]
   nevermind explain  --trace FILE --line ID
   nevermind report   METRICS_JSON_OR_TRACE_JSONL | --profile COLLAPSED_STACKS
@@ -165,10 +164,15 @@ flamegraph-compatible collapsed-stack dump on exit. '--history on'
 (simulate, trial) retains windowed metric aggregates in a fixed-capacity
 ring clocked on simulated days; '--rules PATH' loads recording rules,
 for-duration alert rules and SLO burn-rate objectives evaluated on that
-history (implies --history on; firing alerts flip /health to 503), and
-the '--metrics' dump grows a nevermind-history/v1 section that
-'nevermind report' renders as sparklines plus an alert timeline. None of
-these flags change outcomes: runs are byte-identical with the plane,
-history and rules on or off.
+history (implies --history on), and the '--metrics' dump grows a
+nevermind-history/v1 section that 'nevermind report' renders as
+sparklines plus an alert timeline. 'trial' has the layer on by default
+and judges its model-health series (feature and score PSI, matured ECE)
+with six built-in scorecard alert rules, the ones examples/history.rules
+lists; '--rules PATH' replaces that set and '--history off' drops it. A
+firing critical alert turns /health to 503, and trial prints the
+end-of-run verdict (/health's status and the firing alerts) on stderr.
+None of these flags change outcomes: runs are byte-identical with the
+plane, history and rules on or off.
 
 Run 'nevermind scenarios' to list the named scenarios.";

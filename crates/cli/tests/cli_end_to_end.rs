@@ -401,3 +401,53 @@ fn out_of_range_ticket_line_is_a_typed_error() {
     assert_dataset_rejected(&dir, &tampered, "ticket 0 names line 999999");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn out_of_range_disposition_code_is_a_typed_error() {
+    let (dir, json) = simulated_dataset("bad-disposition");
+    // The first note inside `locate`'s training window (days from 30) that
+    // recorded a disposition — the one the locator used to index its
+    // priors with. No-trouble-found notes hold null, and every note
+    // carries exactly one day key, so the match count is the note's index.
+    let notes = json.find("\"notes\":[").expect("a notes log");
+    let digits = |s: &str| s.find(|c: char| !c.is_ascii_digit()).unwrap_or(0);
+    let (i, at, len) = json[notes..]
+        .match_indices("\"day\":")
+        .enumerate()
+        .find_map(|(i, (at, key))| {
+            let rest = &json[notes + at + key.len()..];
+            let day: u32 = rest[..digits(rest)].parse().ok()?;
+            let code = rest[digits(rest)..].strip_prefix(",\"disposition\":")?;
+            (day >= 30 && digits(code) > 0).then(|| (i, json.len() - code.len(), digits(code)))
+        })
+        .expect("a note in the locator's window that found a fault");
+    for code in ["52", "200"] {
+        let tampered = format!("{}{code}{}", &json[..at], &json[at + len..]);
+        let needle = format!("disposition note {i} records disposition {code}");
+        assert_dataset_rejected(&dir, &tampered, &needle);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn hostile_rules_file_is_a_typed_error_not_a_stack_overflow() {
+    let dir = named_work_dir("deep-rules");
+    let path = dir.join("deep.rules");
+    for expr in [
+        format!("{}counter(x){}", "(".repeat(50_000), ")".repeat(50_000)),
+        format!("{}counter(x){}", "rate(".repeat(20_000), ")".repeat(20_000)),
+    ] {
+        std::fs::write(&path, format!("alert a if {expr} > 1 for 1\n")).expect("write rules");
+        let out = bin()
+            .args(["trial", "--rules", path.to_str().expect("utf8")])
+            .output()
+            .expect("run trial");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "trial must fail cleanly: {stderr}");
+        assert!(
+            stderr.contains("line 1: expression nests deeper than 64 levels"),
+            "named error expected: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -47,10 +47,11 @@ pub enum PipelineError {
         /// Which check failed, with the offending value.
         detail: String,
     },
-    /// A deserialized dataset's logs name a line outside its topology, so
-    /// the per-line indexes would read out of bounds.
+    /// A deserialized dataset's logs name a line outside its topology or a
+    /// disposition code past the table, so the per-line or per-disposition
+    /// indexes would read out of bounds.
     InvalidDataset {
-        /// The offending record and line id.
+        /// The offending record and its id.
         detail: String,
     },
 }

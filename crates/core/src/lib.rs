@@ -69,4 +69,4 @@ pub use locator::{LocatorConfig, TroubleLocator};
 pub use pipeline::{ExperimentData, SplitSpec, TrialOptions, TrialResult};
 pub use predictor::{PredictorConfig, RankedPredictions, TicketPredictor};
 pub use scoring::WeeklyScorer;
-pub use telemetry::{HealthStatus, ModelHealthMonitor, TelemetryConfig, TelemetryReport};
+pub use telemetry::{ModelHealthMonitor, TelemetryConfig, TelemetryReport, MODEL_HEALTH_RULES};

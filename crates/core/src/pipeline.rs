@@ -10,7 +10,7 @@
 
 use crate::error::PipelineError;
 use nevermind_dslsim::topology::Topology;
-use nevermind_dslsim::{LineId, SimConfig, SimOutput, World};
+use nevermind_dslsim::{LineId, SimConfig, SimOutput, World, N_DISPOSITIONS};
 use nevermind_features::encode::EncoderConfig;
 use nevermind_features::BaseEncoder;
 use serde::{Deserialize, Serialize};
@@ -47,13 +47,15 @@ impl ExperimentData {
     }
 
     /// Checks that every measurement, ticket, disposition note, IVR call and
-    /// churn event names a line of [`ExperimentData::topology`]. The
-    /// encoder and the locator index per-line tables by line id, so a
-    /// dataset read from disk must pass this before it is used.
+    /// churn event names a line of [`ExperimentData::topology`], and that
+    /// every note's disposition is one of the [`N_DISPOSITIONS`] codes. The
+    /// encoder and the locator index per-line and per-disposition tables by
+    /// these ids, so a dataset read from disk must pass this before it is
+    /// used.
     ///
     /// # Errors
     /// Returns [`PipelineError::InvalidDataset`] naming the first record
-    /// whose line id is out of range.
+    /// whose line id or disposition code is out of range.
     pub fn validate(&self) -> Result<(), PipelineError> {
         let n_lines = self.topology.lines.len();
         let out = &self.output;
@@ -61,7 +63,19 @@ impl ExperimentData {
         check_lines("ticket", &out.tickets, |t| t.line, n_lines)?;
         check_lines("disposition note", &out.notes, |n| n.line, n_lines)?;
         check_lines("IVR call", &out.ivr_calls, |c| c.line, n_lines)?;
-        check_lines("churn event", &out.churn_events, |c| c.line, n_lines)
+        check_lines("churn event", &out.churn_events, |c| c.line, n_lines)?;
+        let bad_code = out.notes.iter().enumerate().find_map(|(i, n)| {
+            n.disposition.filter(|d| usize::from(d.0) >= N_DISPOSITIONS).map(|d| (i, d.0))
+        });
+        match bad_code {
+            Some((i, code)) => Err(PipelineError::InvalidDataset {
+                detail: format!(
+                    "disposition note {i} records disposition {code}, \
+                     but there are {N_DISPOSITIONS} disposition codes"
+                ),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Builds the feature encoder over these logs.
@@ -231,9 +245,9 @@ pub struct TrialOptions {
     /// baseline plant scoring an overprovisioned or storm-season live
     /// world, which the model-health telemetry must flag.
     pub train_config: Option<SimConfig>,
-    /// Thresholds and sizing for the model-health monitor. The monitor
-    /// itself runs only while [`nevermind_obs::enabled`] — with recording
-    /// off the trial is telemetry-free (and bit-identical either way).
+    /// Sizing for the model-health monitor. The monitor itself runs only
+    /// while [`nevermind_obs::enabled`] — with recording off the trial is
+    /// telemetry-free (and bit-identical either way).
     pub telemetry: crate::telemetry::TelemetryConfig,
     /// Part count for the simulated worlds and every weekly stage — the
     /// one `nevermind_obs::par` rule: `0` (the default) means one part per
@@ -624,6 +638,27 @@ mod tests {
         let mut d = small_data();
         d.output.churn_events.push(nevermind_dslsim::world::ChurnEvent { line: bad, day: 0 });
         rejects(&d, "churn event");
+    }
+
+    #[test]
+    fn validate_names_the_first_out_of_range_disposition() {
+        let mut d = small_data();
+        let i = d.output.notes.iter().position(|n| n.disposition.is_some()).expect("a found fault");
+        for code in [N_DISPOSITIONS as u8, 200] {
+            d.output.notes[i].disposition = Some(nevermind_dslsim::DispositionId(code));
+            match d.validate() {
+                Err(PipelineError::InvalidDataset { detail }) => assert_eq!(
+                    detail,
+                    format!(
+                        "disposition note {i} records disposition {code}, \
+                         but there are {N_DISPOSITIONS} disposition codes"
+                    )
+                ),
+                other => panic!("expected InvalidDataset for code {code}, got {other:?}"),
+            }
+        }
+        d.output.notes[i].disposition = Some(nevermind_dslsim::DispositionId(0));
+        assert_eq!(d.validate(), Ok(()));
     }
 
     #[test]

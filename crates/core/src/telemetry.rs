@@ -20,20 +20,23 @@
 //! * **Weekly comparison** ([`ModelHealthMonitor::observe_week`]): every
 //!   scored Saturday, bin the live feature values and scores into the
 //!   *reference* bins and emit one PSI point per monitored feature
-//!   (`telemetry/psi/<feature>`) plus one for the score distribution
+//!   (`telemetry/psi/<feature>`), the week's largest of them
+//!   (`telemetry/psi_max`), and one for the score distribution
 //!   (`telemetry/score_psi`).
 //! * **Label maturation**: ticket labels for week `d` only close at
 //!   `d + horizon`; scored weeks are parked until their window closes, then
 //!   realized calibration is emitted (`telemetry/ece`, `telemetry/brier`,
 //!   keyed by the *scored* day).
-//! * **Health status**: each observation is classified against configurable
-//!   thresholds ([`TelemetryConfig`]), with a persistence debounce — a PSI
-//!   metric must stay over threshold for `persistence_weeks` consecutive
-//!   weeks before it escalates the status (drift persists; outage blips and
-//!   sparse-feature sampling noise do not). Per-week statuses land in the
-//!   `telemetry/health` series and the worst status seen is held sticky in
-//!   the `telemetry/health_status` gauge, which the JSON dump's `telemetry`
-//!   section and the `nevermind report` command surface.
+//!
+//! The monitor records numbers and never judges them. Whether they mean
+//! healthy, warning or alert is decided in one place, the
+//! [`nevermind_obs::rules`] engine, and [`MODEL_HEALTH_RULES`] is the
+//! scorecard policy `nevermind trial` installs by default. Its `for 2`
+//! debounce runs on `telemetry/psi_max`, the worst monitored feature, so
+//! one rule watches every feature. Rules evaluate on the history tick at
+//! the end of each Saturday, before that Saturday is ranked, so they judge
+//! the previous ranked week's numbers; the verdict a run reports is the
+//! engine's state at its end, not the worst state it passed through.
 //!
 //! Everything is recorded through the global [`nevermind_obs`] registry, so
 //! any `--metrics` dump carries the full telemetry without extra plumbing.
@@ -47,8 +50,8 @@
 //! A week can be *empty* — zero lines, or a population whose scored
 //! distribution carries no mass — and a PSI against an empty population is
 //! undefined ([`nevermind_ml::drift::PsiError`]). The monitor records such
-//! weeks in the `telemetry/psi_skipped` counter, leaves the persistence
-//! streaks untouched, and keeps the trial alive instead of panicking.
+//! weeks in the `telemetry/psi_skipped` counter, pushes no point for them,
+//! and keeps the trial alive instead of panicking.
 
 use crate::pipeline::{ExperimentData, SplitSpec};
 use crate::predictor::{RankedPredictions, TicketPredictor};
@@ -57,109 +60,34 @@ use nevermind_features::{BaseEncoder, FeatureStore};
 use nevermind_ml::calibrate::{brier_score, expected_calibration_error};
 use nevermind_ml::drift::{bin_counts, bin_counts_from, psi, quantile_edges};
 
-/// Thresholds and sizing for the model-health monitor.
+/// The scorecard policy for the monitor's series, as `nevermind_obs::rules`
+/// text: a warning and a critical threshold each for the worst feature
+/// PSI, the score PSI and matured ECE. The PSI alerts must hold for two
+/// weekly evaluations (drift persists; an outage blip or sampling noise on
+/// a sparse feature does not); the ECE alerts fire at once. `nevermind
+/// trial` installs it unless `--rules` replaces it.
+pub const MODEL_HEALTH_RULES: &str = "\
+alert model/feature_drift        if series_last(telemetry/psi_max)   >= 0.1  for 2 severity warning
+alert model/feature_drift_severe if series_last(telemetry/psi_max)   >= 0.25 for 2 severity critical
+alert model/score_drift          if series_last(telemetry/score_psi) >= 0.1  for 2 severity warning
+alert model/score_drift_severe   if series_last(telemetry/score_psi) >= 0.25 for 2 severity critical
+alert model/miscalibrated        if series_last(telemetry/ece)       >= 0.05 for 1 severity warning
+alert model/miscalibrated_severe if series_last(telemetry/ece)       >= 0.15 for 1 severity critical
+";
+
+/// Sizing for the model-health monitor.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// PSI at or above this is a `warning` (scorecard convention: 0.1).
-    pub psi_warning: f64,
-    /// PSI at or above this is an `alert` (scorecard convention: 0.25).
-    pub psi_alert: f64,
-    /// Matured ECE at or above this is a `warning`.
-    pub ece_warning: f64,
-    /// Matured ECE at or above this is an `alert`.
-    pub ece_alert: f64,
     /// Target in-range bin count for the PSI quantile binnings.
     pub n_bins: usize,
     /// How many of the predictor's selected base features to monitor
     /// (selection order, i.e. strongest AP(N) first).
     pub max_features: usize,
-    /// Consecutive over-threshold weeks required before a drift (PSI)
-    /// metric escalates the health status and counts a breach. Drift is
-    /// persistent by definition; single-week excursions (an outage event,
-    /// sampling noise on a sparse feature) stay visible in the series but
-    /// do not trip the status. `1` escalates immediately.
-    pub persistence_weeks: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        Self {
-            psi_warning: 0.1,
-            psi_alert: 0.25,
-            ece_warning: 0.05,
-            ece_alert: 0.15,
-            n_bins: 10,
-            max_features: 12,
-            persistence_weeks: 2,
-        }
-    }
-}
-
-/// Traffic-light model-health classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum HealthStatus {
-    /// Everything within thresholds.
-    Healthy,
-    /// At least one metric crossed its warning threshold.
-    Warning,
-    /// At least one metric crossed its alert threshold.
-    Alert,
-}
-
-impl HealthStatus {
-    /// The gauge/series encoding (0 / 1 / 2), matching
-    /// [`nevermind_obs::json::health_status_name`].
-    pub fn as_f64(self) -> f64 {
-        match self {
-            HealthStatus::Healthy => 0.0,
-            HealthStatus::Warning => 1.0,
-            HealthStatus::Alert => 2.0,
-        }
-    }
-
-    /// Lower-case display name, identical to the JSON dump's `status`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HealthStatus::Healthy => "healthy",
-            HealthStatus::Warning => "warning",
-            HealthStatus::Alert => "alert",
-        }
-    }
-
-    /// The inverse of [`Self::as_f64`]: decodes a gauge/series value
-    /// back into a status (`None` for anything outside the encoding).
-    pub fn from_f64(v: f64) -> Option<HealthStatus> {
-        if v == 0.0 {
-            Some(HealthStatus::Healthy)
-        } else if v == 1.0 {
-            Some(HealthStatus::Warning)
-        } else if v == 2.0 {
-            Some(HealthStatus::Alert)
-        } else {
-            None
-        }
-    }
-
-    /// The status currently held in the global registry's sticky
-    /// `telemetry/health_status` gauge — the same value the live
-    /// plane's `GET /health` endpoint maps to an HTTP status code —
-    /// or `None` when no model-health monitor has recorded yet.
-    pub fn live() -> Option<HealthStatus> {
-        let snap = nevermind_obs::global().snapshot();
-        snap.gauges
-            .get(nevermind_obs::json::TELEMETRY_STATUS_GAUGE)
-            .copied()
-            .and_then(Self::from_f64)
-    }
-
-    fn classify(value: f64, warning: f64, alert: f64) -> Self {
-        if value >= alert {
-            HealthStatus::Alert
-        } else if value >= warning {
-            HealthStatus::Warning
-        } else {
-            HealthStatus::Healthy
-        }
+        Self { n_bins: 10, max_features: 12 }
     }
 }
 
@@ -173,9 +101,6 @@ struct FeatureRef {
     edges: Vec<f64>,
     /// Training-window counts over those edges (plus the NaN bucket).
     ref_counts: Vec<u64>,
-    /// Consecutive weeks this feature's PSI has been over the warning
-    /// threshold (the persistence debounce).
-    streak: usize,
 }
 
 /// A scored week waiting for its label window to close.
@@ -189,12 +114,8 @@ struct PendingWeek {
 /// End-of-trial telemetry summary (the registry holds the full series).
 #[derive(Debug, Clone)]
 pub struct TelemetryReport {
-    /// Worst status seen across all weeks and metrics.
-    pub status: HealthStatus,
     /// Scored weeks compared against the reference.
     pub weeks_observed: usize,
-    /// Individual warning/alert threshold crossings, summed over weeks.
-    pub breaches: u64,
     /// The monitored feature with the largest PSI seen, if any week ran.
     pub worst_feature: Option<(String, f64)>,
     /// Largest score-distribution PSI seen.
@@ -219,14 +140,8 @@ impl TelemetryReport {
             None => "pending".to_string(),
         };
         format!(
-            "model health: {} over {} weeks ({} breaches; {}; score PSI {:.3}; ECE {} vs {:.4} at fit)",
-            self.status.as_str(),
-            self.weeks_observed,
-            self.breaches,
-            worst,
-            self.max_score_psi,
-            ece,
-            self.reference_ece,
+            "model health over {} weeks: {}; score PSI {:.3}; ECE {} vs {:.4} at fit",
+            self.weeks_observed, worst, self.max_score_psi, ece, self.reference_ece,
         )
     }
 }
@@ -234,21 +149,18 @@ impl TelemetryReport {
 /// Drift/calibration monitor comparing every scored week against a frozen
 /// training-window reference. See the module docs for the design.
 pub struct ModelHealthMonitor {
-    config: TelemetryConfig,
+    n_bins: usize,
     horizon_days: u32,
     features: Vec<FeatureRef>,
     monitored_cols: Vec<usize>,
     score_edges: Vec<f64>,
     score_ref_counts: Vec<u64>,
-    score_streak: usize,
     reference_ece: f64,
     /// Per-line customer-edge ticket days, appended in arrival order.
     ticket_days: Vec<Vec<u32>>,
     ticket_cursor: usize,
     pending: Vec<PendingWeek>,
     weeks_observed: usize,
-    breaches: u64,
-    worst: HealthStatus,
     worst_feature: Option<(String, f64)>,
     max_score_psi: f64,
     last_ece: Option<f64>,
@@ -260,11 +172,11 @@ impl ModelHealthMonitor {
     /// re-encodes the last training Saturday of `train_data` (a single
     /// population snapshot, directly comparable to each future weekly
     /// snapshot), freezes quantile binnings for the monitored features and
-    /// the calibrated scores, and records the reference distributions and
-    /// thresholds into the global registry. `n_live_lines` sizes the ticket
-    /// index for the population the monitor will observe (which may come
-    /// from a different world than the training data — that mismatch is
-    /// exactly what it detects).
+    /// the calibrated scores, and records the reference distributions into
+    /// the global registry. `n_live_lines` sizes the ticket index for the
+    /// population the monitor will observe (which may come from a different
+    /// world than the training data — that mismatch is exactly what it
+    /// detects).
     pub fn from_training(
         predictor: &TicketPredictor,
         train_data: &ExperimentData,
@@ -291,7 +203,7 @@ impl ModelHealthMonitor {
                 let ref_counts = bin_counts(&edges, &values);
                 let name = meta[col].name.clone();
                 record_reference_distribution(&format!("telemetry/ref/{name}"), &values);
-                FeatureRef { name, edges, ref_counts, streak: 0 }
+                FeatureRef { name, edges, ref_counts }
             })
             .collect();
 
@@ -302,29 +214,20 @@ impl ModelHealthMonitor {
         let reference_ece =
             expected_calibration_error(&ranking.probabilities, &ranking.labels, config.n_bins);
 
-        let reg = nevermind_obs::global();
-        reg.gauge("telemetry/threshold/psi_warning").set(config.psi_warning);
-        reg.gauge("telemetry/threshold/psi_alert").set(config.psi_alert);
-        reg.gauge("telemetry/threshold/ece_warning").set(config.ece_warning);
-        reg.gauge("telemetry/threshold/ece_alert").set(config.ece_alert);
-        reg.gauge("telemetry/reference_ece").set(reference_ece);
-        reg.gauge("telemetry/health_status").set(HealthStatus::Healthy.as_f64());
+        nevermind_obs::global().gauge("telemetry/reference_ece").set(reference_ece);
 
         Self {
-            config: config.clone(),
+            n_bins: config.n_bins,
             horizon_days: predictor.encoder_config().horizon_days,
             features,
             monitored_cols,
             score_edges,
             score_ref_counts,
-            score_streak: 0,
             reference_ece,
             ticket_days: vec![Vec::new(); n_live_lines],
             ticket_cursor: 0,
             pending: Vec::new(),
             weeks_observed: 0,
-            breaches: 0,
-            worst: HealthStatus::Healthy,
             worst_feature: None,
             max_score_psi: 0.0,
             last_ece: None,
@@ -345,13 +248,13 @@ impl ModelHealthMonitor {
     /// column's lane directly, so the week's values are read zero-copy from
     /// the same memory the ranking was scored from. `tickets` is the
     /// world's full growing ticket log (a cursor skips what was already
-    /// seen). Returns the week's PSI-based status; calibration (ECE/Brier)
-    /// is emitted later, once the week's label window closes.
+    /// seen). Calibration (ECE/Brier) is emitted later, once the week's
+    /// label window closes.
     ///
     /// A PSI that is undefined for the week — an empty population, a
     /// scored distribution with no mass — is counted in
-    /// `telemetry/psi_skipped` and leaves that metric's persistence streak
-    /// untouched (an empty week is no evidence of drift either way).
+    /// `telemetry/psi_skipped` and gets no point (an empty week is no
+    /// evidence of drift either way).
     ///
     /// # Panics
     /// Panics if the store does not hold `day`'s frame or does not track
@@ -362,7 +265,7 @@ impl ModelHealthMonitor {
         ranking: &RankedPredictions,
         store: &FeatureStore,
         tickets: &[Ticket],
-    ) -> HealthStatus {
+    ) {
         let _span = nevermind_obs::span!("telemetry/observe_week");
         self.ingest_tickets(tickets);
 
@@ -373,12 +276,11 @@ impl ModelHealthMonitor {
             .expect("the observed day's frame must be resident in the store");
 
         let reg = nevermind_obs::global();
-        let persistence = self.config.persistence_weeks.max(1);
-        let mut week_status = HealthStatus::Healthy;
-        let mut week_breaches = 0u64;
-        for (j, feat) in self.features.iter_mut().enumerate() {
+        let x = f64::from(day);
+        let mut week_max: Option<f64> = None;
+        for (feat, &col) in self.features.iter().zip(&self.monitored_cols) {
             let lane = store
-                .lane_of(self.monitored_cols[j])
+                .lane_of(col)
                 // lint:allow(no-panic-in-lib) -- the pipeline tracks every monitored column in the store
                 .expect("store tracks every monitored column");
             let counts = bin_counts_from(&feat.edges, frame.lane_f64(lane));
@@ -386,48 +288,27 @@ impl ModelHealthMonitor {
                 reg.counter("telemetry/psi_skipped").inc();
                 continue;
             };
-            reg.series(&format!("telemetry/psi/{}", feat.name)).push(f64::from(day), p);
-            let raw = HealthStatus::classify(p, self.config.psi_warning, self.config.psi_alert);
-            feat.streak = if raw > HealthStatus::Healthy { feat.streak + 1 } else { 0 };
-            if feat.streak >= persistence {
-                week_status = week_status.max(raw);
-                week_breaches += 1;
-            }
+            reg.series(&format!("telemetry/psi/{}", feat.name)).push(x, p);
+            week_max = Some(week_max.map_or(p, |m| m.max(p)));
             if self.worst_feature.as_ref().map_or(true, |(_, worst)| p > *worst) {
                 self.worst_feature = Some((feat.name.clone(), p));
             }
         }
+        if let Some(m) = week_max {
+            reg.series("telemetry/psi_max").push(x, m);
+        }
 
-        let live_scores = reg.distribution("telemetry/live/score", 0.0, 1.0, self.config.n_bins);
+        let live_scores = reg.distribution("telemetry/live/score", 0.0, 1.0, self.n_bins);
         live_scores.record_all(&ranking.probabilities);
         match psi(&self.score_ref_counts, &bin_counts(&self.score_edges, &ranking.probabilities)) {
             Ok(score_psi) => {
-                reg.series("telemetry/score_psi").push(f64::from(day), score_psi);
-                let raw = HealthStatus::classify(
-                    score_psi,
-                    self.config.psi_warning,
-                    self.config.psi_alert,
-                );
-                self.score_streak =
-                    if raw > HealthStatus::Healthy { self.score_streak + 1 } else { 0 };
-                if self.score_streak >= persistence {
-                    week_status = week_status.max(raw);
-                    week_breaches += 1;
-                }
+                reg.series("telemetry/score_psi").push(x, score_psi);
                 self.max_score_psi = self.max_score_psi.max(score_psi);
             }
-            Err(_) => {
-                reg.counter("telemetry/psi_skipped").inc();
-            }
+            Err(_) => reg.counter("telemetry/psi_skipped").inc(),
         }
-        self.breaches += week_breaches;
-        reg.counter("telemetry/breaches").add(week_breaches);
-
-        reg.series("telemetry/health").push(f64::from(day), week_status.as_f64());
         reg.counter("telemetry/weeks_observed").inc();
         self.weeks_observed += 1;
-        self.worst = self.worst.max(week_status);
-        reg.gauge("telemetry/health_status").set(self.worst.as_f64());
 
         self.pending.push(PendingWeek {
             day,
@@ -435,21 +316,16 @@ impl ModelHealthMonitor {
             probabilities: ranking.probabilities.clone(),
         });
         self.mature_through(day);
-        week_status
     }
 
     /// Ingests any remaining tickets, matures every week whose label window
-    /// closed by `frontier_day` (the last simulated day), records the final
-    /// gauges, and returns the summary.
+    /// closed by `frontier_day` (the last simulated day), and returns the
+    /// summary.
     pub fn finish(mut self, tickets: &[Ticket], frontier_day: u32) -> TelemetryReport {
         self.ingest_tickets(tickets);
         self.mature_through(frontier_day);
-        let reg = nevermind_obs::global();
-        reg.gauge("telemetry/health_status").set(self.worst.as_f64());
         TelemetryReport {
-            status: self.worst,
             weeks_observed: self.weeks_observed,
-            breaches: self.breaches,
             worst_feature: self.worst_feature,
             max_score_psi: self.max_score_psi,
             last_ece: self.last_ece,
@@ -497,22 +373,14 @@ impl ModelHealthMonitor {
                     days.get(cut).is_some_and(|&d| d <= week.day + horizon)
                 })
                 .collect();
-            let ece = expected_calibration_error(&week.probabilities, &labels, self.config.n_bins);
+            let ece = expected_calibration_error(&week.probabilities, &labels, self.n_bins);
             let brier = brier_score(&week.probabilities, &labels);
             reg.series("telemetry/ece").push(f64::from(week.day), ece);
             reg.series("telemetry/brier").push(f64::from(week.day), brier);
-            let status =
-                HealthStatus::classify(ece, self.config.ece_warning, self.config.ece_alert);
-            if status > HealthStatus::Healthy {
-                self.breaches += 1;
-                reg.counter("telemetry/breaches").inc();
-            }
-            self.worst = self.worst.max(status);
             self.last_ece = Some(ece);
             self.last_brier = Some(brier);
         }
         self.pending = still_pending;
-        reg.gauge("telemetry/health_status").set(self.worst.as_f64());
     }
 }
 
@@ -534,41 +402,58 @@ fn record_reference_distribution(name: &str, values: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn health_status_orders_and_classifies() {
-        assert!(HealthStatus::Healthy < HealthStatus::Warning);
-        assert!(HealthStatus::Warning < HealthStatus::Alert);
-        assert_eq!(HealthStatus::classify(0.05, 0.1, 0.25), HealthStatus::Healthy);
-        assert_eq!(HealthStatus::classify(0.1, 0.1, 0.25), HealthStatus::Warning);
-        assert_eq!(HealthStatus::classify(0.3, 0.1, 0.25), HealthStatus::Alert);
-        assert_eq!(HealthStatus::Alert.as_str(), "alert");
-        assert_eq!(HealthStatus::Warning.as_f64(), 1.0);
-    }
+    use nevermind_obs::rules::{parse_rules, Cmp, Severity};
 
     #[test]
     fn default_thresholds_are_the_scorecard_convention() {
+        let rules = parse_rules(MODEL_HEALTH_RULES).expect("the built-in set parses");
+        assert!(rules.records.is_empty() && rules.slos.is_empty());
+        let got: Vec<(&str, String, f64, u32, Severity)> = rules
+            .alerts
+            .iter()
+            .inspect(|a| assert_eq!(a.cmp, Cmp::Ge, "{}", a.name))
+            .map(|a| (a.name.as_str(), a.expr.canonical(), a.threshold, a.for_ticks, a.severity))
+            .collect();
+        let psi_max = "series_last(telemetry/psi_max)".to_string();
+        let score = "series_last(telemetry/score_psi)".to_string();
+        let ece = "series_last(telemetry/ece)".to_string();
+        assert_eq!(
+            got,
+            vec![
+                ("model/feature_drift", psi_max.clone(), 0.1, 2, Severity::Warning),
+                ("model/feature_drift_severe", psi_max, 0.25, 2, Severity::Critical),
+                ("model/score_drift", score.clone(), 0.1, 2, Severity::Warning),
+                ("model/score_drift_severe", score, 0.25, 2, Severity::Critical),
+                ("model/miscalibrated", ece.clone(), 0.05, 1, Severity::Warning),
+                ("model/miscalibrated_severe", ece, 0.15, 1, Severity::Critical),
+            ]
+        );
         let cfg = TelemetryConfig::default();
-        assert_eq!(cfg.psi_warning, 0.1);
-        assert_eq!(cfg.psi_alert, 0.25);
         assert!(cfg.max_features > 0 && cfg.n_bins >= 2);
     }
 
     #[test]
-    fn report_summary_mentions_the_status() {
+    fn example_rules_file_repeats_the_built_in_set() {
+        // `--rules` replaces the built-in set, so the shipped example
+        // carries it verbatim to keep the model-health alerts.
+        let example = include_str!("../../../examples/history.rules");
+        assert!(example.contains(MODEL_HEALTH_RULES), "examples/history.rules drifted");
+    }
+
+    #[test]
+    fn report_summary_carries_the_numbers() {
         let report = TelemetryReport {
-            status: HealthStatus::Warning,
             weeks_observed: 4,
-            breaches: 3,
             worst_feature: Some(("ts:snr_dn:mean".into(), 0.17)),
             max_score_psi: 0.08,
             last_ece: Some(0.004),
             last_brier: Some(0.01),
             reference_ece: 0.002,
         };
-        let line = report.summary();
-        assert!(line.contains("warning"), "{line}");
-        assert!(line.contains("ts:snr_dn:mean"), "{line}");
-        assert!(line.contains("4 weeks"), "{line}");
+        assert_eq!(
+            report.summary(),
+            "model health over 4 weeks: worst feature PSI 0.170 (ts:snr_dn:mean); \
+             score PSI 0.080; ECE 0.0040 vs 0.0020 at fit"
+        );
     }
 }

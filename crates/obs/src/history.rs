@@ -522,7 +522,7 @@ mod tests {
     fn snapshot_fold_skips_wallclock_tainted_names_and_spans() {
         let mut snap = Snapshot::default();
         snap.counters.insert("weekly/lines_scored".into(), 10);
-        snap.gauges.insert("telemetry/health_status".into(), 1.0);
+        snap.gauges.insert("alerts/firing".into(), 1.0);
         snap.series.insert("trial/week_rank_ms".into(), vec![(0.0, 4.2)]);
         snap.series.insert("trial/week_dispatches".into(), vec![(0.0, 7.0)]);
         snap.spans.insert(
@@ -535,7 +535,7 @@ mod tests {
         let names = store.names();
         assert_eq!(
             names,
-            vec!["telemetry/health_status", "trial/week_dispatches", "weekly/lines_scored"],
+            vec!["alerts/firing", "trial/week_dispatches", "weekly/lines_scored"],
             "no _ms series, no spans"
         );
         assert_eq!(store.last_tick_day(), Some(6));

@@ -11,7 +11,7 @@
 //! |---------------------------|---------------------------------------------|
 //! | `GET /metrics`            | `nevermind-metrics/v1` JSON                 |
 //! | `GET /metrics?format=prom`| Prometheus text exposition (v0.0.4)         |
-//! | `GET /health`             | telemetry + alert status; alerting ⇒ 503    |
+//! | `GET /health`             | rule-engine verdict; `alert` ⇒ 503          |
 //! | `GET /history?series=NAME&r=RES` | windowed series, `nevermind-history/v1` |
 //! | `GET /alerts`             | alert/SLO states + notifications            |
 //! | `GET /trace/tail?n=N`     | newest N ring events, `nevermind-trace/v1`  |
@@ -31,6 +31,7 @@
 //! produces byte-identical outcomes and trace exports to one without
 //! (pinned in `tests/observability.rs`).
 
+use crate::rules::Health;
 use crate::trace::{FieldValue, TraceEvent};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -226,7 +227,7 @@ fn route(target: &str) -> Response {
              endpoints:\n\
              GET /metrics             nevermind-metrics/v1 JSON\n\
              GET /metrics?format=prom Prometheus text exposition\n\
-             GET /health              telemetry + alert status (alerting => 503)\n\
+             GET /health              rule-engine health verdict (alert => 503)\n\
              GET /history?series=NAME&r=day|week  windowed history (nevermind-history/v1)\n\
              GET /alerts              alert/SLO states + notification log\n\
              GET /trace/tail?n=N      newest N trace events (JSONL)\n\
@@ -319,75 +320,38 @@ fn respond_history(query: &str) -> Response {
     }
 }
 
-/// `GET /health`: the derived telemetry status as JSON, mapped to
-/// HTTP 200 (healthy / warning / none) or 503 (alert, or any rule-engine
-/// alert firing) so a load balancer or alertmanager can act on the
-/// status code alone.
+/// `GET /health`: the rule engine's verdict ([`crate::rules::health`]) as
+/// JSON, with the firing alerts' names and the model-health monitor's week
+/// count, mapped to HTTP 503 for `alert` and 200 otherwise, so a load
+/// balancer or alertmanager can act on the status code alone.
 fn respond_health() -> Response {
-    let snap = crate::global().snapshot();
-    let status = match snap.gauges.get(crate::json::TELEMETRY_STATUS_GAUGE) {
-        Some(&v) => crate::json::health_status_name(v),
-        None => "none",
-    };
-    let weeks = snap.counters.get(crate::json::TELEMETRY_WEEKS_COUNTER).copied().unwrap_or(0);
-    let breaches = snap.counters.get(crate::json::TELEMETRY_BREACHES_COUNTER).copied().unwrap_or(0);
-    let alerts_firing = crate::rules::firing_count();
+    let weeks = crate::global()
+        .snapshot()
+        .counters
+        .get(crate::json::TELEMETRY_WEEKS_COUNTER)
+        .copied()
+        .unwrap_or(0);
+    let (health, firing) = crate::rules::health();
+    health_response(health, &firing, weeks)
+}
+
+fn health_response(health: Health, firing: &[String], weeks: u64) -> Response {
     let mut body = String::with_capacity(256);
     body.push_str("{\n  \"schema\": \"nevermind-health/v1\",\n  \"status\": \"");
-    body.push_str(status);
+    body.push_str(health.name());
     body.push_str("\",\n  \"weeks_observed\": ");
     body.push_str(&weeks.to_string());
-    body.push_str(",\n  \"breaches\": ");
-    body.push_str(&breaches.to_string());
     body.push_str(",\n  \"alerts_firing\": ");
-    body.push_str(&alerts_firing.to_string());
-    body.push_str(",\n  \"thresholds\": {");
-    let thresholds: Vec<(&str, f64)> = snap
-        .gauges
-        .iter()
-        .filter_map(|(k, v)| Some((k.strip_prefix(crate::json::TELEMETRY_THRESHOLD_PREFIX)?, *v)))
-        .collect();
-    for (i, (k, v)) in thresholds.iter().enumerate() {
+    body.push_str(&firing.len().to_string());
+    body.push_str(",\n  \"firing\": [");
+    for (i, name) in firing.iter().enumerate() {
         if i > 0 {
             body.push_str(", ");
         }
-        crate::json::push_json_string(&mut body, k);
-        body.push_str(": ");
-        body.push_str(&crate::json::fmt_f64(*v));
-    }
-    body.push_str("},\n  \"breached_series\": {");
-    // Every telemetry series whose worst value crossed its warning
-    // threshold, with that worst value — the "what breached" detail the
-    // status code compresses away.
-    let worst = |name: &str| -> Option<f64> {
-        let pts = snap.series.get(name)?;
-        pts.iter().map(|&(_, y)| y).reduce(f64::max)
-    };
-    let threshold_of = |series: &str| -> Option<f64> {
-        let key = match series {
-            s if s.starts_with("telemetry/psi/") || s == "telemetry/score_psi" => "psi_warning",
-            "telemetry/ece" => "ece_warning",
-            _ => return None,
-        };
-        thresholds.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
-    };
-    let mut first = true;
-    for name in snap.series.keys() {
-        let (Some(w), Some(t)) = (worst(name), threshold_of(name)) else { continue };
-        if w < t {
-            continue;
-        }
-        if !first {
-            body.push_str(", ");
-        }
-        first = false;
         crate::json::push_json_string(&mut body, name);
-        body.push_str(": ");
-        body.push_str(&crate::json::fmt_f64(w));
     }
-    body.push_str("}\n}\n");
-    let code = if status == "alert" || alerts_firing > 0 { 503 } else { 200 };
-    Response::json(code, body)
+    body.push_str("]\n}\n");
+    Response::json(if health == Health::Alert { 503 } else { 200 }, body)
 }
 
 /// `GET /explain?line=ID`: renders the line's causal chain from the live
@@ -585,6 +549,36 @@ mod tests {
         assert!(alerts.body.contains("nevermind-history/v1"), "{}", alerts.body);
         assert!(route("/").body.contains("GET /alerts"), "index lists the new endpoints");
         assert!(route("/").body.contains("GET /history"), "index lists the new endpoints");
+    }
+
+    #[test]
+    fn health_answers_503_for_alert_only() {
+        let engine = crate::rules::RuleEngine::new(
+            crate::rules::parse_rules(
+                "alert slow if gauge(g) > 0 for 1\nalert down if gauge(g) > 1 for 1 severity critical",
+            )
+            .expect("parses"),
+        );
+        let verdict_at = |day: u64, g: f64| {
+            let mut snap = crate::registry::Snapshot::default();
+            snap.gauges.insert("g".into(), g);
+            engine.evaluate(day, &snap);
+            let (health, firing) = engine.health();
+            health_response(health, &firing, 3)
+        };
+        let healthy = verdict_at(6, 0.0);
+        assert_eq!(healthy.code, 200);
+        assert!(healthy.body.contains("\"status\": \"healthy\""), "{}", healthy.body);
+        let warning = verdict_at(13, 1.0);
+        assert_eq!(warning.code, 200, "a warning alone keeps /health at 200");
+        assert!(warning.body.contains("\"status\": \"warning\""), "{}", warning.body);
+        assert!(warning.body.contains("\"firing\": [\"slow\"]"), "{}", warning.body);
+        let alert = verdict_at(20, 2.0);
+        assert_eq!(alert.code, 503);
+        assert!(alert.body.contains("\"status\": \"alert\""), "{}", alert.body);
+        assert!(alert.body.contains("\"alerts_firing\": 2"), "{}", alert.body);
+        assert!(alert.body.contains("\"weeks_observed\": 3"), "{}", alert.body);
+        assert_eq!(health_response(Health::None, &[], 0).code, 200);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!   "series":     { "<name>": [[0.0, 1.5], [7.0, 2.5]] },
 //!   "distributions": { "<name>": { "min": 0.0, "max": 1.0, "counts": [3, 1],
 //!                                   "underflow": 0, "overflow": 0, "nan": 2 } },
-//!   "telemetry": { "status": "healthy", "weeks_observed": 12, "breaches": 0,
-//!                   "thresholds": { "psi_warning": 0.1 },
+//!   "telemetry": { "weeks_observed": 12,
 //!                   "series": { "score_psi": { "points": 12, "last": 0.01,
 //!                                               "max": 0.03, "mean": 0.015 } } }
 //! }
@@ -34,36 +33,22 @@
 //! release of the schema. The addition is compatible — the schema string
 //! stays `nevermind-metrics/v1` and v1 readers, which ignore unknown keys,
 //! still parse every dump. `telemetry` is *derived*: it summarizes the
-//! model-health metrics that `nevermind-core`'s `ModelHealthMonitor`
-//! records under the `telemetry/` name prefix (status gauge, breach
-//! counter, per-week drift/calibration series), so any dump path that
-//! serializes the registry gets the section for free. When no telemetry
-//! was recorded it collapses to `{"status": "none", ...}`.
+//! model-health numbers that `nevermind-core`'s `ModelHealthMonitor`
+//! records under the `telemetry/` name prefix (the weeks-observed counter
+//! and the per-week drift/calibration series), so any dump path that
+//! serializes the registry gets the section for free. It carries no
+//! verdict: whether the numbers are healthy is the rule engine's call
+//! ([`crate::rules::health`]), and a dump written with the history layer
+//! on shows its alert states in the `history` section. When no telemetry
+//! was recorded the section is `{"weeks_observed": 0, "series": {}}`.
 
 use crate::registry::Snapshot;
 
-/// Gauge holding the worst health status seen (0 healthy / 1 warning /
-/// 2 alert), recorded by the model-health monitor in `nevermind-core`.
-pub const TELEMETRY_STATUS_GAUGE: &str = "telemetry/health_status";
 /// Counter of scored weeks the model-health monitor compared.
 pub const TELEMETRY_WEEKS_COUNTER: &str = "telemetry/weeks_observed";
-/// Counter of individual threshold breaches across all weeks and metrics.
-pub const TELEMETRY_BREACHES_COUNTER: &str = "telemetry/breaches";
-/// Name prefix for gauges holding the configured thresholds.
-pub const TELEMETRY_THRESHOLD_PREFIX: &str = "telemetry/threshold/";
 /// Name prefix for all model-health series (`telemetry/psi/<feature>`,
-/// `telemetry/score_psi`, `telemetry/ece`, `telemetry/brier`, ...).
+/// `telemetry/psi_max`, `telemetry/score_psi`, `telemetry/ece`, ...).
 pub const TELEMETRY_SERIES_PREFIX: &str = "telemetry/";
-
-/// Renders a health-status gauge value as its JSON string form.
-pub fn health_status_name(v: f64) -> &'static str {
-    match v as i64 {
-        0 => "healthy",
-        1 => "warning",
-        2 => "alert",
-        _ => "unknown",
-    }
-}
 
 /// Serializes a snapshot as a pretty-printed (2-space) JSON document.
 pub fn snapshot_to_json(snap: &Snapshot) -> String {
@@ -181,32 +166,8 @@ fn render_snapshot(snap: &Snapshot, history: Option<&str>) -> String {
 /// Emits the derived `telemetry` section: a summary of everything recorded
 /// under the `telemetry/` name prefix (see the module docs).
 fn push_telemetry(out: &mut String, snap: &Snapshot) {
-    let status = match snap.gauges.get(TELEMETRY_STATUS_GAUGE) {
-        Some(&v) => health_status_name(v),
-        None => "none",
-    };
     let weeks = snap.counters.get(TELEMETRY_WEEKS_COUNTER).copied().unwrap_or(0);
-    let breaches = snap.counters.get(TELEMETRY_BREACHES_COUNTER).copied().unwrap_or(0);
-    out.push_str(&format!(
-        "  \"telemetry\": {{\n    \"status\": \"{status}\",\n    \"weeks_observed\": {weeks},\n    \"breaches\": {breaches},\n"
-    ));
-
-    out.push_str("    \"thresholds\": {");
-    let thresholds: Vec<_> = snap
-        .gauges
-        .iter()
-        .filter_map(|(k, v)| Some((k.strip_prefix(TELEMETRY_THRESHOLD_PREFIX)?, *v)))
-        .collect();
-    for (i, (k, v)) in thresholds.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        push_json_string(out, k);
-        out.push_str(": ");
-        out.push_str(&fmt_f64(*v));
-    }
-    out.push_str("},\n");
-
+    out.push_str(&format!("  \"telemetry\": {{\n    \"weeks_observed\": {weeks},\n"));
     out.push_str("    \"series\": {");
     let tele_series: Vec<_> = snap
         .series
@@ -251,7 +212,7 @@ fn push_telemetry(out: &mut String, snap: &Snapshot) {
 ///
 /// ```text
 /// nevermind_counter{name="weekly/lines_scored"} 42
-/// nevermind_gauge{name="telemetry/health_status"} 1
+/// nevermind_gauge{name="telemetry/reference_ece"} 0.02
 /// nevermind_histogram_bucket{name="h",le="3"} 5
 /// nevermind_span_count{path="fit/encode"} 12
 /// ```
@@ -488,7 +449,10 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.contains("nevermind-metrics/v1"));
-        assert!(json.contains("\"status\": \"none\""), "no telemetry recorded");
+        assert!(
+            json.contains("\"telemetry\": {\n    \"weeks_observed\": 0,\n    \"series\": {}\n  }"),
+            "no telemetry recorded: {json}"
+        );
     }
 
     #[test]
@@ -497,33 +461,20 @@ mod tests {
         reg.set_enabled(true);
         let d = reg.distribution("telemetry/live/score", 0.0, 1.0, 4);
         d.record_all(&[0.1, 0.3, 0.9, f64::NAN]);
-        reg.gauge("telemetry/health_status").set(1.0);
-        reg.gauge("telemetry/threshold/psi_warning").set(0.1);
         reg.counter("telemetry/weeks_observed").add(3);
-        reg.counter("telemetry/breaches").add(2);
         reg.series("telemetry/score_psi").push(7.0, 0.05);
         reg.series("telemetry/score_psi").push(14.0, 0.15);
         let json = reg.to_json();
         assert!(json.contains("\"counts\": [1, 1, 0, 1]"), "missing in {json}");
         assert!(json.contains("\"nan\": 1"));
-        assert!(json.contains("\"status\": \"warning\""));
         assert!(json.contains("\"weeks_observed\": 3"));
-        assert!(json.contains("\"breaches\": 2"));
-        assert!(json.contains("\"psi_warning\": 0.1"));
+        assert!(!json.contains("\"status\""), "the dump carries numbers, not a verdict: {json}");
         assert!(
             json.contains(
                 "\"score_psi\": {\"points\": 2, \"last\": 0.15, \"max\": 0.15, \"mean\": 0.1}"
             ),
             "telemetry series summary missing in {json}"
         );
-    }
-
-    #[test]
-    fn health_status_names() {
-        assert_eq!(health_status_name(0.0), "healthy");
-        assert_eq!(health_status_name(1.0), "warning");
-        assert_eq!(health_status_name(2.0), "alert");
-        assert_eq!(health_status_name(-3.0), "unknown");
     }
 
     #[test]
@@ -565,14 +516,14 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.set_enabled(true);
         reg.counter("weekly/lines_scored").add(42);
-        reg.gauge("telemetry/health_status").set(1.0);
+        reg.gauge("telemetry/reference_ece").set(1.0);
         reg.gauge("weird\"name\\x").set(f64::NAN);
         reg.record_span("fit/encode", 1000);
         reg.series("telemetry/score_psi").push(7.0, 0.05);
         let prom = snapshot_to_prometheus(&reg.snapshot());
         assert!(prom.contains("# TYPE nevermind_counter counter"), "{prom}");
         assert!(prom.contains("nevermind_counter{name=\"weekly/lines_scored\"} 42"), "{prom}");
-        assert!(prom.contains("nevermind_gauge{name=\"telemetry/health_status\"} 1"), "{prom}");
+        assert!(prom.contains("nevermind_gauge{name=\"telemetry/reference_ece\"} 1"), "{prom}");
         assert!(prom.contains("nevermind_gauge{name=\"weird\\\"name\\\\x\"} NaN"), "{prom}");
         assert!(prom.contains("nevermind_span_count{path=\"fit/encode\"} 1"), "{prom}");
         assert!(prom.contains("nevermind_span_total_ns{path=\"fit/encode\"} 1000"), "{prom}");

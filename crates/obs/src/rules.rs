@@ -16,11 +16,19 @@
 //!   result back into the history store as its own series.
 //! * **Alert rules** — `alert NAME if EXPR OP CONST for N [severity S]`
 //!   — a threshold condition with `for`-duration hysteresis driving the
-//!   [`AlertState`] machine (inactive → pending → firing → resolved). A
-//!   firing alert flips the live `/health` endpoint to 503.
+//!   [`AlertState`] machine (inactive → pending → firing → resolved).
 //! * **SLOs** — `slo NAME objective F good EXPR total EXPR window N
 //!   [warn F] [crit F]` — error-budget burn rate over a sliding window
 //!   of weekly good/total readings; a critical burn counts as firing.
+//!
+//! The engine is also the process's one health verdict ([`health`]):
+//! `alert` while a critical alert or a critical SLO burn is firing,
+//! `warning` while only warning-severity alerts fire, `healthy`
+//! otherwise, and `none` with no engine installed. `GET /health` serves it
+//! (503 for `alert` only), and `nevermind trial` prints it at the end of
+//! the run. The model-health policy is itself a rule set —
+//! `nevermind::telemetry::MODEL_HEALTH_RULES`, installed by `trial`
+//! unless `--rules` replaces it.
 //!
 //! Expressions are arithmetic (`+ - * /`, parentheses, numeric
 //! literals) over registry selectors — `counter(name)`, `gauge(name)`,
@@ -28,7 +36,10 @@
 //! `dist_count(name)` — plus `rate(EXPR)`, the per-evaluation delta of
 //! its argument. A missing metric evaluates to NaN, which makes alert
 //! conditions false and skips the recording fold, so rules can be
-//! installed before the metrics they watch exist.
+//! installed before the metrics they watch exist. Expressions nest at most
+//! 64 levels — parentheses, `rate()` calls and operator chains all count —
+//! so no rules file can overflow the stack of the parser or of the
+//! evaluator that walks the parsed tree.
 //!
 //! Every state transition appends a `kind: "alert"` notification event
 //! to the engine's own bounded ring (the trace-ring type, but a separate
@@ -46,13 +57,18 @@ use crate::trace::{TraceBuffer, TraceEvent};
 /// Notifications retained per engine (oldest evicted first).
 const NOTIFICATION_CAPACITY: usize = 1024;
 
+/// Deepest expression [`parse_rules`] accepts: each parenthesized group,
+/// `rate()` call and binary operator link counts one level. Real rules
+/// stay far below it.
+const MAX_DEPTH: usize = 64;
+
 /// Alert severity, from the optional `severity` clause (default
 /// `warning`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     /// Worth a look; does not flip `/health` on its own.
     Warning,
-    /// Operationally urgent (rendered distinctly by `nevermind report`).
+    /// Operationally urgent: while firing, `/health` reads `alert` (503).
     Critical,
 }
 
@@ -71,6 +87,34 @@ impl Severity {
             "warning" => Some(Severity::Warning),
             "critical" => Some(Severity::Critical),
             _ => None,
+        }
+    }
+}
+
+/// The process's health verdict, as [`health`] derives it from the
+/// installed engine and `GET /health` serves it; ordered from no verdict
+/// to the worst.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Health {
+    /// No rule engine is installed, so nothing is judged.
+    None,
+    /// Nothing is firing.
+    Healthy,
+    /// Only warning-severity alerts are firing.
+    Warning,
+    /// A critical alert, or an SLO burning at its critical rate, is firing.
+    Alert,
+}
+
+impl Health {
+    /// The verdict's lowercase name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Health::None => "none",
+            Health::Healthy => "healthy",
+            Health::Warning => "warning",
+            Health::Alert => "alert",
         }
     }
 }
@@ -366,11 +410,22 @@ impl RuleSet {
 struct Cursor<'a> {
     bytes: &'a [u8],
     i: usize,
+    /// Expression levels open at the cursor (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
     fn new(s: &'a str) -> Self {
-        Cursor { bytes: s.as_bytes(), i: 0 }
+        Cursor { bytes: s.as_bytes(), i: 0, depth: 0 }
+    }
+
+    /// Opens one expression level, failing past [`MAX_DEPTH`].
+    fn nest(&mut self) -> Result<(), String> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(format!("expression nests deeper than {MAX_DEPTH} levels"));
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -443,31 +498,36 @@ impl<'a> Cursor<'a> {
 }
 
 fn parse_expr(c: &mut Cursor<'_>) -> Result<Expr, String> {
-    let mut lhs = parse_term(c)?;
-    loop {
-        c.skip_ws();
-        match c.peek() {
-            Some(op @ (b'+' | b'-')) => {
-                c.i += 1;
-                let rhs = parse_term(c)?;
-                lhs = Expr(ExprKind::Binary(op as char, Box::new(lhs), Box::new(rhs)));
-            }
-            _ => return Ok(lhs),
-        }
-    }
+    parse_chain(c, b"+-", parse_term)
 }
 
 fn parse_term(c: &mut Cursor<'_>) -> Result<Expr, String> {
-    let mut lhs = parse_factor(c)?;
+    parse_chain(c, b"*/", parse_factor)
+}
+
+/// A left-associative chain `operand (op operand)*` over `ops`. Each link
+/// nests the tree built so far one level deeper, so it counts against
+/// [`MAX_DEPTH`] until the chain ends.
+fn parse_chain(
+    c: &mut Cursor<'_>,
+    ops: &[u8],
+    operand: fn(&mut Cursor<'_>) -> Result<Expr, String>,
+) -> Result<Expr, String> {
+    let depth = c.depth;
+    let mut lhs = operand(c)?;
     loop {
         c.skip_ws();
         match c.peek() {
-            Some(op @ (b'*' | b'/')) => {
+            Some(op) if ops.contains(&op) => {
                 c.i += 1;
-                let rhs = parse_factor(c)?;
+                c.nest()?;
+                let rhs = operand(c)?;
                 lhs = Expr(ExprKind::Binary(op as char, Box::new(lhs), Box::new(rhs)));
             }
-            _ => return Ok(lhs),
+            _ => {
+                c.depth = depth;
+                return Ok(lhs);
+            }
         }
     }
 }
@@ -477,11 +537,13 @@ fn parse_factor(c: &mut Cursor<'_>) -> Result<Expr, String> {
     match c.peek() {
         Some(b'(') => {
             c.i += 1;
+            c.nest()?;
             let e = parse_expr(c)?;
             c.skip_ws();
             if !c.eat(b')') {
                 return Err("expected ')'".into());
             }
+            c.depth -= 1;
             Ok(e)
         }
         Some(b) if b.is_ascii_digit() || b == b'-' || b == b'+' || b == b'.' => {
@@ -494,11 +556,13 @@ fn parse_factor(c: &mut Cursor<'_>) -> Result<Expr, String> {
                 return Err(format!("expected '(' after '{word}'"));
             }
             if word == "rate" {
+                c.nest()?;
                 let inner = parse_expr(c)?;
                 c.skip_ws();
                 if !c.eat(b')') {
                     return Err("expected ')' closing rate(...)".into());
                 }
+                c.depth -= 1;
                 return Ok(Expr(ExprKind::Rate(Box::new(inner))));
             }
             let sel = Selector::parse(word).ok_or_else(|| {
@@ -572,7 +636,7 @@ fn parse_cmp(c: &mut Cursor<'_>) -> Result<Cmp, String> {
 /// # derived series
 /// record dispatch/precision = counter(sim/proactive_hits) / counter(sim/proactive_visits)
 /// # drift alarm with two-week hysteresis
-/// alert model-drift if gauge(telemetry/health_status) >= 1 for 2 severity critical
+/// alert feature-drift if series_last(telemetry/psi_max) >= 0.3 for 2 severity critical
 /// # error-budget SLO over an 8-week window
 /// slo dispatch-precision objective 0.5 good counter(sim/proactive_hits) \
 ///     total counter(sim/proactive_visits) window 8 warn 1.0 crit 2.0
@@ -757,6 +821,32 @@ impl RuleEngine {
     /// Number of alerts currently firing (critical SLO burns included).
     pub fn firing(&self) -> u64 {
         lock_recovering(&self.state).firing
+    }
+
+    /// The engine's verdict ([`Health::Healthy`], `Warning` or `Alert`)
+    /// and the names of what is firing — alert rules in file order, then
+    /// SLOs burning at their critical rate — read under one lock so the
+    /// two agree.
+    pub fn health(&self) -> (Health, Vec<String>) {
+        let st = lock_recovering(&self.state);
+        let mut health = Health::Healthy;
+        let mut firing = Vec::new();
+        for (rule, status) in self.rules.alerts.iter().zip(&st.alerts) {
+            if status.state == AlertState::Firing {
+                health = health.max(match rule.severity {
+                    Severity::Warning => Health::Warning,
+                    Severity::Critical => Health::Alert,
+                });
+                firing.push(rule.name.clone());
+            }
+        }
+        for (rule, status) in self.rules.slos.iter().zip(&st.slos) {
+            if !status.healthy && status.level == Severity::Critical {
+                health = Health::Alert;
+                firing.push(rule.name.clone());
+            }
+        }
+        (health, firing)
     }
 
     /// Evaluates every rule against one registry snapshot at simulated
@@ -1022,6 +1112,13 @@ pub fn firing_count() -> u64 {
     installed().map_or(0, |e| e.firing())
 }
 
+/// The process's one health verdict: [`RuleEngine::health`] of the
+/// installed engine, or [`Health::None`] with nothing firing when no
+/// engine is installed.
+pub fn health() -> (Health, Vec<String>) {
+    installed().map_or((Health::None, Vec::new()), |e| e.health())
+}
+
 /// Evaluates the installed engine, if any (the history tick calls this
 /// once per closed simulated week).
 pub fn evaluate(day: u64, snap: &Snapshot) {
@@ -1063,7 +1160,7 @@ mod tests {
             "# comment\n\
              record dispatch/precision = counter(sim/proactive_hits) / counter(sim/proactive_visits)\n\
              \n\
-             alert drift if gauge(telemetry/health_status) >= 1 for 2 severity critical\n\
+             alert drift if series_last(telemetry/psi_max) >= 0.3 for 2 severity critical\n\
              slo precision objective 0.5 good counter(h) total counter(v) window 8 warn 1.5 crit 3\n",
         )
         .expect("parses");
@@ -1075,7 +1172,7 @@ mod tests {
         let a = &set.alerts[0];
         assert_eq!(
             (a.cmp, a.threshold, a.for_ticks, a.severity),
-            (Cmp::Ge, 1.0, 2, Severity::Critical)
+            (Cmp::Ge, 0.3, 2, Severity::Critical)
         );
         let s = &set.slos[0];
         assert_eq!((s.objective, s.window, s.warn, s.crit), (0.5, 8, 1.5, 3.0));
@@ -1090,6 +1187,58 @@ mod tests {
             parse_rules("slo s objective 1.5 good counter(a) total counter(b) window 4").is_err()
         );
         assert!(parse_rules("record x = hist_p42(a)").is_err(), "unknown selector");
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let deep = |open: &str, close: &str, n: usize| {
+            format!("alert a if {}counter(x){} > 1 for 1", open.repeat(n), close.repeat(n))
+        };
+        let chain = |n: usize| format!("alert a if counter(x){} > 1 for 1", " + 1".repeat(n));
+        let too_deep = "line 2: expression nests deeper than 64 levels";
+        for text in [deep("(", ")", 50_000), deep("rate(", ")", 20_000), chain(300_000)] {
+            assert_eq!(parse_rules(&format!("# hostile\n{text}")).expect_err("rejects"), too_deep);
+        }
+        for text in [deep("(", ")", 65), deep("rate(", ")", 65), chain(65)] {
+            assert_eq!(parse_rules(&format!("\n{text}")).expect_err("rejects"), too_deep);
+        }
+        for text in [deep("(", ")", 64), deep("rate(", ")", 64), chain(64)] {
+            assert!(parse_rules(&text).is_ok(), "64 levels parse: {text}");
+        }
+        // Sibling groups do not add up: a group's levels close with it.
+        let wide = vec![format!("({})", "(".repeat(60) + "1" + &")".repeat(60)); 3].join(" * ");
+        assert!(parse_rules(&format!("record r = {wide}")).is_ok());
+    }
+
+    #[test]
+    fn health_is_the_worst_firing_severity() {
+        let set = parse_rules(
+            "alert w if gauge(g) > 0 for 1\n\
+             alert c if gauge(g) > 1 for 1 severity critical\n\
+             slo s objective 0.9 good counter(good) total counter(total) window 4",
+        )
+        .expect("parses");
+        let engine = RuleEngine::new(set);
+        let reading = |g: f64, good: u64, total: u64| {
+            let mut s = snap_with_gauge("g", g);
+            s.counters.insert("good".into(), good);
+            s.counters.insert("total".into(), total);
+            s
+        };
+        assert_eq!(engine.health(), (Health::Healthy, vec![]), "nothing evaluated yet");
+        engine.evaluate(6, &reading(0.0, 90, 100));
+        assert_eq!(engine.health(), (Health::Healthy, vec![]));
+        engine.evaluate(13, &reading(1.0, 180, 200));
+        assert_eq!(engine.health(), (Health::Warning, vec!["w".to_string()]));
+        engine.evaluate(20, &reading(2.0, 270, 300));
+        assert_eq!(engine.health(), (Health::Alert, vec!["w".to_string(), "c".to_string()]));
+        // A critical SLO burn alone is an alert too.
+        engine.evaluate(27, &reading(0.0, 270, 400));
+        assert_eq!(engine.health(), (Health::Alert, vec!["s".to_string()]));
+        assert_eq!(
+            [Health::None, Health::Healthy, Health::Warning, Health::Alert].map(Health::name),
+            ["none", "healthy", "warning", "alert"]
+        );
     }
 
     #[test]
@@ -1204,11 +1353,14 @@ mod tests {
         clear();
         assert!(installed().is_none());
         assert_eq!(firing_count(), 0);
+        assert_eq!(health(), (Health::None, vec![]), "no engine, no verdict");
         assert!(alerts_json().contains("\"enabled\": false"));
         let engine = install(parse_rules("alert a if gauge(g) > 0 for 1").expect("parses"));
         assert!(installed().is_some());
+        assert_eq!(health(), (Health::Healthy, vec![]));
         engine.evaluate(6, &snap_with_gauge("g", 1.0));
         assert_eq!(firing_count(), 1);
+        assert_eq!(health(), (Health::Warning, vec!["a".to_string()]));
         assert!(alerts_json().contains("\"firing\": 1"));
         clear();
         assert!(installed().is_none());

@@ -14,8 +14,9 @@
 //!    without participating: a drift trial's outcomes and trace export are
 //!    byte-identical with history + alerting on or off, the retained
 //!    windows and alert transitions are byte-identical across reruns and
-//!    shard counts, and an injected drift scenario reproducibly walks an
-//!    alert pending → firing and flips the live `/health` endpoint to 503.
+//!    shard counts, and an injected drift scenario reproducibly walks the
+//!    built-in model-health alerts pending → firing and flips the live
+//!    `/health` endpoint to 503.
 //!
 //! The tests toggle the process-global registry, so they serialise on one
 //! mutex rather than trusting the harness to run them on separate processes.
@@ -23,6 +24,7 @@
 use nevermind::pipeline::{run_proactive_trial_with, ExperimentData, SplitSpec, TrialOptions};
 use nevermind::predictor::{PredictorConfig, TicketPredictor};
 use nevermind::scoring::WeeklyScorer;
+use nevermind::telemetry::MODEL_HEALTH_RULES;
 use nevermind_dslsim::scenario::Scenario;
 use nevermind_dslsim::SimConfig;
 use proptest::prelude::*;
@@ -203,9 +205,16 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 fn live_plane_is_invisible_to_outcomes_and_traces() {
     let _guard = GLOBAL_REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
     const SEED: u64 = 0x5EED_CA11;
+    // Both runs judge model health with a fresh built-in rule set on the
+    // history tick, as `nevermind trial` does by default.
     let run_trial = || {
         nevermind_obs::global().reset();
         nevermind_obs::trace::global().reset();
+        nevermind_obs::history::global().reset();
+        nevermind_obs::history::set_enabled(true);
+        nevermind_obs::rules::install(
+            nevermind_obs::rules::parse_rules(MODEL_HEALTH_RULES).expect("built-in set parses"),
+        );
         let cfg = Scenario::parse("baseline").expect("known scenario").config(SEED, 800, 180);
         let predictor_cfg = PredictorConfig {
             iterations: 40,
@@ -277,10 +286,10 @@ fn live_plane_is_invisible_to_outcomes_and_traces() {
     assert!(samples > 0, "the prom exposition must carry samples after a trial");
 
     let (code, body) = http_get(addr, "/health");
-    assert_eq!(code, 200, "a healthy baseline trial must not answer 503");
+    assert_eq!(code, 200, "a healthy baseline trial must not answer 503: {body}");
     let doc = serde_json::parse(&body).expect("/health body is valid JSON");
     assert_eq!(get(&doc, "schema").and_then(|v| v.as_str()), Some("nevermind-health/v1"));
-    assert_eq!(get(&doc, "status").and_then(|v| v.as_str()), Some("healthy"));
+    assert_eq!(get(&doc, "status").and_then(|v| v.as_str()), Some("healthy"), "{body}");
 
     let (code, body) = http_get(addr, "/trace/tail?n=25");
     assert_eq!(code, 200);
@@ -314,6 +323,9 @@ fn live_plane_is_invisible_to_outcomes_and_traces() {
     let trace_on = nevermind_obs::trace::global().to_jsonl();
     nevermind_obs::profile::global().stop();
     server.stop();
+    nevermind_obs::rules::clear();
+    nevermind_obs::history::set_enabled(false);
+    nevermind_obs::history::global().reset();
     nevermind_obs::trace::set_enabled(false);
     nevermind_obs::set_enabled(false);
     nevermind_obs::global().reset();
@@ -332,21 +344,25 @@ fn live_plane_is_invisible_to_outcomes_and_traces() {
 }
 
 /// Rules the drift test installs: a recording rule deriving dispatch
-/// precision, a `for`-duration alert on the sticky model-health gauge
-/// (0 healthy / 1 warning / 2 alert), and an SLO burn-rate objective.
-const DRIFT_RULES: &str = "\
-record dispatch/precision = counter(sim/proactive_hits) / counter(sim/proactive_visits)
-alert model/health_degraded if gauge(telemetry/health_status) >= 1 for 2 severity critical
-slo dispatch/precision_objective objective 0.3 good counter(sim/proactive_hits) total counter(sim/proactive_visits) window 8
-";
+/// precision, the built-in model-health alerts, and an SLO burn-rate
+/// objective.
+fn drift_rules() -> String {
+    format!(
+        "record dispatch/precision = counter(sim/proactive_hits) / counter(sim/proactive_visits)\n\
+         {MODEL_HEALTH_RULES}\
+         slo dispatch/precision_objective objective 0.3 good counter(sim/proactive_hits) \
+         total counter(sim/proactive_visits) window 8\n"
+    )
+}
 
 /// The history/alerting guarantee: a drift-injected trial (trained on
 /// `baseline`, run on `overprovisioned` — the telemetry must escalate)
 /// computes byte-identical outcomes and traces with the history ring and
 /// rule engine on or off; the retained windows and alert transitions are
 /// byte-identical across reruns and shard counts; the drift drives the
-/// health alert pending → firing; and `/history`, `/alerts`, `/health`
-/// serve it all live, with `/health` answering 503 while the alert fires.
+/// model-health alerts pending → firing; and `/history`, `/alerts`,
+/// `/health` serve it all live, with `/health` answering 503 while a
+/// critical alert fires.
 #[test]
 fn history_and_alerting_fire_on_drift_without_touching_outcomes() {
     let _guard = GLOBAL_REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
@@ -366,7 +382,7 @@ fn history_and_alerting_fire_on_drift_without_touching_outcomes() {
         run_proactive_trial_with(live, &predictor_cfg, 12, &options).expect("valid drift trial")
     };
     let install_fresh_rules = || {
-        let rules = nevermind_obs::rules::parse_rules(DRIFT_RULES).expect("rules parse");
+        let rules = nevermind_obs::rules::parse_rules(&drift_rules()).expect("rules parse");
         nevermind_obs::rules::install(rules);
         nevermind_obs::history::global().reset();
         nevermind_obs::history::set_enabled(true);
@@ -409,10 +425,10 @@ fn history_and_alerting_fire_on_drift_without_touching_outcomes() {
     let history_one = nevermind_obs::history::global().section_json("", None);
     let alerts_one = nevermind_obs::rules::alerts_json();
 
-    // The injected drift must have walked the health alert to firing …
+    // The injected drift must have walked a model-health alert to firing …
     assert!(
         nevermind_obs::rules::firing_count() >= 1,
-        "the drift scenario must fire the model-health alert: {alerts_one}"
+        "the drift scenario must fire a model-health alert: {alerts_one}"
     );
     let engine = nevermind_obs::rules::installed().expect("engine installed");
     let status = engine.status_json("");
@@ -434,7 +450,7 @@ fn history_and_alerting_fire_on_drift_without_touching_outcomes() {
     );
 
     let (code, body) = http_get(addr, "/health");
-    assert_eq!(code, 503, "a firing alert flips /health to 503: {body}");
+    assert_eq!(code, 503, "a firing critical alert flips /health to 503: {body}");
     let doc = serde_json::parse(&body).expect("/health body is valid JSON");
     assert!(
         get(&doc, "alerts_firing").and_then(|v| v.as_u64()).unwrap_or(0) >= 1,
@@ -491,7 +507,7 @@ fn history_and_alerting_fire_on_drift_without_touching_outcomes() {
     assert_eq!(history_one, history_two, "history export must not depend on shard count");
     assert_eq!(alerts_one, alerts_two, "alert transitions must not depend on shard count");
     // Sanity: the trial's own telemetry saw the drift (that is what the
-    // alert rule keyed on).
+    // alert rules keyed on).
     let report = on.telemetry.as_ref().expect("drift trial reports telemetry");
     assert!(report.weeks_observed > 0);
 }

@@ -7,22 +7,26 @@
 //!    tickets, churn) as running it dark. The monitor only reads the
 //!    scoring path; if it perturbed a single ranking the two worlds would
 //!    diverge and the outcome counts would differ.
-//! 2. **Drift is detected, stability is not flagged**: scoring an
-//!    overprovisioned plant with a baseline-trained model must drive the
-//!    health status to warning/alert with nonzero PSI, while the
-//!    identically-seeded all-baseline trial stays healthy.
+//! 2. **Drift is detected, stability is not flagged**: judged by the
+//!    built-in `MODEL_HEALTH_RULES` on the history tick (as `nevermind
+//!    trial` runs it), scoring an overprovisioned plant with a
+//!    baseline-trained model must end the run in `alert` with a `model/`
+//!    alert firing, while the identically-seeded all-baseline trial ends
+//!    `healthy` without a single alert ever firing.
 //!
-//! Both tests flip the process-global registry's enabled bit, so they
-//! serialise on one mutex (same pattern as `tests/observability.rs`).
+//! The tests flip the process-global registry, history and rule-engine
+//! state, so they serialise on one mutex (same pattern as
+//! `tests/observability.rs`).
 
 use nevermind::pipeline::{run_proactive_trial_with, ExperimentData, SplitSpec, TrialOptions};
 use nevermind::predictor::{PredictorConfig, RankedPredictions};
-use nevermind::telemetry::{HealthStatus, ModelHealthMonitor, TelemetryConfig};
+use nevermind::telemetry::{ModelHealthMonitor, TelemetryConfig, MODEL_HEALTH_RULES};
 use nevermind::TicketPredictor;
 use nevermind_dslsim::scenario::Scenario;
 use nevermind_dslsim::SimConfig;
 use nevermind_features::encode::BaseEncoder;
 use nevermind_features::FeatureStore;
+use nevermind_obs::rules::Health;
 use std::sync::Mutex;
 
 static GLOBAL_REGISTRY: Mutex<()> = Mutex::new(());
@@ -88,8 +92,7 @@ fn zero_scored_week_is_skipped_not_fatal() {
     // Regression: a week with nothing to score — an empty plant, a horizon
     // tail with no ranked rows — used to panic inside the PSI computation
     // (a distribution with zero mass has no PSI). The monitor must instead
-    // count the week as skipped, keep its persistence streaks untouched,
-    // and stay healthy.
+    // count the week as skipped and push no PSI point for it.
     let _guard = GLOBAL_REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
     nevermind_obs::global().reset();
     nevermind_obs::set_enabled(true);
@@ -122,56 +125,78 @@ fn zero_scored_week_is_skipped_not_fatal() {
         .encode_week_into(day, &mut store);
     let empty_ranking = RankedPredictions::from_scores(Vec::new(), Vec::new(), Vec::new());
 
-    let status = monitor.observe_week(day, &empty_ranking, &store, &[]);
-    assert_eq!(status, HealthStatus::Healthy, "an empty week is no evidence of drift");
+    monitor.observe_week(day, &empty_ranking, &store, &[]);
 
     let reg = nevermind_obs::global();
     let skipped = reg.counter("telemetry/psi_skipped").get();
     // Every monitored feature plus the score distribution had no PSI.
     assert_eq!(skipped, monitor.monitored_columns().len() as u64 + 1);
-    assert_eq!(reg.counter("telemetry/breaches").get(), 0);
+    let series = reg.snapshot().series;
+    assert!(
+        !series.keys().any(|k| k.contains("psi")),
+        "an empty week is no evidence of drift either way: {:?}",
+        series.keys().collect::<Vec<_>>()
+    );
 
     let report = monitor.finish(&[], day);
     nevermind_obs::set_enabled(false);
     nevermind_obs::global().reset();
     assert_eq!(report.weeks_observed, 1, "the skipped week still counts as observed");
-    assert_eq!(report.status, HealthStatus::Healthy, "{}", report.summary());
-    assert_eq!(report.breaches, 0);
+    assert!(report.worst_feature.is_none(), "{}", report.summary());
 }
 
 #[test]
 fn drift_injection_alerts_while_stable_trial_stays_healthy() {
     let _guard = GLOBAL_REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
+    // Each run judges its series with a fresh engine holding the built-in
+    // set, on the history tick, exactly as `nevermind trial` does.
     let run = |live: &str, train: Option<&str>| {
         nevermind_obs::global().reset();
+        nevermind_obs::history::global().reset();
         nevermind_obs::set_enabled(true);
+        nevermind_obs::history::set_enabled(true);
+        let engine = nevermind_obs::rules::install(
+            nevermind_obs::rules::parse_rules(MODEL_HEALTH_RULES).expect("built-in set parses"),
+        );
         let options =
             TrialOptions { train_config: train.map(sim_config), ..TrialOptions::default() };
         let result =
             run_proactive_trial_with(sim_config(live), &predictor_config(), WARMUP_WEEKS, &options)
                 .expect("trial config is valid");
+        nevermind_obs::rules::clear();
+        nevermind_obs::history::set_enabled(false);
         nevermind_obs::set_enabled(false);
-        result.telemetry.expect("instrumented trial must report telemetry")
+        let (health, firing) = engine.health();
+        let log = engine.status_json("");
+        (result.telemetry.expect("instrumented trial must report telemetry"), health, firing, log)
     };
 
-    let stable = run("baseline", None);
-    let drifted = run("overprovisioned", Some("baseline"));
+    let (stable, stable_health, stable_firing, stable_log) = run("baseline", None);
+    let (drifted, drift_health, drift_firing, drift_log) = run("overprovisioned", Some("baseline"));
     nevermind_obs::global().reset();
+    nevermind_obs::history::global().reset();
 
     assert_eq!(
-        stable.status,
-        HealthStatus::Healthy,
+        (stable_health, stable_firing),
+        (Health::Healthy, vec![]),
         "stable trial flagged itself: {}",
         stable.summary()
     );
-    assert_eq!(stable.breaches, 0, "stable trial counted breaches: {}", stable.summary());
-
     assert!(
-        drifted.status >= HealthStatus::Warning,
-        "baseline-trained model on an overprovisioned plant went unnoticed: {}",
+        !stable_log.contains("\"to\":\"firing\""),
+        "no alert may ever fire on the stable trial: {stable_log}"
+    );
+
+    assert_eq!(
+        drift_health,
+        Health::Alert,
+        "baseline-trained model on an overprovisioned plant went unnoticed: {} {drift_log}",
         drifted.summary()
     );
-    assert!(drifted.breaches > 0, "drift without breaches: {}", drifted.summary());
+    assert!(
+        drift_firing.iter().any(|name| name.starts_with("model/")),
+        "a model-health alert fires on drift: {drift_firing:?}"
+    );
     let (name, worst_psi) = drifted.worst_feature.as_ref().expect("weeks were observed");
     assert!(
         *worst_psi > stable.worst_feature.as_ref().map_or(0.0, |(_, p)| *p),
