@@ -1,7 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//! quantile-grid resolution for the stump search, boosting iteration
-//! count, and the locator's per-class model count (flat models only vs
-//! flat + location + fusion).
+//! Ablation benches for three `BStump` training choices DESIGN.md calls
+//! out: quantile-grid resolution for the stump search (bin count),
+//! boosting iteration count, and the score smoothing ε.
 //!
 //! Criterion measures the *cost* of each choice; the matching *quality*
 //! numbers come from the `experiments` harness (fig6/fig7/fig10), so a

@@ -214,9 +214,9 @@ fn main() {
             "\n== weekly_rerank @ {n_lines} lines, {WEEKS} weeks, {samples} paired samples =="
         );
         let mut incr = || incremental(&p, &predictor);
-        // Metrics registry live for the whole call: spans, counters and
-        // histograms all record. The paired delta against `incremental` is
-        // the instrumentation overhead on the hot path (budgeted < 2%).
+        // Metrics registry live for the whole call: spans and counters
+        // record. The paired delta against `incremental` is the
+        // instrumentation overhead on the hot path (budgeted < 2%).
         let mut instrumented = || {
             nevermind_obs::set_enabled(true);
             let n = incremental(&p, &predictor);

@@ -5,6 +5,7 @@
 
 use super::CliResult;
 use crate::args::Args;
+use nevermind_obs::trace::{render_explain, EventView};
 use serde_json::Value;
 
 /// One parsed trace event.
@@ -16,16 +17,24 @@ pub(crate) struct Event {
     pub(crate) fields: Value,
 }
 
-impl Event {
-    pub(crate) fn f64(&self, name: &str) -> Option<f64> {
+impl EventView for Event {
+    fn kind(&self) -> &str {
+        &self.kind
+    }
+
+    fn line_key(&self) -> Option<u64> {
+        self.line
+    }
+
+    fn day_key(&self) -> Option<u64> {
+        self.day
+    }
+
+    fn num(&self, name: &str) -> Option<f64> {
         self.fields.as_object()?.get(name)?.as_f64()
     }
 
-    pub(crate) fn u64(&self, name: &str) -> Option<u64> {
-        self.fields.as_object()?.get(name)?.as_u64()
-    }
-
-    pub(crate) fn str(&self, name: &str) -> Option<&str> {
+    fn text(&self, name: &str) -> Option<&str> {
         self.fields.as_object()?.get(name)?.as_str()
     }
 }
@@ -44,8 +53,7 @@ pub(crate) fn run(args: &Args) -> CliResult {
         .map_err(|_| format!("--line must be a line index (got '{line_arg}')"))?;
 
     let events = load_trace(&path)?;
-    let ours: Vec<&Event> = events.iter().filter(|e| e.line == Some(line)).collect();
-    if ours.is_empty() {
+    let Some(text) = render_explain(&events, line, &format!("{path} (nevermind-trace/v1)")) else {
         let mut traced: Vec<u64> = events.iter().filter_map(|e| e.line).collect();
         traced.sort_unstable();
         traced.dedup();
@@ -55,122 +63,19 @@ pub(crate) fn run(args: &Args) -> CliResult {
             traced.len()
         )
         .into());
-    }
-
-    println!("decision provenance for line {line} — {path} (nevermind-trace/v1)");
-
-    // Weekly ranking chains, in day order (rank is the chain's anchor).
-    let mut rank_days: Vec<u64> =
-        ours.iter().filter(|e| e.kind == "rank").filter_map(|e| e.day).collect();
-    rank_days.sort_unstable();
-    rank_days.dedup();
-    for day in &rank_days {
-        render_week(&ours, *day);
-    }
-    if rank_days.is_empty() {
-        println!("\n(no ranking events for this line — it was never scored while traced)");
-    }
-
-    // The closed loop: dispatches scheduled and what the trucks found.
-    let mut printed_visits = false;
-    for e in &ours {
-        match e.kind.as_str() {
-            "dispatch" => {
-                println!(
-                    "\ndispatch scheduled on day {} (due day {}{})",
-                    e.day.unwrap_or(0),
-                    e.u64("due_day").unwrap_or(0),
-                    if e.u64("proactive") == Some(1) { ", proactive" } else { "" },
-                );
-            }
-            "visit" => {
-                printed_visits = true;
-                let found = e.u64("found_fault") == Some(1);
-                println!(
-                    "truck roll on day {} ({}): disposition {} ({}) after {} tests, {:.0} minutes",
-                    e.day.unwrap_or(0),
-                    if e.u64("proactive") == Some(1) { "proactive" } else { "reactive" },
-                    e.str("disposition").unwrap_or("?"),
-                    if found { "found a fault" } else { "no fault found" },
-                    e.u64("tests_performed").unwrap_or(0),
-                    e.f64("minutes_spent").unwrap_or(0.0),
-                );
-            }
-            _ => {}
-        }
-    }
-    if !printed_visits {
-        println!("\n(no technician visit recorded for this line in the trace window)");
-    }
-
-    // Trouble-locator terms, if the trace carries any for this line.
-    let locates: Vec<&&Event> = ours.iter().filter(|e| e.kind == "locate").collect();
-    if !locates.is_empty() {
-        println!("\ntrouble locator (flat vs combined posteriors)");
-        println!("  {:<20} {:>12} {:>12}  location", "disposition", "flat P", "combined P");
-        for e in locates {
-            println!(
-                "  {:<20} {:>12.4} {:>12.4}  {}",
-                e.str("disposition").unwrap_or("?"),
-                e.f64("flat_probability").unwrap_or(f64::NAN),
-                e.f64("combined_probability").unwrap_or(f64::NAN),
-                e.str("location").unwrap_or("?"),
-            );
-        }
-    }
-    Ok(())
-}
-
-/// Renders one ranked week's chain: rank line, stump contributions,
-/// calibration step.
-fn render_week(ours: &[&Event], day: u64) {
-    let at_day = |kind: &str| -> Vec<&&Event> {
-        ours.iter().filter(|e| e.kind == kind && e.day == Some(day)).collect()
     };
-    let Some(rank) = at_day("rank").first().copied() else { return };
-    let dispatched = rank.u64("dispatched") == Some(1);
-    println!(
-        "\nweek ending day {day}: rank {} · P(ticket) = {:.4} · {}",
-        rank.u64("rank").unwrap_or(0),
-        rank.f64("probability").unwrap_or(f64::NAN),
-        if dispatched { "DISPATCHED" } else { "not dispatched" },
-    );
-    if let Some(score) = at_day("score").first() {
-        println!(
-            "  ensemble margin {:+.4} over {} stumps; top contributions:",
-            score.f64("margin").unwrap_or(f64::NAN),
-            score.u64("stumps").unwrap_or(0),
-        );
-    }
-    let mut stumps = at_day("stump");
-    stumps.sort_by_key(|e| e.u64("order").unwrap_or(u64::MAX));
-    for e in stumps {
-        println!(
-            "    #{} {:<40} value {:>10.3}  thr {:>10.3}  vote {:+.4}",
-            e.u64("order").unwrap_or(0) + 1,
-            e.str("name").unwrap_or("?"),
-            e.f64("value").unwrap_or(f64::NAN),
-            e.f64("threshold").unwrap_or(f64::NAN),
-            e.f64("vote").unwrap_or(f64::NAN),
-        );
-    }
-    if let Some(cal) = at_day("calibrate").first() {
-        println!(
-            "  calibration: sigmoid({} * margin + {}) = {:.4}",
-            trim(cal.f64("a").unwrap_or(f64::NAN)),
-            trim(cal.f64("b").unwrap_or(f64::NAN)),
-            cal.f64("probability").unwrap_or(f64::NAN),
-        );
-    }
-}
-
-fn trim(v: f64) -> String {
-    format!("{v:.4}")
+    print!("{text}");
+    Ok(())
 }
 
 /// Loads and schema-checks a `nevermind-trace/v1` JSONL file.
 pub(crate) fn load_trace(path: &str) -> Result<Vec<Event>, Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
+    parse_trace(&text, path)
+}
+
+/// Parses `nevermind-trace/v1` JSONL text; `path` names it in errors.
+fn parse_trace(text: &str, path: &str) -> Result<Vec<Event>, Box<dyn std::error::Error>> {
     let mut lines = text.lines();
     let header = lines.next().ok_or_else(|| format!("'{path}' is empty"))?;
     let header = serde_json::parse(header)
@@ -207,4 +112,63 @@ pub(crate) fn load_trace(path: &str) -> Result<Vec<Event>, Box<dyn std::error::E
     }
     events.sort_by_key(|e| e.seq);
     Ok(events)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nevermind_obs::trace::{TraceBuffer, TraceEvent};
+
+    #[test]
+    fn ring_and_jsonl_export_render_the_same_chain() {
+        let ring = TraceBuffer::new(64);
+        ring.set_enabled(true);
+        let week = |kind: &'static str, day: u32| TraceEvent::new(kind).line(7).day(day);
+        for event in [
+            week("rank", 202).attr("rank", 41u64).attr("probability", 0.1 + 0.2),
+            week("score", 202).attr("margin", -0.75).attr("stumps", 40u64),
+            week("rank", 209).attr("rank", 3u64).attr("probability", 0.81).attr("dispatched", 1u64),
+            week("score", 209).attr("margin", 1.5).attr("stumps", 40u64),
+            week("stump", 209)
+                .attr("order", 1u64)
+                .attr("name", "prod:dnbr*looplength")
+                .attr("value", f64::NAN)
+                .attr("threshold", 1.1)
+                .attr("vote", -0.2),
+            week("stump", 209)
+                .attr("order", 0u64)
+                .attr("name", "wretrx_z")
+                .attr("value", 3.2)
+                .attr("threshold", 1.1)
+                .attr("vote", 0.4),
+            week("calibrate", 209).attr("a", 1.25).attr("b", -3.0).attr("probability", 0.81),
+            week("dispatch", 209).attr("due_day", 212u64).attr("proactive", 1u64),
+            TraceEvent::new("rank").line(8).day(209).attr("rank", 1u64),
+            week("visit", 212)
+                .attr("proactive", 1u64)
+                .attr("found_fault", 1u64)
+                .attr("disposition", "HN")
+                .attr("tests_performed", 3u64)
+                .attr("minutes_spent", 45.0),
+            week("locate", 212)
+                .attr("disposition", "HN-STUB")
+                .attr("location", "HN")
+                .attr("flat_probability", 0.25)
+                .attr("combined_probability", 0.5),
+        ] {
+            ring.emit(event);
+        }
+        let parsed = parse_trace(&ring.to_jsonl(), "t.jsonl").expect("the export parses");
+        let live = render_explain(&ring.snapshot(), 7, "live trace ring").expect("line 7 traced");
+        let file = render_explain(&parsed, 7, "t.jsonl (nevermind-trace/v1)").expect("traced");
+        let (live_head, live_body) = live.split_once('\n').expect("header line");
+        let (file_head, file_body) = file.split_once('\n').expect("header line");
+        assert_eq!(live_head, "decision provenance for line 7 — live trace ring");
+        assert_eq!(file_head, "decision provenance for line 7 — t.jsonl (nevermind-trace/v1)");
+        assert_eq!(live_body, file_body, "the same chain from the ring and from the file");
+        for part in ["week ending day 202: rank 41", "#1 wretrx_z", "value        NaN", "HN-STUB"] {
+            assert!(file_body.contains(part), "missing {part:?} in {file_body}");
+        }
+        assert!(render_explain(&parsed, 9, "t.jsonl").is_none());
+    }
 }

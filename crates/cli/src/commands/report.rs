@@ -14,6 +14,7 @@
 
 use super::{CliResult, SchemaError};
 use crate::args::Args;
+use nevermind_obs::trace::EventView;
 use serde_json::Value;
 
 /// How many spans the "top spans" table shows.
@@ -439,7 +440,7 @@ fn render_trace(path: &str) -> CliResult {
 
     // Close the loop: what did proactive truck rolls actually find?
     let proactive: Vec<_> =
-        events.iter().filter(|e| e.kind == "visit" && e.u64("proactive") == Some(1)).collect();
+        events.iter().filter(|e| e.kind == "visit" && e.num("proactive") == Some(1.0)).collect();
     println!("\nproactive dispatch outcomes");
     if proactive.is_empty() {
         println!("  dispatched lines visited: 0");
@@ -448,10 +449,10 @@ fn render_trace(path: &str) -> CliResult {
         let mut by_disposition: Vec<(String, usize)> = Vec::new();
         let mut found = 0usize;
         for v in &proactive {
-            if v.u64("found_fault") == Some(1) {
+            if v.num("found_fault") == Some(1.0) {
                 found += 1;
             }
-            let code = v.str("disposition").unwrap_or("?").to_string();
+            let code = v.text("disposition").unwrap_or("?").to_string();
             match by_disposition.iter_mut().find(|(c, _)| *c == code) {
                 Some((_, n)) => *n += 1,
                 None => by_disposition.push((code, 1)),

@@ -535,14 +535,7 @@ impl TicketPredictor {
         let (meta, _) = nevermind_features::BaseEncoder::base_meta();
         let mut names: Vec<String> =
             self.selected_base.iter().map(|&c| meta[c].name.clone()).collect();
-        for d in &self.selected_derived {
-            names.push(match d {
-                DerivedFeature::Quadratic { col } => format!("quad:{}^2", meta[*col].name),
-                DerivedFeature::Product { a, b } => {
-                    format!("prod:{}*{}", meta[*a].name, meta[*b].name)
-                }
-            });
-        }
+        names.extend(self.selected_derived.iter().map(|d| d.name(&meta)));
         names
     }
 
@@ -643,15 +636,7 @@ fn top_derived(feats: &[DerivedFeature], scores: &[f64], k: usize) -> Vec<Derive
 }
 
 fn scored(base: &EncodedDataset, f: DerivedFeature, score: f64) -> ScoredFeature {
-    let name = match f {
-        DerivedFeature::Quadratic { col } => {
-            format!("quad:{}^2", base.data.x.meta()[col].name)
-        }
-        DerivedFeature::Product { a, b } => {
-            format!("prod:{}*{}", base.data.x.meta()[a].name, base.data.x.meta()[b].name)
-        }
-    };
-    ScoredFeature { name, class: f.class(), score }
+    ScoredFeature { name: f.name(base.data.x.meta()), class: f.class(), score }
 }
 
 /// Scores derived features in bounded-memory chunks: materialize ≤256

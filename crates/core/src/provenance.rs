@@ -25,7 +25,7 @@
 
 use crate::predictor::{RankedPredictions, TicketPredictor};
 use crate::scoring::WeeklyScorer;
-use nevermind_features::encode::RowKey;
+use nevermind_ml::rank::{rank_of, top_k};
 use nevermind_obs::trace::{self, TraceEvent};
 
 /// Stump-level contributions traced per line, strongest first.
@@ -48,34 +48,28 @@ pub fn emit_week_trace(
     if !trace::enabled() || ranking.is_empty() {
         return;
     }
-    let top = ranking.top_rows(budget);
+    let top = top_k(&ranking.probabilities, budget);
     let mut week = TraceEvent::new("dispatch_week")
         .day(day)
         .attr("population", ranking.len())
         .attr("budget", budget)
         .attr("dispatched", top.len());
-    if let Some(&(_, cutoff, _)) = top.last() {
-        week = week.attr("cutoff_probability", cutoff);
+    if let Some(&row) = top.last() {
+        week = week.attr("cutoff_probability", ranking.probabilities[row]);
     }
     trace::global().emit(week);
 
-    // The dispatched head is always traced, ...
-    let mut traced: Vec<(usize, usize, bool)> = Vec::new(); // (row, rank, dispatched)
-    for (pos, (key, _, _)) in top.iter().enumerate() {
-        if let Some(row) = row_index(&ranking.rows, key) {
-            traced.push((row, pos + 1, true));
-        }
-    }
+    // The dispatched head is always traced, as (row, rank, dispatched) ...
+    let mut traced: Vec<(usize, usize, bool)> =
+        top.iter().enumerate().map(|(pos, &row)| (row, pos + 1, true)).collect();
     // ... plus a deterministic reservoir of the rest, so the export can
-    // also explain lines the policy chose *not* to dispatch.
+    // also explain lines the policy chose *not* to dispatch. Their ranks
+    // follow the ranking's own order, ties included.
     let k = trace::global().policy().reservoir_per_week;
     for row in trace::sample_indices(u64::from(day) ^ RESERVOIR_SALT, ranking.len(), k) {
-        if traced.iter().any(|&(r, _, _)| r == row) {
-            continue;
+        if !traced.iter().any(|&(r, _, _)| r == row) {
+            traced.push((row, rank_of(&ranking.probabilities, row), false));
         }
-        let p = ranking.probabilities[row];
-        let rank = 1 + ranking.probabilities.iter().filter(|&&q| q > p).count();
-        traced.push((row, rank, false));
     }
 
     let names = predictor.assembled_feature_names();
@@ -157,14 +151,4 @@ pub fn emit_scored_line(
             .attr("probability", ranked_probability)
             .attr("dispatched", dispatched),
     );
-}
-
-/// Index of `key` in `rows`: binary search over the encoder's
-/// line-ordered layout, with a linear fallback so a different layout
-/// degrades to O(n) rather than to a wrong answer.
-fn row_index(rows: &[RowKey], key: &RowKey) -> Option<usize> {
-    match rows.binary_search_by(|r| r.line.cmp(&key.line).then(r.day.cmp(&key.day))) {
-        Ok(i) => Some(i),
-        Err(_) => rows.iter().position(|r| r == key),
-    }
 }

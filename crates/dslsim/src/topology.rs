@@ -172,12 +172,6 @@ impl Topology {
     pub fn bras_of(&self, line: LineId) -> BrasId {
         self.dslam(self.line(line).dslam).bras
     }
-
-    /// Region of a given line.
-    #[inline]
-    pub fn region_of(&self, line: LineId) -> RegionId {
-        self.dslam(self.line(line).dslam).region
-    }
 }
 
 #[cfg(test)]

@@ -852,17 +852,6 @@ impl World {
         self.out
     }
 
-    /// Whether the customer on a line has churned.
-    pub fn has_churned(&self, line: LineId) -> bool {
-        self.state.churned[line.index()]
-    }
-
-    /// Ground-truth view: live (active, unrepaired) faults on a line.
-    /// Used by evaluation code, never by the learning pipeline.
-    pub fn live_faults(&self, line: LineId) -> Vec<&Fault> {
-        self.state.faults[line.index()].iter().filter(|f| f.active(self.day)).collect()
-    }
-
     /// Full fault history of a line (ground truth for evaluation).
     pub fn fault_history(&self, line: LineId) -> &[Fault] {
         &self.state.faults[line.index()]

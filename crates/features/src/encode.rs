@@ -399,19 +399,8 @@ pub fn all_products(base: &EncodedDataset) -> Vec<DerivedFeature> {
 /// combine with [`EncodedDataset::hconcat`]).
 pub fn derive(base: &EncodedDataset, features: &[DerivedFeature]) -> EncodedDataset {
     let n_rows = base.data.len();
-    let meta: Vec<FeatureMeta> = features
-        .iter()
-        .map(|f| match f {
-            DerivedFeature::Quadratic { col } => {
-                FeatureMeta::continuous(format!("quad:{}^2", base.data.x.meta()[*col].name))
-            }
-            DerivedFeature::Product { a, b } => FeatureMeta::continuous(format!(
-                "prod:{}*{}",
-                base.data.x.meta()[*a].name,
-                base.data.x.meta()[*b].name
-            )),
-        })
-        .collect();
+    let meta: Vec<FeatureMeta> =
+        features.iter().map(|f| FeatureMeta::continuous(f.name(base.data.x.meta()))).collect();
     let classes: Vec<FeatureClass> = features.iter().map(|f| f.class()).collect();
 
     let mut values = Vec::with_capacity(n_rows * features.len());

@@ -1,5 +1,6 @@
 //! Feature taxonomy: the Table-3 classes and derived-feature descriptors.
 
+use nevermind_ml::data::FeatureMeta;
 use serde::{Deserialize, Serialize};
 
 /// The Table-3 feature classes.
@@ -79,6 +80,15 @@ impl DerivedFeature {
             DerivedFeature::Product { .. } => FeatureClass::Product,
         }
     }
+
+    /// The derived column's name, built from the base column names in
+    /// `base`: `quad:{a}^2` or `prod:{a}*{b}`.
+    pub fn name(self, base: &[FeatureMeta]) -> String {
+        match self {
+            DerivedFeature::Quadratic { col } => format!("quad:{}^2", base[col].name),
+            DerivedFeature::Product { a, b } => format!("prod:{}*{}", base[a].name, base[b].name),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -109,5 +119,9 @@ mod tests {
     fn derived_descriptor_class() {
         assert_eq!(DerivedFeature::Quadratic { col: 3 }.class(), FeatureClass::Quadratic);
         assert_eq!(DerivedFeature::Product { a: 1, b: 2 }.class(), FeatureClass::Product);
+        let base: Vec<FeatureMeta> =
+            ["dnbr", "looplength", "ts:dnnmr"].map(FeatureMeta::continuous).to_vec();
+        assert_eq!(DerivedFeature::Quadratic { col: 2 }.name(&base), "quad:ts:dnnmr^2");
+        assert_eq!(DerivedFeature::Product { a: 0, b: 1 }.name(&base), "prod:dnbr*looplength");
     }
 }

@@ -66,7 +66,7 @@
 //! always serialize to the same bytes (pinned by the store tests).
 
 use crate::encode::{EncodedDataset, EncoderConfig};
-use nevermind_ml::data::{FeatureMatrix, FeatureMeta};
+use nevermind_ml::data::FeatureMatrix;
 
 /// Magic bytes opening a `nevermind-store/v1` document.
 pub const STORE_MAGIC: [u8; 8] = *b"NVMSTOR1";
@@ -454,13 +454,6 @@ impl FeatureStore {
         WeekFrame { day, n_lines, values, missing, labels }
     }
 
-    /// Column metadata for the tracked lanes, drawn from the base feature
-    /// space (useful for rendering and for rebuilding matrices).
-    pub fn lane_meta(&self) -> Vec<FeatureMeta> {
-        let (meta, _) = crate::BaseEncoder::base_meta();
-        self.cols.iter().map(|&c| meta[c].clone()).collect()
-    }
-
     // --- nevermind-store/v1 serialization ---
 
     /// Serializes the store as one `nevermind-store/v1` document
@@ -647,7 +640,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nevermind_ml::data::Dataset;
+    use nevermind_ml::data::{Dataset, FeatureMeta};
 
     fn tiny_dataset(
         n_rows: usize,

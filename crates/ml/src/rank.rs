@@ -56,15 +56,13 @@ pub fn top_k_sharded(scores: &[f64], k: usize, n_shards: usize) -> Vec<usize> {
     candidates
 }
 
-/// 1-based rank of each item under descending score order (rank 1 = best).
-/// Ties receive distinct ranks in original order (competition-free ranking).
-pub fn ranks_desc(scores: &[f64]) -> Vec<usize> {
-    let order = argsort_desc(scores);
-    let mut ranks = vec![0usize; scores.len()];
-    for (r, &i) in order.iter().enumerate() {
-        ranks[i] = r + 1;
-    }
-    ranks
+/// 1-based rank of item `i` (rank 1 = best): its position in the order
+/// [`argsort_desc`] sorts and [`top_k`] selects in, so ties take distinct
+/// ranks in original order. Counted in `O(n)` without sorting: one plus
+/// the items that score higher, plus the earlier items that tie.
+pub fn rank_of(scores: &[f64], i: usize) -> usize {
+    let p = scores[i];
+    1 + scores.iter().enumerate().filter(|&(j, &q)| cmp_desc(q, p).then(j.cmp(&i)).is_lt()).count()
 }
 
 fn cmp_desc(a: f64, b: f64) -> std::cmp::Ordering {
@@ -109,9 +107,11 @@ mod tests {
 
     #[test]
     fn ranks_are_one_based_inverse_of_argsort() {
-        let s = [0.1, 0.9, 0.5];
-        let r = ranks_desc(&s);
-        assert_eq!(r, vec![3, 1, 2]);
+        let ranks = |s: &[f64]| (0..s.len()).map(|i| rank_of(s, i)).collect::<Vec<_>>();
+        assert_eq!(ranks(&[0.1, 0.9, 0.5]), vec![3, 1, 2]);
+        // Ties take distinct ranks in original order; NaN ranks last.
+        let s = [0.5, f64::NAN, 0.9, 0.5, 0.1, 0.9, f64::NAN, 0.5];
+        assert_eq!(ranks(&s), vec![3, 7, 1, 4, 6, 2, 8, 5]);
     }
 
     #[test]

@@ -113,16 +113,6 @@ impl RunningMoments {
         }
     }
 
-    /// Sample variance (`n - 1` denominator), or `NaN` with fewer than two
-    /// observations.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
@@ -145,16 +135,6 @@ impl RunningMoments {
         self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.n += other.n;
     }
-}
-
-/// Mean of a slice, skipping `NaN` entries. Returns `NaN` for an all-missing
-/// slice.
-pub fn nan_mean(xs: &[f64]) -> f64 {
-    let mut m = RunningMoments::new();
-    for &x in xs {
-        m.push(x);
-    }
-    m.mean()
 }
 
 /// The `q`-quantile (0 ≤ q ≤ 1) of the non-missing entries using linear

@@ -12,7 +12,7 @@
 //!
 //! The accumulation fills one *slot histogram* per feature: slot `2·b + y`
 //! holds the weight of bin `b`'s rows with label `y`, and slot `2·k` (for a
-//! `k`-bin feature) the weight of its missing rows. [`best_split`] is the one
+//! `k`-bin feature) the weight of its missing rows. `best_split` is the one
 //! split scan over such a histogram. Boosting fills the histograms from
 //! per-fit slot codes ([`crate::boost`]); [`best_stump_for_feature`] fills
 //! one row by row and is the reference the boosting kernel is tested

@@ -1,10 +1,8 @@
-//! A fixed-bin `f64` distribution — the value-shape counterpart of the
-//! log₂ [`crate::Histogram`].
+//! A fixed-bin `f64` distribution — the registry's one value-shape metric.
 //!
-//! Where [`crate::Histogram`] buckets `u64` magnitudes on a fixed log scale
-//! chosen once for everyone, a [`Distribution`] covers a caller-chosen
-//! `[min, max)` range with equal-width bins, which is what drift monitoring
-//! needs: two distributions recorded against the *same* binning are directly
+//! A [`Distribution`] covers a caller-chosen `[min, max)` range with
+//! equal-width bins, which is what drift monitoring needs: two
+//! distributions recorded against the *same* binning are directly
 //! comparable (e.g. via a population-stability index). Values outside the
 //! range and NaNs are not dropped — they land in dedicated underflow /
 //! overflow / NaN buckets, because a rising NaN rate (dead modems, parse
@@ -89,7 +87,7 @@ impl Distribution {
     }
 
     /// A point-in-time copy (per-bin reads are independent; concurrent
-    /// writers may skew bins against each other, as with [`crate::Histogram`]).
+    /// writers may skew bins against each other).
     pub fn snapshot(&self) -> DistributionSnapshot {
         DistributionSnapshot {
             min: self.min,

@@ -25,8 +25,8 @@
 //!   windows; capture cost is one registry snapshot per simulated day.
 //!
 //! What each metric kind contributes per tick: counters and gauges their
-//! value, histograms their sample *count* (values may be durations),
-//! series their last `y`, distributions their total observation count.
+//! value, series their last `y`, distributions their total observation
+//! count.
 //! Recording rules ([`crate::rules`]) feed derived values back in through
 //! [`record_sample`].
 
@@ -256,9 +256,6 @@ impl HistoryStore {
             if !wallclock_tainted(k) && v.is_finite() {
                 inner.series.entry(k.clone()).or_default().fold(day, *v);
             }
-        }
-        for (k, h) in &snap.histograms {
-            inner.series.entry(k.clone()).or_default().fold(day, h.count as f64);
         }
         for (k, pts) in &snap.series {
             if wallclock_tainted(k) {

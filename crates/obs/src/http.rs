@@ -32,7 +32,7 @@
 //! (pinned in `tests/observability.rs`).
 
 use crate::rules::Health;
-use crate::trace::{FieldValue, TraceEvent};
+use crate::trace::render_explain;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -364,7 +364,7 @@ fn respond_explain(query: &str) -> Response {
         return Response::text(400, &format!("line must be a line index (got '{raw}')\n"));
     };
     let events = crate::trace::global().snapshot();
-    match render_explain(&events, line) {
+    match render_explain(&events, u64::from(line), "live trace ring") {
         Some(text) => Response::text(200, &text),
         None => {
             let mut traced: Vec<u32> = events.iter().filter_map(|e| e.line).collect();
@@ -381,115 +381,10 @@ fn respond_explain(query: &str) -> Response {
     }
 }
 
-/// Renders one line's causal chain — ranked weeks with stump
-/// contributions and calibration, then dispatches and truck rolls — from
-/// an in-memory event slice. Returns `None` when the slice holds no
-/// events for `line`. This is the live-ring counterpart of the
-/// `nevermind explain` file renderer, shared by `GET /explain`.
-pub fn render_explain(events: &[TraceEvent], line: u32) -> Option<String> {
-    let ours: Vec<&TraceEvent> = events.iter().filter(|e| e.line == Some(line)).collect();
-    if ours.is_empty() {
-        return None;
-    }
-    let mut out = format!("decision provenance for line {line} — live trace ring\n");
-
-    let f64_of = |e: &TraceEvent, name: &str| -> f64 {
-        e.field(name).and_then(FieldValue::as_f64).unwrap_or(f64::NAN)
-    };
-    let u64_of = |e: &TraceEvent, name: &str| -> u64 {
-        e.field(name).and_then(FieldValue::as_f64).map(|v| v as u64).unwrap_or(0)
-    };
-    let str_of = |e: &TraceEvent, name: &str| -> String {
-        match e.field(name) {
-            Some(FieldValue::Text(s)) => s.clone(),
-            _ => "?".to_string(),
-        }
-    };
-
-    let mut rank_days: Vec<u32> =
-        ours.iter().filter(|e| e.kind == "rank").filter_map(|e| e.day).collect();
-    rank_days.sort_unstable();
-    rank_days.dedup();
-    for day in &rank_days {
-        let at_day = |kind: &str| -> Vec<&&TraceEvent> {
-            ours.iter().filter(|e| e.kind == kind && e.day == Some(*day)).collect()
-        };
-        let Some(rank) = at_day("rank").first().copied() else { continue };
-        let dispatched = u64_of(rank, "dispatched") == 1;
-        out.push_str(&format!(
-            "\nweek ending day {day}: rank {} · P(ticket) = {:.4} · {}\n",
-            u64_of(rank, "rank"),
-            f64_of(rank, "probability"),
-            if dispatched { "DISPATCHED" } else { "not dispatched" },
-        ));
-        if let Some(score) = at_day("score").first() {
-            out.push_str(&format!(
-                "  ensemble margin {:+.4} over {} stumps; top contributions:\n",
-                f64_of(score, "margin"),
-                u64_of(score, "stumps"),
-            ));
-        }
-        let mut stumps = at_day("stump");
-        stumps.sort_by_key(|e| u64_of(e, "order"));
-        for e in stumps {
-            out.push_str(&format!(
-                "    #{} {:<40} value {:>10.3}  thr {:>10.3}  vote {:+.4}\n",
-                u64_of(e, "order") + 1,
-                str_of(e, "name"),
-                f64_of(e, "value"),
-                f64_of(e, "threshold"),
-                f64_of(e, "vote"),
-            ));
-        }
-        if let Some(cal) = at_day("calibrate").first() {
-            out.push_str(&format!(
-                "  calibration: sigmoid({:.4} * margin + {:.4}) = {:.4}\n",
-                f64_of(cal, "a"),
-                f64_of(cal, "b"),
-                f64_of(cal, "probability"),
-            ));
-        }
-    }
-    if rank_days.is_empty() {
-        out.push_str("\n(no ranking events for this line — it was never scored while traced)\n");
-    }
-
-    let mut printed_visits = false;
-    for e in &ours {
-        match e.kind {
-            "dispatch" => {
-                out.push_str(&format!(
-                    "\ndispatch scheduled on day {} (due day {}{})\n",
-                    e.day.unwrap_or(0),
-                    u64_of(e, "due_day"),
-                    if u64_of(e, "proactive") == 1 { ", proactive" } else { "" },
-                ));
-            }
-            "visit" => {
-                printed_visits = true;
-                let found = u64_of(e, "found_fault") == 1;
-                out.push_str(&format!(
-                    "truck roll on day {} ({}): disposition {} ({}) after {} tests, {:.0} minutes\n",
-                    e.day.unwrap_or(0),
-                    if u64_of(e, "proactive") == 1 { "proactive" } else { "reactive" },
-                    str_of(e, "disposition"),
-                    if found { "found a fault" } else { "no fault found" },
-                    u64_of(e, "tests_performed"),
-                    f64_of(e, "minutes_spent"),
-                ));
-            }
-            _ => {}
-        }
-    }
-    if !printed_visits {
-        out.push_str("\n(no technician visit recorded for this line in the trace window)\n");
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceEvent;
 
     #[test]
     fn request_line_and_query_parsing() {
@@ -612,14 +507,24 @@ mod tests {
                 .attr("disposition", "HN")
                 .attr("tests_performed", 3u64)
                 .attr("minutes_spent", 45.0),
+            TraceEvent::new("locate")
+                .line(7)
+                .day(211)
+                .attr("disposition", "HN-STUB")
+                .attr("location", "HN")
+                .attr("flat_probability", 0.25)
+                .attr("combined_probability", 0.5),
         ];
-        let text = render_explain(&events, 7).expect("line 7 is traced");
+        let text = render_explain(&events, 7, "live trace ring").expect("line 7 is traced");
+        assert!(text.starts_with("decision provenance for line 7 — live trace ring\n"), "{text}");
         assert!(text.contains("week ending day 209: rank 3"), "{text}");
         assert!(text.contains("DISPATCHED"), "{text}");
         assert!(text.contains("wretrx_z"), "{text}");
         assert!(text.contains("dispatch scheduled on day 209 (due day 212, proactive)"), "{text}");
         assert!(text.contains("disposition HN (found a fault)"), "{text}");
-        assert!(render_explain(&events, 8).is_none());
+        assert!(text.contains("trouble locator (flat vs combined posteriors)"), "{text}");
+        assert!(text.contains("HN-STUB"), "{text}");
+        assert!(render_explain(&events, 8, "live trace ring").is_none());
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //!   "schema": "nevermind-metrics/v1",
 //!   "counters":   { "<name>": 123 },
 //!   "gauges":     { "<name>": 1.5 },
-//!   "histograms": { "<name>": { "count": 3, "sum": 7, "min": 1, "max": 4,
-//!                                "buckets": [[0, 1], [2, 2]] } },
 //!   "spans":      { "<a/b/c>": { "count": 2, "total_ns": 100,
 //!                                 "mean_ns": 50.0,
 //!                                 "min_ns": 20, "max_ns": 80 } },
@@ -23,16 +21,15 @@
 //! }
 //! ```
 //!
-//! All sections are always present (possibly empty). Histogram buckets are
-//! `[lower_bound, count]` pairs for the non-empty log₂ buckets; span paths
-//! are `/`-joined nested span names. Non-finite floats never occur (gauges
-//! and series are the only `f64` inputs and are emitted via [`fmt_f64`],
-//! which maps them to `null`).
+//! All sections are always present (possibly empty). Span paths are
+//! `/`-joined nested span names. Non-finite floats never occur (every
+//! `f64` is emitted via [`fmt_f64`], which maps them to `null`).
 //!
 //! The `distributions` and `telemetry` sections were added after the first
-//! release of the schema. The addition is compatible — the schema string
-//! stays `nevermind-metrics/v1` and v1 readers, which ignore unknown keys,
-//! still parse every dump. `telemetry` is *derived*: it summarizes the
+//! release of the schema, and a `histograms` section (a log₂-bucket metric
+//! kind nothing recorded into) was dropped. Both changes are compatible —
+//! the schema string stays `nevermind-metrics/v1`, and v1 readers, which
+//! ignore unknown keys and tolerate absent ones, still parse every dump. `telemetry` is *derived*: it summarizes the
 //! model-health numbers that `nevermind-core`'s `ModelHealthMonitor`
 //! records under the `telemetry/` name prefix (the weeks-observed counter
 //! and the per-week drift/calibration series), so any dump path that
@@ -88,20 +85,6 @@ fn render_snapshot(snap: &Snapshot, history: Option<&str>) -> String {
         out.push_str(&fmt_f64(*v));
     }
     close_obj(&mut out, snap.gauges.is_empty());
-
-    out.push_str("  \"histograms\": {");
-    for (i, (k, h)) in snap.histograms.iter().enumerate() {
-        push_key(&mut out, i, k);
-        out.push_str(&format!(
-            "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [{}]}}",
-            h.count,
-            h.sum,
-            h.min,
-            h.max,
-            h.buckets.iter().map(|(b, c)| format!("[{b}, {c}]")).collect::<Vec<_>>().join(", ")
-        ));
-    }
-    close_obj(&mut out, snap.histograms.is_empty());
 
     out.push_str("  \"spans\": {");
     for (i, (k, s)) in snap.spans.iter().enumerate() {
@@ -213,17 +196,14 @@ fn push_telemetry(out: &mut String, snap: &Snapshot) {
 /// ```text
 /// nevermind_counter{name="weekly/lines_scored"} 42
 /// nevermind_gauge{name="telemetry/reference_ece"} 0.02
-/// nevermind_histogram_bucket{name="h",le="3"} 5
 /// nevermind_span_count{path="fit/encode"} 12
 /// ```
 ///
-/// Histograms export cumulatively with `le` upper bounds derived from the
-/// log₂ buckets (`le="2b-1"` for lower bound `b`, `le="0"` for the zero
-/// bucket, the top bucket folded into `le="+Inf"`). Span durations stay
-/// in nanoseconds (`_total_ns`), not the conventional seconds; series
-/// export only their last point and length (a scrape cannot carry
-/// history); distributions export their count/underflow/overflow/NaN
-/// tallies. Output order is deterministic (snapshot maps are sorted).
+/// Span durations stay in nanoseconds (`_total_ns`), not the
+/// conventional seconds; series export only their last point and length
+/// (a scrape cannot carry history); distributions export their in-range
+/// count and NaN tally. Output order is deterministic (snapshot maps are
+/// sorted).
 pub fn snapshot_to_prometheus(snap: &Snapshot) -> String {
     let mut out = String::with_capacity(4096);
 
@@ -235,39 +215,6 @@ pub fn snapshot_to_prometheus(snap: &Snapshot) -> String {
     family(&mut out, "nevermind_gauge", "gauge", "Registry gauges by name.");
     for (k, v) in &snap.gauges {
         sample(&mut out, "nevermind_gauge", &[("name", k)], &fmt_prom_f64(*v));
-    }
-
-    family(
-        &mut out,
-        "nevermind_histogram",
-        "histogram",
-        "Registry log2-bucket histograms by name.",
-    );
-    for (k, h) in &snap.histograms {
-        let mut cumulative = 0u64;
-        for &(bound, count) in &h.buckets {
-            cumulative += count;
-            // The top log₂ bucket has no exact finite upper bound once
-            // clamping folds 2^63.. into it; +Inf below covers it.
-            if bound >= 1u64 << 62 {
-                continue;
-            }
-            let le = if bound == 0 { 0 } else { 2 * bound - 1 };
-            sample(
-                &mut out,
-                "nevermind_histogram_bucket",
-                &[("name", k), ("le", &le.to_string())],
-                &cumulative.to_string(),
-            );
-        }
-        sample(
-            &mut out,
-            "nevermind_histogram_bucket",
-            &[("name", k), ("le", "+Inf")],
-            &h.count.to_string(),
-        );
-        sample(&mut out, "nevermind_histogram_sum", &[("name", k)], &h.sum.to_string());
-        sample(&mut out, "nevermind_histogram_count", &[("name", k)], &h.count.to_string());
     }
 
     family(&mut out, "nevermind_span_count", "counter", "Span closures by /-joined path.");
@@ -440,7 +387,6 @@ mod tests {
             "\"schema\"",
             "\"counters\"",
             "\"gauges\"",
-            "\"histograms\"",
             "\"spans\"",
             "\"series\"",
             "\"distributions\"",
@@ -449,6 +395,7 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.contains("nevermind-metrics/v1"));
+        assert!(!json.contains("\"histograms\""), "the log₂ histogram kind is gone: {json}");
         assert!(
             json.contains("\"telemetry\": {\n    \"weeks_observed\": 0,\n    \"series\": {}\n  }"),
             "no telemetry recorded: {json}"
@@ -483,7 +430,6 @@ mod tests {
         reg.set_enabled(true);
         reg.counter("c").add(7);
         reg.gauge("g").set(0.25);
-        reg.histogram("h").record(5);
         reg.record_span("a/b", 1000);
         reg.series("s").push(6.0, 1.5);
         let json = reg.to_json();
@@ -542,23 +488,17 @@ mod tests {
         // Pins the text exposition format (v0.0.4) invariants end to end
         // over one of every metric kind, including hostile names:
         // * every sample follows a `# HELP`/`# TYPE` preamble for its
-        //   family (histogram samples under the base family name);
+        //   family;
         // * metric names match [a-zA-Z_:][a-zA-Z0-9_:]* — free-form
         //   registry names ride in labels, never in the metric name;
         // * label values escape backslash, quote, and newline;
-        // * every value parses (NaN/+Inf/-Inf spelled out);
-        // * histogram buckets are cumulative and monotone, end at +Inf
-        //   with the total count, and carry `_sum`/`_count` pairs.
-        use std::collections::{BTreeMap, BTreeSet};
+        // * every value parses (NaN/+Inf/-Inf spelled out).
+        use std::collections::BTreeSet;
         let reg = MetricsRegistry::new();
         reg.set_enabled(true);
         reg.counter("weekly/lines_scored").add(42);
         reg.counter("evil\"name\\with\nnewline").add(1);
         reg.gauge("g").set(f64::NEG_INFINITY);
-        let h = reg.histogram("h");
-        for v in [0u64, 1, 5, 1u64 << 40, u64::MAX] {
-            h.record(v);
-        }
         reg.record_span("a/b", 1234);
         reg.series("s").push(1.0, 2.0);
         reg.distribution("d", 0.0, 1.0, 4).record_all(&[0.2, f64::NAN, 7.0]);
@@ -566,17 +506,13 @@ mod tests {
 
         let mut typed = BTreeSet::new();
         let mut helped = BTreeSet::new();
-        let mut buckets: BTreeMap<String, Vec<(String, u64)>> = BTreeMap::new();
         let mut sample_names = BTreeSet::new();
         for line in prom.lines() {
             if let Some(rest) = line.strip_prefix("# TYPE ") {
                 let mut it = rest.split(' ');
                 let name = it.next().expect("family name").to_string();
                 let kind = it.next().expect("family kind");
-                assert!(
-                    ["counter", "gauge", "histogram"].contains(&kind),
-                    "unknown family kind: {line}"
-                );
+                assert!(["counter", "gauge"].contains(&kind), "unknown family kind: {line}");
                 typed.insert(name);
                 continue;
             }
@@ -604,35 +540,14 @@ mod tests {
                 value.parse::<f64>().is_ok() || ["NaN", "+Inf", "-Inf"].contains(&value),
                 "unparseable sample value: {line}"
             );
-            if name == "nevermind_histogram_bucket" {
-                let le = labels
-                    .split("le=\"")
-                    .nth(1)
-                    .and_then(|s| s.split('"').next())
-                    .expect("bucket has le");
-                buckets
-                    .entry(labels.split("name=\"").nth(1).unwrap_or("").to_string())
-                    .or_default()
-                    .push((le.to_string(), value.parse().expect("bucket count")));
-            }
         }
-        // Family preambles: every sample belongs to a declared family
-        // (histogram samples under the base family), and HELP/TYPE pair up.
+        // Family preambles: every sample belongs to a declared family, and
+        // HELP/TYPE pair up.
         assert_eq!(typed, helped, "HELP and TYPE lines pair up per family");
         for name in &sample_names {
-            let family = ["_bucket", "_sum", "_count"]
-                .iter()
-                .find_map(|suf| name.strip_suffix(suf).filter(|b| typed.contains(*b)))
-                .unwrap_or(name);
-            assert!(typed.contains(family), "sample {name} has no family preamble");
+            assert!(typed.contains(name), "sample {name} has no family preamble");
         }
-        // Cumulative monotone buckets ending at +Inf with the count.
-        let h_buckets = buckets.iter().find(|(k, _)| k.starts_with("h\"")).expect("h buckets").1;
-        assert!(h_buckets.windows(2).all(|w| w[0].1 <= w[1].1), "not cumulative: {h_buckets:?}");
-        assert_eq!(h_buckets.last().expect("buckets").0, "+Inf");
-        assert_eq!(h_buckets.last().expect("buckets").1, 5);
-        assert!(prom.contains("nevermind_histogram_sum{name=\"h\"}"), "{prom}");
-        assert!(prom.contains("nevermind_histogram_count{name=\"h\"} 5"), "{prom}");
+        assert!(!prom.contains("nevermind_histogram"), "no histogram family: {prom}");
         // The hostile counter name survives only via label escaping.
         assert!(
             prom.contains("nevermind_counter{name=\"evil\\\"name\\\\with\\nnewline\"} 1"),
@@ -659,23 +574,5 @@ mod tests {
             assert_eq!(snapshot_to_json_with_history(&snap), snapshot_to_json(&snap));
         }
         assert!(!snapshot_to_json(&snap).contains("\"history\""));
-    }
-
-    #[test]
-    fn prometheus_histogram_buckets_are_cumulative_with_inf() {
-        let reg = MetricsRegistry::new();
-        reg.set_enabled(true);
-        let h = reg.histogram("h");
-        for v in [0u64, 1, 2, 3, 4, u64::MAX] {
-            h.record(v);
-        }
-        let prom = snapshot_to_prometheus(&reg.snapshot());
-        // 0 → le 0; 1 → le 1; {2,3} → le 3; 4 → le 7; MAX only in +Inf.
-        assert!(prom.contains("nevermind_histogram_bucket{name=\"h\",le=\"0\"} 1"), "{prom}");
-        assert!(prom.contains("nevermind_histogram_bucket{name=\"h\",le=\"1\"} 2"), "{prom}");
-        assert!(prom.contains("nevermind_histogram_bucket{name=\"h\",le=\"3\"} 4"), "{prom}");
-        assert!(prom.contains("nevermind_histogram_bucket{name=\"h\",le=\"7\"} 5"), "{prom}");
-        assert!(prom.contains("nevermind_histogram_bucket{name=\"h\",le=\"+Inf\"} 6"), "{prom}");
-        assert!(prom.contains("nevermind_histogram_count{name=\"h\"} 6"), "{prom}");
     }
 }

@@ -1,9 +1,9 @@
 //! # nevermind-obs
 //!
 //! Zero-dependency observability for the NEVERMIND reproduction: a
-//! process-global [`MetricsRegistry`] holding counters, gauges, log-scale
-//! histograms and `(x, y)` series, plus a [`span!`] RAII timer that records
-//! nested wall-clock durations.
+//! process-global [`MetricsRegistry`] holding counters, gauges, `(x, y)`
+//! series and fixed-bin [`Distribution`]s, plus a [`span!`] RAII timer that
+//! records nested wall-clock durations.
 //!
 //! Design constraints, in order:
 //!
@@ -69,9 +69,7 @@ pub mod trace;
 
 pub use distribution::{Distribution, DistributionSnapshot};
 pub use http::ObsServer;
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Series, Snapshot, SpanSnapshot,
-};
+pub use registry::{Counter, Gauge, MetricsRegistry, Series, Snapshot, SpanSnapshot};
 pub use span::SpanGuard;
 
 use std::sync::OnceLock;
@@ -143,27 +141,6 @@ macro_rules! counter_add {
     ($name:expr, $n:expr) => {
         if $crate::enabled() {
             $crate::global().counter($name).add($n as u64);
-        }
-    };
-}
-
-/// Sets a named global gauge (no-op while disabled).
-#[macro_export]
-macro_rules! gauge_set {
-    ($name:expr, $v:expr) => {
-        if $crate::enabled() {
-            $crate::global().gauge($name).set($v as f64);
-        }
-    };
-}
-
-/// Records a value into a named global log-scale histogram (no-op while
-/// disabled).
-#[macro_export]
-macro_rules! histogram_record {
-    ($name:expr, $v:expr) => {
-        if $crate::enabled() {
-            $crate::global().histogram($name).record($v as u64);
         }
     };
 }

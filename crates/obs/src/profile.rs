@@ -1,6 +1,6 @@
 //! Continuous span-stack sampling profiler.
 //!
-//! Where the registry's span histograms answer "how long did each phase
+//! Where the registry's span totals answer "how long did each phase
 //! take in total", the profiler answers "where is the time *right now*":
 //! a sampler thread periodically snapshots every worker thread's open
 //! span stack (the same stacks the RAII [`crate::span!`] guards maintain)

@@ -67,121 +67,47 @@ impl Gauge {
     }
 }
 
-/// Number of log₂ buckets: bucket `i` counts values `v` with
-/// `2^(i-1) <= v < 2^i` (bucket 0 holds `v == 0`), so 64 buckets cover the
-/// whole `u64` range — nanosecond durations land around buckets 30–40.
-const N_BUCKETS: usize = 64;
-
-/// A log-scale histogram of `u64` samples (durations in nanoseconds, batch
-/// sizes, ...): per-bucket counts plus exact count/sum/min/max.
+/// Running totals of one span path — exactly what [`SpanSnapshot`]
+/// reports, as four independent atomics.
 #[derive(Debug)]
-pub struct Histogram {
+struct SpanStats {
     count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    buckets: [AtomicU64; N_BUCKETS],
+    total_ns: AtomicU64,
+    min_ns: AtomicU64,
+    max_ns: AtomicU64,
 }
 
-impl Default for Histogram {
+impl Default for SpanStats {
     fn default() -> Self {
-        Histogram {
+        SpanStats {
             count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            total_ns: AtomicU64::new(0),
+            min_ns: AtomicU64::new(u64::MAX),
+            max_ns: AtomicU64::new(0),
         }
     }
 }
 
-impl Histogram {
-    /// Index of the log₂ bucket covering `v`.
+impl SpanStats {
     #[inline]
-    fn bucket_of(v: u64) -> usize {
-        (u64::BITS - v.leading_zeros()) as usize
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, v: u64) {
+    fn record(&self, ns: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-        self.buckets[Self::bucket_of(v).min(N_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        self.total_ns.fetch_add(ns, Ordering::Relaxed);
+        self.min_ns.fetch_min(ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// A consistent-enough point-in-time copy (individual fields are read
-    /// independently; concurrent writers may skew them against each other).
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    /// A point-in-time copy (fields are read independently; concurrent
+    /// writers may skew them against each other).
+    fn snapshot(&self) -> SpanSnapshot {
         let count = self.count.load(Ordering::Relaxed);
-        let min = self.min.load(Ordering::Relaxed);
-        HistogramSnapshot {
+        let min_ns = self.min_ns.load(Ordering::Relaxed);
+        SpanSnapshot {
             count,
-            sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 { 0 } else { min },
-            max: self.max.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, c)| {
-                    let c = c.load(Ordering::Relaxed);
-                    // Bucket upper bound: values in bucket i are < 2^i.
-                    (c > 0).then(|| (if i == 0 { 0 } else { 1u64 << (i - 1) }, c))
-                })
-                .collect(),
+            total_ns: self.total_ns.load(Ordering::Relaxed),
+            min_ns: if count == 0 { 0 } else { min_ns },
+            max_ns: self.max_ns.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Point-in-time copy of a [`Histogram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Smallest sample (0 when empty).
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// Non-empty log₂ buckets as `(lower_bound, count)`; a bucket with
-    /// lower bound `b > 0` covers `b <= v < 2b`, and bound 0 covers `v = 0`.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl HistogramSnapshot {
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate `q`-quantile (`0 < q <= 1`): the lower bound of the
-    /// log₂ bucket holding the `ceil(q·count)`-th sample, with the exact
-    /// max returned from the top occupied bucket. Used by the rule
-    /// engine's `hist_p99(...)` selector. Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &(bound, c)) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                if i + 1 == self.buckets.len() {
-                    return self.max as f64;
-                }
-                return bound as f64;
-            }
-        }
-        self.max as f64
     }
 }
 
@@ -192,7 +118,7 @@ pub struct SpanSnapshot {
     pub count: u64,
     /// Total wall-clock nanoseconds across all closures.
     pub total_ns: u64,
-    /// Fastest single closure, in nanoseconds.
+    /// Fastest single closure, in nanoseconds (0 when empty).
     pub min_ns: u64,
     /// Slowest single closure, in nanoseconds.
     pub max_ns: u64,
@@ -222,8 +148,7 @@ const N_SHARDS: usize = 16;
 struct Shard {
     counters: Mutex<HashMap<String, Arc<Counter>>>,
     gauges: Mutex<HashMap<String, Arc<Gauge>>>,
-    histograms: Mutex<HashMap<String, Arc<Histogram>>>,
-    spans: Mutex<HashMap<String, Arc<Histogram>>>,
+    spans: Mutex<HashMap<String, Arc<SpanStats>>>,
     series: Mutex<HashMap<String, Arc<Series>>>,
     distributions: Mutex<HashMap<String, Arc<Distribution>>>,
 }
@@ -279,7 +204,6 @@ impl MetricsRegistry {
         for s in &self.shards {
             lock_recovering(&s.counters).clear();
             lock_recovering(&s.gauges).clear();
-            lock_recovering(&s.histograms).clear();
             lock_recovering(&s.spans).clear();
             lock_recovering(&s.series).clear();
             lock_recovering(&s.distributions).clear();
@@ -308,11 +232,6 @@ impl MetricsRegistry {
     /// The named gauge (created on first use).
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         Self::get_or_insert(&self.shard(name).gauges, name)
-    }
-
-    /// The named histogram (created on first use).
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        Self::get_or_insert(&self.shard(name).histograms, name)
     }
 
     /// The named series (created on first use).
@@ -349,8 +268,8 @@ impl MetricsRegistry {
     /// order.
     ///
     /// Only `(name, handle)` pairs are copied while a sharded name-map
-    /// lock is held; the values themselves — histogram bucket arrays,
-    /// whole series point lists — are read *after* the map lock drops, so
+    /// lock is held; the values themselves — distribution bins, whole
+    /// series point lists — are read *after* the map lock drops, so
     /// a live exporter (the `/metrics` endpoint polling every second)
     /// never stalls recorders for longer than a map clone. Per-handle
     /// reads are atomics or take only that one metric's own lock.
@@ -366,15 +285,8 @@ impl MetricsRegistry {
             for (k, v) in handles(&s.gauges) {
                 snap.gauges.insert(k, v.get());
             }
-            for (k, v) in handles(&s.histograms) {
-                snap.histograms.insert(k, v.snapshot());
-            }
             for (k, v) in handles(&s.spans) {
-                let h = v.snapshot();
-                snap.spans.insert(
-                    k,
-                    SpanSnapshot { count: h.count, total_ns: h.sum, min_ns: h.min, max_ns: h.max },
-                );
+                snap.spans.insert(k, v.snapshot());
             }
             for (k, v) in handles(&s.series) {
                 snap.series.insert(k, v.points());
@@ -400,8 +312,6 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, f64>,
-    /// Histogram snapshots by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Span timings by `/`-joined path.
     pub spans: BTreeMap<String, SpanSnapshot>,
     /// Series points by name.
@@ -428,31 +338,14 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_log_scale() {
-        let h = Histogram::default();
-        for v in [0u64, 1, 2, 3, 4, 1024, u64::MAX] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 7);
-        assert_eq!(s.min, 0);
-        assert_eq!(s.max, u64::MAX);
-        // 0 → bound 0; 1 → bound 1; 2,3 → bound 2; 4 → bound 4;
-        // 1024 → bound 1024; u64::MAX → top bucket (bound 2^62).
-        let bounds: Vec<u64> = s.buckets.iter().map(|&(b, _)| b).collect();
-        assert_eq!(bounds, vec![0, 1, 2, 4, 1024, 1u64 << 62]);
-        let counts: Vec<u64> = s.buckets.iter().map(|&(_, c)| c).collect();
-        assert_eq!(counts, vec![1, 1, 2, 1, 1, 1]);
-        let total: u64 = counts.iter().sum();
-        assert_eq!(total, s.count, "every sample lands in exactly one bucket");
-    }
-
-    #[test]
-    fn empty_histogram_snapshot_is_sane() {
-        let s = Histogram::default().snapshot();
-        assert_eq!((s.count, s.sum, s.min, s.max), (0, 0, 0, 0));
-        assert!(s.buckets.is_empty());
-        assert_eq!(s.mean(), 0.0);
+    fn empty_span_snapshot_is_sane() {
+        let s = SpanStats::default().snapshot();
+        assert_eq!((s.count, s.total_ns, s.min_ns, s.max_ns), (0, 0, 0, 0));
+        let stats = SpanStats::default();
+        stats.record(0);
+        stats.record(u64::MAX);
+        let s = stats.snapshot();
+        assert_eq!((s.count, s.min_ns, s.max_ns), (2, 0, u64::MAX));
     }
 
     #[test]
@@ -526,42 +419,6 @@ mod tests {
         assert_eq!(reg.snapshot().counters["poisoned-map"], 3);
         reg.reset();
         assert!(reg.snapshot().counters.is_empty(), "reset works on poisoned locks too");
-    }
-
-    #[test]
-    fn histogram_bucket_boundaries_at_powers_of_two() {
-        // Bucket 0 holds only v == 0.
-        let h = Histogram::default();
-        h.record(0);
-        assert_eq!(h.snapshot().buckets, vec![(0, 1)]);
-
-        // Every power of two 2^k starts its own bucket (lower bound 2^k)
-        // and 2^k - 1 falls in the previous one (lower bound 2^(k-1)).
-        for k in 1..63u32 {
-            let v = 1u64 << k;
-            let h = Histogram::default();
-            h.record(v);
-            h.record(v - 1);
-            let s = h.snapshot();
-            let prev_bound = 1u64 << (k - 1);
-            assert_eq!(s.buckets, vec![(prev_bound, 1), (v, 1)], "k = {k}");
-            assert_eq!((s.min, s.max), (v - 1, v));
-        }
-
-        // 1 is the sole member of the bound-1 bucket (1 <= v < 2).
-        let h = Histogram::default();
-        h.record(1);
-        assert_eq!(h.snapshot().buckets, vec![(1, 1)]);
-
-        // The top bucket (bound 2^62 after clamping) absorbs everything
-        // from 2^63 upward, including u64::MAX — no overflow, no panic.
-        let h = Histogram::default();
-        h.record(1u64 << 63);
-        h.record(u64::MAX);
-        let s = h.snapshot();
-        assert_eq!(s.buckets, vec![(1u64 << 62, 2)]);
-        assert_eq!(s.max, u64::MAX);
-        assert_eq!(s.count, 2);
     }
 
     #[test]

@@ -32,14 +32,13 @@
 //!
 //! Expressions are arithmetic (`+ - * /`, parentheses, numeric
 //! literals) over registry selectors — `counter(name)`, `gauge(name)`,
-//! `series_last(name)`, `hist_mean(name)`, `hist_p99(name)`,
-//! `dist_count(name)` — plus `rate(EXPR)`, the per-evaluation delta of
-//! its argument. A missing metric evaluates to NaN, which makes alert
-//! conditions false and skips the recording fold, so rules can be
-//! installed before the metrics they watch exist. Expressions nest at most
-//! 64 levels — parentheses, `rate()` calls and operator chains all count —
-//! so no rules file can overflow the stack of the parser or of the
-//! evaluator that walks the parsed tree.
+//! `series_last(name)`, `dist_count(name)` — plus `rate(EXPR)`, the
+//! per-evaluation delta of its argument. A missing metric evaluates to
+//! NaN, which makes alert conditions false and skips the recording fold,
+//! so rules can be installed before the metrics they watch exist.
+//! Expressions nest at most 64 levels — parentheses, `rate()` calls and
+//! operator chains all count — so no rules file can overflow the stack of
+//! the parser or of the evaluator that walks the parsed tree.
 //!
 //! Every state transition appends a `kind: "alert"` notification event
 //! to the engine's own bounded ring (the trace-ring type, but a separate
@@ -224,8 +223,6 @@ enum Selector {
     Counter,
     Gauge,
     SeriesLast,
-    HistMean,
-    HistP99,
     DistCount,
 }
 
@@ -235,8 +232,6 @@ impl Selector {
             "counter" => Some(Selector::Counter),
             "gauge" => Some(Selector::Gauge),
             "series_last" => Some(Selector::SeriesLast),
-            "hist_mean" => Some(Selector::HistMean),
-            "hist_p99" => Some(Selector::HistP99),
             "dist_count" => Some(Selector::DistCount),
             _ => None,
         }
@@ -247,8 +242,6 @@ impl Selector {
             Selector::Counter => "counter",
             Selector::Gauge => "gauge",
             Selector::SeriesLast => "series_last",
-            Selector::HistMean => "hist_mean",
-            Selector::HistP99 => "hist_p99",
             Selector::DistCount => "dist_count",
         }
     }
@@ -263,10 +256,6 @@ impl Selector {
                 .and_then(|pts| pts.last())
                 .map(|&(_, y)| y)
                 .unwrap_or(f64::NAN),
-            Selector::HistMean => snap.histograms.get(name).map(|h| h.mean()).unwrap_or(f64::NAN),
-            Selector::HistP99 => {
-                snap.histograms.get(name).map(|h| h.quantile(0.99)).unwrap_or(f64::NAN)
-            }
             Selector::DistCount => snap
                 .distributions
                 .get(name)
@@ -566,10 +555,7 @@ fn parse_factor(c: &mut Cursor<'_>) -> Result<Expr, String> {
                 return Ok(Expr(ExprKind::Rate(Box::new(inner))));
             }
             let sel = Selector::parse(word).ok_or_else(|| {
-                format!(
-                    "unknown selector '{word}' (counter, gauge, series_last, hist_mean, \
-                     hist_p99, dist_count, rate)"
-                )
+                format!("unknown selector '{word}' (counter, gauge, series_last, dist_count, rate)")
             })?;
             // Metric names contain '/', which also means division, so a
             // selector argument is everything up to the closing paren.

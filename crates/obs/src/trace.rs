@@ -5,7 +5,8 @@
 //! dispatch-cutoff decision and technician visit can append a
 //! [`TraceEvent`] carrying the numbers that produced it, keyed by the line
 //! and the simulated day. Reading the JSONL export back reconstructs a
-//! single line's journey from stump margins to what the truck found.
+//! single line's journey from stump margins to what the truck found;
+//! [`render_explain`] prints that journey from either source.
 //!
 //! Design constraints mirror the registry's:
 //!
@@ -206,6 +207,168 @@ impl TraceEvent {
         }
         out.push_str("}}\n");
     }
+}
+
+/// Read-only view of one trace event: what [`render_explain`] reads. The
+/// live ring's [`TraceEvent`]s implement it, and so do events parsed back
+/// from a `nevermind-trace/v1` export, so both render through one path.
+pub trait EventView {
+    /// Event kind (`"rank"`, `"visit"`, ...).
+    fn kind(&self) -> &str;
+    /// The line correlation key, if any.
+    fn line_key(&self) -> Option<u64>;
+    /// The simulated-day key, if any.
+    fn day_key(&self) -> Option<u64>;
+    /// A numeric field by name (`None` when absent or text).
+    fn num(&self, name: &str) -> Option<f64>;
+    /// A text field by name (`None` when absent or numeric).
+    fn text(&self, name: &str) -> Option<&str>;
+}
+
+impl EventView for TraceEvent {
+    fn kind(&self) -> &str {
+        self.kind
+    }
+
+    fn line_key(&self) -> Option<u64> {
+        self.line.map(u64::from)
+    }
+
+    fn day_key(&self) -> Option<u64> {
+        self.day.map(u64::from)
+    }
+
+    fn num(&self, name: &str) -> Option<f64> {
+        self.field(name)?.as_f64()
+    }
+
+    fn text(&self, name: &str) -> Option<&str> {
+        match self.field(name)? {
+            FieldValue::Text(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// Renders one line's causal chain: each ranked week's rank, stump
+/// contributions and calibration step, then the dispatches, the truck
+/// rolls and the trouble-locator terms. The header names `source`, the
+/// place the events came from. Returns `None` when `events` hold nothing
+/// for `line`. `nevermind explain` (a JSONL export) and `GET /explain`
+/// (the live ring) both render through here.
+pub fn render_explain<E: EventView>(events: &[E], line: u64, source: &str) -> Option<String> {
+    fn num(e: &impl EventView, name: &str) -> f64 {
+        e.num(name).unwrap_or(f64::NAN)
+    }
+    fn count(e: &impl EventView, name: &str) -> u64 {
+        e.num(name).map_or(0, |v| v as u64)
+    }
+    fn text<'a>(e: &'a impl EventView, name: &str) -> &'a str {
+        e.text(name).unwrap_or("?")
+    }
+
+    let ours: Vec<&E> = events.iter().filter(|e| e.line_key() == Some(line)).collect();
+    if ours.is_empty() {
+        return None;
+    }
+    let mut out = format!("decision provenance for line {line} — {source}\n");
+
+    // Weekly ranking chains, in day order (rank is the chain's anchor).
+    let mut rank_days: Vec<u64> =
+        ours.iter().filter(|e| e.kind() == "rank").filter_map(|e| e.day_key()).collect();
+    rank_days.sort_unstable();
+    rank_days.dedup();
+    for &day in &rank_days {
+        let at_day = |kind: &str| -> Vec<&E> {
+            ours.iter().copied().filter(|e| e.kind() == kind && e.day_key() == Some(day)).collect()
+        };
+        let Some(rank) = at_day("rank").first().copied() else { continue };
+        out.push_str(&format!(
+            "\nweek ending day {day}: rank {} · P(ticket) = {:.4} · {}\n",
+            count(rank, "rank"),
+            num(rank, "probability"),
+            if count(rank, "dispatched") == 1 { "DISPATCHED" } else { "not dispatched" },
+        ));
+        if let Some(score) = at_day("score").first() {
+            out.push_str(&format!(
+                "  ensemble margin {:+.4} over {} stumps; top contributions:\n",
+                num(*score, "margin"),
+                count(*score, "stumps"),
+            ));
+        }
+        let mut stumps = at_day("stump");
+        stumps.sort_by_key(|e| e.num("order").map_or(u64::MAX, |v| v as u64));
+        for e in stumps {
+            out.push_str(&format!(
+                "    #{} {:<40} value {:>10.3}  thr {:>10.3}  vote {:+.4}\n",
+                count(e, "order") + 1,
+                text(e, "name"),
+                num(e, "value"),
+                num(e, "threshold"),
+                num(e, "vote"),
+            ));
+        }
+        if let Some(cal) = at_day("calibrate").first() {
+            out.push_str(&format!(
+                "  calibration: sigmoid({:.4} * margin + {:.4}) = {:.4}\n",
+                num(*cal, "a"),
+                num(*cal, "b"),
+                num(*cal, "probability"),
+            ));
+        }
+    }
+    if rank_days.is_empty() {
+        out.push_str("\n(no ranking events for this line — it was never scored while traced)\n");
+    }
+
+    // The closed loop: dispatches scheduled and what the trucks found.
+    let mut printed_visits = false;
+    for &e in &ours {
+        match e.kind() {
+            "dispatch" => out.push_str(&format!(
+                "\ndispatch scheduled on day {} (due day {}{})\n",
+                e.day_key().unwrap_or(0),
+                count(e, "due_day"),
+                if count(e, "proactive") == 1 { ", proactive" } else { "" },
+            )),
+            "visit" => {
+                printed_visits = true;
+                out.push_str(&format!(
+                    "truck roll on day {} ({}): disposition {} ({}) after {} tests, {:.0} minutes\n",
+                    e.day_key().unwrap_or(0),
+                    if count(e, "proactive") == 1 { "proactive" } else { "reactive" },
+                    text(e, "disposition"),
+                    if count(e, "found_fault") == 1 { "found a fault" } else { "no fault found" },
+                    count(e, "tests_performed"),
+                    e.num("minutes_spent").unwrap_or(0.0),
+                ));
+            }
+            _ => {}
+        }
+    }
+    if !printed_visits {
+        out.push_str("\n(no technician visit recorded for this line in the trace window)\n");
+    }
+
+    // Trouble-locator terms, if the events carry any for this line.
+    let locates: Vec<&E> = ours.iter().copied().filter(|e| e.kind() == "locate").collect();
+    if !locates.is_empty() {
+        out.push_str("\ntrouble locator (flat vs combined posteriors)\n");
+        out.push_str(&format!(
+            "  {:<20} {:>12} {:>12}  location\n",
+            "disposition", "flat P", "combined P"
+        ));
+        for e in locates {
+            out.push_str(&format!(
+                "  {:<20} {:>12.4} {:>12.4}  {}\n",
+                text(e, "disposition"),
+                num(e, "flat_probability"),
+                num(e, "combined_probability"),
+                text(e, "location"),
+            ));
+        }
+    }
+    Some(out)
 }
 
 /// How producers decide which lines get full per-line provenance.

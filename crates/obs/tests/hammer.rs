@@ -31,7 +31,7 @@ fn concurrent_exports_never_block_or_corrupt_writers() {
                     reg.counter(&name).inc();
                     reg.counter("hammer/total").inc();
                     reg.gauge("hammer/gauge").set(i as f64);
-                    reg.histogram("hammer/hist").record(i);
+                    reg.distribution("hammer/dist", 0.0, ROUNDS as f64, 16).record(i as f64);
                     reg.series(&format!("hammer/series_{w}")).push(i as f64, i as f64);
                     reg.record_span("hammer/span", i);
                 }
@@ -50,13 +50,15 @@ fn concurrent_exports_never_block_or_corrupt_writers() {
                     assert!(json.starts_with('{') && json.ends_with("}\n"));
                     assert!(json.contains("nevermind-metrics/v1"));
                     let snap = reg.snapshot();
-                    // Histogram fields are loaded independently, so count
-                    // and bucket sums may skew mid-write — but never past
-                    // what the writers could possibly have recorded.
-                    if let Some(h) = snap.histograms.get("hammer/hist") {
-                        let cap = (WRITERS as u64) * ROUNDS;
-                        let bucket_total: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
-                        assert!(h.count <= cap && bucket_total <= cap);
+                    // Bins and span fields are loaded independently, so
+                    // they may skew mid-write — but never past what the
+                    // writers could possibly have recorded.
+                    let cap = (WRITERS as u64) * ROUNDS;
+                    if let Some(d) = snap.distributions.get("hammer/dist") {
+                        assert!(d.counts.iter().sum::<u64>() <= cap);
+                    }
+                    if let Some(s) = snap.spans.get("hammer/span") {
+                        assert!(s.count <= cap && s.max_ns < ROUNDS);
                     }
                     exports += 1;
                     thread::sleep(Duration::from_micros(100));
@@ -79,8 +81,8 @@ fn concurrent_exports_never_block_or_corrupt_writers() {
     // Nothing written was lost to a concurrent export.
     let snap = reg.snapshot();
     assert_eq!(snap.counters["hammer/total"], (WRITERS as u64) * ROUNDS);
-    let h = &snap.histograms["hammer/hist"];
-    assert_eq!(h.count, (WRITERS as u64) * ROUNDS);
+    let d = &snap.distributions["hammer/dist"];
+    assert_eq!(d.counts.iter().sum::<u64>(), (WRITERS as u64) * ROUNDS);
     for w in 0..WRITERS {
         assert_eq!(snap.series[&format!("hammer/series_{w}")].len(), ROUNDS as usize);
     }

@@ -5,7 +5,7 @@ use nevermind_ml::boost::{BStump, BoostConfig};
 use nevermind_ml::calibrate::PlattScale;
 use nevermind_ml::data::{Dataset, FeatureMatrix, FeatureMeta};
 use nevermind_ml::metrics::{auc, average_precision, precision_at_k, top_n_average_precision};
-use nevermind_ml::rank::{argsort_desc, ranks_desc, top_k};
+use nevermind_ml::rank::{argsort_desc, rank_of, top_k};
 use nevermind_ml::stats::{normal_cdf, quantile, sigmoid, Ecdf};
 use proptest::prelude::*;
 
@@ -64,10 +64,9 @@ proptest! {
         for w in order.windows(2) {
             prop_assert!(scores[w[0]] >= scores[w[1]]);
         }
-        // ranks_desc is the inverse mapping.
-        let ranks = ranks_desc(&scores);
+        // rank_of is the inverse mapping.
         for (r, &i) in order.iter().enumerate() {
-            prop_assert_eq!(ranks[i], r + 1);
+            prop_assert_eq!(rank_of(&scores, i), r + 1);
         }
         // top_k is a prefix of the argsort.
         let k = scores.len() / 2;

@@ -51,8 +51,7 @@ fn metrics_json_round_trips_with_v1_schema() {
     reg.counter("test/rows").add(41);
     reg.counter("test/rows").inc();
     reg.gauge("test/budget").set(2.5);
-    reg.histogram("test/latency").record(3);
-    reg.histogram("test/latency").record(1000);
+    reg.distribution("test/score", 0.0, 1.0, 4).record_all(&[0.1, 0.9, f64::NAN]);
     reg.record_span("fit/encode", 1_500);
     reg.record_span("fit/encode", 500);
     reg.series("test/weekly").push(1.0, 10.0);
@@ -71,7 +70,7 @@ fn metrics_json_round_trips_with_v1_schema() {
         Some("nevermind-metrics/v1"),
         "schema marker"
     );
-    for section in ["counters", "gauges", "histograms", "spans", "series"] {
+    for section in ["counters", "gauges", "spans", "series", "distributions"] {
         assert!(
             top.get(section).and_then(|v| v.as_object()).is_some(),
             "section '{section}' must always be present as an object"
@@ -83,22 +82,20 @@ fn metrics_json_round_trips_with_v1_schema() {
     let gauge = get(&doc, "gauges").and_then(|g| get(g, "test/budget")).and_then(|v| v.as_f64());
     assert_eq!(gauge, Some(2.5), "gauge value survives the round trip");
 
-    let hist = get(&doc, "histograms")
-        .and_then(|h| get(h, "test/latency"))
+    assert!(top.get("histograms").is_none(), "the log₂ histogram kind is gone");
+    let dist = get(&doc, "distributions")
+        .and_then(|d| get(d, "test/score"))
         .and_then(|v| v.as_object())
-        .expect("histogram entry");
-    assert_eq!(hist.get("count").and_then(|v| v.as_f64()), Some(2.0));
-    assert_eq!(hist.get("sum").and_then(|v| v.as_f64()), Some(1003.0));
-    assert_eq!(hist.get("min").and_then(|v| v.as_f64()), Some(3.0));
-    assert_eq!(hist.get("max").and_then(|v| v.as_f64()), Some(1000.0));
-    let buckets = hist.get("buckets").and_then(|v| v.as_array()).expect("bucket array");
-    let total: f64 = buckets
+        .expect("distribution entry");
+    let counts: Vec<f64> = dist
+        .get("counts")
+        .and_then(|v| v.as_array())
+        .expect("count array")
         .iter()
-        .map(|pair| {
-            pair.as_array().expect("bucket is a [lower_bound, count] pair")[1].as_f64().unwrap()
-        })
-        .sum();
-    assert_eq!(total, 2.0, "bucket counts add up to the observation count");
+        .map(|c| c.as_f64().expect("bin count"))
+        .collect();
+    assert_eq!(counts, vec![1.0, 0.0, 0.0, 1.0], "one count per bin survives the round trip");
+    assert_eq!(dist.get("nan").and_then(|v| v.as_f64()), Some(1.0));
 
     let span = get(&doc, "spans")
         .and_then(|s| get(s, "fit/encode"))
@@ -118,6 +115,20 @@ fn metrics_json_round_trips_with_v1_schema() {
     let p1 = series[1].as_array().expect("series point is an [x, y] pair");
     assert_eq!(p1[0].as_f64(), Some(2.0));
     assert_eq!(p1[1].as_f64(), Some(7.5));
+}
+
+#[test]
+fn histogram_selectors_are_unknown_to_the_rule_grammar() {
+    // The registry has no histogram kind, so the grammar has no selectors
+    // for one: a rules file naming them fails with the ordinary
+    // unknown-selector error, at its line.
+    let parse = nevermind_obs::rules::parse_rules;
+    assert_eq!(
+        parse("record x = hist_p99(a)").expect_err("rejected"),
+        "line 1: unknown selector 'hist_p99' (counter, gauge, series_last, dist_count, rate)"
+    );
+    let err = parse("# old file\nalert slow if hist_mean(a) > 1 for 1").expect_err("rejected");
+    assert!(err.starts_with("line 2: unknown selector 'hist_mean'"), "{err}");
 }
 
 #[test]

@@ -23,6 +23,7 @@ use nevermind::predictor::PredictorConfig;
 use nevermind::provenance::TOP_STUMPS;
 use nevermind_dslsim::scenario::Scenario;
 use nevermind_dslsim::SimConfig;
+use nevermind_obs::trace::TracePolicy;
 use serde_json::Value;
 use std::sync::Mutex;
 
@@ -298,4 +299,64 @@ fn dispatched_line_chain_is_reconstructable() {
         rank_p >= week.f("cutoff_probability").expect("cutoff"),
         "a dispatched line sits at or above the cutoff"
     );
+}
+
+#[test]
+fn traced_ranks_follow_the_ranking_order_through_ties() {
+    // A reservoir as large as the plant traces every line every week, so
+    // the lines that tie on probability are all traced. Each must report
+    // its position in the ranking's own order (ties broken by row), like
+    // the dispatched head does: within a week the ranks are distinct, the
+    // dispatched lines hold exactly 1..=dispatched, and no undispatched
+    // line claims a rank inside the budget.
+    let _guard = GLOBAL_TRACE.lock().unwrap_or_else(|p| p.into_inner());
+    let buf = nevermind_obs::trace::global();
+    buf.reset();
+    let policy = buf.policy();
+    buf.set_policy(TracePolicy { reservoir_per_week: LINES });
+    nevermind_obs::trace::set_enabled(true);
+    let outcome = run_proactive_trial(sim_config(), &predictor_config(), WARMUP_WEEKS)
+        .expect("trial config is valid");
+    let jsonl = buf.to_jsonl();
+    nevermind_obs::trace::set_enabled(false);
+    buf.set_policy(policy);
+    buf.reset();
+    assert!(outcome.proactive_dispatches > 0, "the trial must dispatch for this test to bite");
+    assert!(jsonl.starts_with("{\"schema\":\"nevermind-trace/v1\","), "header first");
+    assert!(jsonl.lines().next().is_some_and(|h| h.contains("\"dropped\":0")), "ring kept all");
+
+    let events = parse_events(&jsonl);
+    let mut weeks = 0;
+    let mut tied_lines = 0;
+    for week in events.iter().filter(|e| e.kind == "dispatch_week") {
+        let dispatched = week.u("dispatched").expect("dispatched count");
+        let ranks: Vec<(u64, bool, f64)> = events
+            .iter()
+            .filter(|e| e.kind == "rank" && e.day == week.day)
+            .map(|e| {
+                (
+                    e.u("rank").expect("rank"),
+                    e.u("dispatched") == Some(1),
+                    e.f("probability").expect("probability"),
+                )
+            })
+            .collect();
+        let mut all: Vec<u64> = ranks.iter().map(|r| r.0).collect();
+        all.sort_unstable();
+        let n = all.len();
+        all.dedup();
+        assert_eq!(all.len(), n, "day {:?}: every traced line has its own rank", week.day);
+        let mut head: Vec<u64> = ranks.iter().filter(|r| r.1).map(|r| r.0).collect();
+        head.sort_unstable();
+        assert_eq!(head, (1..=dispatched).collect::<Vec<_>>(), "day {:?}", week.day);
+        for &(rank, _, p) in ranks.iter().filter(|r| !r.1) {
+            assert!(rank > dispatched, "day {:?}: undispatched rank {rank} (P = {p})", week.day);
+        }
+        let mut probs: Vec<u64> = ranks.iter().map(|r| r.2.to_bits()).collect();
+        probs.sort_unstable();
+        tied_lines += probs.windows(2).filter(|w| w[0] == w[1]).count();
+        weeks += 1;
+    }
+    assert!(weeks > 0, "the trial must rank weeks");
+    assert!(tied_lines > 0, "the trial must produce tied probabilities for this test to bite");
 }
