@@ -29,14 +29,37 @@ fn synth(n_rows: usize, n_cols: usize, seed: u64) -> Dataset {
     Dataset::new(FeatureMatrix::new(n_rows, meta, values), labels)
 }
 
+/// A matrix of `n_cols` low-cardinality columns: each value drawn from
+/// `0..values` (2 for binary flags like `basic:state`, 31 for error
+/// counters like the `*cnt*` features), 5% missing.
+fn synth_levels(n_rows: usize, n_cols: usize, values: u32, seed: u64) -> FeatureMatrix {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let meta: Vec<FeatureMeta> =
+        (0..n_cols).map(|c| FeatureMeta::continuous(format!("f{c}"))).collect();
+    let values = (0..n_rows * n_cols)
+        .map(|_| if rng.random_bool(0.05) { f32::NAN } else { rng.random_range(0..values) as f32 })
+        .collect();
+    FeatureMatrix::new(n_rows, meta, values)
+}
+
+/// Quantile binning of 25 columns of three shapes: uniform continuous
+/// values, binary flags and small 0–30 counts. The low-cardinality shapes
+/// share most key digits across rows, the case where a radix pass bumps
+/// one counter per row.
 fn bench_binning(c: &mut Criterion) {
     let mut g = c.benchmark_group("binning");
     g.sample_size(10);
     for &n in &[10_000usize, 50_000] {
-        let data = synth(n, 25, 1);
-        g.bench_with_input(BenchmarkId::new("bin_25_cols", n), &n, |b, _| {
-            b.iter(|| black_box(BinnedDataset::from_matrix(&data.x, 64)))
-        });
+        let shapes = [
+            ("bin_25_cols", synth(n, 25, 1).x),
+            ("bin_25_binary_cols", synth_levels(n, 25, 2, 4)),
+            ("bin_25_count_cols", synth_levels(n, 25, 31, 5)),
+        ];
+        for (name, x) in &shapes {
+            g.bench_with_input(BenchmarkId::new(*name, n), &n, |b, _| {
+                b.iter(|| black_box(BinnedDataset::from_matrix(x, 64)))
+            });
+        }
     }
     g.finish();
 }

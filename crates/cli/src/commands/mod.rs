@@ -222,6 +222,22 @@ pub(crate) fn sim_config_from(
     Ok(cfg)
 }
 
+/// `--budget-fraction F`: the share of the ranked population the ATDS
+/// budget covers (default 1%). Anything but a number in (0, 1] — `nan`,
+/// `inf`, zero, a negative or a fraction above one — is an error naming
+/// the flag.
+pub(crate) fn budget_fraction(args: &crate::args::Args) -> Result<f64, crate::args::ArgError> {
+    let fraction = args.get_parsed_or("budget-fraction", 0.01f64)?;
+    if fraction > 0.0 && fraction <= 1.0 {
+        Ok(fraction)
+    } else {
+        Err(crate::args::ArgError(format!(
+            "--budget-fraction: '{}' is not in (0, 1]",
+            args.get("budget-fraction").unwrap_or_default()
+        )))
+    }
+}
+
 /// Loads a dataset written by `nevermind simulate` and checks its line ids
 /// against its topology.
 pub(crate) fn load_dataset(

@@ -1,6 +1,6 @@
 //! `nevermind train` — fit the ticket predictor on a saved dataset.
 
-use super::{load_dataset, CliResult};
+use super::{budget_fraction, load_dataset, CliResult};
 use crate::args::Args;
 use nevermind::pipeline::SplitSpec;
 use nevermind::predictor::{PredictorConfig, TicketPredictor};
@@ -22,12 +22,13 @@ pub(crate) fn run(args: &Args) -> CliResult {
     ])?;
     let data_path = args.require("data")?;
     let model_path = args.require("model")?;
+    let budget_fraction = budget_fraction(args)?;
 
     let data = load_dataset(&data_path)?;
     let split = SplitSpec::paper_like(&data)?;
     let config = PredictorConfig {
         iterations: args.get_parsed_or("iterations", 150usize)?,
-        budget_fraction: args.get_parsed_or("budget-fraction", 0.01f64)?,
+        budget_fraction,
         n_base: args.get_parsed_or("n-base", 40usize)?,
         n_quadratic: args.get_parsed_or("n-quadratic", 25usize)?,
         n_product: args.get_parsed_or("n-product", 25usize)?,

@@ -394,6 +394,48 @@ fn out_of_range_measurement_line_is_a_typed_error() {
 }
 
 #[test]
+fn topology_line_id_off_its_position_is_a_typed_error() {
+    let (dir, json) = simulated_dataset("bad-topology-id");
+    // Line 5 of the topology (lines precede the DSLAMs, whose objects also
+    // start with an id).
+    let lines = json.find("\"lines\":[").expect("a topology lines array");
+    let at = lines + json[lines..].find("{\"id\":5,").expect("line 5");
+    let tampered = format!("{}{{\"id\":300,{}", &json[..at], &json[at + "{\"id\":5,".len()..]);
+    assert_dataset_rejected(&dir, &tampered, "topology line 5 has id 300");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn budget_fraction_outside_zero_to_one_is_a_typed_error() {
+    let (dir, _) = simulated_dataset("budget-fraction");
+    let data = dir.join("dataset.json");
+    let model = dir.join("model.json");
+    let train = vec!["train", "--data", data.to_str().expect("utf8")]
+        .into_iter()
+        .chain(["--model", model.to_str().expect("utf8"), "--iterations", "5"])
+        .collect::<Vec<_>>();
+    let trial = vec!["trial", "--lines", "300", "--days", "120", "--iterations", "5"];
+    for command in [train, trial] {
+        let run = |fraction: &str| {
+            bin().args(&command).args(["--budget-fraction", fraction]).output().expect("run")
+        };
+        for bad in ["nan", "inf", "0", "-1", "1.5"] {
+            let out = run(bad);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{} {bad}: {stderr}", command[0]);
+            let needle = format!("error: --budget-fraction: '{bad}' is not in (0, 1]");
+            assert!(stderr.contains(&needle), "{} {bad}: {stderr}", command[0]);
+        }
+        for good in ["1", "0.01"] {
+            let out = run(good);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{} {good}: {stderr}", command[0]);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn out_of_range_ticket_line_is_a_typed_error() {
     let (dir, json) = simulated_dataset("bad-ticket-line");
     let tampered = tamper_in(&json, "tickets", "line", "999999");

@@ -11,6 +11,11 @@
 //!   fuses the disposition classifier's score with its parent major
 //!   location classifier's score, exploiting the HN/F2/F1/DS hierarchy so
 //!   rare dispositions borrow strength from their location.
+//!
+//! Every one-vs-rest model trains on the same assembled matrix, and only
+//! its labels differ. Binning reads no labels, so a fit bins that matrix
+//! once and all full models train on the one binning; each out-of-fold
+//! refit bins its own rows.
 
 use crate::error::PipelineError;
 use crate::pipeline::ExperimentData;
@@ -22,8 +27,9 @@ use nevermind_features::registry::DerivedFeature;
 use nevermind_ml::boost::{BStump, BoostConfig};
 use nevermind_ml::calibrate::PlattScale;
 use nevermind_ml::cv::k_folds;
-use nevermind_ml::data::Dataset;
+use nevermind_ml::data::{Dataset, FeatureMatrix};
 use nevermind_ml::logistic::{LogisticModel, LogisticRegression};
+use nevermind_ml::stump::BinnedDataset;
 use serde::{Deserialize, Serialize};
 
 /// Trouble-locator hyper-parameters.
@@ -160,6 +166,9 @@ impl TroubleLocator {
             smoothing: None,
             parallel: true,
         };
+        // Binning reads no labels, so every full one-vs-rest fit below
+        // shares one binning of the assembled matrix.
+        let binned = BinnedDataset::from_matrix(&assembled.x, config.n_bins);
 
         // One-vs-rest flat models for modeled dispositions. Calibration
         // (and the Eq.-2 fusion below) must NOT see training margins — a
@@ -176,8 +185,13 @@ impl TroubleLocator {
         let mut flat_oof = Vec::with_capacity(modeled.len());
         for &d in &modeled {
             let y: Vec<bool> = examples.iter().map(|e| e.disposition == d).collect();
-            let (model, oof) =
-                fit_with_oof_margins(&assembled, &y, &boost_cfg, 0xD15_0000 + d.0 as u64);
+            let (model, oof) = fit_with_oof_margins(
+                &assembled.x,
+                &binned,
+                &y,
+                &boost_cfg,
+                0xD15_0000 + d.0 as u64,
+            );
             flat_cal.push(PlattScale::fit(&oof, &y)?);
             flat_models.push(model);
             flat_oof.push(oof);
@@ -189,8 +203,13 @@ impl TroubleLocator {
         let mut location_oof = Vec::with_capacity(4);
         for loc in MajorLocation::ALL {
             let y: Vec<bool> = examples.iter().map(|e| e.disposition.location() == loc).collect();
-            let (model, oof) =
-                fit_with_oof_margins(&assembled, &y, &boost_cfg, 0x10C_0000 + loc as u64);
+            let (model, oof) = fit_with_oof_margins(
+                &assembled.x,
+                &binned,
+                &y,
+                &boost_cfg,
+                0x10C_0000 + loc as u64,
+            );
             location_cal.push(PlattScale::fit(&oof, &y)?);
             location_models.push(model);
             location_oof.push(oof);
@@ -372,29 +391,39 @@ impl TroubleLocator {
 
 /// Trains a model on all rows and returns it together with 3-fold
 /// out-of-fold margins (honest score estimates for calibration/fusion).
+///
+/// The full model trains on `binned`, the binning of `x`: the model
+/// [`BStump::fit`] would train on `x` with labels `y`. Each fold bins its
+/// own rows, whose quantiles differ from the full matrix's.
 fn fit_with_oof_margins(
-    data: &Dataset,
+    x: &FeatureMatrix,
+    binned: &BinnedDataset,
     y: &[bool],
     boost_cfg: &BoostConfig,
     seed: u64,
 ) -> (BStump, Vec<f64>) {
-    let n = data.x.n_rows();
-    let ds = Dataset::new(data.x.clone(), y.to_vec());
-    let final_model = BStump::fit(&ds, boost_cfg);
+    let n = x.n_rows();
+    let w0 = vec![1.0 / n.max(1) as f64; n];
+    let all_columns: Vec<usize> = (0..x.n_cols()).collect();
+    let final_model = BStump::fit_binned(binned, y, &w0, boost_cfg, &all_columns);
 
     let k = 3.min(n);
     if k < 2 {
-        return (final_model.clone(), final_model.margins(&ds.x));
+        let margins = final_model.margins(x);
+        return (final_model, margins);
     }
     let mut oof = vec![0.0f64; n];
     for fold in k_folds(n, k, seed) {
-        let train = ds.select_rows(&fold.train);
+        let train = Dataset::new(
+            x.select_rows(&fold.train),
+            fold.train.iter().map(|&row| y[row]).collect(),
+        );
         // A fold may lose every positive of a rare class; the resulting
         // single-class fit simply emits strongly negative margins, which is
         // an honest "not this class" signal for the held-out rows.
         let model = BStump::fit(&train, boost_cfg);
         for &row in &fold.validation {
-            oof[row] = model.margin(ds.x.row(row));
+            oof[row] = model.margin(x.row(row));
         }
     }
     (final_model, oof)
@@ -813,6 +842,39 @@ mod tests {
         let (_, locator) = fitted();
         let d = locator.modeled_dispositions()[0];
         assert!(locator.model_pair(d).is_some());
+    }
+
+    /// The full flat and location models train on one shared binning of
+    /// the assembled matrix; each must be the model `BStump::fit` trains
+    /// on that matrix with the model's own labels.
+    #[test]
+    fn full_models_match_a_fit_on_the_assembled_matrix() {
+        let data = ExperimentData::simulate(SimConfig::small(93));
+        let days = data.config.days;
+        let cfg = LocatorConfig { iterations: 25, min_examples: 5, ..LocatorConfig::default() };
+        let locator = TroubleLocator::fit(&data, 30, days, &cfg).expect("window has dispatches");
+        let examples = collect_dispatch_examples(&data.output.notes, 30, days);
+        let assembled = locator.encode_examples(&data, &examples);
+        let boost_cfg = BoostConfig {
+            iterations: cfg.iterations,
+            n_bins: cfg.n_bins,
+            smoothing: None,
+            parallel: true,
+        };
+        let reference = |y: Vec<bool>| {
+            let model = BStump::fit(&Dataset::new(assembled.x.clone(), y), &boost_cfg);
+            serde_json::to_string(&model).expect("model serializes")
+        };
+        let json = |model: &BStump| serde_json::to_string(model).expect("model serializes");
+        assert!(locator.modeled.len() >= 2, "modeled: {:?}", locator.modeled);
+        for (&d, model) in locator.modeled.iter().zip(&locator.flat_models) {
+            let y = examples.iter().map(|e| e.disposition == d).collect();
+            assert_eq!(json(model), reference(y), "disposition {}", d.0);
+        }
+        for (loc, model) in MajorLocation::ALL.into_iter().zip(&locator.location_models) {
+            let y = examples.iter().map(|e| e.disposition.location() == loc).collect();
+            assert_eq!(json(model), reference(y), "location {}", loc.label());
+        }
     }
 
     #[test]

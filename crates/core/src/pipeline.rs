@@ -46,18 +46,29 @@ impl ExperimentData {
         Self { config, topology, output }
     }
 
-    /// Checks that every measurement, ticket, disposition note, IVR call and
-    /// churn event names a line of [`ExperimentData::topology`], and that
-    /// every note's disposition is one of the [`N_DISPOSITIONS`] codes. The
-    /// encoder and the locator index per-line and per-disposition tables by
-    /// these ids, so a dataset read from disk must pass this before it is
-    /// used.
+    /// Checks that every topology line's id is its position in
+    /// [`ExperimentData::topology`], that every measurement, ticket,
+    /// disposition note, IVR call and churn event names one of its lines,
+    /// and that every note's disposition is one of the [`N_DISPOSITIONS`]
+    /// codes. The encoder and the locator index per-line and
+    /// per-disposition tables by these ids, so a dataset read from disk
+    /// must pass this before it is used.
     ///
     /// # Errors
-    /// Returns [`PipelineError::InvalidDataset`] naming the first record
+    /// Returns [`PipelineError::InvalidDataset`] naming the first topology
+    /// line whose id differs from its position, or else the first record
     /// whose line id or disposition code is out of range.
     pub fn validate(&self) -> Result<(), PipelineError> {
-        let n_lines = self.topology.lines.len();
+        let lines = &self.topology.lines;
+        if let Some((i, line)) = lines.iter().enumerate().find(|(i, l)| l.id.index() != *i) {
+            return Err(PipelineError::InvalidDataset {
+                detail: format!(
+                    "topology line {i} has id {}, but a line's id must be its position",
+                    line.id.index()
+                ),
+            });
+        }
+        let n_lines = lines.len();
         let out = &self.output;
         check_lines("measurement", &out.measurements, |m| m.line, n_lines)?;
         check_lines("ticket", &out.tickets, |t| t.line, n_lines)?;
@@ -638,6 +649,25 @@ mod tests {
         let mut d = small_data();
         d.output.churn_events.push(nevermind_dslsim::world::ChurnEvent { line: bad, day: 0 });
         rejects(&d, "churn event");
+    }
+
+    #[test]
+    fn validate_names_the_first_line_whose_id_is_not_its_position() {
+        let mut d = small_data();
+        // A duplicate id: line 4 would be encoded twice and line 5 never.
+        d.topology.lines[5].id = LineId(4);
+        d.topology.lines[9].id = LineId(99_999);
+        let expected = "topology line 5 has id 4, but a line's id must be its position";
+        assert_eq!(d.validate(), Err(PipelineError::InvalidDataset { detail: expected.into() }));
+        d.topology.lines[5].id = LineId(5);
+        match d.validate() {
+            Err(PipelineError::InvalidDataset { detail }) => {
+                assert!(detail.starts_with("topology line 9 has id 99999,"), "{detail}")
+            }
+            other => panic!("expected InvalidDataset, got {other:?}"),
+        }
+        d.topology.lines[9].id = LineId(9);
+        assert_eq!(d.validate(), Ok(()));
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! feature-selection criteria (Table 4), and the novel `AP(N)` (Sec. 4.3)
 //! that focuses a selection criterion on the top of the ranking where the
 //! 20K ATDS budget lives.
+//!
+//! The tie-averaged `AP(N)` needs only the ranking's tie groups — their
+//! sizes and positive counts, in descending score order — so its walk over
+//! them is its own function. [`expected_top_n_average_precision`] finds the
+//! groups by ranking the scores; feature selection counts them per bin of
+//! a single-feature model and feeds the same walk.
 
 use crate::rank::argsort_desc;
 
@@ -122,27 +128,51 @@ pub fn top_n_average_precision(scores: &[f64], labels: &[bool], n: usize) -> f64
 /// definition up to floating-point error.
 pub fn expected_top_n_average_precision(scores: &[f64], labels: &[bool], n: usize) -> f64 {
     assert_eq!(scores.len(), labels.len(), "score/label mismatch");
-    if n == 0 || scores.is_empty() {
+    let order = argsort_desc(scores);
+    let mut i = 0usize;
+    let tie_groups = std::iter::from_fn(|| {
+        let tie_score = scores[*order.get(i)?];
+        let mut j = i;
+        while j + 1 < order.len() && same_score(scores[order[j + 1]], tie_score) {
+            j += 1;
+        }
+        let k = order[i..=j].iter().filter(|&&idx| labels[idx]).count();
+        let group = (j - i + 1, k);
+        i = j + 1;
+        Some(group)
+    });
+    expected_top_n_ap_of_tie_groups(tie_groups, scores.len(), n)
+}
+
+/// Whether two scores tie in a ranking: equal under `==` (so `+0.0` ties
+/// `-0.0`), or both `NaN`.
+pub(crate) fn same_score(a: f64, b: f64) -> bool {
+    (a.is_nan() && b.is_nan()) || a == b
+}
+
+/// The walk behind [`expected_top_n_average_precision`]: the expected
+/// `AP(N)` of a ranking of `n_rows` rows given as its tie groups in
+/// descending score order, each as `(rows, positives)`. Feature selection
+/// feeds it tie groups it counted without ranking any rows
+/// ([`crate::select`]).
+pub(crate) fn expected_top_n_ap_of_tie_groups(
+    tie_groups: impl IntoIterator<Item = (usize, usize)>,
+    n_rows: usize,
+    n: usize,
+) -> f64 {
+    if n == 0 || n_rows == 0 {
         return 0.0;
     }
-    let order = argsort_desc(scores);
-    let n_eval = n.min(order.len());
+    let n_eval = n.min(n_rows);
 
-    // Walk tie groups; within a group of size g holding k positives, the
-    // expected positive density is k/g per rank.
+    // Within a group of size g holding k positives, the expected positive
+    // density is k/g per rank.
     let mut sum = 0.0f64; // Σ E[Prec(r) · y_r]
     let mut cum = 0.0f64; // expected positives seen so far
     let mut rank = 0usize; // 0-based rank consumed
-    let mut i = 0usize;
-    while i < order.len() && rank < n_eval {
-        let mut j = i;
-        let tie_score = scores[order[i]];
-        let same = |a: f64, b: f64| (a.is_nan() && b.is_nan()) || a == b;
-        while j + 1 < order.len() && same(scores[order[j + 1]], tie_score) {
-            j += 1;
-        }
-        let g = j - i + 1;
-        let k = order[i..=j].iter().filter(|&&idx| labels[idx]).count();
+    let mut tie_groups = tie_groups.into_iter();
+    while rank < n_eval {
+        let Some((g, k)) = tie_groups.next() else { break };
         let density = k as f64 / g as f64;
         for _ in 0..g {
             if rank >= n_eval {
@@ -154,7 +184,6 @@ pub fn expected_top_n_average_precision(scores: &[f64], labels: &[bool], n: usiz
             cum = expected_cum_at_r;
             rank += 1;
         }
-        i = j + 1;
     }
     sum / n as f64
 }

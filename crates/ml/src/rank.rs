@@ -65,8 +65,8 @@ pub fn rank_of(scores: &[f64], i: usize) -> usize {
     1 + scores.iter().enumerate().filter(|&(j, &q)| cmp_desc(q, p).then(j.cmp(&i)).is_lt()).count()
 }
 
-fn cmp_desc(a: f64, b: f64) -> std::cmp::Ordering {
-    // Descending; NaN is worse than everything.
+/// The descending ranking order: higher scores first, `NaN` last.
+pub(crate) fn cmp_desc(a: f64, b: f64) -> std::cmp::Ordering {
     match (a.is_nan(), b.is_nan()) {
         (true, true) => std::cmp::Ordering::Equal,
         (true, false) => std::cmp::Ordering::Greater, // NaN after b

@@ -10,6 +10,17 @@
 //! iteration only needs one O(rows) accumulation pass plus an O(bins) scan
 //! per feature, independent of how many distinct values the feature has.
 //!
+//! Quantizing a column takes one sort: its present values, as
+//! order-preserving `u32` keys packed beside their row ids, go through an
+//! LSD radix sort (8-bit digits; a digit every key shares skips its pass).
+//! The edges are read off the sorted order at the quantile positions, and
+//! one monotone walk over it assigns every row its bin. Equal keys are
+//! equal bits, so the sorted values are bitwise those of a comparison sort
+//! under [`f32::total_cmp`], and edges and bin ids are those of the sort
+//! and binary search the kernel replaced (DESIGN.md §14, "One sort per
+//! column"). Binning a matrix reuses one set of sort buffers for every
+//! column.
+//!
 //! The accumulation fills one *slot histogram* per feature: slot `2·b + y`
 //! holds the weight of bin `b`'s rows with label `y`, and slot `2·k` (for a
 //! `k`-bin feature) the weight of its missing rows. `best_split` is the one
@@ -81,47 +92,83 @@ impl BinnedFeature {
     /// # Panics
     /// Panics unless `2 ≤ n_bins ≤` [`MAX_BINS`]: boosting numbers the
     /// `2·k + 1` histogram slots of a `k`-bin column with `u16` slot
-    /// codes, and a column gets at most `n_bins + 1` bins.
+    /// codes, and a column gets at most `n_bins + 1` bins. Also panics if
+    /// the column has more than `u32::MAX` rows: the sort packs each row
+    /// id into 32 bits beside its value's key.
     pub fn from_column(values: &[f32], n_bins: usize) -> Self {
+        Self::quantize(values.iter().copied(), n_bins, &mut SortBuffers::default())
+    }
+
+    /// [`Self::from_column`] over a column's values in row order, sorting
+    /// in `buffers` (kept between calls, so a caller binning many columns
+    /// allocates them once).
+    fn quantize(
+        values: impl ExactSizeIterator<Item = f32>,
+        n_bins: usize,
+        buffers: &mut SortBuffers,
+    ) -> Self {
         assert!(n_bins >= 2, "need at least 2 bins");
         assert!(
             n_bins <= MAX_BINS,
             "bin count {n_bins} above {MAX_BINS}: slot codes must fit in u16"
         );
-        let mut present: Vec<f32> = values.iter().copied().filter(|v| !v.is_nan()).collect();
-        if present.is_empty() {
-            return Self { edges: vec![0.0], bin_of_row: vec![MISSING_BIN; values.len()] };
+        let n_rows = values.len();
+        assert!(u32::try_from(n_rows).is_ok(), "{n_rows} rows: packed row ids must fit in u32");
+        let SortBuffers { entries, scratch } = buffers;
+        entries.clear();
+        // Sized to the row count, not grown by doubling: a matrix's first
+        // column allocates what every later column reuses.
+        entries.reserve_exact(n_rows);
+        // Bits set in some key, and bits set in every key: a bit where the
+        // two agree is the same in every key.
+        let (mut any, mut all) = (0u32, u32::MAX);
+        for (row, v) in values.enumerate() {
+            if !v.is_nan() {
+                let key = order_key(v);
+                any |= key;
+                all &= key;
+                entries.push(u64::from(key) << 32 | row as u64);
+            }
         }
-        present.sort_by(f32::total_cmp);
+        let mut bin_of_row = vec![MISSING_BIN; n_rows];
+        let m = entries.len();
+        if m == 0 {
+            return Self { edges: vec![0.0], bin_of_row };
+        }
+        if scratch.len() < m {
+            scratch.resize(n_rows, 0);
+        }
+        let sorted = radix_sort(entries, &mut scratch[..m], any ^ all);
+        let value = |entry: u64| from_order_key((entry >> 32) as u32);
 
         // Quantile cut points; dedup keeps edges strictly increasing.
         let mut edges: Vec<f32> = Vec::with_capacity(n_bins);
         for b in 1..=n_bins {
-            let pos = (b * present.len()) / n_bins;
-            let idx = pos.saturating_sub(1).min(present.len() - 1);
-            let e = present[idx];
+            let pos = (b * m) / n_bins;
+            let idx = pos.saturating_sub(1).min(m - 1);
+            let e = value(sorted[idx]);
             if edges.last().map_or(true, |&last| e > last) {
                 edges.push(e);
             }
         }
-        // Make sure the last edge covers the maximum value.
-        // lint:allow(no-panic-in-lib) -- the is_empty early-return above guarantees a last element
-        let max = *present.last().expect("non-empty");
-        // lint:allow(no-panic-in-lib) -- the quantile loop always pushes at least one edge
-        if *edges.last().expect("at least one edge") < max {
+        // Make sure the last edge covers the maximum value. The quantile
+        // loop always pushes at least one edge.
+        let max = value(sorted[m - 1]);
+        if edges[edges.len() - 1] < max {
             edges.push(max);
         }
 
-        let bin_of_row = values
-            .iter()
-            .map(|&v| {
-                if v.is_nan() {
-                    MISSING_BIN
-                } else {
-                    edges.partition_point(|&e| e < v).min(edges.len() - 1) as u16
-                }
-            })
-            .collect();
+        // A row's bin is the number of edges below its value, clamped to
+        // the last bin; along the sorted order that count never falls.
+        let last = edges.len() - 1;
+        let mut bin = 0;
+        for &entry in sorted {
+            let v = value(entry);
+            while bin < last && edges[bin] < v {
+                bin += 1;
+            }
+            bin_of_row[entry as u32 as usize] = bin as u16;
+        }
         Self { edges, bin_of_row }
     }
 
@@ -163,15 +210,99 @@ impl BinnedDataset {
 }
 
 /// Quantizes the columns of `x` one at a time, in column order, for
-/// callers that need each binned column only briefly.
+/// callers that need each binned column only briefly. One set of sort
+/// buffers serves every column.
 pub(crate) fn binned_columns(
     x: &FeatureMatrix,
     n_bins: usize,
 ) -> impl Iterator<Item = BinnedFeature> + '_ {
+    let mut buffers = SortBuffers::default();
     (0..x.n_cols()).map(move |c| {
-        let col: Vec<f32> = x.column(c).collect();
-        BinnedFeature::from_column(&col, n_bins)
+        let column = (0..x.n_rows()).map(|r| x.get(r, c));
+        BinnedFeature::quantize(column, n_bins, &mut buffers)
     })
+}
+
+/// The two buffers of a column sort, 8 B per row each: the
+/// packed `key << 32 | row` entries and the scratch the radix passes
+/// scatter into. Their capacity outlives one column so that binning a
+/// matrix allocates them once (why: DESIGN.md §14, "One sort per column").
+#[derive(Default)]
+struct SortBuffers {
+    entries: Vec<u64>,
+    scratch: Vec<u64>,
+}
+
+/// The `u32` whose unsigned order is [`f32::total_cmp`]'s order on
+/// non-`NaN` values: positives get the sign bit set, negatives have every
+/// bit flipped. It is a bijection, so equal keys are equal bits.
+fn order_key(v: f32) -> u32 {
+    let bits = v.to_bits();
+    bits ^ ((((bits as i32) >> 31) as u32) | 0x8000_0000)
+}
+
+/// Inverse of [`order_key`].
+fn from_order_key(key: u32) -> f32 {
+    f32::from_bits(key ^ ((((!key) as i32 >> 31) as u32) | 0x8000_0000))
+}
+
+/// Stable LSD radix sort of `entries` by their high 32 bits (the key),
+/// ping-ponging with `scratch` (same length). `varying` holds the key bits
+/// that differ between entries: the 8-bit digits start at its lowest set
+/// bit, since the bits below it are the same in every key, and a digit
+/// that is the same for every entry gets no pass. Returns whichever buffer
+/// holds the sorted entries.
+fn radix_sort<'a>(
+    mut entries: &'a mut [u64],
+    mut scratch: &'a mut [u64],
+    varying: u32,
+) -> &'a [u64] {
+    if varying == 0 {
+        return entries;
+    }
+    let low = 32 + varying.trailing_zeros();
+    let n_digits = (64 - low).div_ceil(8) as usize;
+    let digit = |entry: u64, d: usize| (entry >> (low as usize + 8 * d)) as usize & 0xFF;
+
+    // Every digit's histogram from one pass. Consecutive entries count
+    // into separate copies, so a digit shared by runs of entries (a binary
+    // or small-count column) does not make each count wait for the
+    // previous one's store.
+    const COPIES: usize = 4;
+    let mut counts = [[[0u32; 256]; 4]; COPIES];
+    let mut quads = entries.chunks_exact(COPIES);
+    for quad in &mut quads {
+        for (copy, &entry) in counts.iter_mut().zip(quad) {
+            for (d, histogram) in copy.iter_mut().enumerate().take(n_digits) {
+                histogram[digit(entry, d)] += 1;
+            }
+        }
+    }
+    for &entry in quads.remainder() {
+        for (d, histogram) in counts[0].iter_mut().enumerate().take(n_digits) {
+            histogram[digit(entry, d)] += 1;
+        }
+    }
+
+    for d in 0..n_digits {
+        let mut next: [usize; 256] =
+            std::array::from_fn(|byte| counts.iter().map(|copy| copy[d][byte] as usize).sum());
+        if next.contains(&entries.len()) {
+            continue;
+        }
+        // Counts to offsets: where each byte value's entries start.
+        let mut offset = 0;
+        for slot in next.iter_mut() {
+            (*slot, offset) = (offset, offset + *slot);
+        }
+        for &entry in entries.iter() {
+            let slot = &mut next[digit(entry, d)];
+            scratch[*slot] = entry;
+            *slot += 1;
+        }
+        std::mem::swap(&mut entries, &mut scratch);
+    }
+    entries
 }
 
 /// Result of a stump search: the stump plus its Schapire–Singer `Z` value
@@ -291,6 +422,8 @@ pub fn best_stump(
 mod tests {
     use super::*;
     use crate::data::FeatureMeta;
+    use rand::{RngExt, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn matrix(cols: Vec<(&str, Vec<f32>)>) -> FeatureMatrix {
         let n_rows = cols[0].1.len();
@@ -302,6 +435,139 @@ mod tests {
             }
         }
         FeatureMatrix::new(n_rows, meta, values)
+    }
+
+    /// The binning the radix kernel replaced: a comparison sort of the
+    /// present values, quantile edges, and a binary search per value.
+    fn reference_binning(values: &[f32], n_bins: usize) -> BinnedFeature {
+        let mut present: Vec<f32> = values.iter().copied().filter(|v| !v.is_nan()).collect();
+        if present.is_empty() {
+            return BinnedFeature { edges: vec![0.0], bin_of_row: vec![MISSING_BIN; values.len()] };
+        }
+        present.sort_by(f32::total_cmp);
+        let mut edges: Vec<f32> = Vec::with_capacity(n_bins);
+        for b in 1..=n_bins {
+            let pos = (b * present.len()) / n_bins;
+            let idx = pos.saturating_sub(1).min(present.len() - 1);
+            let e = present[idx];
+            if edges.last().map_or(true, |&last| e > last) {
+                edges.push(e);
+            }
+        }
+        let max = present[present.len() - 1];
+        if edges[edges.len() - 1] < max {
+            edges.push(max);
+        }
+        let bin_of_row = values
+            .iter()
+            .map(|&v| {
+                if v.is_nan() {
+                    MISSING_BIN
+                } else {
+                    edges.partition_point(|&e| e < v).min(edges.len() - 1) as u16
+                }
+            })
+            .collect();
+        BinnedFeature { edges, bin_of_row }
+    }
+
+    /// Values the binning must treat exactly as a comparison sort does.
+    const SPECIAL: [f32; 12] = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN,
+        f32::MAX,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        1e-45,  // smallest positive subnormal
+        -3e-39, // a negative subnormal
+        1.0,
+        -1.0,
+    ];
+
+    /// `NaN`s with different sign bits and payloads, quiet and signaling.
+    const NANS: [u32; 5] = [0x7FC0_0000, 0xFFC0_0000, 0x7F80_0001, 0xFFBF_FFFF, 0x7FC0_1234];
+
+    /// A column of `n` values of one shape, `missing` of them `NaN` on
+    /// average.
+    fn shaped_column(rng: &mut ChaCha8Rng, n: usize, shape: u32, missing: f64) -> Vec<f32> {
+        (0..n)
+            .map(|_| {
+                if rng.random_bool(missing) {
+                    return f32::from_bits(NANS[rng.random_range(0..NANS.len())]);
+                }
+                match shape {
+                    // Any bit pattern: every exponent, subnormals, NaNs.
+                    0 => f32::from_bits(rng.random::<u32>()),
+                    1 => rng.random::<f32>() * 200.0 - 100.0,
+                    2 => SPECIAL[rng.random_range(0..SPECIAL.len())],
+                    // Duplicate-heavy: a few values, signed zeros among them.
+                    3 => [-2.5, -0.0, 0.0, 0.5, 7.0][rng.random_range(0..5usize)],
+                    4 => rng.random_range(0..2u32) as f32,
+                    5 => rng.random_range(0..31u32) as f32,
+                    _ => 42.0,
+                }
+            })
+            .collect()
+    }
+
+    fn assert_same_binning(got: &BinnedFeature, want: &BinnedFeature) {
+        let bits = |edges: &[f32]| edges.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.edges), bits(&want.edges));
+        assert_eq!(got.bin_of_row, want.bin_of_row);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(160))]
+
+        /// The radix kernel bins every column exactly as the comparison
+        /// sort and binary search did, bit for bit, whether it sorts in
+        /// fresh buffers (`from_column`) or in buffers a longer or shorter
+        /// column used before.
+        #[test]
+        fn radix_binning_matches_the_sort_and_search_reference(
+            seed in 0u64..u64::MAX,
+            n in 1usize..5000,
+            n_bins in 2usize..257,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n_bins = if rng.random_bool(0.1) { MAX_BINS } else { n_bins };
+            let mut buffers = SortBuffers::default();
+            for len in [n, rng.random_range(1..=n), n] {
+                let shape = rng.random_range(0..7u32);
+                let missing = [0.0, 0.01, 0.3, 0.9, 1.0][rng.random_range(0..5usize)];
+                let values = shaped_column(&mut rng, len, shape, missing);
+                let want = reference_binning(&values, n_bins);
+                assert_same_binning(&BinnedFeature::from_column(&values, n_bins), &want);
+                let reused =
+                    BinnedFeature::quantize(values.iter().copied(), n_bins, &mut buffers);
+                assert_same_binning(&reused, &want);
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zeros_share_one_edge_and_one_bin() {
+        for values in [vec![0.0, -0.0, 1.0, -0.0], vec![-0.0, 0.0, 0.0, 2.0]] {
+            let bf = BinnedFeature::from_column(&values, 4);
+            assert_same_binning(&bf, &reference_binning(&values, 4));
+            assert_eq!(bf.n_bins(), 2, "{values:?}: {:?}", bf.edges);
+            assert_eq!(bf.bin_of_row[0], bf.bin_of_row[1]);
+        }
+    }
+
+    #[test]
+    fn order_keys_follow_total_cmp() {
+        let mut values: Vec<f32> = SPECIAL.to_vec();
+        values.extend([3.5, -7.25, 1e30, -1e-30]);
+        for &a in &values {
+            assert_eq!(from_order_key(order_key(a)).to_bits(), a.to_bits());
+            for &b in &values {
+                assert_eq!(order_key(a).cmp(&order_key(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]
