@@ -5,6 +5,7 @@ use super::{load_dataset, CliResult};
 use crate::args::Args;
 use nevermind::pipeline::SplitSpec;
 use nevermind::predictor::TicketPredictor;
+use nevermind_ml::rank::top_k;
 
 /// Runs the subcommand.
 pub(crate) fn run(args: &Args) -> CliResult {
@@ -23,7 +24,10 @@ pub(crate) fn run(args: &Args) -> CliResult {
 
     let split = SplitSpec::paper_like(&data)?;
     eprintln!("ranking test Saturdays {:?} ...", split.test_days);
-    let ranking = predictor.rank(&data, &split.test_days);
+    // One encoding, under the model's own encoder config, serves the
+    // ranking and every traced or explained row.
+    let base = data.encoder(predictor.encoder_config().clone()).encode(&split.test_days);
+    let ranking = predictor.rank_encoded(&base);
 
     println!("{:<12} {:>5} {:>22} {:>8}", "line", "day", "P(ticket in 4 wks)", "outcome");
     for (key, prob, label) in ranking.top_rows(top) {
@@ -39,44 +43,32 @@ pub(crate) fn run(args: &Args) -> CliResult {
     println!("\nprecision@{budget} (1% budget) = {:.1}%", 100.0 * ranking.precision_at(budget));
 
     // With `--trace`, emit the provenance chain for every printed row so
-    // `nevermind explain` can reconstruct the batch ranking too.
-    if nevermind_obs::trace::enabled() {
-        let encoder = data.encoder(Default::default());
-        let base = encoder.encode(&split.test_days);
-        let assembled = predictor.assemble(&base);
+    // `nevermind explain` can reconstruct the batch ranking too. Ranked row
+    // `i` is row `i` of the encoding, so its assembled features are too.
+    let tracing = nevermind_obs::trace::enabled();
+    if !tracing && explain == 0 {
+        return Ok(());
+    }
+    let assembled = predictor.assemble(&base);
+    let (rows, probs) = (&ranking.rows, &ranking.probabilities);
+    if tracing {
         let names = predictor.assembled_feature_names();
-        for (i, (key, prob, _)) in ranking.top_rows(top).into_iter().enumerate() {
-            if let Some(row_idx) = base.rows.iter().position(|r| *r == key) {
-                nevermind::provenance::emit_scored_line(
-                    &predictor,
-                    &names,
-                    assembled.x.row(row_idx),
-                    (key.line.0, key.day),
-                    (i + 1, prob, i < budget),
-                );
-            }
+        for (rank, i) in top_k(probs, top).into_iter().enumerate() {
+            nevermind::provenance::emit_scored_line(
+                &predictor,
+                &names,
+                assembled.x.row(i),
+                (rows[i].line.0, rows[i].day),
+                (rank + 1, probs[i], rank < budget),
+            );
         }
     }
 
     if explain > 0 {
-        let encoder = data.encoder(Default::default());
-        let base = encoder.encode(&split.test_days);
-        let assembled = predictor.assemble(&base);
-        // Map row keys back to assembled row indices.
         println!("\n--- why the top {explain} picks ---");
-        for (key, prob, _) in ranking.top_rows(explain) {
-            // A malformed or mismatched dataset (e.g. edited by hand, or a
-            // model trained against a different plant) can rank a row the
-            // re-encoding does not contain; report it instead of panicking.
-            let row_idx = base.rows.iter().position(|r| *r == key).ok_or_else(|| {
-                format!(
-                    "ranked line {} (day {}) is missing from the dataset's encoding — \
-                     was the dataset modified, or the model trained on different data?",
-                    key.line, key.day
-                )
-            })?;
-            let contributions = predictor.explain(assembled.x.row(row_idx));
-            println!("\n{} @ day {} (P = {prob:.3}):", key.line, key.day);
+        for i in top_k(probs, explain) {
+            let contributions = predictor.explain(assembled.x.row(i));
+            println!("\n{} @ day {} (P = {:.3}):", rows[i].line, rows[i].day, probs[i]);
             for c in contributions.iter().take(5) {
                 println!("  {:<40} value {:>12.3}  margin {:+.3}", c.name, c.value, c.contribution);
             }

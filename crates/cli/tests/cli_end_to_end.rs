@@ -493,3 +493,75 @@ fn hostile_rules_file_is_a_typed_error_not_a_stack_overflow() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn dataset_horizon_past_its_logs_is_a_typed_error() {
+    let (dir, json) = simulated_dataset("bad-horizon");
+    // The first `days` key is `config.days`; the logs still cover 120.
+    let tampered = tamper(&json, "days", "4294967295");
+    assert_ne!(tampered, json);
+    assert_dataset_rejected(
+        &dir,
+        &tampered,
+        "the logs cover 120 days, but config.days is 4294967295",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trial_stop_week_past_the_horizon_runs_the_whole_horizon() {
+    let run = |extra: &[&str]| {
+        let out = bin()
+            .args(["trial", "--lines", "300", "--days", "160", "--warmup-weeks", "14"])
+            .args(extra)
+            .output()
+            .expect("run trial");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "trial {extra:?} failed: {stderr}");
+        String::from_utf8(out.stdout).expect("utf8 stdout")
+    };
+    let full = run(&[]);
+    assert!(full.contains("proactive dispatches:"), "{full}");
+    // Both used to wrap `(week + 1) * 7` round to a day-0 stop.
+    for week in ["4294967295", "613566756"] {
+        assert_eq!(run(&["--stop-after-week", week]), full, "--stop-after-week {week}");
+    }
+}
+
+/// `(line, day, probability)` of every `kind` event in a trace export, each
+/// as printed.
+fn traced_probabilities(jsonl: &str, kind: &str) -> Vec<[String; 3]> {
+    let field = |event: &str, key: &str| {
+        let rest = event.split(&format!("\"{key}\":")).nth(1).expect("the key is present");
+        rest[..rest.find([',', '}']).expect("the value ends")].to_string()
+    };
+    jsonl
+        .lines()
+        .filter(|l| l.contains(&format!("\"kind\":\"{kind}\"")))
+        .map(|l| [field(l, "line"), field(l, "day"), field(l, "probability")])
+        .collect()
+}
+
+#[test]
+fn rank_traces_what_it_ranks_under_the_models_encoder_config() {
+    let (dir, dataset, json) = trained_model("rank-encoder-config");
+    // A non-default encoder config: the traced calibration chain must be
+    // encoded the way the ranking was, not with the default config.
+    let edited = json.replacen("\"history_weeks\":26", "\"history_weeks\":2", 1);
+    assert_ne!(edited, json);
+    let model = dir.join("hw2.model.json");
+    std::fs::write(&model, edited).expect("write model");
+    let trace = dir.join("rank.trace.jsonl");
+    let out = bin()
+        .args(["rank", "--data", dataset.to_str().expect("utf8")])
+        .args(["--model", model.to_str().expect("utf8"), "--top", "3", "--explain", "1"])
+        .args(["--trace", trace.to_str().expect("utf8")])
+        .output()
+        .expect("run rank");
+    assert!(out.status.success(), "rank failed: {}", String::from_utf8_lossy(&out.stderr));
+    let jsonl = std::fs::read_to_string(&trace).expect("read trace");
+    let ranked = traced_probabilities(&jsonl, "rank");
+    assert_eq!(ranked.len(), 3, "{jsonl}");
+    assert_eq!(traced_probabilities(&jsonl, "calibrate"), ranked);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -47,17 +47,20 @@ impl ExperimentData {
     }
 
     /// Checks that every topology line's id is its position in
-    /// [`ExperimentData::topology`], that every measurement, ticket,
-    /// disposition note, IVR call and churn event names one of its lines,
-    /// and that every note's disposition is one of the [`N_DISPOSITIONS`]
-    /// codes. The encoder and the locator index per-line and
-    /// per-disposition tables by these ids, so a dataset read from disk
-    /// must pass this before it is used.
+    /// [`ExperimentData::topology`], that the logs cover exactly the
+    /// configured horizon and every measurement and ticket falls inside it,
+    /// that every measurement, ticket, disposition note, IVR call and churn
+    /// event names one of its lines, and that every note's disposition is
+    /// one of the [`N_DISPOSITIONS`] codes. The encoder and the locator
+    /// index per-line and per-disposition tables by these ids, and training
+    /// and ranking pick their Saturdays from the horizon, so a dataset read
+    /// from disk must pass this before it is used.
     ///
     /// # Errors
     /// Returns [`PipelineError::InvalidDataset`] naming the first topology
-    /// line whose id differs from its position, or else the first record
-    /// whose line id or disposition code is out of range.
+    /// line whose id differs from its position, or else a horizon that
+    /// differs from the logs', or else the first record whose line id, day
+    /// or disposition code is out of range.
     pub fn validate(&self) -> Result<(), PipelineError> {
         let lines = &self.topology.lines;
         if let Some((i, line)) = lines.iter().enumerate().find(|(i, l)| l.id.index() != *i) {
@@ -68,25 +71,33 @@ impl ExperimentData {
                 ),
             });
         }
-        let n_lines = lines.len();
-        let out = &self.output;
-        check_lines("measurement", &out.measurements, |m| m.line, n_lines)?;
-        check_lines("ticket", &out.tickets, |t| t.line, n_lines)?;
-        check_lines("disposition note", &out.notes, |n| n.line, n_lines)?;
-        check_lines("IVR call", &out.ivr_calls, |c| c.line, n_lines)?;
-        check_lines("churn event", &out.churn_events, |c| c.line, n_lines)?;
-        let bad_code = out.notes.iter().enumerate().find_map(|(i, n)| {
-            n.disposition.filter(|d| usize::from(d.0) >= N_DISPOSITIONS).map(|d| (i, d.0))
-        });
-        match bad_code {
-            Some((i, code)) => Err(PipelineError::InvalidDataset {
-                detail: format!(
-                    "disposition note {i} records disposition {code}, \
-                     but there are {N_DISPOSITIONS} disposition codes"
-                ),
-            }),
-            None => Ok(()),
+        let (out, days) = (&self.output, self.config.days);
+        if out.days != days {
+            return Err(PipelineError::InvalidDataset {
+                detail: format!("the logs cover {} days, but config.days is {days}", out.days),
+            });
         }
+        let n_lines = lines.len();
+        let line = |l: LineId| {
+            (l.index() >= n_lines)
+                .then(|| format!("names line {}, but the topology has {n_lines} lines", l.index()))
+        };
+        let day =
+            |d: u32| (d >= days).then(|| format!("is on day {d}, past the {days}-day horizon"));
+        check_each("measurement", &out.measurements, |m| line(m.line).or_else(|| day(m.day)))?;
+        check_each("ticket", &out.tickets, |t| line(t.line).or_else(|| day(t.day)))?;
+        check_each("disposition note", &out.notes, |n| {
+            line(n.line).or_else(|| {
+                n.disposition.filter(|d| usize::from(d.0) >= N_DISPOSITIONS).map(|d| {
+                    format!(
+                        "records disposition {}, but there are {N_DISPOSITIONS} disposition codes",
+                        d.0
+                    )
+                })
+            })
+        })?;
+        check_each("IVR call", &out.ivr_calls, |c| line(c.line))?;
+        check_each("churn event", &out.churn_events, |c| line(c.line))
     }
 
     /// Builds the feature encoder over these logs.
@@ -110,20 +121,15 @@ impl ExperimentData {
     }
 }
 
-/// The first of `records` whose line is not below `n_lines`, as an error.
-fn check_lines<T>(
+/// The first of `records` that `fault` finds fault with, as an error
+/// reading "`{log} {index} {fault}`".
+fn check_each<T>(
     log: &str,
     records: &[T],
-    line: impl Fn(&T) -> LineId,
-    n_lines: usize,
+    fault: impl Fn(&T) -> Option<String>,
 ) -> Result<(), PipelineError> {
-    match records.iter().map(line).enumerate().find(|(_, l)| l.index() >= n_lines) {
-        Some((i, l)) => Err(PipelineError::InvalidDataset {
-            detail: format!(
-                "{log} {i} names line {}, but the topology has {n_lines} lines",
-                l.index()
-            ),
-        }),
+    match records.iter().enumerate().find_map(|(i, r)| fault(r).map(|f| (i, f))) {
+        Some((i, f)) => Err(PipelineError::InvalidDataset { detail: format!("{log} {i} {f}") }),
         None => Ok(()),
     }
 }
@@ -338,7 +344,9 @@ pub fn run_proactive_trial_with(
     // Named to read cleanly under the CLI's `cli/trial` wrapper span
     // (`cli/trial/proactive_trial/...`) and standalone alike.
     let _trial_span = nevermind_obs::span!("proactive_trial");
-    let policy_start_day = warmup_weeks * 7;
+    // Saturating: a warm-up whose first policy day overflows `u32` starts
+    // past every horizon.
+    let policy_start_day = warmup_weeks.saturating_mul(7);
     if policy_start_day >= sim_config.days {
         return Err(PipelineError::WarmupExceedsHorizon {
             policy_start_day,
@@ -346,11 +354,12 @@ pub fn run_proactive_trial_with(
         });
     }
     // A stop-after-week checkpoint truncates both worlds at the day after
-    // its Saturday; `None` runs the configured horizon. The simulator
-    // config is untouched either way, so a resumed trial regenerates the
-    // *identical* world and the stored frames line up bit-for-bit.
+    // its Saturday; `None`, or a week at or past the horizon, runs the
+    // configured horizon. The simulator config is untouched either way, so
+    // a resumed trial regenerates the *identical* world and the stored
+    // frames line up bit-for-bit.
     let end_day = match options.stop_after_week {
-        Some(w) => sim_config.days.min((w + 1) * 7),
+        Some(w) => sim_config.days.min(w.saturating_add(1).saturating_mul(7)),
         None => sim_config.days,
     };
 
@@ -379,6 +388,9 @@ pub fn run_proactive_trial_with(
     let reactive_tickets =
         baseline.customer_edge_tickets().filter(|t| t.day >= policy_start_day).count();
     let reactive_churn = baseline.churn_events.iter().filter(|c| c.day >= policy_start_day).count();
+    // Those two counts are all the trial needs of the twin: free its logs
+    // before the proactive world grows its own.
+    drop(baseline);
 
     // Proactive run.
     let mut world = World::generate(sim_config.clone()).with_shards(options.shards);
@@ -692,6 +704,29 @@ mod tests {
     }
 
     #[test]
+    fn validate_holds_the_logs_to_the_configured_horizon() {
+        let data = small_data();
+        let days = data.config.days;
+        let expect = |d: &ExperimentData, detail: String| {
+            assert_eq!(d.validate(), Err(PipelineError::InvalidDataset { detail }));
+        };
+
+        let mut d = small_data();
+        d.config.days = u32::MAX;
+        expect(&d, format!("the logs cover {days} days, but config.days is {}", u32::MAX));
+
+        let mut d = small_data();
+        d.output.measurements[7].day = days;
+        expect(&d, format!("measurement 7 is on day {days}, past the {days}-day horizon"));
+        d.output.measurements[7].day = days - 1;
+        assert_eq!(d.validate(), Ok(()));
+
+        let mut d = small_data();
+        d.output.tickets[2].day = days;
+        expect(&d, format!("ticket 2 is on day {days}, past the {days}-day horizon"));
+    }
+
+    #[test]
     fn saturday_enumeration() {
         let data = small_data();
         let sats = data.saturdays();
@@ -766,5 +801,37 @@ mod tests {
         let err = run_proactive_trial(cfg, &crate::predictor::PredictorConfig::default(), 600)
             .expect_err("warm-up of 600 weeks cannot fit a 31-line small world");
         assert!(matches!(err, PipelineError::WarmupExceedsHorizon { .. }), "{err}");
+        // 613566757 weeks is 4294967299 days: one past `u32::MAX`, which
+        // must not wrap round to a day-3 policy start.
+        let cfg = SimConfig::small(31);
+        let err =
+            run_proactive_trial(cfg, &crate::predictor::PredictorConfig::default(), 613_566_757)
+                .expect_err("an overflowing warm-up cannot fit any horizon");
+        assert_eq!(
+            err,
+            PipelineError::WarmupExceedsHorizon { policy_start_day: u32::MAX, days: 240 }
+        );
+    }
+
+    #[test]
+    fn stop_week_past_the_horizon_runs_the_whole_horizon() {
+        let mut cfg = SimConfig::small(5);
+        (cfg.n_lines, cfg.days) = (300, 160);
+        let predictor = crate::predictor::PredictorConfig {
+            iterations: 20,
+            selection_row_cap: 4_000,
+            ..crate::predictor::PredictorConfig::default()
+        };
+        let run = |stop_after_week| {
+            let options = TrialOptions { stop_after_week, ..TrialOptions::default() };
+            run_proactive_trial_with(cfg.clone(), &predictor, 14, &options)
+                .expect("the trial fits its horizon")
+                .outcome
+        };
+        let full = run(None);
+        assert!(full.reactive_tickets > 0, "the world must raise tickets");
+        for week in [u32::MAX, 613_566_756] {
+            assert_eq!(format!("{:?}", run(Some(week))), format!("{full:?}"), "week {week}");
+        }
     }
 }

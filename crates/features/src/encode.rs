@@ -9,13 +9,20 @@
 //! Missing measurements stay `NaN` end to end: a line whose modem skipped
 //! the test simply has `NaN` basics that week, and the BStump learner
 //! abstains on them.
+//!
+//! [`BaseEncoder`] encodes any set of rows over a fixed log — training
+//! windows, the telemetry reference, batch ranking, the locator's dispatch
+//! rows. It keeps no row-filling code of its own: it replays each line's
+//! tests and tickets, one line at a time, through the weekly encoder's
+//! per-line state and routine (`crate::incremental`), so batch and weekly
+//! rows are the same bytes by construction.
 
+use crate::incremental::{encode_line_into, LineState};
 use crate::indexes::{MeasurementIndex, TicketIndex};
 use crate::registry::{DerivedFeature, FeatureClass};
 use nevermind_dslsim::topology::Line;
 use nevermind_dslsim::{LineId, LineMetric, LineTest, Ticket, N_METRICS};
 use nevermind_ml::data::{Dataset, FeatureKind, FeatureMatrix, FeatureMeta};
-use nevermind_ml::stats::RunningMoments;
 use serde::{Deserialize, Serialize};
 
 /// Encoder knobs.
@@ -100,7 +107,8 @@ impl EncodedDataset {
     }
 }
 
-/// Reusable encoder over a fixed set of logs.
+/// Batch encoder over a fixed set of logs: encodes any `(line, Saturday)`
+/// rows by replaying each line through the weekly encoder's per-line state.
 pub struct BaseEncoder<'a> {
     lines: &'a [Line],
     measurements: MeasurementIndex<'a>,
@@ -119,16 +127,6 @@ impl<'a> BaseEncoder<'a> {
         let measurements = MeasurementIndex::build(measurements, lines.len());
         let tickets = TicketIndex::build(tickets, lines.len());
         Self { lines, measurements, tickets, config }
-    }
-
-    /// The ticket index (shared with evaluation code).
-    pub fn tickets(&self) -> &TicketIndex {
-        &self.tickets
-    }
-
-    /// The measurement index.
-    pub fn measurements(&self) -> &MeasurementIndex<'a> {
-        &self.measurements
     }
 
     /// Column metadata of the base (history + customer) feature space.
@@ -174,28 +172,16 @@ impl<'a> BaseEncoder<'a> {
         self.encode_rows(&keys)
     }
 
-    /// Encodes the whole population at `day` directly into `store` — the
-    /// batch writer of the week-major [`crate::FeatureStore`]. Fills only
-    /// the store's tracked lanes; the ingested frame is byte-identical to
-    /// what [`crate::IncrementalEncoder::encode_week_into`] writes over the
-    /// same logs (both writers funnel through
-    /// [`crate::FeatureStore::ingest_frame`]).
+    /// Encodes exactly the requested `(line, Saturday)` rows, in the given
+    /// order (repeats allowed).
     ///
-    /// # Panics
-    /// Panics if `day` is not a Saturday or the store's shape does not
-    /// match this encoder's population.
-    pub fn encode_week_into<'s>(
-        &self,
-        day: u32,
-        store: &'s mut crate::FeatureStore,
-    ) -> &'s crate::store::WeekFrame {
-        let ds = self.encode(&[day]).select_columns(store.cols());
-        store.ingest_frame(day, &ds)
-    }
-
-    /// Encodes exactly the requested `(line, Saturday)` rows — used by the
-    /// trouble locator, whose rows are dispatch events rather than whole
-    /// population sweeps.
+    /// The keys are visited by `(line, day)`. At each new line one reused
+    /// `LineState` is cleared and loaded with the line's ticket days; at
+    /// each key it receives the line's tests up to the key's day (skipping
+    /// those already outside the key's window), and `encode_line_into`
+    /// fills the row — the state a weekly ingest would hold on that day, so
+    /// both encoders produce the same bytes. At most one line's window is
+    /// copied at a time.
     ///
     /// # Panics
     /// Panics if a key's day is not a Saturday.
@@ -205,19 +191,47 @@ impl<'a> BaseEncoder<'a> {
         let (meta, classes) = Self::base_meta();
         let n_cols = meta.len();
         let n_rows = keys.len();
-        let mut values = vec![f32::NAN; n_rows * n_cols];
-        let mut labels = Vec::with_capacity(n_rows);
+        let mut values = vec![0.0f32; n_rows * n_cols];
+        let mut labels = vec![false; n_rows];
 
-        for (row, key) in keys.iter().enumerate() {
-            assert_eq!(key.day % 7, 6, "prediction day {} is not a Saturday", key.day);
-            let line = &self.lines[key.line.index()];
-            let slot = &mut values[row * n_cols..(row + 1) * n_cols];
-            self.encode_row(line, key.day, slot);
-            labels.push(self.tickets.has_ticket_within(
-                key.line,
-                key.day,
-                self.config.horizon_days,
-            ));
+        let mut order: Vec<usize> = (0..n_rows).collect();
+        order.sort_by_key(|&i| (keys[i].line, keys[i].day));
+        let cols: Vec<usize> = (0..n_cols).collect();
+        let lanes: Vec<usize> = (0..N_METRICS).collect();
+        let mut scratch = vec![f32::NAN; n_cols];
+        let mut st = LineState::default();
+        let (mut current, mut next_test) = (None, 0);
+        for i in order {
+            let RowKey { line, day } = keys[i];
+            assert_eq!(day % 7, 6, "prediction day {day} is not a Saturday");
+            let tests = self.measurements.all(line);
+            if current != Some(line) {
+                current = Some(line);
+                st.clear();
+                for &d in self.tickets.days(line) {
+                    st.push_ticket(d);
+                }
+                next_test = 0;
+            }
+            let window_start = day.saturating_sub(self.config.history_weeks as u32 * 7);
+            while let Some(t) = tests.get(next_test).filter(|t| t.day <= day) {
+                if t.day >= window_start {
+                    st.push_test(line, t.day, t.values);
+                }
+                next_test += 1;
+            }
+            let (_, label) = encode_line_into(
+                &self.lines[line.index()],
+                &mut st,
+                day,
+                window_start,
+                &cols,
+                &lanes,
+                &self.config,
+                &mut scratch,
+                &mut values[i * n_cols..(i + 1) * n_cols],
+            );
+            labels[i] = label;
         }
 
         EncodedDataset {
@@ -226,33 +240,10 @@ impl<'a> BaseEncoder<'a> {
             classes,
         }
     }
-
-    fn encode_row(&self, line: &Line, day: u32, slot: &mut [f32]) {
-        let cur = self.measurements.at(line.id, day).map(|t| &t.values);
-        let prev = self
-            .measurements
-            .before(line.id, day)
-            .last()
-            .filter(|t| day - t.day <= self.config.delta_max_lookback_days)
-            .map(|t| &t.values);
-
-        // History window for time-series and modem features.
-        let window_start = day.saturating_sub(self.config.history_weeks as u32 * 7);
-        let history: Vec<&[f32; N_METRICS]> = self
-            .measurements
-            .before(line.id, day)
-            .iter()
-            .filter(|t| t.day >= window_start)
-            .map(|t| &t.values)
-            .collect();
-
-        let days_since = days_since_ticket(self.tickets.last_before(line.id, day + 1), day);
-        fill_base_row(line, day, cur, prev, &history, days_since, &self.config, slot);
-    }
 }
 
 /// The `cust:days_since_ticket` value from the most recent ticket at or
-/// before `day` (pass the result of a `last_before(line, day + 1)` lookup).
+/// before `day`.
 pub(crate) fn days_since_ticket(last_ticket: Option<u32>, day: u32) -> u32 {
     match last_ticket {
         Some(t) => (day + 1 - t).min(365),
@@ -260,58 +251,9 @@ pub(crate) fn days_since_ticket(last_ticket: Option<u32>, day: u32) -> u32 {
     }
 }
 
-/// Fills one base-feature row from its ingredients.
-///
-/// Shared by [`BaseEncoder`] (which gathers the ingredients from full-log
-/// indexes) and [`crate::incremental::IncrementalEncoder`] (which keeps them
-/// as per-line rolling state), so the two encoders agree bit for bit.
-///
-/// `history` holds the metric vectors of the tests strictly before `day`
-/// within the `history_weeks` window, in chronological order; `prev` must
-/// already be filtered by `delta_max_lookback_days`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fill_base_row(
-    line: &Line,
-    day: u32,
-    cur: Option<&[f32; N_METRICS]>,
-    prev: Option<&[f32; N_METRICS]>,
-    history: &[&[f32; N_METRICS]],
-    days_since: u32,
-    config: &EncoderConfig,
-    slot: &mut [f32],
-) {
-    fill_row_except_ts(line, day, cur, prev, history.len(), days_since, config, slot);
-
-    // --- time-series z-scores (reference implementation) ---
-    // The incremental encoder computes the same z-scores with a fused
-    // 25-lane pass (`incremental::fill_ts_fused`) whose per-metric update
-    // sequence is identical to `RunningMoments::push`, so the two paths
-    // agree bit for bit (pinned by the incremental equivalence tests).
-    if let Some(cur) = cur {
-        if history.len() >= config.min_history_tests {
-            for i in 0..N_METRICS {
-                let mut mom = RunningMoments::new();
-                for t in history {
-                    mom.push(f64::from(t[i]));
-                }
-                let sd = mom.std_dev();
-                let z = if sd > 1e-6 {
-                    (f64::from(cur[i]) - mom.mean()) / sd
-                } else if (f64::from(cur[i]) - mom.mean()).abs() < 1e-6 {
-                    0.0
-                } else {
-                    f64::NAN
-                };
-                slot[2 * N_METRICS + i] = z as f32;
-            }
-        }
-    }
-}
-
 /// Everything in a base row except the time-series z-score block: basic,
-/// delta, profile, ticket-recency and modem-off features. Shared between the
-/// batch and incremental encoders (which differ only in how they compute the
-/// z-scores and gather the ingredients).
+/// delta, profile, ticket-recency and modem-off features. `encode_line_into`
+/// calls it, then fills the z-scores.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_row_except_ts(
     line: &Line,
@@ -425,7 +367,201 @@ pub fn derive(base: &EncodedDataset, features: &[DerivedFeature]) -> EncodedData
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nevermind_dslsim::{SimConfig, World};
+    use nevermind_dslsim::ids::{CrossboxId, DslamId};
+    use nevermind_dslsim::profile::ServiceProfile;
+    use nevermind_dslsim::{SimConfig, TicketCategory, World};
+    use nevermind_ml::stats::RunningMoments;
+    use proptest::prelude::*;
+
+    /// The gather encoder the replay replaced, kept as the reference the
+    /// one routine is checked against. Per key it looks the ingredients up
+    /// in the indexes — the test on the day (`at`), the tests before it
+    /// inside the window (`before` plus the window filter), the delta
+    /// baseline, the last ticket at or before the day (`last_before`) and
+    /// the first in the label window (`has_ticket_within`) — and computes
+    /// each time-series z-score with its own `RunningMoments` pass.
+    fn reference_encode_rows(enc: &BaseEncoder, keys: &[RowKey]) -> EncodedDataset {
+        let (meta, classes) = BaseEncoder::base_meta();
+        let (n_cols, cfg) = (meta.len(), &enc.config);
+        let mut values = vec![f32::NAN; keys.len() * n_cols];
+        let mut labels = Vec::with_capacity(keys.len());
+        for (row, &RowKey { line, day }) in keys.iter().enumerate() {
+            let tests = enc.measurements.all(line);
+            let before = &tests[..tests.partition_point(|t| t.day < day)];
+            let cur = tests.get(before.len()).filter(|t| t.day == day).map(|t| &t.values);
+            let prev = before
+                .last()
+                .filter(|t| day - t.day <= cfg.delta_max_lookback_days)
+                .map(|t| &t.values);
+            let window_start = day.saturating_sub(cfg.history_weeks as u32 * 7);
+            let history: Vec<&[f32; N_METRICS]> =
+                before.iter().filter(|t| t.day >= window_start).map(|t| &t.values).collect();
+            let ticket_days = enc.tickets.days(line);
+            let last_ticket =
+                ticket_days.partition_point(|&d| d <= day).checked_sub(1).map(|i| ticket_days[i]);
+
+            let slot = &mut values[row * n_cols..(row + 1) * n_cols];
+            let days_since = days_since_ticket(last_ticket, day);
+            let profile_line = &enc.lines[line.index()];
+            fill_row_except_ts(profile_line, day, cur, prev, history.len(), days_since, cfg, slot);
+            if let Some(cur) = cur.filter(|_| history.len() >= cfg.min_history_tests) {
+                for i in 0..N_METRICS {
+                    let mut mom = RunningMoments::new();
+                    for t in &history {
+                        mom.push(f64::from(t[i]));
+                    }
+                    let (c, sd) = (f64::from(cur[i]), mom.std_dev());
+                    let z = if sd > 1e-6 {
+                        (c - mom.mean()) / sd
+                    } else if (c - mom.mean()).abs() < 1e-6 {
+                        0.0
+                    } else {
+                        f64::NAN
+                    };
+                    slot[2 * N_METRICS + i] = z as f32;
+                }
+            }
+            labels.push(enc.tickets.first_within(line, day, cfg.horizon_days).is_some());
+        }
+        EncodedDataset {
+            data: Dataset::new(FeatureMatrix::new(keys.len(), meta, values), labels),
+            rows: keys.to_vec(),
+            classes,
+        }
+    }
+
+    fn assert_same_bits(got: &EncodedDataset, want: &EncodedDataset) {
+        assert_eq!(got.rows, want.rows, "row keys");
+        assert_eq!(got.data.y, want.data.y, "labels");
+        assert_eq!(got.classes, want.classes, "classes");
+        for r in 0..want.data.len() {
+            for c in 0..want.data.x.n_cols() {
+                let (g, w) = (got.data.x.get(r, c), want.data.x.get(r, c));
+                assert_eq!(g.to_bits(), w.to_bits(), "row {r} col {c}: {g} vs {w}");
+            }
+        }
+    }
+
+    const N_LINES: u32 = 5;
+
+    fn plant() -> Vec<Line> {
+        (0..N_LINES)
+            .map(|i| Line {
+                id: LineId(i),
+                dslam: DslamId(0),
+                crossbox: CrossboxId(0),
+                loop_length_ft: 2_500.0 + 1_500.0 * f64::from(i),
+                profile: ServiceProfile::ALL[i as usize % 3],
+                has_bridge_tap: i % 2 == 0,
+            })
+            .collect()
+    }
+
+    /// Sparse tests in random order, one per (line, day): mostly on
+    /// Saturdays, some on other weekdays. A quarter of the values are NaN
+    /// holes; the last five lanes are constant, the rest take a few levels.
+    fn test_log() -> impl Strategy<Value = Vec<LineTest>> {
+        let day = prop_oneof![3 => (0u32..37).prop_map(|w| w * 7 + 6), 1 => 0u32..260];
+        prop::collection::vec((0..N_LINES, day, 0u8..4, any::<u64>()), 0..90).prop_map(|raw| {
+            let mut seen = std::collections::BTreeSet::new();
+            raw.into_iter()
+                .filter(|&(l, d, ..)| seen.insert((l, d)))
+                .map(|(l, d, level, bits)| {
+                    let mut values = [0.0f32; N_METRICS];
+                    for (i, v) in values.iter_mut().enumerate() {
+                        let b = bits >> (2 * i);
+                        *v = match (b & 3, i < 20) {
+                            (0, _) => f32::NAN,
+                            (_, true) => f32::from(level) * 1.3 + (b & 2) as f32 * 0.7 - i as f32,
+                            (_, false) => i as f32 * 0.5,
+                        };
+                    }
+                    LineTest { line: LineId(l), day: d, values }
+                })
+                .collect()
+        })
+    }
+
+    fn ticket_log() -> impl Strategy<Value = Vec<Ticket>> {
+        use TicketCategory::{CustomerEdge, NonTechnical, Outage};
+        prop::collection::vec((0..N_LINES, 0u32..320, 0usize..3), 0..30).prop_map(|raw| {
+            raw.into_iter()
+                .enumerate()
+                .map(|(i, (l, day, c))| Ticket {
+                    id: i as u32,
+                    line: LineId(l),
+                    day,
+                    category: [CustomerEdge, Outage, NonTechnical][c],
+                })
+                .collect()
+        })
+    }
+
+    /// Encoder configs whose delta look-back fits inside the window.
+    fn config() -> impl Strategy<Value = EncoderConfig> {
+        (1usize..=30, 0usize..=6, 1u32..=60, any::<u32>()).prop_map(
+            |(history_weeks, min_history_tests, horizon_days, pick)| EncoderConfig {
+                horizon_days,
+                history_weeks,
+                min_history_tests,
+                delta_max_lookback_days: pick % (history_weeks as u32 * 7 + 1),
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `encode_rows` and `encode` replay each line through the weekly
+        /// encoder's routine; both must match the gather reference bit for
+        /// bit, for keys in any order (repeats included) from week 0 to past
+        /// the last test.
+        #[test]
+        fn replay_matches_gather_reference(
+            tests in test_log(),
+            tickets in ticket_log(),
+            cfg in config(),
+            keys in prop::collection::vec((0..N_LINES, 0u32..42), 0..40),
+            weeks in prop::collection::vec(0u32..42, 0..4),
+        ) {
+            let lines = plant();
+            let enc = BaseEncoder::new(&lines, &tests, &tickets, cfg);
+            let keys: Vec<RowKey> =
+                keys.iter().map(|&(l, w)| RowKey { line: LineId(l), day: w * 7 + 6 }).collect();
+            assert_same_bits(&enc.encode_rows(&keys), &reference_encode_rows(&enc, &keys));
+
+            let days: Vec<u32> = weeks.iter().map(|w| w * 7 + 6).collect();
+            let sweep: Vec<RowKey> = days
+                .iter()
+                .flat_map(|&day| lines.iter().map(move |l| RowKey { line: l.id, day }))
+                .collect();
+            assert_same_bits(&enc.encode(&days), &reference_encode_rows(&enc, &sweep));
+        }
+    }
+
+    #[test]
+    fn delta_baseline_stays_inside_the_window() {
+        // A look-back longer than the one-week window: the test two weeks
+        // back is outside the window, so it is no delta baseline — in the
+        // batch encoder as in the weekly one.
+        let lines = plant();
+        let tests: Vec<LineTest> = [6, 20]
+            .iter()
+            .map(|&day| LineTest { line: LineId(0), day, values: [day as f32; N_METRICS] })
+            .collect();
+        let cfg = EncoderConfig {
+            history_weeks: 1,
+            delta_max_lookback_days: 21,
+            ..EncoderConfig::default()
+        };
+        let batch = BaseEncoder::new(&lines, &tests, &[], cfg.clone()).encode(&[20]);
+        let mut weekly = crate::IncrementalEncoder::new(&lines, cfg);
+        weekly.ingest(&tests, &[]);
+        let weekly = weekly.encode_day(20);
+        assert_eq!(batch.data.x.get(0, 0), 20.0, "the day's own test is current");
+        assert!(batch.data.x.get(0, N_METRICS).is_nan(), "no baseline inside the window");
+        assert_same_bits(&batch, &weekly);
+    }
 
     fn sim() -> (Vec<Line>, nevermind_dslsim::SimOutput) {
         let cfg = SimConfig::small(21);

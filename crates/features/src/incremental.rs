@@ -1,15 +1,9 @@
-//! Incremental weekly encoder for the operational proactive loop.
+//! The weekly encoder, and the one routine that turns a line's tests and
+//! tickets into a base row.
 //!
-//! [`crate::BaseEncoder`] is built for offline experiments: it indexes a
-//! *fixed* log once and answers arbitrary `(line, Saturday)` queries by
-//! re-scanning each line's full prefix. The operational loop has a
-//! different shape — every Saturday it encodes the *whole* population at
-//! the *current frontier*, over logs that only ever grow at the end. Doing
-//! that with `BaseEncoder` means cloning the accumulated logs and
-//! rebuilding the indexes every single week, with cost growing linearly in
-//! elapsed time.
-//!
-//! [`IncrementalEncoder`] keeps per-line rolling state instead:
+//! The operational loop encodes the *whole* population every Saturday at
+//! the *current frontier*, over logs that only ever grow at the end.
+//! [`IncrementalEncoder`] keeps per-line rolling state for that:
 //!
 //! * a bounded window of recent tests (the `history_weeks` time-series
 //!   window, which also serves the delta baseline and the modem-off
@@ -19,10 +13,13 @@
 //! [`IncrementalEncoder::ingest`] appends one batch of fresh log events
 //! (typically a week); [`IncrementalEncoder::encode_day`] then encodes the
 //! population in O(lines × window) regardless of how long the simulation
-//! has been running. The produced rows are bit-identical to what
-//! `BaseEncoder` would compute over the same ingested logs — both encoders
-//! funnel into the same row-fill routine, and the equivalence is pinned by
-//! tests.
+//! has been running.
+//!
+//! `encode_line_into` is the only code that fills a base row. The weekly
+//! encoder runs it over its rolling state; [`crate::BaseEncoder`] replays
+//! each line of a fixed log through one reused `LineState` and runs it at
+//! every requested `(line, Saturday)` key. So a model is scored on features
+//! computed exactly as the ones it was trained on.
 //!
 //! Both phases shard by contiguous line ranges
 //! ([`IncrementalEncoder::ingest_sharded`],
@@ -40,7 +37,8 @@ use nevermind_ml::data::{Dataset, FeatureMatrix};
 use std::collections::VecDeque;
 
 /// Per-line rolling state.
-struct LineState {
+#[derive(Default)]
+pub(crate) struct LineState {
     /// `(day, metrics)` of recent tests, chronological; pruned to the
     /// time-series window of the most recent encode day.
     tests: VecDeque<(u32, [f32; N_METRICS])>,
@@ -50,8 +48,14 @@ struct LineState {
 }
 
 impl LineState {
+    /// Forgets every test and ticket, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.tests.clear();
+        self.tickets.clear();
+    }
+
     /// Appends one measurement; panics if it rewinds the line's history.
-    fn push_test(&mut self, line: LineId, day: u32, values: [f32; N_METRICS]) {
+    pub(crate) fn push_test(&mut self, line: LineId, day: u32, values: [f32; N_METRICS]) {
         if let Some(&(last_day, _)) = self.tests.back() {
             assert!(
                 day >= last_day,
@@ -63,7 +67,7 @@ impl LineState {
 
     /// Records one customer-edge ticket day, tolerating mildly
     /// out-of-order batches by insertion.
-    fn push_ticket(&mut self, day: u32) {
+    pub(crate) fn push_ticket(&mut self, day: u32) {
         match self.tickets.last() {
             Some(&last) if day < last => {
                 let pos = self.tickets.partition_point(|&d| d <= day);
@@ -74,9 +78,8 @@ impl LineState {
     }
 }
 
-/// Streaming counterpart of [`BaseEncoder`]: ingest log events as they
-/// happen, encode the population at the current Saturday from rolling
-/// per-line state.
+/// The weekly encoder: ingest log events as they happen, encode the
+/// population at the current Saturday from rolling per-line state.
 pub struct IncrementalEncoder<'a> {
     lines: &'a [Line],
     config: EncoderConfig,
@@ -86,9 +89,13 @@ pub struct IncrementalEncoder<'a> {
 
 /// Encodes one line into `values_out` (one slot per requested column),
 /// returning its row key and label — the single per-line routine behind
-/// both the serial and the sharded encode paths.
+/// the weekly encoder (serial and sharded) and [`BaseEncoder`]'s replay.
+///
+/// `st` must hold the line's tests up to `day` in day order (later ones are
+/// not visible yet) and its customer-edge ticket days; tests before
+/// `window_start` are pruned here.
 #[allow(clippy::too_many_arguments)] // internal: the flattened per-line hot path
-fn encode_line_into(
+pub(crate) fn encode_line_into(
     line: &Line,
     st: &mut LineState,
     day: u32,
@@ -154,10 +161,7 @@ impl<'a> IncrementalEncoder<'a> {
     /// Creates an encoder with empty state for the given plant.
     pub fn new(lines: &'a [Line], config: EncoderConfig) -> Self {
         debug_assert!(lines.iter().enumerate().all(|(i, l)| l.id.index() == i));
-        let state = lines
-            .iter()
-            .map(|_| LineState { tests: VecDeque::new(), tickets: Vec::new() })
-            .collect();
+        let state = lines.iter().map(|_| LineState::default()).collect();
         Self { lines, config, state, last_encoded: 0 }
     }
 
@@ -167,8 +171,8 @@ impl<'a> IncrementalEncoder<'a> {
     }
 
     /// Appends a batch of fresh log events (e.g. one week of the world's
-    /// output). Non-customer-edge tickets are ignored, mirroring the ticket
-    /// index `BaseEncoder` builds.
+    /// output). Non-customer-edge tickets are ignored, as in the ticket
+    /// index [`BaseEncoder`] builds.
     ///
     /// # Panics
     /// Panics if a line's measurements arrive out of chronological order.
@@ -236,11 +240,9 @@ impl<'a> IncrementalEncoder<'a> {
     }
 
     /// Encodes the population at `day` directly into `store` — the
-    /// streaming writer of the week-major [`crate::FeatureStore`]. Encodes
-    /// exactly the store's tracked lanes (sharded) and ingests the result;
-    /// byte-identical to [`crate::BaseEncoder::encode_week_into`] over the
-    /// same logs, because both writers funnel through
-    /// [`crate::FeatureStore::ingest_frame`].
+    /// weekly writer of the week-major [`crate::FeatureStore`]. Encodes
+    /// exactly the store's tracked lanes (sharded) and ingests the result
+    /// through [`crate::FeatureStore::ingest_frame`].
     ///
     /// # Panics
     /// Panics under [`IncrementalEncoder::encode_day_cols`]'s conditions,
@@ -341,7 +343,7 @@ impl<'a> IncrementalEncoder<'a> {
 /// Each lane performs *exactly* the floating-point operation sequence of
 /// [`nevermind_ml::stats::RunningMoments`] (`push` per non-NaN sample, then
 /// population `std_dev`), and lanes never interact — so every computed lane
-/// is bit-identical to the reference z-score loop in `fill_base_row`
+/// is bit-identical to one `RunningMoments` pass over that metric
 /// regardless of which other lanes are requested. The window is traversed
 /// once instead of once per metric, and the NaN skip is a branchless select
 /// over plain slices the compiler can vectorise.
@@ -415,6 +417,8 @@ mod tests {
         }
     }
 
+    // Both encoders run `encode_line_into`; these tests pin its two callers
+    // against each other: the weekly ingest and the batch encoder's replay.
     #[test]
     fn matches_batch_encoder_over_full_logs() {
         let (lines, out) = sim(21);

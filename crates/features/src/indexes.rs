@@ -1,8 +1,9 @@
-//! Fast per-line lookup structures over the simulator's flat logs.
+//! Per-line views of the simulator's flat logs.
 //!
-//! Both the encoder and the evaluation analyses repeatedly ask "what did
-//! line *u* measure before day *t*?" and "when is *u*'s next ticket after
-//! *t*?"; these indexes answer in O(log n).
+//! [`crate::BaseEncoder`] replays each line's tests and customer-edge
+//! ticket days from these indexes, one line at a time; the evaluation
+//! analyses ask "when is *u*'s next ticket after *t*?"
+//! ([`TicketIndex::first_within`], O(log n)).
 
 use nevermind_dslsim::{LineId, LineTest, Ticket};
 
@@ -25,32 +26,8 @@ impl<'a> MeasurementIndex<'a> {
         Self { per_line }
     }
 
-    /// Number of indexed lines.
-    pub fn n_lines(&self) -> usize {
-        self.per_line.len()
-    }
-
-    /// The test taken exactly on `day`, if the modem answered.
-    pub fn at(&self, line: LineId, day: u32) -> Option<&'a LineTest> {
-        let tests = &self.per_line[line.index()];
-        tests.binary_search_by_key(&day, |t| t.day).ok().map(|i| tests[i])
-    }
-
-    /// All tests strictly before `day`, in chronological order.
-    pub fn before(&self, line: LineId, day: u32) -> &[&'a LineTest] {
-        let tests = &self.per_line[line.index()];
-        let cut = tests.partition_point(|t| t.day < day);
-        &tests[..cut]
-    }
-
-    /// The most recent test at or before `day`.
-    pub fn latest_up_to(&self, line: LineId, day: u32) -> Option<&'a LineTest> {
-        let tests = &self.per_line[line.index()];
-        let cut = tests.partition_point(|t| t.day <= day);
-        cut.checked_sub(1).map(|i| tests[i])
-    }
-
-    /// All tests for a line.
+    /// All tests for a line, by day (a stable sort, so same-day tests keep
+    /// their log order).
     pub fn all(&self, line: LineId) -> &[&'a LineTest] {
         &self.per_line[line.index()]
     }
@@ -77,24 +54,12 @@ impl TicketIndex {
         Self { per_line }
     }
 
-    /// Day of the most recent ticket strictly before `day`.
-    pub fn last_before(&self, line: LineId, day: u32) -> Option<u32> {
-        let days = &self.per_line[line.index()];
-        let cut = days.partition_point(|&d| d < day);
-        cut.checked_sub(1).map(|i| days[i])
-    }
-
     /// Day of the first ticket in `(day, day + horizon]` — the paper's
     /// `NT(u, t) < T` label window.
     pub fn first_within(&self, line: LineId, day: u32, horizon: u32) -> Option<u32> {
         let days = &self.per_line[line.index()];
         let cut = days.partition_point(|&d| d <= day);
         days.get(cut).copied().filter(|&d| d <= day + horizon)
-    }
-
-    /// The paper's label `Tkt(u, t, T)`.
-    pub fn has_ticket_within(&self, line: LineId, day: u32, horizon: u32) -> bool {
-        self.first_within(line, day, horizon).is_some()
     }
 
     /// All ticket days for a line.
@@ -121,13 +86,8 @@ mod tests {
     fn measurement_lookup() {
         let tests = vec![test_at(0, 20), test_at(0, 6), test_at(0, 13), test_at(1, 6)];
         let idx = MeasurementIndex::build(&tests, 2);
-        assert_eq!(idx.at(LineId(0), 13).map(|t| t.day), Some(13));
-        assert!(idx.at(LineId(0), 12).is_none());
-        let before: Vec<u32> = idx.before(LineId(0), 20).iter().map(|t| t.day).collect();
-        assert_eq!(before, vec![6, 13]);
-        assert_eq!(idx.latest_up_to(LineId(0), 19).map(|t| t.day), Some(13));
-        assert_eq!(idx.latest_up_to(LineId(0), 20).map(|t| t.day), Some(20));
-        assert!(idx.latest_up_to(LineId(0), 5).is_none());
+        let days: Vec<u32> = idx.all(LineId(0)).iter().map(|t| t.day).collect();
+        assert_eq!(days, vec![6, 13, 20]);
         assert_eq!(idx.all(LineId(1)).len(), 1);
     }
 
@@ -148,21 +108,9 @@ mod tests {
         let tickets = vec![ticket(0, 10, TicketCategory::CustomerEdge)];
         let idx = TicketIndex::build(&tickets, 1);
         // A ticket on the prediction day itself does not count.
-        assert!(!idx.has_ticket_within(LineId(0), 10, 28));
-        assert!(idx.has_ticket_within(LineId(0), 9, 28));
-        assert!(idx.has_ticket_within(LineId(0), 9, 1));
-        assert!(!idx.has_ticket_within(LineId(0), 5, 4));
-    }
-
-    #[test]
-    fn last_before_is_strict() {
-        let tickets = vec![
-            ticket(0, 10, TicketCategory::CustomerEdge),
-            ticket(0, 20, TicketCategory::CustomerEdge),
-        ];
-        let idx = TicketIndex::build(&tickets, 1);
-        assert_eq!(idx.last_before(LineId(0), 10), None);
-        assert_eq!(idx.last_before(LineId(0), 11), Some(10));
-        assert_eq!(idx.last_before(LineId(0), 25), Some(20));
+        assert_eq!(idx.first_within(LineId(0), 10, 28), None);
+        assert_eq!(idx.first_within(LineId(0), 9, 28), Some(10));
+        assert_eq!(idx.first_within(LineId(0), 9, 1), Some(10));
+        assert_eq!(idx.first_within(LineId(0), 5, 4), None);
     }
 }

@@ -19,13 +19,14 @@
 //! the paper's binary expansion is the identity here; they are excluded
 //! from quadratic derivation (a 0/1 squared is itself).
 //!
-//! [`indexes`] holds the measurement/ticket lookup structures shared with
-//! the core crate, [`encode`] the offline batch encoder, [`incremental`]
-//! its streaming counterpart for the weekly operational loop (rolling
-//! per-line state instead of full-log re-scans), [`store`] the week-major
-//! columnar [`FeatureStore`] both encoders write and every downstream
-//! reader (scoring, telemetry, provenance) borrows zero-copy, and
-//! [`registry`] the feature taxonomy.
+//! [`incremental`] holds the weekly encoder and the one per-line routine
+//! that fills a base row; [`encode`] the batch encoder, which replays each
+//! line of a fixed log through that routine, plus the derived features;
+//! [`indexes`] the per-line measurement/ticket views the replay reads (and
+//! the core crate's label lookups); [`store`] the week-major columnar
+//! [`FeatureStore`] the weekly encoder writes and every downstream reader
+//! (scoring, telemetry, provenance) borrows zero-copy; and [`registry`] the
+//! feature taxonomy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,13 +11,14 @@
 //! [`FeatureStore`] replaces all of that with one structure-of-arrays
 //! store: per retained week a [`WeekFrame`] holding one contiguous f32
 //! *lane* per tracked base column (lane-major: `lane * n_lines + line`),
-//! one missing-bitmap per lane, and one label bitmap. Both encoders write
-//! it through the same [`FeatureStore::ingest_frame`] — the batch
-//! [`crate::BaseEncoder`] via [`crate::BaseEncoder::encode_week_into`], the
-//! rolling [`crate::IncrementalEncoder`] via
-//! [`crate::IncrementalEncoder::encode_week_into`] — so the long-standing
-//! encoder-equivalence contract collapses to "two writers fill the same
-//! store with the same bytes". Readers borrow lane slices
+//! one missing-bitmap per lane, and one label bitmap. Every encoded week
+//! enters through [`FeatureStore::ingest_frame`]: the weekly
+//! [`crate::IncrementalEncoder`] writes through
+//! [`crate::IncrementalEncoder::encode_week_into`], and a
+//! [`crate::BaseEncoder`] week can be ingested the same way
+//! (`store.ingest_frame(day, &enc.encode(&[day]).select_columns(store.cols()))`)
+//! — both encoders run one per-line routine, so they fill the store with
+//! the same bytes. Readers borrow lane slices
 //! ([`WeekFrame::lane`], [`WeekFrame::lane_missing`]) zero-copy.
 //!
 //! # Missing-value canonicalization
@@ -277,8 +278,8 @@ impl WeekFrame {
 }
 
 /// The week-major SoA columnar store. See the module docs for layout and
-/// format; see [`crate::BaseEncoder::encode_week_into`] and
-/// [`crate::IncrementalEncoder::encode_week_into`] for the two writers.
+/// format; see [`crate::IncrementalEncoder::encode_week_into`] for the
+/// weekly writer.
 #[derive(Debug, Clone)]
 pub struct FeatureStore {
     n_lines: usize,
@@ -385,7 +386,8 @@ impl FeatureStore {
     /// into the label bitmap. Returns the ingested frame.
     ///
     /// The dataset's columns must be exactly [`FeatureStore::cols`] in
-    /// order (what both encoders' `encode_week_into` produce).
+    /// order (what [`crate::IncrementalEncoder::encode_week_into`] and
+    /// `select_columns(store.cols())` produce).
     ///
     /// # Panics
     /// Panics if the dataset's shape does not match the store, or `day`

@@ -4,8 +4,8 @@
 //!
 //! This is the store-level statement of the workspace's encoder
 //! equivalence: `BaseEncoder` (batch, rebuilt from truncated logs each
-//! week) and `IncrementalEncoder` (streaming, sharded) are two writers
-//! for the same columnar frames, so the bytes they leave behind — values,
+//! week, replaying each line) and `IncrementalEncoder` (weekly, sharded)
+//! drive the same per-line routine, so the frames they fill — values,
 //! missing bitmaps, labels — must agree exactly, for every lane subset
 //! and shard count.
 
@@ -70,7 +70,7 @@ proptest! {
                 &out.tickets[..t_end],
                 ecfg.clone(),
             );
-            batch.encode_week_into(day, &mut base_store);
+            base_store.ingest_frame(day, &batch.encode(&[day]).select_columns(&cols));
             inc.encode_week_into(day, shards, &mut inc_store);
         }
 
@@ -96,7 +96,7 @@ fn missing_bitmap_agrees_with_encoder_nans() {
     let day = 20 * 7 + 6;
     let ds = enc.encode(&[day]);
     let mut store = FeatureStore::new(lines.len(), &cols, &ecfg);
-    let frame = enc.encode_week_into(day, &mut store);
+    let frame = store.ingest_frame(day, &ds.select_columns(&cols));
 
     let mut nan_cells = 0usize;
     for (lane, &col) in cols.iter().enumerate() {

@@ -121,8 +121,8 @@ fn zero_scored_week_is_skipped_not_fatal() {
     lanes.sort_unstable();
     lanes.dedup();
     let mut store = FeatureStore::new(0, &lanes, predictor.encoder_config());
-    BaseEncoder::new(&[], &[], &[], predictor.encoder_config().clone())
-        .encode_week_into(day, &mut store);
+    let empty = BaseEncoder::new(&[], &[], &[], predictor.encoder_config().clone()).encode(&[day]);
+    store.ingest_frame(day, &empty.select_columns(store.cols()));
     let empty_ranking = RankedPredictions::from_scores(Vec::new(), Vec::new(), Vec::new());
 
     monitor.observe_week(day, &empty_ranking, &store, &[]);
