@@ -1,10 +1,10 @@
 //! Criterion benches for the Table-3 feature encoder: base encoding
-//! throughput (rows/sec) and derived-feature materialization.
+//! throughput (rows/sec) and derived-feature assembly.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nevermind::pipeline::ExperimentData;
 use nevermind_dslsim::SimConfig;
-use nevermind_features::encode::{all_products, derive, EncoderConfig};
+use nevermind_features::encode::{all_products, assemble, EncoderConfig};
 use std::hint::black_box;
 
 fn data() -> ExperimentData {
@@ -36,7 +36,7 @@ fn bench_derive(c: &mut Criterion) {
     let mut g = c.benchmark_group("derive_products");
     g.sample_size(10);
     g.throughput(Throughput::Elements((base.data.len() * chunk.len()) as u64));
-    g.bench_function("256_products_4k_rows", |b| b.iter(|| black_box(derive(&base, chunk))));
+    g.bench_function("256_products_4k_rows", |b| b.iter(|| black_box(assemble(&base, &[], chunk))));
     g.finish();
 }
 

@@ -565,3 +565,55 @@ fn rank_traces_what_it_ranks_under_the_models_encoder_config() {
     assert_eq!(traced_probabilities(&jsonl, "calibrate"), ranked);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn history_window_past_the_day_range_reaches_back_to_day_zero() {
+    let (dir, dataset, json) = trained_model("rank-history-window");
+    let rank_with = |history_weeks: &str| {
+        let edited =
+            json.replacen("\"history_weeks\":26", &format!("\"history_weeks\":{history_weeks}"), 1);
+        assert_ne!(edited, json);
+        let model = dir.join(format!("hw{history_weeks}.model.json"));
+        std::fs::write(&model, edited).expect("write model");
+        let out = bin()
+            .args(["rank", "--data", dataset.to_str().expect("utf8")])
+            .args(["--model", model.to_str().expect("utf8"), "--top", "3"])
+            .output()
+            .expect("run rank");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "rank with {history_weeks} weeks failed: {stderr}");
+        String::from_utf8(out.stdout).expect("utf8 stdout")
+    };
+    // 613566757 weeks used to wrap `weeks * 7` round to a 3-day window.
+    let whole = rank_with("4294967295");
+    assert!(whole.contains("precision@"), "{whole}");
+    assert_eq!(rank_with("613566757"), whole);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn crafted_store_header_is_a_typed_error() {
+    let dir = named_work_dir("crafted-store");
+    // A 48-byte `nevermind-store/v1` header promising 2^32 - 1 lanes: the
+    // lane directory alone would need 16 GiB the document does not hold.
+    let mut bytes = b"NVMSTOR1".to_vec();
+    for word in [1u32, u32::MAX] {
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    bytes.extend_from_slice(&300u64.to_le_bytes());
+    for word in [1u32, 28, 26, 4, 21, 0] {
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    assert_eq!(bytes.len(), 48);
+    let path = dir.join("crafted.nvm");
+    std::fs::write(&path, &bytes).expect("write store");
+    let out = bin()
+        .args(["trial", "--lines", "300", "--days", "120"])
+        .args(["--resume-from", path.to_str().expect("utf8")])
+        .output()
+        .expect("run trial");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: cannot load store"), "named error expected: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -16,7 +16,7 @@
 //! * **shallow CART tree** — the same model family, capacity-limited.
 
 use crate::pipeline::{ExperimentData, SplitSpec};
-use crate::predictor::{PredictorConfig, RankedPredictions, TicketPredictor};
+use crate::predictor::{PredictorConfig, TicketPredictor};
 use nevermind_ml::bayes::GaussianNb;
 use nevermind_ml::data::{Dataset, FeatureMatrix};
 use nevermind_ml::logistic::LogisticRegression;
@@ -194,25 +194,6 @@ fn standardize(
     (rows, stats)
 }
 
-/// Ranks the test population with an alternative model trained on the
-/// predictor's feature space — useful for downstream comparisons that need
-/// the full [`RankedPredictions`] API rather than just precision numbers.
-pub fn rank_with_alternative(
-    data: &ExperimentData,
-    split: &SplitSpec,
-    config: &PredictorConfig,
-    predictor: &TicketPredictor,
-    alt: AlternativeModel,
-) -> RankedPredictions {
-    let encoder = data.encoder(config.encoder.clone());
-    let base_train = encoder.encode(&split.train_days);
-    let base_test = encoder.encode(&split.test_days);
-    let train = predictor.assemble(&base_train);
-    let test = predictor.assemble(&base_test);
-    let (_, scores) = fit_and_score(alt, &train, &test);
-    RankedPredictions::from_scores(base_test.rows, scores, test.y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,16 +266,5 @@ mod tests {
             bstump.test_precision,
             deep.test_precision
         );
-    }
-
-    #[test]
-    fn alternative_ranking_api_aligns_with_population() {
-        let (data, split, cfg, predictor) = setup();
-        let ranking =
-            rank_with_alternative(&data, &split, &cfg, &predictor, AlternativeModel::NaiveBayes);
-        assert_eq!(ranking.len(), data.config.n_lines * split.test_days.len());
-        let budget = cfg.budget(ranking.len());
-        let p = ranking.precision_at(budget);
-        assert!((0.0..=1.0).contains(&p));
     }
 }

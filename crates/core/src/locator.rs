@@ -349,16 +349,6 @@ impl TroubleLocator {
         scores
     }
 
-    /// Calibrated major-location posteriors for one assembled row.
-    pub fn location_probabilities(&self, row: &[f32]) -> [(MajorLocation, f64); 4] {
-        let mut out = [(MajorLocation::HomeNetwork, 0.0); 4];
-        for (i, loc) in MajorLocation::ALL.into_iter().enumerate() {
-            let m = self.location_models[i].margin(row);
-            out[i] = (loc, self.location_cal[i].probability(m));
-        }
-        out
-    }
-
     /// The flat model and location model backing one disposition, if
     /// modeled — used to render the Fig. 9 combined-model structure.
     pub fn model_pair(&self, d: DispositionId) -> Option<(&BStump, &BStump, &LogisticModel)> {
@@ -429,13 +419,10 @@ fn fit_with_oof_margins(
     (final_model, oof)
 }
 
-fn assemble(base: &EncodedDataset, derived_feats: &[DerivedFeature]) -> Dataset {
-    if derived_feats.is_empty() {
-        base.data.clone()
-    } else {
-        let derived = nevermind_features::encode::derive(base, derived_feats);
-        base.hconcat(&derived).data
-    }
+/// The locator's feature space: every base column, then the derived ones.
+fn assemble(base: &EncodedDataset, derived: &[DerivedFeature]) -> Dataset {
+    let all_columns: Vec<usize> = (0..base.data.x.n_cols()).collect();
+    nevermind_features::encode::assemble(base, &all_columns, derived)
 }
 
 fn location_index(loc: MajorLocation) -> usize {
@@ -823,18 +810,6 @@ mod tests {
         let truth = DispositionId(1);
         let expected: f64 = order[..2].iter().map(|d| d.info().test_minutes).sum();
         assert!((minutes_walked(order.iter().copied(), truth) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn location_probabilities_are_probabilities() {
-        let (data, locator) = fitted();
-        let days = data.config.days;
-        let ex = collect_dispatch_examples(&data.output.notes, days / 2, days);
-        let ds = locator.encode_examples(&data, &ex[..1]);
-        let probs = locator.location_probabilities(ds.x.row(0));
-        for (_, p) in probs {
-            assert!((0.0..=1.0).contains(&p));
-        }
     }
 
     #[test]

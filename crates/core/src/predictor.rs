@@ -14,13 +14,17 @@
 //! 5. calibrate the margins into probabilities with Platt scaling on the
 //!    evaluation window.
 //!
-//! Ranking the population is then a single pass: encode, assemble the
-//! selected columns, sum stump scores, calibrate, sort.
+//! Training matrices are built by `nevermind_features::encode::assemble`
+//! (the selected base columns, then the derived columns). Every population
+//! score — ranking, and the margins calibration fits on — goes through the
+//! one compiled plan of [`crate::scoring`], which gathers the used columns
+//! straight from the base encoding: no assembled matrix is built to rank.
 
 use crate::error::PipelineError;
 use crate::pipeline::{ExperimentData, SplitSpec};
+use crate::scoring::CompiledPredictor;
 use nevermind_features::encode::{
-    all_products, all_quadratics, derive, EncodedDataset, EncoderConfig, RowKey,
+    all_products, all_quadratics, assemble, EncodedDataset, EncoderConfig, RowKey,
 };
 use nevermind_features::registry::{DerivedFeature, FeatureClass};
 use nevermind_ml::boost::{BStump, BoostConfig};
@@ -141,9 +145,8 @@ impl RankedPredictions {
         Self { rows, probabilities, labels }
     }
 
-    /// Builds a ranking from raw scores (any monotone score works; they are
-    /// stored in the `probabilities` field uncalibrated). Used by the model
-    /// comparison to reuse the precision@K machinery for alternative models.
+    /// Builds a ranking from scores, stored in the `probabilities` field as
+    /// given — how the weekly engine wraps its calibrated probabilities.
     pub fn from_scores(rows: Vec<RowKey>, scores: Vec<f64>, labels: Vec<bool>) -> Self {
         assert_eq!(rows.len(), scores.len(), "row/score mismatch");
         assert_eq!(rows.len(), labels.len(), "row/label mismatch");
@@ -200,11 +203,6 @@ impl RankedPredictions {
     /// predictions" that Sec. 5.2 dissects.
     pub fn incorrect_in_top(&self, n: usize) -> Vec<RowKey> {
         self.top_rows(n).into_iter().filter(|(_, _, y)| !y).map(|(k, _, _)| k).collect()
-    }
-
-    /// Rows in the top `n` whose label is `true`.
-    pub fn correct_in_top(&self, n: usize) -> Vec<RowKey> {
-        self.top_rows(n).into_iter().filter(|(_, _, y)| *y).map(|(k, _, _)| k).collect()
     }
 }
 
@@ -313,7 +311,7 @@ impl TicketPredictor {
         };
 
         // --- final model ---
-        let train_assembled = assemble_with(&base_train, &selected_base, &selected_derived);
+        let train_assembled = assemble(&base_train, &selected_base, &selected_derived);
         let boost_cfg = BoostConfig {
             iterations: config.iterations,
             n_bins: config.n_bins,
@@ -328,9 +326,8 @@ impl TicketPredictor {
         // Calibrate on the (unsubsampled) evaluation window.
         let calibration = {
             let _s = nevermind_obs::span!("calibrate");
-            let eval_assembled = assemble_with(&base_eval, &selected_base, &selected_derived);
-            let eval_margins = model.margins(&eval_assembled.x);
-            PlattScale::fit(&eval_margins, &eval_assembled.y)?
+            let plan = CompiledPredictor::new(&model, &selected_base, &selected_derived);
+            PlattScale::fit(&plan.matrix_margins(&base_eval.data.x), &base_eval.data.y)?
         };
         nevermind_obs::counter_add!(
             "predictor/features_selected",
@@ -414,7 +411,7 @@ impl TicketPredictor {
         let scores = score_features(&train_sub.data, &eval_sub.data, criterion, &select_cfg);
         let selected_base = top_scores(&scores, top_k);
 
-        let train_assembled = assemble_with(&base_train, &selected_base, &[]);
+        let train_assembled = assemble(&base_train, &selected_base, &[]);
         let boost_cfg = BoostConfig {
             iterations: config.iterations,
             n_bins: config.n_bins,
@@ -422,9 +419,9 @@ impl TicketPredictor {
             parallel: true,
         };
         let model = BStump::fit(&train_assembled, &boost_cfg);
-        let eval_assembled = assemble_with(&base_eval, &selected_base, &[]);
-        let margins = model.margins(&eval_assembled.x);
-        let calibration = PlattScale::fit(&margins, &eval_assembled.y)?;
+        let margins =
+            CompiledPredictor::new(&model, &selected_base, &[]).matrix_margins(&base_eval.data.x);
+        let calibration = PlattScale::fit(&margins, &base_eval.data.y)?;
         Ok(Self {
             model,
             calibration,
@@ -480,9 +477,10 @@ impl TicketPredictor {
     }
 
     /// Projects a base-encoded dataset onto the selected feature space
-    /// (selected base columns followed by materialized derived columns).
+    /// (selected base columns followed by materialized derived columns) —
+    /// the matrix the model was trained on.
     pub fn assemble(&self, base: &EncodedDataset) -> Dataset {
-        assemble_with(base, &self.selected_base, &self.selected_derived)
+        assemble(base, &self.selected_base, &self.selected_derived)
     }
 
     /// Encodes and ranks the whole population at the given Saturdays.
@@ -492,14 +490,14 @@ impl TicketPredictor {
         self.rank_encoded(&base)
     }
 
-    /// Ranks an already base-encoded dataset.
+    /// Ranks an already base-encoded dataset: the compiled plan scores the
+    /// base matrix directly, without assembling the selected space.
     pub fn rank_encoded(&self, base: &EncodedDataset) -> RankedPredictions {
         let _span = nevermind_obs::span!("predictor/rank");
         nevermind_obs::counter_add!("predictor/rows_ranked", base.rows.len());
-        let assembled = self.assemble(base);
-        let margins = self.model.margins(&assembled.x);
-        let probabilities = self.calibration.probabilities(&margins);
-        RankedPredictions::new(base.rows.clone(), probabilities, assembled.y)
+        let plan = CompiledPredictor::new(&self.model, &self.selected_base, &self.selected_derived);
+        let probabilities = self.calibration.probabilities(&plan.matrix_margins(&base.data.x));
+        RankedPredictions::new(base.rows.clone(), probabilities, base.data.y.clone())
     }
 
     /// Explains one ranked row: per-feature margin contributions, strongest
@@ -564,21 +562,6 @@ impl TicketPredictor {
     pub fn encoder_config(&self) -> &EncoderConfig {
         &self.encoder_config
     }
-}
-
-/// Projects a base-encoded dataset onto a feature set: selected base
-/// columns followed by materialized derived columns.
-fn assemble_with(
-    base: &EncodedDataset,
-    selected_base: &[usize],
-    selected_derived: &[DerivedFeature],
-) -> Dataset {
-    let mut ds = base.select_columns(selected_base);
-    if !selected_derived.is_empty() {
-        let derived = derive(base, selected_derived);
-        ds = ds.hconcat(&derived);
-    }
-    ds.data
 }
 
 /// Deterministic row subsample that keeps every positive example (they are
@@ -651,9 +634,9 @@ fn score_derived(
     const CHUNK: usize = 256;
     let mut scores = Vec::with_capacity(feats.len());
     for chunk in feats.chunks(CHUNK) {
-        let train_d = derive(train_sub, chunk);
-        let eval_d = derive(eval_sub, chunk);
-        let chunk_scores = score_features(&train_d.data, &eval_d.data, criterion, select_cfg);
+        let train_d = assemble(train_sub, &[], chunk);
+        let eval_d = assemble(eval_sub, &[], chunk);
+        let chunk_scores = score_features(&train_d, &eval_d, criterion, select_cfg);
         scores.extend(chunk_scores.into_iter().map(|s| s.score));
     }
     scores
@@ -742,9 +725,7 @@ mod tests {
         let ranking = predictor.rank(&data, &split.test_days);
         let n = 100;
         let inc = ranking.incorrect_in_top(n).len();
-        let cor = ranking.correct_in_top(n).len();
-        assert_eq!(inc + cor, n.min(ranking.len()));
-        assert_eq!(cor, ranking.hits_at(n));
+        assert_eq!(inc, n.min(ranking.len()) - ranking.hits_at(n));
     }
 
     #[test]

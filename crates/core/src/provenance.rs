@@ -15,11 +15,12 @@
 //! the dispatched head is always traced, plus a deterministic
 //! day-seeded reservoir of non-dispatched lines.
 //!
-//! Everything here *reads* the scoring path — the narrow matrix the week's
-//! margins were computed from, retained by
-//! [`WeeklyScorer::traced_assembled_row`] — so rankings and dispatches are
-//! bit-identical with tracing on or off, and the reconstructed margin is
-//! bit-identical to the ranked one (pinned by the root `trace` tests).
+//! Everything here *reads* the scoring path — each traced row is
+//! re-expanded from the store frame the week was ranked from, through the
+//! plan its margin was computed with
+//! ([`WeeklyScorer::traced_assembled_row`]) — so rankings and dispatches
+//! are bit-identical with tracing on or off, and the reconstructed margin
+//! is bit-identical to the ranked one (pinned by the root `trace` tests).
 //!
 //! [`PlattScale::probability_traced`]: nevermind_ml::calibrate::PlattScale::probability_traced
 

@@ -17,17 +17,25 @@
 //!   lane-major frame once, and every downstream reader — stump scoring,
 //!   telemetry PSI binning, provenance re-expansion — borrows lane slices
 //!   from that same frame instead of keeping its own copy;
-//! * [`BatchScorer`] — the predictor's stump ensemble compiled once into
-//!   per-stump bin→score lookup tables, evaluated straight off the store's
-//!   lanes via [`BatchScorer::margins_gather_parallel`] (derived features
-//!   computed on the fly by the same `f32` arithmetic as the batch
-//!   `derive` pass), bit-identical to the per-row path;
+//! * `CompiledPredictor` — the one scoring path. It holds the predictor's
+//!   stump ensemble compiled into per-stump bin→score lookup tables
+//!   ([`BatchScorer`]) and, per column the ensemble reads, where that
+//!   column comes from in the base feature space: a base column, or a
+//!   quadratic or product of base columns. Its caller only says where the
+//!   base values live — the store's lanes here; a row-major base matrix in
+//!   [`TicketPredictor::rank_encoded`] and in the calibration step of
+//!   training — and the plan gathers each used column block by block into
+//!   [`BatchScorer::margins_gather_parallel`]. No assembled matrix is
+//!   built;
 //! * partial top-`B` selection — [`RankedPredictions::top_rows`] selects
 //!   the budgeted head without sorting the whole population.
 //!
-//! Each piece is individually bit-compatible with its batch counterpart, so
-//! a [`WeeklyScorer`] ranking is exactly what [`TicketPredictor::rank`]
-//! would produce over the same logs — pinned by the tests below.
+//! The plan hands each column exactly the values the assembled matrix of
+//! `nevermind_features::encode::assemble` holds (a missing factor is `NaN`
+//! on both paths, and a stump abstains on any `NaN`), and the batch scorer
+//! is bit-identical to [`nevermind_ml::boost::BStump::margins`] — so a
+//! [`WeeklyScorer`] ranking is exactly what [`TicketPredictor::rank`]
+//! produces over the same logs, pinned by the tests below.
 //!
 //! The store also makes the weekly loop checkpointable:
 //! [`WeeklyScorer::preload_frame`] queues frames imported from a
@@ -41,20 +49,117 @@ use nevermind_dslsim::topology::Line;
 use nevermind_dslsim::{LineId, LineTest, Ticket};
 use nevermind_features::encode::RowKey;
 use nevermind_features::{DerivedFeature, FeatureStore, IncrementalEncoder, Retention, WeekFrame};
+use nevermind_ml::boost::BStump;
+use nevermind_ml::data::FeatureMatrix;
 use nevermind_ml::score::BatchScorer;
 use std::collections::VecDeque;
+use std::ops::Range;
 
-/// Where one of the ensemble's used features comes from — the gather plan
-/// that lets [`WeeklyScorer::rank_week`] score straight off the store's
-/// lanes without materialising the assembled feature space.
+/// Where a column the ensemble reads comes from in the base feature space.
 #[derive(Debug, Clone, Copy)]
 enum Source {
     /// A selected base column, verbatim.
     Base(usize),
-    /// `row[c] * row[c]` over base columns, exactly as `derive` computes it.
-    Quadratic(usize),
-    /// `row[a] * row[b]` over base columns, exactly as `derive` computes it.
-    Product(usize, usize),
+    /// A quadratic or product of base columns.
+    Derived(DerivedFeature),
+}
+
+/// A predictor's stump ensemble compiled for population scoring, with a
+/// gather plan from each column it reads back to the base columns that
+/// column is built from.
+#[derive(Debug)]
+pub(crate) struct CompiledPredictor {
+    scorer: BatchScorer,
+    /// Per used slot ([`BatchScorer::used_columns`] order): its column in
+    /// the assembled space and that column's base-space source.
+    slots: Vec<(usize, Source)>,
+    /// Width of the assembled space.
+    n_assembled: usize,
+}
+
+impl CompiledPredictor {
+    /// Compiles `model`, trained on the space `assemble(base,
+    /// selected_base, selected_derived)` builds.
+    ///
+    /// # Panics
+    /// Panics if a stump reads a column outside that space (a validated or
+    /// freshly fitted predictor never does).
+    pub(crate) fn new(
+        model: &BStump,
+        selected_base: &[usize],
+        selected_derived: &[DerivedFeature],
+    ) -> Self {
+        let scorer = BatchScorer::new(model);
+        let n_base = selected_base.len();
+        let slots = scorer
+            .used_columns()
+            .map(|c| match selected_base.get(c) {
+                Some(&col) => (c, Source::Base(col)),
+                None => (c, Source::Derived(selected_derived[c - n_base])),
+            })
+            .collect();
+        Self { scorer, slots, n_assembled: n_base + selected_derived.len() }
+    }
+
+    /// The base columns the plan reads, ascending and without repeats.
+    pub(crate) fn base_columns(&self) -> Vec<usize> {
+        let mut cols: Vec<usize> = self
+            .slots
+            .iter()
+            .flat_map(|&(_, src)| match src {
+                Source::Base(c) | Source::Derived(DerivedFeature::Quadratic { col: c }) => [c, c],
+                Source::Derived(DerivedFeature::Product { a, b }) => [a, b],
+            })
+            .collect();
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    }
+
+    /// Margins of `n_rows` rows, spread over `parts` `nevermind_obs::par`
+    /// parts (`0` = every core; bit-identical for any count). The caller's
+    /// `base(col, rows, out, multiply)` writes base column `col` for
+    /// `rows` into `out` (`NaN` = missing), or multiplies it into `out`
+    /// when `multiply` is set. A quadratic writes its column and multiplies
+    /// it in again; a product writes `a` and multiplies `b` in.
+    pub(crate) fn margins<F>(&self, n_rows: usize, parts: usize, base: &F) -> Vec<f64>
+    where
+        F: Fn(usize, Range<usize>, &mut [f32], bool) + Sync,
+    {
+        let fill = |slot: usize, rows: Range<usize>, out: &mut [f32]| match self.slots[slot].1 {
+            Source::Base(c) => base(c, rows, out, false),
+            Source::Derived(DerivedFeature::Quadratic { col }) => {
+                base(col, rows.clone(), out, false);
+                base(col, rows, out, true);
+            }
+            Source::Derived(DerivedFeature::Product { a, b }) => {
+                base(a, rows.clone(), out, false);
+                base(b, rows, out, true);
+            }
+        };
+        self.scorer.margins_gather_parallel(n_rows, parts, &fill)
+    }
+
+    /// [`Self::margins`] of every row of a row-major base-space matrix, on
+    /// every core.
+    pub(crate) fn matrix_margins(&self, x: &FeatureMatrix) -> Vec<f64> {
+        self.margins(x.n_rows(), 0, &matrix_base(x))
+    }
+
+    /// One row of the assembled space, given the row's base values by
+    /// column: the columns the ensemble reads hold their assembled values
+    /// (so the row's margin is the ranked one, bit for bit), and every
+    /// other column — no stump reads it, its contribution is zero — `NaN`.
+    pub(crate) fn assembled_row(&self, value: impl Fn(usize) -> f32) -> Vec<f32> {
+        let mut row = vec![f32::NAN; self.n_assembled];
+        for &(col, src) in &self.slots {
+            row[col] = match src {
+                Source::Base(c) => value(c),
+                Source::Derived(d) => d.value(&value),
+            };
+        }
+        row
+    }
 }
 
 /// Streaming population ranker for the weekly proactive loop.
@@ -62,17 +167,9 @@ pub struct WeeklyScorer<'a> {
     predictor: &'a TicketPredictor,
     lines: &'a [Line],
     encoder: IncrementalEncoder<'a>,
-    scorer: BatchScorer,
-    /// Per used-feature slot, in *base-column* space — the invariant form
-    /// the lane-space plan is rebuilt from when the tracked set changes.
-    plan_base: Vec<Source>,
-    /// Per used-feature slot: how to compute it from the store's lanes.
-    plan: Vec<Source>,
-    /// Assembled-space column index per used-feature slot — the key for
-    /// re-expanding a scored row for explanation.
-    used: Vec<usize>,
-    /// Width of the predictor's assembled feature space.
-    n_assembled: usize,
+    /// The predictor's compiled scoring plan; the store tracks (at least)
+    /// every base column it reads.
+    plan: CompiledPredictor,
     /// The week-major columnar store every reader borrows from.
     store: FeatureStore,
     /// Checkpointed frames waiting to be adopted, ascending by day.
@@ -87,70 +184,29 @@ pub struct WeeklyScorer<'a> {
 
 impl<'a> WeeklyScorer<'a> {
     /// Builds the engine for a trained predictor over a fixed plant. The
-    /// stump ensemble is compiled to lookup tables here, once, along with a
-    /// gather plan mapping each used feature back to the base columns it is
-    /// derived from; the store tracks exactly those columns (until
+    /// predictor is compiled to its scoring plan here, once; the store
+    /// tracks exactly the base columns the plan reads (until
     /// [`WeeklyScorer::track_columns`] widens it) — the full assembled
     /// feature space is never materialised per week.
     pub fn new(predictor: &'a TicketPredictor, lines: &'a [Line]) -> Self {
-        let scorer = BatchScorer::new(predictor.model());
-        let n_base = predictor.selected_base().len();
-        let plan_base: Vec<Source> = scorer
-            .used_columns()
-            .map(|c| {
-                if c < n_base {
-                    Source::Base(predictor.selected_base()[c])
-                } else {
-                    match predictor.selected_derived()[c - n_base] {
-                        DerivedFeature::Quadratic { col } => Source::Quadratic(col),
-                        DerivedFeature::Product { a, b } => Source::Product(a, b),
-                    }
-                }
-            })
-            .collect();
-        // The distinct base columns the plan reads become the store's lanes.
-        let mut needed: Vec<usize> = plan_base
-            .iter()
-            .flat_map(|src| match *src {
-                Source::Base(c) | Source::Quadratic(c) => vec![c],
-                Source::Product(a, b) => vec![a, b],
-            })
-            .collect();
-        needed.sort_unstable();
-        needed.dedup();
-        let store = FeatureStore::new(lines.len(), &needed, predictor.encoder_config());
-        let plan = Self::lane_plan(&plan_base, &store);
-        let used: Vec<usize> = scorer.used_columns().collect();
-        let n_assembled = n_base + predictor.selected_derived().len();
+        let plan = CompiledPredictor::new(
+            predictor.model(),
+            predictor.selected_base(),
+            predictor.selected_derived(),
+        );
+        let store =
+            FeatureStore::new(lines.len(), &plan.base_columns(), predictor.encoder_config());
         Self {
             predictor,
             lines,
             encoder: IncrementalEncoder::new(lines, predictor.encoder_config().clone()),
-            scorer,
-            plan_base,
             plan,
-            used,
-            n_assembled,
             store,
             pending: VecDeque::new(),
             shards: 0,
             meas_cursor: 0,
             ticket_cursor: 0,
         }
-    }
-
-    /// Rewrites a base-column plan against the store's lane space.
-    fn lane_plan(plan_base: &[Source], store: &FeatureStore) -> Vec<Source> {
-        // lint:allow(no-panic-in-lib) -- the store's lanes are built as a superset of the plan's columns
-        let lane = |c: usize| store.lane_of(c).expect("store tracks every plan column");
-        plan_base
-            .iter()
-            .map(|src| match *src {
-                Source::Base(c) => Source::Base(lane(c)),
-                Source::Quadratic(c) => Source::Quadratic(lane(c)),
-                Source::Product(a, b) => Source::Product(lane(a), lane(b)),
-            })
-            .collect()
     }
 
     /// Widens the store to additionally track the given base columns —
@@ -174,7 +230,6 @@ impl<'a> WeeklyScorer<'a> {
         let retention = self.store.retention();
         self.store = FeatureStore::new(self.lines.len(), &all, self.predictor.encoder_config());
         self.store.set_retention(retention);
-        self.plan = Self::lane_plan(&self.plan_base, &self.store);
     }
 
     /// Sets the store's frame retention ([`Retention::Latest`] by default;
@@ -268,12 +323,12 @@ impl<'a> WeeklyScorer<'a> {
     /// frame; time-series z-score lanes are independent Welford streams,
     /// so the subset stays bit-identical per column) — or, if a
     /// checkpointed frame for this day was preloaded, that frame is
-    /// adopted and the encode skipped. Margins are then gathered straight
-    /// off the frame's lanes: base features read the lane (missing bits
-    /// restore the encoder's `NaN`), derived features multiply lane values
-    /// with the same `f32` arithmetic as the batch `derive` pass, so the
-    /// margins stay bit-identical to the batch ranking. No per-week matrix
-    /// is materialised, traced or not.
+    /// adopted and the encode skipped. The compiled plan then scores the
+    /// frame: each base column it asks for is read from (or multiplied in
+    /// from) that column's lane, with missing bits restoring the encoder's
+    /// `NaN` — the path [`TicketPredictor::rank`] scores a base matrix by,
+    /// so the margins stay bit-identical to the batch ranking. No per-week
+    /// matrix is materialised, traced or not.
     pub fn rank_week(&mut self, day: u32) -> RankedPredictions {
         let _span = nevermind_obs::span!("weekly/rank_week");
         while self.pending.front().is_some_and(|f| f.day() < day) {
@@ -292,21 +347,7 @@ impl<'a> WeeklyScorer<'a> {
         nevermind_obs::counter_add!("weekly/lines_scored", n_rows);
         // lint:allow(no-panic-in-lib) -- this week's frame was ingested or adopted just above
         let frame = self.store.latest().expect("frame for the ranked week");
-        let plan = &self.plan;
-        let fill = |slot: usize, rows: std::ops::Range<usize>, out: &mut [f32]| match plan[slot] {
-            Source::Base(l) => frame.fill_restored(l, rows, out),
-            Source::Quadratic(l) => {
-                frame.fill_restored(l, rows, out);
-                for o in out.iter_mut() {
-                    *o = *o * *o;
-                }
-            }
-            Source::Product(a, b) => {
-                frame.fill_restored(a, rows.clone(), out);
-                frame.mul_restored(b, rows, out);
-            }
-        };
-        let margins = self.scorer.margins_gather_parallel(n_rows, self.shards, &fill);
+        let margins = self.plan.margins(n_rows, self.shards, &lane_base(&self.store, frame));
         let probabilities = self.predictor.calibration().probabilities(&margins);
         let rows: Vec<RowKey> = self.lines.iter().map(|l| RowKey { line: l.id, day }).collect();
         RankedPredictions::from_scores(rows, probabilities, frame.labels_vec())
@@ -316,27 +357,16 @@ impl<'a> WeeklyScorer<'a> {
     /// into the predictor's assembled feature space, for
     /// [`TicketPredictor::explain`]. Columns the ensemble never reads come
     /// back as `NaN` (no stump touches them, so their contribution is
-    /// exactly zero); used columns are regathered from the store's lanes by
-    /// the very plan the week's margins were computed with, so the
-    /// reconstructed margin is bit-identical to the ranking's. Returns
-    /// `None` before the first ranked week or when `row` is out of range.
+    /// exactly zero); used columns are rebuilt from the store's lanes by
+    /// the plan the week's margins were computed with, so the reconstructed
+    /// margin is bit-identical to the ranking's. Returns `None` before the
+    /// first ranked week or when `row` is out of range.
     pub fn traced_assembled_row(&self, row: usize) -> Option<Vec<f32>> {
         let frame = self.store.latest()?;
         if row >= frame.n_lines() {
             return None;
         }
-        let mut assembled = vec![f32::NAN; self.n_assembled];
-        for (slot, &col) in self.used.iter().enumerate() {
-            assembled[col] = match self.plan[slot] {
-                Source::Base(l) => frame.value(l, row),
-                Source::Quadratic(l) => {
-                    let v = frame.value(l, row);
-                    v * v
-                }
-                Source::Product(a, b) => frame.value(a, row) * frame.value(b, row),
-            };
-        }
-        Some(assembled)
+        Some(self.plan.assembled_row(|c| frame.value(lane_of(&self.store, c), row)))
     }
 
     /// The week's top-`budget` lines, best first — the dispatch list.
@@ -352,12 +382,170 @@ impl<'a> WeeklyScorer<'a> {
     }
 }
 
+/// The plan's base values from a row-major base-space matrix.
+fn matrix_base(x: &FeatureMatrix) -> impl Fn(usize, Range<usize>, &mut [f32], bool) + Sync + '_ {
+    move |col, rows, out, multiply| {
+        for (o, r) in out.iter_mut().zip(rows) {
+            let v = x.get(r, col);
+            *o = if multiply { *o * v } else { v };
+        }
+    }
+}
+
+/// The plan's base values from `store`'s lanes in `frame`, with missing
+/// bits restored to `NaN`.
+fn lane_base<'s>(
+    store: &'s FeatureStore,
+    frame: &'s WeekFrame,
+) -> impl Fn(usize, Range<usize>, &mut [f32], bool) + Sync + 's {
+    move |col, rows, out, multiply| {
+        let lane = lane_of(store, col);
+        if multiply {
+            frame.mul_restored(lane, rows, out);
+        } else {
+            frame.fill_restored(lane, rows, out);
+        }
+    }
+}
+
+/// The store lane holding base column `col`.
+fn lane_of(store: &FeatureStore, col: usize) -> usize {
+    // lint:allow(no-panic-in-lib) -- the store tracks every base column the plan reads
+    store.lane_of(col).expect("store tracks every plan column")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{ExperimentData, SplitSpec};
     use crate::predictor::PredictorConfig;
     use nevermind_dslsim::SimConfig;
+    use nevermind_features::encode::{assemble, EncodedDataset, EncoderConfig};
+    use nevermind_features::FeatureClass;
+    use nevermind_ml::boost::BoostConfig;
+    use nevermind_ml::data::{Dataset, FeatureMeta};
+    use proptest::prelude::*;
+
+    const N_BASE: usize = 6;
+
+    const MAX_ROWS: usize = 160;
+
+    /// A base-space dataset of 20 to 159 rows on a coarse grid, so many
+    /// values equal a stump threshold, with `±0` and `NaN` holes.
+    fn base_dataset() -> impl Strategy<Value = EncodedDataset> {
+        let value = prop_oneof![
+            1 => Just(f32::NAN),
+            1 => Just(0.0f32),
+            1 => Just(-0.0f32),
+            6 => (-8i32..8).prop_map(|k| k as f32 / 4.0),
+        ];
+        let cells = MAX_ROWS * N_BASE;
+        (
+            20..MAX_ROWS,
+            prop::collection::vec(value, cells..cells + 1),
+            prop::collection::vec(any::<bool>(), MAX_ROWS..MAX_ROWS + 1),
+        )
+            .prop_map(|(n_rows, mut values, mut labels)| {
+                values.truncate(n_rows * N_BASE);
+                labels.truncate(n_rows);
+                let meta = (0..N_BASE).map(|c| FeatureMeta::continuous(format!("b{c}"))).collect();
+                EncodedDataset {
+                    data: Dataset::new(FeatureMatrix::new(n_rows, meta, values), labels),
+                    rows: (0..n_rows).map(|r| RowKey { line: LineId(r as u32), day: 6 }).collect(),
+                    classes: vec![FeatureClass::Basic; N_BASE],
+                }
+            })
+    }
+
+    /// Selected base columns (repeats allowed) and derived features over
+    /// any base columns, so one column can be a base slot and a factor.
+    /// At least one column is selected.
+    fn selection() -> impl Strategy<Value = (Vec<usize>, Vec<DerivedFeature>)> {
+        let derived = prop_oneof![
+            (0..N_BASE).prop_map(|col| DerivedFeature::Quadratic { col }),
+            (0..N_BASE, 0..N_BASE).prop_map(|(a, b)| DerivedFeature::Product { a, b }),
+        ];
+        (0..N_BASE, prop::collection::vec(0..N_BASE, 0..5), prop::collection::vec(derived, 0..5))
+            .prop_map(|(first, mut base, derived)| {
+                if base.is_empty() && derived.is_empty() {
+                    base.push(first);
+                }
+                (base, derived)
+            })
+    }
+
+    /// A model fitted on the assembled matrix of `base`.
+    fn fit(assembled: &Dataset) -> BStump {
+        let cfg = BoostConfig { n_bins: 8, parallel: false, ..BoostConfig::with_iterations(12) };
+        BStump::fit(assembled, &cfg)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The plan's margins are `BStump::margins` over the assembled
+        /// matrix, bit for bit, at any part count, whether the base values
+        /// come from a row-major matrix or from store lanes (the store
+        /// widened by one more column, so lanes and columns differ).
+        #[test]
+        fn plan_margins_match_the_assembled_matrix(
+            base in base_dataset(),
+            (sel, der) in selection(),
+            extra in 0..N_BASE,
+        ) {
+            let assembled = assemble(&base, &sel, &der);
+            let model = fit(&assembled);
+            // An empty ensemble sums to -0.0 per row but gathers to +0.0.
+            if model.stumps().is_empty() {
+                return;
+            }
+            let want = model.margins(&assembled.x);
+            let plan = CompiledPredictor::new(&model, &sel, &der);
+            let mut cols = plan.base_columns();
+            cols.push(extra);
+            cols.sort_unstable();
+            cols.dedup();
+            let n = base.data.len();
+            let mut store = FeatureStore::new(n, &cols, &EncoderConfig::default());
+            store.ingest_frame(6, &base.select_columns(&cols));
+            let frame = store.latest().expect("frame just ingested");
+            for parts in [1, 2, 7, 0] {
+                let from_matrix = plan.margins(n, parts, &matrix_base(&base.data.x));
+                let from_lanes = plan.margins(n, parts, &lane_base(&store, frame));
+                for (r, w) in want.iter().enumerate() {
+                    prop_assert_eq!(from_matrix[r].to_bits(), w.to_bits(), "matrix row {}", r);
+                    prop_assert_eq!(from_lanes[r].to_bits(), w.to_bits(), "lanes row {}", r);
+                }
+            }
+            prop_assert_eq!(plan.matrix_margins(&base.data.x), want);
+        }
+
+        /// `assembled_row` is the assembled matrix's row on every column a
+        /// stump reads, and `NaN` on every other, so its margin is the row's.
+        #[test]
+        fn assembled_rows_match_the_assembled_matrix(
+            base in base_dataset(),
+            (sel, der) in selection(),
+        ) {
+            let assembled = assemble(&base, &sel, &der);
+            let model = fit(&assembled);
+            let used: Vec<usize> = model.stumps().iter().map(|s| s.feature).collect();
+            let plan = CompiledPredictor::new(&model, &sel, &der);
+            for r in 0..base.data.len() {
+                let row = plan.assembled_row(|c| base.data.x.get(r, c));
+                let want = assembled.x.row(r);
+                prop_assert_eq!(row.len(), want.len());
+                for (j, (g, w)) in row.iter().zip(want).enumerate() {
+                    if used.contains(&j) {
+                        prop_assert_eq!(g.to_bits(), w.to_bits(), "row {} column {}", r, j);
+                    } else {
+                        prop_assert!(g.is_nan(), "row {} unused column {} is {}", r, j, g);
+                    }
+                }
+                prop_assert_eq!(model.margin(&row).to_bits(), model.margin(want).to_bits());
+            }
+        }
+    }
 
     #[test]
     fn weekly_engine_matches_batch_ranking() {

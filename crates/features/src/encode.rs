@@ -16,6 +16,13 @@
 //! tests and tickets, one line at a time, through the weekly encoder's
 //! per-line state and routine (`crate::incremental`), so batch and weekly
 //! rows are the same bytes by construction.
+//!
+//! [`assemble`] builds a model's feature space from a base encoding in one
+//! pass: the selected base columns, then the derived quadratic and product
+//! columns, each computed by [`DerivedFeature::value`]. Training, feature
+//! selection and the locator build their matrices with it; population
+//! scoring never builds one (the core crate's compiled plan gathers the
+//! base columns it needs instead).
 
 use crate::incremental::{encode_line_into, LineState};
 use crate::indexes::{MeasurementIndex, TicketIndex};
@@ -50,6 +57,25 @@ impl Default for EncoderConfig {
     }
 }
 
+impl EncoderConfig {
+    /// First day of the history window that ends on `day`. A window longer
+    /// than the `u32` day range reaches back to day 0.
+    pub(crate) fn window_start(&self, day: u32) -> u32 {
+        day.saturating_sub(saturating_u32(self.history_weeks).saturating_mul(7))
+    }
+
+    /// Last day of the label window `(day, day + horizon]`. A horizon past
+    /// the `u32` day range ends on its last day.
+    pub(crate) fn label_end(&self, day: u32) -> u32 {
+        day.saturating_add(self.horizon_days)
+    }
+}
+
+/// `n` as a `u32`, or `u32::MAX` when it does not fit.
+pub(crate) fn saturating_u32(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
+}
+
 /// Identifies a row of an [`EncodedDataset`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RowKey {
@@ -78,32 +104,6 @@ impl EncodedDataset {
             rows: self.rows.clone(),
             classes: cols.iter().map(|&c| self.classes[c]).collect(),
         }
-    }
-
-    /// Horizontal concatenation (same rows).
-    ///
-    /// # Panics
-    /// Panics if the row keys differ.
-    pub fn hconcat(&self, other: &EncodedDataset) -> EncodedDataset {
-        assert_eq!(self.rows, other.rows, "hconcat on mismatched rows");
-        let x = self.data.x.hconcat(&other.data.x);
-        let mut classes = self.classes.clone();
-        classes.extend(other.classes.iter().copied());
-        EncodedDataset {
-            data: Dataset::new(x, self.data.y.clone()),
-            rows: self.rows.clone(),
-            classes,
-        }
-    }
-
-    /// Indices of columns in the "history + customer" group.
-    pub fn base_columns(&self) -> Vec<usize> {
-        self.classes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_history() || c.is_customer())
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -213,7 +213,7 @@ impl<'a> BaseEncoder<'a> {
                 }
                 next_test = 0;
             }
-            let window_start = day.saturating_sub(self.config.history_weeks as u32 * 7);
+            let window_start = self.config.window_start(day);
             while let Some(t) = tests.get(next_test).filter(|t| t.day <= day) {
                 if t.day >= window_start {
                     st.push_test(line, t.day, t.values);
@@ -265,7 +265,7 @@ pub(crate) fn fill_row_except_ts(
     config: &EncoderConfig,
     slot: &mut [f32],
 ) {
-    let window_start = day.saturating_sub(config.history_weeks as u32 * 7);
+    let window_start = config.window_start(day);
 
     // --- basic + delta ---
     if let Some(cur) = cur {
@@ -337,31 +337,25 @@ pub fn all_products(base: &EncodedDataset) -> Vec<DerivedFeature> {
     out
 }
 
-/// Materializes derived columns from a base dataset (derived-only result;
-/// combine with [`EncodedDataset::hconcat`]).
-pub fn derive(base: &EncodedDataset, features: &[DerivedFeature]) -> EncodedDataset {
-    let n_rows = base.data.len();
-    let meta: Vec<FeatureMeta> =
-        features.iter().map(|f| FeatureMeta::continuous(f.name(base.data.x.meta()))).collect();
-    let classes: Vec<FeatureClass> = features.iter().map(|f| f.class()).collect();
-
-    let mut values = Vec::with_capacity(n_rows * features.len());
-    for r in 0..n_rows {
-        let row = base.data.x.row(r);
-        for f in features {
-            let v = match f {
-                DerivedFeature::Quadratic { col } => row[*col] * row[*col],
-                DerivedFeature::Product { a, b } => row[*a] * row[*b],
-            };
-            values.push(v);
-        }
+/// The assembled feature space of a base encoding, built in one pass:
+/// base columns `cols` (in order, repeats allowed), then one continuous
+/// column per `derived` feature, named by [`DerivedFeature::name`] and
+/// valued by [`DerivedFeature::value`] over the row's base values. The
+/// labels are `base`'s.
+///
+/// # Panics
+/// Panics if a column index is outside `base`.
+pub fn assemble(base: &EncodedDataset, cols: &[usize], derived: &[DerivedFeature]) -> Dataset {
+    let x = &base.data.x;
+    let mut meta: Vec<FeatureMeta> = cols.iter().map(|&c| x.meta()[c].clone()).collect();
+    meta.extend(derived.iter().map(|f| FeatureMeta::continuous(f.name(x.meta()))));
+    let mut values = Vec::with_capacity(x.n_rows() * meta.len());
+    for r in 0..x.n_rows() {
+        let row = x.row(r);
+        values.extend(cols.iter().map(|&c| row[c]));
+        values.extend(derived.iter().map(|f| f.value(|c| row[c])));
     }
-
-    EncodedDataset {
-        data: Dataset::new(FeatureMatrix::new(n_rows, meta, values), base.data.y.clone()),
-        rows: base.rows.clone(),
-        classes,
-    }
+    Dataset::new(FeatureMatrix::new(x.n_rows(), meta, values), base.data.y.clone())
 }
 
 #[cfg(test)]
@@ -693,34 +687,80 @@ mod tests {
         );
     }
 
+    /// `assemble` lays out the selected base columns (repeats allowed),
+    /// then the derived columns; every cell, name and label is checked
+    /// against its definition.
     #[test]
     fn derived_columns_compute_squares_and_products() {
         let (lines, out) = sim();
         let enc =
             BaseEncoder::new(&lines, &out.measurements, &out.tickets, EncoderConfig::default());
         let ds = enc.encode(&[20 * 7 + 6]);
-        let feats =
-            vec![DerivedFeature::Quadratic { col: 1 }, DerivedFeature::Product { a: 1, b: 2 }];
-        let der = derive(&ds, &feats);
-        assert_eq!(der.data.x.n_cols(), 2);
-        for r in 0..ds.data.len().min(50) {
-            let a = ds.data.x.get(r, 1);
-            let b = ds.data.x.get(r, 2);
-            let q = der.data.x.get(r, 0);
-            let p = der.data.x.get(r, 1);
-            if a.is_nan() {
-                assert!(q.is_nan());
-            } else {
-                assert_eq!(q, a * a);
+        let cols = [2 * N_METRICS + 3, 1, 1];
+        let feats = [DerivedFeature::Quadratic { col: 1 }, DerivedFeature::Product { a: 1, b: 2 }];
+        let assembled = assemble(&ds, &cols, &feats);
+        let (x, meta) = (&assembled.x, ds.data.x.meta());
+        assert_eq!(x.n_cols(), cols.len() + feats.len());
+        assert_eq!(assembled.y, ds.data.y, "labels");
+        for (j, &c) in cols.iter().enumerate() {
+            assert_eq!(x.meta()[j], meta[c], "base column {j}");
+        }
+        let names: Vec<&str> = x.meta()[cols.len()..].iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["quad:basic:dnbr^2", "prod:basic:dnbr*basic:upbr"]);
+        assert!(x.meta()[cols.len()..].iter().all(|m| m.kind == FeatureKind::Continuous));
+        let mut saw_missing = false;
+        for r in 0..ds.data.len() {
+            let base = ds.data.x.row(r);
+            let row = x.row(r);
+            for (j, &c) in cols.iter().enumerate() {
+                assert_eq!(row[j].to_bits(), base[c].to_bits(), "row {r} base column {j}");
             }
-            if a.is_nan() || b.is_nan() {
-                assert!(p.is_nan());
-            } else {
-                assert_eq!(p, a * b);
+            for (j, f) in feats.iter().enumerate() {
+                let want = f.value(|c| base[c]);
+                assert_eq!(row[cols.len() + j].to_bits(), want.to_bits(), "row {r} derived {j}");
+            }
+            let (a, b) = (base[1], base[2]);
+            saw_missing |= a.is_nan();
+            assert_eq!(row[3].is_nan(), a.is_nan(), "row {r}: a missing factor stays missing");
+            assert_eq!(row[4].is_nan(), a.is_nan() || b.is_nan(), "row {r}");
+            if !a.is_nan() && !b.is_nan() {
+                assert_eq!((row[3], row[4]), (a * a, a * b), "row {r}");
             }
         }
-        let joined = ds.hconcat(&der);
-        assert_eq!(joined.data.x.n_cols(), ds.data.x.n_cols() + 2);
+        assert!(saw_missing, "some modem was off that Saturday");
+    }
+
+    /// A label horizon or history window past the `u32` day range covers
+    /// the whole range, in the batch replay and the weekly encoder alike:
+    /// with an unbounded horizon a row is positive when its line has any
+    /// later customer-edge ticket, and every oversized window encodes the
+    /// rows a window reaching back to day 0 does.
+    #[test]
+    fn day_windows_saturate_at_the_end_of_the_day_range() {
+        let (lines, out) = sim();
+        let day = 15 * 7 + 6;
+        let encode = |cfg: &EncoderConfig| {
+            let batch = BaseEncoder::new(&lines, &out.measurements, &out.tickets, cfg.clone())
+                .encode(&[day]);
+            let mut weekly = crate::IncrementalEncoder::new(&lines, cfg.clone());
+            weekly.ingest(&out.measurements, &out.tickets);
+            assert_same_bits(&weekly.encode_day(day), &batch);
+            batch
+        };
+        let unbounded = EncoderConfig { horizon_days: u32::MAX, ..EncoderConfig::default() };
+        let ds = encode(&unbounded);
+        for (row, key) in ds.rows.iter().enumerate() {
+            let later = out.customer_edge_tickets().any(|t| t.line == key.line && t.day > day);
+            assert_eq!(ds.data.y[row], later, "line {}", key.line);
+        }
+        assert!(ds.data.n_positive() > 0, "some line has a later ticket");
+
+        let whole_run = encode(&EncoderConfig { history_weeks: 10_000, ..unbounded.clone() });
+        for history_weeks in [613_566_757, u32::MAX as usize, usize::MAX] {
+            let cfg = EncoderConfig { history_weeks, ..unbounded.clone() };
+            assert_eq!(cfg.window_start(day), 0, "{history_weeks} weeks");
+            assert_same_bits(&encode(&cfg), &whole_run);
+        }
     }
 
     #[test]
@@ -740,6 +780,7 @@ mod tests {
         let enc =
             BaseEncoder::new(&lines, &out.measurements, &out.tickets, EncoderConfig::default());
         let ds = enc.encode(&[20 * 7 + 6]);
-        assert_eq!(ds.base_columns().len(), ds.data.x.n_cols());
+        assert_eq!(ds.classes.len(), ds.data.x.n_cols());
+        assert!(ds.classes.iter().all(|c| c.is_history() || c.is_customer()));
     }
 }

@@ -153,7 +153,7 @@ pub(crate) fn encode_line_into(
 
     // The paper's label window `(day, day + horizon]`.
     let c = st.tickets.partition_point(|&d| d <= day);
-    let label = st.tickets.get(c).is_some_and(|&d| d <= day + config.horizon_days);
+    let label = st.tickets.get(c).is_some_and(|&d| d <= config.label_end(day));
     (RowKey { line: line.id, day }, label)
 }
 
@@ -295,7 +295,7 @@ impl<'a> IncrementalEncoder<'a> {
             .collect();
 
         let n_rows = self.lines.len();
-        let window_start = day.saturating_sub(self.config.history_weeks as u32 * 7);
+        let window_start = self.config.window_start(day);
         let mut values = vec![0.0f32; n_rows * cols.len()];
         let mut rows = vec![RowKey { line: LineId(0), day }; n_rows];
         let mut labels = vec![false; n_rows];

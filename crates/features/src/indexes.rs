@@ -55,11 +55,12 @@ impl TicketIndex {
     }
 
     /// Day of the first ticket in `(day, day + horizon]` — the paper's
-    /// `NT(u, t) < T` label window.
+    /// `NT(u, t) < T` label window. A horizon past the `u32` day range
+    /// covers the rest of it.
     pub fn first_within(&self, line: LineId, day: u32, horizon: u32) -> Option<u32> {
         let days = &self.per_line[line.index()];
         let cut = days.partition_point(|&d| d <= day);
-        days.get(cut).copied().filter(|&d| d <= day + horizon)
+        days.get(cut).copied().filter(|&d| d <= day.saturating_add(horizon))
     }
 
     /// All ticket days for a line.
@@ -112,5 +113,6 @@ mod tests {
         assert_eq!(idx.first_within(LineId(0), 9, 28), Some(10));
         assert_eq!(idx.first_within(LineId(0), 9, 1), Some(10));
         assert_eq!(idx.first_within(LineId(0), 5, 4), None);
+        assert_eq!(idx.first_within(LineId(0), 9, u32::MAX), Some(10));
     }
 }

@@ -21,7 +21,8 @@
 //!
 //! [`incremental`] holds the weekly encoder and the one per-line routine
 //! that fills a base row; [`encode`] the batch encoder, which replays each
-//! line of a fixed log through that routine, plus the derived features;
+//! line of a fixed log through that routine, the derived-feature
+//! enumerations and `assemble`, the one builder of a model's feature space;
 //! [`indexes`] the per-line measurement/ticket views the replay reads (and
 //! the core crate's label lookups); [`store`] the week-major columnar
 //! [`FeatureStore`] the weekly encoder writes and every downstream reader

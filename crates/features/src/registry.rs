@@ -1,4 +1,10 @@
 //! Feature taxonomy: the Table-3 classes and derived-feature descriptors.
+//!
+//! [`DerivedFeature`] is the one definition of a derived column: its class,
+//! its name ([`DerivedFeature::name`]) and its value
+//! ([`DerivedFeature::value`]). Assembling a training matrix
+//! (`crate::encode::assemble`) and re-expanding a scored row for
+//! provenance both compute derived values through it.
 
 use nevermind_ml::data::FeatureMeta;
 use serde::{Deserialize, Serialize};
@@ -89,6 +95,19 @@ impl DerivedFeature {
             DerivedFeature::Product { a, b } => format!("prod:{}*{}", base[a].name, base[b].name),
         }
     }
+
+    /// The derived value of one row, given its base values by column: one
+    /// `f32` product, `v·v` or `a·b`. A missing (`NaN`) factor makes the
+    /// value `NaN`.
+    pub fn value(self, base: impl Fn(usize) -> f32) -> f32 {
+        match self {
+            DerivedFeature::Quadratic { col } => {
+                let v = base(col);
+                v * v
+            }
+            DerivedFeature::Product { a, b } => base(a) * base(b),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -123,5 +142,9 @@ mod tests {
             ["dnbr", "looplength", "ts:dnnmr"].map(FeatureMeta::continuous).to_vec();
         assert_eq!(DerivedFeature::Quadratic { col: 2 }.name(&base), "quad:ts:dnnmr^2");
         assert_eq!(DerivedFeature::Product { a: 0, b: 1 }.name(&base), "prod:dnbr*looplength");
+        let row = [3.0f32, -0.5, f32::NAN];
+        assert_eq!(DerivedFeature::Quadratic { col: 0 }.value(|c| row[c]), 9.0);
+        assert_eq!(DerivedFeature::Product { a: 0, b: 1 }.value(|c| row[c]), -1.5);
+        assert!(DerivedFeature::Product { a: 1, b: 2 }.value(|c| row[c]).is_nan());
     }
 }

@@ -66,7 +66,7 @@
 //! can view pages in place. Export is byte-deterministic: the same frames
 //! always serialize to the same bytes (pinned by the store tests).
 
-use crate::encode::{EncodedDataset, EncoderConfig};
+use crate::encode::{saturating_u32, EncodedDataset, EncoderConfig};
 use nevermind_ml::data::FeatureMatrix;
 
 /// Magic bytes opening a `nevermind-store/v1` document.
@@ -243,8 +243,8 @@ impl WeekFrame {
 
     /// Multiplies `out` element-wise by rows `rows` of a lane with missing
     /// entries treated as `NaN` (`x * NaN = NaN`, so a missing factor
-    /// poisons the product exactly as the batch derive pass does) — the
-    /// second factor of a product-feature block fill.
+    /// poisons the product exactly as [`crate::DerivedFeature::value`]
+    /// does) — the second factor of a derived-feature block fill.
     ///
     /// # Panics
     /// Panics if `rows` exceeds the population or `out.len() != rows.len()`.
@@ -309,8 +309,8 @@ impl FeatureStore {
             n_lines,
             cols: cols.to_vec(),
             horizon_days: config.horizon_days,
-            history_weeks: config.history_weeks as u32,
-            min_history_tests: config.min_history_tests as u32,
+            history_weeks: saturating_u32(config.history_weeks),
+            min_history_tests: saturating_u32(config.min_history_tests),
             delta_max_lookback_days: config.delta_max_lookback_days,
             retention: Retention::Latest,
             frames: Vec::new(),
@@ -353,10 +353,12 @@ impl FeatureStore {
 
     /// Whether the store was built under the same encoder configuration —
     /// the header guard a resumed trial checks before adopting frames.
+    /// Counts past the `u32` range compare as `u32::MAX`, which encodes
+    /// the same rows as any larger count.
     pub fn matches_config(&self, config: &EncoderConfig) -> bool {
         self.horizon_days == config.horizon_days
-            && self.history_weeks == config.history_weeks as u32
-            && self.min_history_tests == config.min_history_tests as u32
+            && self.history_weeks == saturating_u32(config.history_weeks)
+            && self.min_history_tests == saturating_u32(config.min_history_tests)
             && self.delta_max_lookback_days == config.delta_max_lookback_days
     }
 
@@ -461,11 +463,10 @@ impl FeatureStore {
     /// Serializes the store as one `nevermind-store/v1` document
     /// (byte-deterministic; see the module docs for the layout).
     pub fn export(&self) -> Vec<u8> {
-        let words = words_for(self.n_lines);
-        let frame_bytes =
-            8 + pad8(4 * self.cols.len() * self.n_lines) + 8 * self.cols.len() * words + 8 * words;
+        // A capacity hint: in-memory frames always have a size.
+        let frame = frame_bytes(self.cols.len(), self.n_lines).unwrap_or(0);
         let mut out =
-            Vec::with_capacity(pad8(48 + 4 * self.cols.len()) + self.frames.len() * frame_bytes);
+            Vec::with_capacity(pad8(48 + 4 * self.cols.len()) + self.frames.len() * frame);
         out.extend_from_slice(&STORE_MAGIC);
         out.extend_from_slice(&STORE_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.cols.len() as u32).to_le_bytes());
@@ -501,9 +502,14 @@ impl FeatureStore {
     /// [`FeatureStore::export`]. The imported store starts under
     /// [`Retention::All`] (a checkpoint's frames are all wanted).
     ///
+    /// The header's counts are checked against the document's length
+    /// before anything is allocated for them, so a crafted header cannot
+    /// ask for more memory than the document could fill.
+    ///
     /// # Errors
     /// Returns [`StoreError`] when the document is not a well-formed v1
-    /// store.
+    /// store: [`StoreError::Truncated`] when it is shorter than its header
+    /// promises, [`StoreError::Malformed`] when a promised size overflows.
     pub fn import(bytes: &[u8]) -> Result<Self, StoreError> {
         let mut r = Reader { bytes, off: 0 };
         if r.take(8, "magic")? != STORE_MAGIC {
@@ -522,6 +528,7 @@ impl FeatureStore {
         let min_history_tests = r.u32("min-history guard")?;
         let delta_max_lookback_days = r.u32("lookback guard")?;
         let _reserved = r.u32("reserved header word")?;
+        r.expect_items(n_lanes, 4, "lane directory")?;
         let mut cols = Vec::with_capacity(n_lanes);
         for _ in 0..n_lanes {
             cols.push(r.u32("lane directory")? as usize);
@@ -532,6 +539,9 @@ impl FeatureStore {
         r.skip_pad8("header padding")?;
 
         let words = words_for(n_lines);
+        let frame_size = frame_bytes(n_lanes, n_lines)
+            .ok_or_else(|| StoreError::Malformed { detail: "frame size overflows".into() })?;
+        r.expect_items(n_frames, frame_size, "frames")?;
         let mut frames = Vec::with_capacity(n_frames);
         let mut last_day: Option<u32> = None;
         for _ in 0..n_frames {
@@ -590,6 +600,15 @@ fn pad8(n: usize) -> usize {
     n.div_ceil(8) * 8
 }
 
+/// Bytes one exported frame of `n_lanes` lanes over `n_lines` lines
+/// occupies — day and reserved word, padded value pages, one missing
+/// bitmap per lane and the label bitmap — or `None` if that overflows.
+fn frame_bytes(n_lanes: usize, n_lines: usize) -> Option<usize> {
+    let values = n_lanes.checked_mul(n_lines)?.checked_mul(4)?.checked_next_multiple_of(8)?;
+    let bitmaps = n_lanes.checked_add(1)?.checked_mul(words_for(n_lines))?.checked_mul(8)?;
+    values.checked_add(bitmaps)?.checked_add(8)
+}
+
 fn pad_to8(out: &mut Vec<u8>) {
     while out.len() % 8 != 0 {
         out.push(0);
@@ -626,6 +645,23 @@ impl<'a> Reader<'a> {
 
     fn u64(&mut self, reading: &'static str) -> Result<u64, StoreError> {
         Ok(u64::from_le_bytes(self.array8(reading)?))
+    }
+
+    /// Fails unless `count` items of `size` bytes each fit in the rest of
+    /// the document.
+    fn expect_items(
+        &self,
+        count: usize,
+        size: usize,
+        reading: &'static str,
+    ) -> Result<(), StoreError> {
+        let need = count
+            .checked_mul(size)
+            .ok_or_else(|| StoreError::Malformed { detail: format!("{reading} size overflows") })?;
+        if need > self.bytes.len() - self.off {
+            return Err(StoreError::Truncated { reading });
+        }
+        Ok(())
     }
 
     fn skip_pad8(&mut self, reading: &'static str) -> Result<(), StoreError> {
@@ -811,6 +847,38 @@ mod tests {
         let mut trailing = store_with_frame(8).export();
         trailing.push(0);
         assert!(matches!(FeatureStore::import(&trailing), Err(StoreError::Malformed { .. })));
+    }
+
+    /// A header whose counts the document cannot hold is rejected before
+    /// anything is allocated for them.
+    #[test]
+    fn import_checks_header_counts_against_the_document_length() {
+        let header = |n_lanes: u32, n_lines: u64, n_frames: u32| {
+            let mut bytes = STORE_MAGIC.to_vec();
+            for word in [STORE_VERSION, n_lanes] {
+                bytes.extend_from_slice(&word.to_le_bytes());
+            }
+            bytes.extend_from_slice(&n_lines.to_le_bytes());
+            for word in [n_frames, 28, 26, 4, 21, 0] {
+                bytes.extend_from_slice(&word.to_le_bytes());
+            }
+            bytes
+        };
+        let truncated = |bytes: &[u8], reading: &'static str| {
+            let err = FeatureStore::import(bytes).err();
+            assert_eq!(err, Some(StoreError::Truncated { reading }), "{reading}");
+        };
+        truncated(&header(u32::MAX, 300, 1), "lane directory");
+        truncated(&header(0, 300, u32::MAX), "frames");
+        let mut huge_lines = header(1, 1 << 40, 1);
+        huge_lines.extend_from_slice(&[0; 16]);
+        truncated(&huge_lines, "frames");
+        let mut overflowing = header(2, 1 << 62, 1);
+        overflowing.extend_from_slice(&[0; 8]);
+        assert!(
+            matches!(FeatureStore::import(&overflowing), Err(StoreError::Malformed { .. })),
+            "a frame size past usize is malformed"
+        );
     }
 
     #[test]

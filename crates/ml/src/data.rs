@@ -146,23 +146,6 @@ impl FeatureMatrix {
         FeatureMatrix::new(self.n_rows, meta, values)
     }
 
-    /// Concatenates two matrices horizontally (same rows, columns of `self`
-    /// followed by columns of `other`).
-    ///
-    /// # Panics
-    /// Panics if the row counts differ.
-    pub fn hconcat(&self, other: &FeatureMatrix) -> FeatureMatrix {
-        assert_eq!(self.n_rows, other.n_rows, "hconcat: row count mismatch");
-        let mut meta = self.meta.clone();
-        meta.extend(other.meta.iter().cloned());
-        let mut values = Vec::with_capacity(self.n_rows * (self.n_cols + other.n_cols));
-        for r in 0..self.n_rows {
-            values.extend_from_slice(self.row(r));
-            values.extend_from_slice(other.row(r));
-        }
-        FeatureMatrix::new(self.n_rows, meta, values)
-    }
-
     /// Builds a new matrix keeping only the listed rows, in order.
     pub fn select_rows(&self, rows: &[usize]) -> FeatureMatrix {
         let mut values = Vec::with_capacity(rows.len() * self.n_cols);
@@ -283,24 +266,6 @@ mod tests {
         assert_eq!(s.n_rows(), 2);
         assert_eq!(s.row(0), &[3.0, 0.0]);
         assert_eq!(s.row(1)[0], 1.0);
-    }
-
-    #[test]
-    fn hconcat_joins_columns() {
-        let a = toy();
-        let b = FeatureMatrix::new(3, vec![FeatureMeta::continuous("c")], vec![9.0, 8.0, 7.0]);
-        let j = a.hconcat(&b);
-        assert_eq!(j.n_cols(), 3);
-        assert_eq!(j.row(0), &[1.0, 0.0, 9.0]);
-        assert_eq!(j.meta()[2].name, "c");
-    }
-
-    #[test]
-    #[should_panic(expected = "row count mismatch")]
-    fn hconcat_rejects_mismatched_rows() {
-        let a = toy();
-        let b = FeatureMatrix::new(2, vec![FeatureMeta::continuous("c")], vec![1.0, 2.0]);
-        let _ = a.hconcat(&b);
     }
 
     #[test]

@@ -224,69 +224,6 @@ pub fn precision_curve(scores: &[f64], labels: &[bool], cutoffs: &[usize]) -> Ve
     result
 }
 
-/// Points of the ROC curve, `(false_positive_rate, true_positive_rate)`,
-/// one per distinct score threshold (descending), starting at `(0, 0)` and
-/// ending at `(1, 1)`. Tied scores move as a block.
-pub fn roc_curve(scores: &[f64], labels: &[bool]) -> Vec<(f64, f64)> {
-    assert_eq!(scores.len(), labels.len(), "score/label mismatch");
-    let n_pos = labels.iter().filter(|&&y| y).count() as f64;
-    let n_neg = labels.len() as f64 - n_pos;
-    let order = argsort_desc(scores);
-    let mut points = vec![(0.0, 0.0)];
-    let (mut tp, mut fp) = (0.0f64, 0.0f64);
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
-            j += 1;
-        }
-        for &k in &order[i..=j] {
-            if labels[k] {
-                tp += 1.0;
-            } else {
-                fp += 1.0;
-            }
-        }
-        points.push((
-            if n_neg > 0.0 { fp / n_neg } else { 0.0 },
-            if n_pos > 0.0 { tp / n_pos } else { 0.0 },
-        ));
-        i = j + 1;
-    }
-    points
-}
-
-/// Points of the precision–recall curve, `(recall, precision)`, one per
-/// distinct score threshold (descending). Tied scores move as a block.
-/// Returns an empty vector when there are no positives.
-pub fn pr_curve(scores: &[f64], labels: &[bool]) -> Vec<(f64, f64)> {
-    assert_eq!(scores.len(), labels.len(), "score/label mismatch");
-    let n_pos = labels.iter().filter(|&&y| y).count() as f64;
-    if n_pos == 0.0 {
-        return Vec::new();
-    }
-    let order = argsort_desc(scores);
-    let mut points = Vec::new();
-    let mut tp = 0.0f64;
-    let mut seen = 0.0f64;
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
-            j += 1;
-        }
-        for &k in &order[i..=j] {
-            seen += 1.0;
-            if labels[k] {
-                tp += 1.0;
-            }
-        }
-        points.push((tp / n_pos, tp / seen));
-        i = j + 1;
-    }
-    points
-}
-
 /// Number of true positives within the top `k` of the ranking.
 pub fn hits_at_k(scores: &[f64], labels: &[bool], k: usize) -> usize {
     let order = argsort_desc(scores);
@@ -449,43 +386,6 @@ mod tests {
             let expected = precision_at_k(&s, &y, k);
             assert!((p - expected).abs() < 1e-12, "k={k}");
         }
-    }
-
-    #[test]
-    fn roc_curve_endpoints_and_monotonicity() {
-        let s = [0.9, 0.8, 0.7, 0.6, 0.5];
-        let y = [true, false, true, false, true];
-        let curve = roc_curve(&s, &y);
-        assert_eq!(curve[0], (0.0, 0.0));
-        assert_eq!(*curve.last().expect("non-empty"), (1.0, 1.0));
-        for w in curve.windows(2) {
-            assert!(w[1].0 >= w[0].0 && w[1].1 >= w[0].1, "ROC must be monotone");
-        }
-    }
-
-    #[test]
-    fn roc_area_matches_auc() {
-        // Trapezoid integration of roc_curve must reproduce the rank-based AUC.
-        let s = [0.9, 0.3, 0.7, 0.2, 0.5, 0.8];
-        let y = [true, false, true, false, false, true];
-        let curve = roc_curve(&s, &y);
-        let mut area = 0.0;
-        for w in curve.windows(2) {
-            area += (w[1].0 - w[0].0) * (w[0].1 + w[1].1) / 2.0;
-        }
-        assert!((area - auc(&s, &y)).abs() < 1e-12, "area {area} vs auc {}", auc(&s, &y));
-    }
-
-    #[test]
-    fn pr_curve_first_point_and_final_recall() {
-        let s = [0.9, 0.8, 0.7, 0.6];
-        let y = [true, false, false, true];
-        let curve = pr_curve(&s, &y);
-        assert_eq!(curve[0], (0.5, 1.0), "top-1 is a positive: recall 1/2, precision 1");
-        let last = *curve.last().expect("non-empty");
-        assert_eq!(last.0, 1.0, "full sweep reaches recall 1");
-        assert_eq!(last.1, 0.5, "final precision is the base rate");
-        assert!(pr_curve(&s, &[false; 4]).is_empty());
     }
 
     #[test]

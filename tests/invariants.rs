@@ -160,8 +160,7 @@ fn boosting_handles_missing_without_nan() {
 #[test]
 fn derived_features_propagate_nan() {
     use nevermind_dslsim::LineId;
-    use nevermind_features::encode::derive;
-    use nevermind_features::encode::{EncodedDataset, RowKey};
+    use nevermind_features::encode::{assemble, EncodedDataset, RowKey};
     use nevermind_features::registry::{DerivedFeature, FeatureClass};
 
     let meta = vec![FeatureMeta::continuous("x"), FeatureMeta::continuous("y")];
@@ -171,14 +170,15 @@ fn derived_features_propagate_nan() {
         rows: (0..3).map(|i| RowKey { line: LineId(i), day: 6 }).collect(),
         classes: vec![FeatureClass::Basic, FeatureClass::Basic],
     };
-    let der = derive(
+    let der = assemble(
         &base,
+        &[],
         &[DerivedFeature::Quadratic { col: 0 }, DerivedFeature::Product { a: 0, b: 1 }],
     );
-    assert_eq!(der.data.x.get(0, 0), 1.0);
-    assert_eq!(der.data.x.get(0, 1), 2.0);
-    assert!(der.data.x.get(1, 0).is_nan(), "NaN² must stay NaN");
-    assert!(der.data.x.get(1, 1).is_nan(), "NaN·y must stay NaN");
-    assert_eq!(der.data.x.get(2, 0), 16.0);
-    assert!(der.data.x.get(2, 1).is_nan());
+    assert_eq!(der.x.get(0, 0), 1.0);
+    assert_eq!(der.x.get(0, 1), 2.0);
+    assert!(der.x.get(1, 0).is_nan(), "NaN² must stay NaN");
+    assert!(der.x.get(1, 1).is_nan(), "NaN·y must stay NaN");
+    assert_eq!(der.x.get(2, 0), 16.0);
+    assert!(der.x.get(2, 1).is_nan());
 }
