@@ -25,7 +25,7 @@ use nevermind_dslsim::LineId;
 use nevermind_features::encode::{all_quadratics, EncodedDataset, EncoderConfig, RowKey};
 use nevermind_features::registry::DerivedFeature;
 use nevermind_ml::boost::{BStump, BoostConfig};
-use nevermind_ml::calibrate::PlattScale;
+use nevermind_ml::calibrate::{CalibrateError, PlattScale};
 use nevermind_ml::cv::k_folds;
 use nevermind_ml::data::{Dataset, FeatureMatrix};
 use nevermind_ml::logistic::{LogisticModel, LogisticRegression};
@@ -116,7 +116,6 @@ pub struct TroubleLocator {
     flat_models: Vec<BStump>,
     flat_cal: Vec<PlattScale>,
     location_models: Vec<BStump>,
-    location_cal: Vec<PlattScale>,
     /// Eq.-2 fusion per modeled disposition.
     combine: Vec<LogisticModel>,
     /// Training frequency per disposition (basic ranks + fallback scores).
@@ -132,7 +131,8 @@ impl TroubleLocator {
     /// # Errors
     /// Returns [`PipelineError::NoTrainingExamples`] when the window holds
     /// no usable dispatch examples, or [`PipelineError::Calibration`] when
-    /// a per-disposition calibration fit is rejected.
+    /// a per-disposition calibration fit is rejected or a location model's
+    /// out-of-fold margin is not finite.
     pub fn fit(
         data: &ExperimentData,
         from: u32,
@@ -197,9 +197,10 @@ impl TroubleLocator {
             flat_oof.push(oof);
         }
 
-        // Major-location models (always enough data: four classes).
+        // Major-location models (always enough data: four classes). Their
+        // out-of-fold margins feed only the Eq.-2 fusion, so they get no
+        // Platt scale, but a non-finite one is still a calibration error.
         let mut location_models = Vec::with_capacity(4);
-        let mut location_cal = Vec::with_capacity(4);
         let mut location_oof = Vec::with_capacity(4);
         for loc in MajorLocation::ALL {
             let y: Vec<bool> = examples.iter().map(|e| e.disposition.location() == loc).collect();
@@ -210,7 +211,9 @@ impl TroubleLocator {
                 &boost_cfg,
                 0x10C_0000 + loc as u64,
             );
-            location_cal.push(PlattScale::fit(&oof, &y)?);
+            if let Some(index) = oof.iter().position(|m| !m.is_finite()) {
+                return Err(CalibrateError::NonFiniteMargin { index }.into());
+            }
             location_models.push(model);
             location_oof.push(oof);
         }
@@ -238,7 +241,6 @@ impl TroubleLocator {
             flat_models,
             flat_cal,
             location_models,
-            location_cal,
             combine,
             priors,
             selected_derived,

@@ -308,10 +308,13 @@ pub struct TrialResult {
 
 /// Runs the operational NEVERMIND loop against a twin reactive baseline.
 ///
-/// Both runs share the simulator seed, so the plant, customers, faults and
-/// weather are identical; the only difference is the weekly proactive
-/// dispatches. The predictor is trained once, on the logs available at the
-/// end of the warm-up window, then applied every following Saturday.
+/// The twins are one world until the policy starts: the warm-up is
+/// stepped once, and the reactive baseline is a
+/// [`World::counterfactual`] forked from it, so the plant, customers,
+/// faults and weather are identical and the only difference is the weekly
+/// proactive dispatches. The predictor is trained once, on the logs
+/// available at the end of the warm-up window, then applied every
+/// following Saturday.
 ///
 /// # Errors
 /// Returns [`PipelineError`] when the warm-up exceeds the horizon or the
@@ -363,11 +366,23 @@ pub fn run_proactive_trial_with(
         None => sim_config.days,
     };
 
+    // Warm-up. Nothing is dispatched proactively before the policy starts,
+    // so up to `policy_start_day` the live world and its reactive twin are
+    // one world: it is stepped once, and the twin forks from it below.
+    let mut world = World::generate(sim_config.clone()).with_shards(options.shards);
+    {
+        let _s = nevermind_obs::span!("warmup");
+        while world.day() < policy_start_day {
+            world.step_day();
+        }
+    }
+
     // Reactive baseline. The twin is a counterfactual: its technician
     // visits answer to no rank or dispatch decision an operator could ask
     // about, and at scale they would flood the bounded trace ring before
-    // the proactive world even starts — so decision tracing is suspended
-    // for its lifetime (deterministically: plain flag save/restore).
+    // the proactive world steps on — so decision tracing is suspended for
+    // its lifetime (deterministically: plain flag save/restore). It runs no
+    // line tests either: the trial reads only its tickets and churn.
     let baseline = {
         let _s = nevermind_obs::span!("baseline_world");
         let tracing = nevermind_obs::trace::enabled();
@@ -376,7 +391,7 @@ pub fn run_proactive_trial_with(
         // interleave with (and displace) the live world's windows.
         let history = nevermind_obs::history::enabled();
         nevermind_obs::history::set_enabled(false);
-        let mut baseline_world = World::generate(sim_config.clone()).with_shards(options.shards);
+        let mut baseline_world = world.counterfactual();
         while baseline_world.day() < end_day {
             baseline_world.step_day();
         }
@@ -389,17 +404,8 @@ pub fn run_proactive_trial_with(
         baseline.customer_edge_tickets().filter(|t| t.day >= policy_start_day).count();
     let reactive_churn = baseline.churn_events.iter().filter(|c| c.day >= policy_start_day).count();
     // Those two counts are all the trial needs of the twin: free its logs
-    // before the proactive world grows its own.
+    // before training copies the live world's.
     drop(baseline);
-
-    // Proactive run.
-    let mut world = World::generate(sim_config.clone()).with_shards(options.shards);
-    {
-        let _s = nevermind_obs::span!("warmup");
-        while world.day() < policy_start_day {
-            world.step_day();
-        }
-    }
 
     // Train on warm-up logs: the live world's own (paper protocol), or a
     // separately simulated world's (drift injection).
@@ -426,11 +432,9 @@ pub fn run_proactive_trial_with(
             }
             nevermind_obs::history::set_enabled(history);
             nevermind_obs::trace::set_enabled(tracing);
-            ExperimentData {
-                config: train_cfg,
-                topology: train_world.topology().clone(),
-                output: train_world.output().clone(),
-            }
+            // The world is done: move its logs rather than copy them.
+            let topology = train_world.topology().clone();
+            ExperimentData { config: train_cfg, topology, output: train_world.into_output() }
         }
     };
     let mut train_for_split = train_data;

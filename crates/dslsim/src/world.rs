@@ -122,6 +122,7 @@ struct LineHazard {
 /// Deriving per-DSLAM (not per-shard) is what makes the draw sequence a
 /// property of the plant rather than of the partition: shard boundaries
 /// can move freely without perturbing a single sample.
+#[derive(Clone)]
 struct SubtreeRngs {
     fault: ChaCha8Rng,
     customer: ChaCha8Rng,
@@ -145,6 +146,7 @@ impl SubtreeRngs {
 }
 
 /// Mutable per-line and per-DSLAM state, split into shard slices each day.
+#[derive(Clone)]
 struct PlantState {
     /// Per line: fault history.
     faults: Vec<Vec<Fault>>,
@@ -166,6 +168,10 @@ struct PlantState {
 }
 
 /// The running simulation.
+///
+/// `Clone` copies everything — plant state, every per-DSLAM RNG stream and
+/// the logs so far — so a clone steps on bit-for-bit like the original.
+#[derive(Clone)]
 pub struct World {
     config: SimConfig,
     topology: Topology,
@@ -182,6 +188,8 @@ pub struct World {
     priors: [f64; N_DISPOSITIONS],
 
     shards: usize,
+    /// Run the Saturday line tests; off only in a [`World::counterfactual`].
+    line_tests: bool,
     day: u32,
     next_ticket: u32,
     out: SimOutput,
@@ -202,6 +210,7 @@ struct StepCtx<'a> {
     priors: [f64; N_DISPOSITIONS],
     day: u32,
     trace: bool,
+    line_tests: bool,
 }
 
 /// One shard's slice of the mutable plant state: a contiguous DSLAM range
@@ -387,7 +396,7 @@ fn step_shard(ctx: &StepCtx<'_>, shard: &mut ShardMut<'_>, buf: &mut DayBuffer) 
     refresh_outage_state(ctx, shard);
     advance_lines(ctx, shard, buf);
     process_dispatches(ctx, shard, buf);
-    if DayOfWeek::of(ctx.day).is_test_day() {
+    if ctx.line_tests && DayOfWeek::of(ctx.day).is_test_day() {
         run_line_tests(ctx, shard, buf);
     }
 }
@@ -788,6 +797,7 @@ impl World {
             },
             priors: taxonomy_priors(),
             shards: 1,
+            line_tests: true,
             day: 0,
             next_ticket: 0,
             out: SimOutput {
@@ -820,6 +830,20 @@ impl World {
     /// The shard count [`World::with_shards`] set (`0` = every core).
     pub fn shards(&self) -> usize {
         self.shards
+    }
+
+    /// A copy of the world that runs no Saturday line tests: the same
+    /// plant state, every per-DSLAM RNG stream and the logs so far.
+    ///
+    /// The line tests draw only from each DSLAM's `measure` stream and
+    /// write only measurements, so skipping them moves no other stream.
+    /// Stepped the same way, the copy logs exactly the tickets, notes,
+    /// churn events, IVR calls, outages and traffic the original would;
+    /// its measurements stop at the fork day. This is the reactive twin
+    /// of a proactive trial, which reads only tickets and churn from it.
+    #[must_use]
+    pub fn counterfactual(&self) -> Self {
+        Self { line_tests: false, ..self.clone() }
     }
 
     /// The configuration the world was built from.
@@ -914,6 +938,7 @@ impl World {
             priors: self.priors,
             day,
             trace: nevermind_obs::trace::enabled(),
+            line_tests: self.line_tests,
         };
         let bounds = nevermind_obs::par::bounds(self.topology.dslams.len(), self.shards);
         let shards = split_shards(&self.topology, &bounds, &mut self.state);

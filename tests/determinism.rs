@@ -2,9 +2,10 @@
 //! produce bit-identical worlds, models, and rankings — the property every
 //! experiment in EXPERIMENTS.md relies on.
 
-use nevermind::pipeline::{ExperimentData, SplitSpec};
+use nevermind::pipeline::{run_proactive_trial_with, ExperimentData, SplitSpec, TrialOptions};
 use nevermind::predictor::{PredictorConfig, TicketPredictor};
-use nevermind_dslsim::SimConfig;
+use nevermind_dslsim::scenario::Scenario;
+use nevermind_dslsim::{SimConfig, World};
 
 fn sim(seed: u64) -> SimConfig {
     let mut cfg = SimConfig::small(seed);
@@ -135,5 +136,48 @@ fn step_and_run_agree() {
     assert_eq!(run_out.notes.len(), step_out.notes.len());
     for (a, b) in run_out.measurements.iter().zip(&step_out.measurements).take(2_000) {
         assert_eq!(a.values, b.values);
+    }
+}
+
+#[test]
+fn forked_twin_counts_match_a_separately_stepped_twin() {
+    // The trial forks its reactive twin from the live world at policy
+    // start. Its counts must equal those of a twin generated fresh and
+    // stepped from day 0 to the trial's last day.
+    const WARMUP_WEEKS: u32 = 14;
+    let cfg = Scenario::Baseline.config(0x7_1A1, 300, 160);
+    let pcfg = PredictorConfig {
+        iterations: 40,
+        budget_fraction: 0.01,
+        selection_row_cap: 8_000,
+        ..PredictorConfig::default()
+    };
+    let policy_start_day = WARMUP_WEEKS * 7;
+    for shards in [1, 3] {
+        // No stop, a stop before the warm-up ends, and one mid-policy.
+        for stop_after_week in [None, Some(5), Some(18)] {
+            let end_day = stop_after_week.map_or(cfg.days, |w| cfg.days.min((w + 1) * 7));
+            let mut twin = World::generate(cfg.clone()).with_shards(shards);
+            while twin.day() < end_day {
+                twin.step_day();
+            }
+            let twin = twin.into_output();
+            let expected = (
+                twin.customer_edge_tickets().filter(|t| t.day >= policy_start_day).count(),
+                twin.churn_events.iter().filter(|c| c.day >= policy_start_day).count(),
+            );
+            if stop_after_week.is_none() {
+                assert!(expected.0 > 0, "the policy window must hold reactive tickets");
+            }
+            let options = TrialOptions { shards, stop_after_week, ..TrialOptions::default() };
+            let outcome = run_proactive_trial_with(cfg.clone(), &pcfg, WARMUP_WEEKS, &options)
+                .expect("trial config is valid")
+                .outcome;
+            assert_eq!(
+                (outcome.reactive_tickets, outcome.reactive_churn),
+                expected,
+                "{shards} shards, stop after week {stop_after_week:?}"
+            );
+        }
     }
 }
