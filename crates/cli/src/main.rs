@@ -4,7 +4,7 @@
 //! nevermind simulate --out DIR [--scenario S] [--lines N] [--days D] [--seed S] [--shards N]
 //! nevermind train    --data DIR/dataset.json --model FILE [--iterations N] ...
 //! nevermind rank     --data DIR/dataset.json --model FILE [--top N] [--explain N]
-//! nevermind locate   --data DIR/dataset.json [--line ID] [--top N]
+//! nevermind locate   --data DIR/dataset.json [--top N] [--dispatches N] [--iterations N]
 //! nevermind lint     [--root PATH] [--format text|json] [--out FILE] [--rules a,b]
 //! nevermind trial    [--scenario S] [--lines N] [--days D] [--warmup-weeks W] [--shards N]
 //! nevermind explain  --trace FILE --line ID
@@ -122,7 +122,7 @@ USAGE:
   nevermind simulate --out DIR [--scenario NAME] [--lines N] [--days D] [--seed S] [--shards N]
   nevermind train    --data FILE --model FILE [--iterations N] [--budget-fraction F]
   nevermind rank     --data FILE --model FILE [--top N] [--explain N]
-  nevermind locate   --data FILE [--top N] [--dispatches N]
+  nevermind locate   --data FILE [--top N] [--dispatches N] [--iterations N]
   nevermind trial    [--scenario NAME] [--lines N] [--days D] [--seed S] [--warmup-weeks W]
                      [--shards N] [--train-scenario NAME] [--obs-listen ADDR] [--profile PATH]
                      [--history on|off] [--rules PATH]

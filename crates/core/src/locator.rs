@@ -13,9 +13,11 @@
 //!   rare dispositions borrow strength from their location.
 //!
 //! Every one-vs-rest model trains on the same assembled matrix, and only
-//! its labels differ. Binning reads no labels, so a fit bins that matrix
-//! once and all full models train on the one binning; each out-of-fold
-//! refit bins its own rows.
+//! its labels differ. Binning reads no labels, so a fit sorts each column
+//! of that matrix once: all full models train on the one binning, and each
+//! out-of-fold refit reads its rows' binning off the same sort. The models
+//! are independent, so each one (its full fit and its refits) is one task
+//! of a fan-out over every core, and no fit spreads its rounds.
 
 use crate::error::PipelineError;
 use crate::pipeline::ExperimentData;
@@ -29,7 +31,7 @@ use nevermind_ml::calibrate::{CalibrateError, PlattScale};
 use nevermind_ml::cv::k_folds;
 use nevermind_ml::data::{Dataset, FeatureMatrix};
 use nevermind_ml::logistic::{LogisticModel, LogisticRegression};
-use nevermind_ml::stump::BinnedDataset;
+use nevermind_ml::stump::{BinnedDataset, SortedColumns};
 use serde::{Deserialize, Serialize};
 
 /// Trouble-locator hyper-parameters.
@@ -139,6 +141,19 @@ impl TroubleLocator {
         to: u32,
         config: &LocatorConfig,
     ) -> Result<Self, PipelineError> {
+        Self::fit_in_parts(data, from, to, config, 0)
+    }
+
+    /// [`Self::fit`] with its models spread over `threads`
+    /// [`nevermind_obs::par`] parts (`0` = every core); the locator is the
+    /// same at any part count.
+    fn fit_in_parts(
+        data: &ExperimentData,
+        from: u32,
+        to: u32,
+        config: &LocatorConfig,
+        threads: usize,
+    ) -> Result<Self, PipelineError> {
         let _span = nevermind_obs::span!("locator/fit");
         let examples = collect_dispatch_examples(&data.output.notes, from, to);
         if examples.is_empty() {
@@ -160,17 +175,22 @@ impl TroubleLocator {
         }
         let total = examples.len() as f64;
 
+        // Every model's fits run on one core each (the fan-out is across
+        // models below), so no boosting round starts a thread.
         let boost_cfg = BoostConfig {
             iterations: config.iterations,
             n_bins: config.n_bins,
             smoothing: None,
-            parallel: true,
+            parallel: false,
         };
-        // Binning reads no labels, so every full one-vs-rest fit below
-        // shares one binning of the assembled matrix.
-        let binned = BinnedDataset::from_matrix(&assembled.x, config.n_bins);
+        // Binning reads no labels, so every fit below bins off one sort of
+        // the assembled matrix: the full fits share its full binning, and
+        // each out-of-fold refit filters the sort to its training rows.
+        let sorted = SortedColumns::new(&assembled.x);
+        let binned = sorted.binned(config.n_bins);
 
-        // One-vs-rest flat models for modeled dispositions. Calibration
+        // One-vs-rest flat models for modeled dispositions, then one per
+        // major location (always enough data: four classes). Calibration
         // (and the Eq.-2 fusion below) must NOT see training margins — a
         // boosted model separates its own training set almost perfectly, so
         // Platt fitted in-sample turns every rare-class model into an
@@ -180,37 +200,45 @@ impl TroubleLocator {
             .map(DispositionId)
             .filter(|d| priors[d.0 as usize] >= config.min_examples as f64)
             .collect();
+        // Each model's labels and fold seed.
+        let tasks: Vec<(Vec<bool>, u64)> = modeled
+            .iter()
+            .map(|&d| {
+                let y = examples.iter().map(|e| e.disposition == d).collect();
+                (y, 0xD15_0000 + d.0 as u64)
+            })
+            .chain(MajorLocation::ALL.into_iter().map(|loc| {
+                let y = examples.iter().map(|e| e.disposition.location() == loc).collect();
+                (y, 0x10C_0000 + loc as u64)
+            }))
+            .collect();
+        // One task per model (its full fit and its out-of-fold refits),
+        // spread over `threads` parts; the results come back in task order.
+        let mut fits = nevermind_obs::par::map(tasks.len(), threads, |range| {
+            tasks[range]
+                .iter()
+                .map(|(y, seed)| {
+                    fit_with_oof_margins(&assembled.x, &sorted, &binned, y, &boost_cfg, *seed)
+                })
+                .collect::<Vec<_>>()
+        })
+        .concat();
+
+        let location_fits = fits.split_off(modeled.len());
         let mut flat_models = Vec::with_capacity(modeled.len());
         let mut flat_cal = Vec::with_capacity(modeled.len());
         let mut flat_oof = Vec::with_capacity(modeled.len());
-        for &d in &modeled {
-            let y: Vec<bool> = examples.iter().map(|e| e.disposition == d).collect();
-            let (model, oof) = fit_with_oof_margins(
-                &assembled.x,
-                &binned,
-                &y,
-                &boost_cfg,
-                0xD15_0000 + d.0 as u64,
-            );
-            flat_cal.push(PlattScale::fit(&oof, &y)?);
+        for ((model, oof), (y, _)) in fits.into_iter().zip(&tasks) {
+            flat_cal.push(PlattScale::fit(&oof, y)?);
             flat_models.push(model);
             flat_oof.push(oof);
         }
-
-        // Major-location models (always enough data: four classes). Their
-        // out-of-fold margins feed only the Eq.-2 fusion, so they get no
-        // Platt scale, but a non-finite one is still a calibration error.
+        // The location models' out-of-fold margins feed only the Eq.-2
+        // fusion, so they get no Platt scale, but a non-finite one is still
+        // a calibration error.
         let mut location_models = Vec::with_capacity(4);
         let mut location_oof = Vec::with_capacity(4);
-        for loc in MajorLocation::ALL {
-            let y: Vec<bool> = examples.iter().map(|e| e.disposition.location() == loc).collect();
-            let (model, oof) = fit_with_oof_margins(
-                &assembled.x,
-                &binned,
-                &y,
-                &boost_cfg,
-                0x10C_0000 + loc as u64,
-            );
+        for (model, oof) in location_fits {
             if let Some(index) = oof.iter().position(|m| !m.is_finite()) {
                 return Err(CalibrateError::NonFiniteMargin { index }.into());
             }
@@ -221,15 +249,11 @@ impl TroubleLocator {
         // Eq. 2: logistic fusion of (disposition margin, location margin),
         // fitted on the out-of-fold margins.
         let mut combine = Vec::with_capacity(modeled.len());
-        for (mi, &d) in modeled.iter().enumerate() {
+        for ((&d, oof), (y, _)) in modeled.iter().zip(&flat_oof).zip(&tasks) {
             let loc_idx = location_index(d.location());
-            let x: Vec<Vec<f64>> = flat_oof[mi]
-                .iter()
-                .zip(&location_oof[loc_idx])
-                .map(|(&a, &b)| vec![a, b])
-                .collect();
-            let y: Vec<bool> = examples.iter().map(|e| e.disposition == d).collect();
-            combine.push(LogisticRegression::default().fit(&x, &y));
+            let x: Vec<Vec<f64>> =
+                oof.iter().zip(&location_oof[loc_idx]).map(|(&a, &b)| vec![a, b]).collect();
+            combine.push(LogisticRegression::default().fit(&x, y));
         }
 
         for p in priors.iter_mut() {
@@ -384,21 +408,25 @@ impl TroubleLocator {
 /// Trains a model on all rows and returns it together with 3-fold
 /// out-of-fold margins (honest score estimates for calibration/fusion).
 ///
-/// The full model trains on `binned`, the binning of `x`: the model
-/// [`BStump::fit`] would train on `x` with labels `y`. Each fold bins its
-/// own rows, whose quantiles differ from the full matrix's.
+/// Every fit is the model [`BStump::fit`] would train on its rows of `x`:
+/// the full model trains on `binned`, the binning of `x`, and each fold on
+/// the binning `sorted` (the sort of `x`) gives its training rows.
 fn fit_with_oof_margins(
     x: &FeatureMatrix,
+    sorted: &SortedColumns,
     binned: &BinnedDataset,
     y: &[bool],
     boost_cfg: &BoostConfig,
     seed: u64,
 ) -> (BStump, Vec<f64>) {
-    let n = x.n_rows();
-    let w0 = vec![1.0 / n.max(1) as f64; n];
     let all_columns: Vec<usize> = (0..x.n_cols()).collect();
-    let final_model = BStump::fit_binned(binned, y, &w0, boost_cfg, &all_columns);
+    let fit = |binning: &BinnedDataset, labels: &[bool]| {
+        let w0 = vec![1.0 / labels.len().max(1) as f64; labels.len()];
+        BStump::fit_binned(binning, labels, &w0, boost_cfg, &all_columns)
+    };
+    let final_model = fit(binned, y);
 
+    let n = x.n_rows();
     let k = 3.min(n);
     if k < 2 {
         let margins = final_model.margins(x);
@@ -406,14 +434,11 @@ fn fit_with_oof_margins(
     }
     let mut oof = vec![0.0f64; n];
     for fold in k_folds(n, k, seed) {
-        let train = Dataset::new(
-            x.select_rows(&fold.train),
-            fold.train.iter().map(|&row| y[row]).collect(),
-        );
+        let train_y: Vec<bool> = fold.train.iter().map(|&row| y[row]).collect();
         // A fold may lose every positive of a rare class; the resulting
         // single-class fit simply emits strongly negative margins, which is
         // an honest "not this class" signal for the held-out rows.
-        let model = BStump::fit(&train, boost_cfg);
+        let model = fit(&sorted.binned_rows(&fold.train, boost_cfg.n_bins), &train_y);
         for &row in &fold.validation {
             oof[row] = model.margin(x.row(row));
         }
@@ -851,6 +876,88 @@ mod tests {
         for (loc, model) in MajorLocation::ALL.into_iter().zip(&locator.location_models) {
             let y = examples.iter().map(|e| e.disposition.location() == loc).collect();
             assert_eq!(json(model), reference(y), "location {}", loc.label());
+        }
+    }
+
+    /// The models fan out over parts, but the locator is the same at any
+    /// part count.
+    #[test]
+    fn same_locator_at_any_part_count() {
+        let data = ExperimentData::simulate(SimConfig::small(93));
+        let days = data.config.days;
+        let cfg = LocatorConfig { iterations: 25, min_examples: 5, ..LocatorConfig::default() };
+        let json = |threads| {
+            let locator = TroubleLocator::fit_in_parts(&data, 30, days, &cfg, threads)
+                .expect("window has dispatches");
+            assert!(locator.modeled.len() >= 2, "modeled: {:?}", locator.modeled);
+            serde_json::to_string(&locator).expect("locator serializes")
+        };
+        assert_eq!(json(1), json(3));
+    }
+
+    /// A model's out-of-fold margins as they came before the one sort:
+    /// `BStump::fit` on a `select_rows` copy of each fold's training rows.
+    fn oof_margins_on_copied_rows(
+        x: &FeatureMatrix,
+        y: &[bool],
+        boost_cfg: &BoostConfig,
+        seed: u64,
+    ) -> Vec<f64> {
+        let mut oof = vec![0.0f64; x.n_rows()];
+        for fold in k_folds(x.n_rows(), 3, seed) {
+            let train = Dataset::new(
+                x.select_rows(&fold.train),
+                fold.train.iter().map(|&row| y[row]).collect(),
+            );
+            let model = BStump::fit(&train, boost_cfg);
+            for &row in &fold.validation {
+                oof[row] = model.margin(x.row(row));
+            }
+        }
+        oof
+    }
+
+    /// Every fold refit reads its binning off the one sort of the assembled
+    /// matrix; the Platt scales and Eq.-2 fusions fitted on their margins
+    /// must be those of refits on copied rows.
+    #[test]
+    fn fold_refits_match_fits_on_copied_rows() {
+        let data = ExperimentData::simulate(SimConfig::small(93));
+        let days = data.config.days;
+        let cfg = LocatorConfig { iterations: 25, min_examples: 5, ..LocatorConfig::default() };
+        let locator = TroubleLocator::fit(&data, 30, days, &cfg).expect("window has dispatches");
+        let examples = collect_dispatch_examples(&data.output.notes, 30, days);
+        let x = locator.encode_examples(&data, &examples).x;
+        let boost_cfg = BoostConfig {
+            iterations: cfg.iterations,
+            n_bins: cfg.n_bins,
+            smoothing: None,
+            parallel: true,
+        };
+        fn json(v: &impl Serialize) -> String {
+            serde_json::to_string(v).expect("serializes")
+        }
+        let location_oof: Vec<Vec<f64>> = MajorLocation::ALL
+            .into_iter()
+            .map(|loc| {
+                let y: Vec<bool> =
+                    examples.iter().map(|e| e.disposition.location() == loc).collect();
+                oof_margins_on_copied_rows(&x, &y, &boost_cfg, 0x10C_0000 + loc as u64)
+            })
+            .collect();
+        assert!(locator.modeled.len() >= 2, "modeled: {:?}", locator.modeled);
+        for (mi, &d) in locator.modeled.iter().enumerate() {
+            let y: Vec<bool> = examples.iter().map(|e| e.disposition == d).collect();
+            let oof = oof_margins_on_copied_rows(&x, &y, &boost_cfg, 0xD15_0000 + d.0 as u64);
+            let cal = PlattScale::fit(&oof, &y).expect("finite margins");
+            assert_eq!(json(&locator.flat_cal[mi]), json(&cal), "disposition {}", d.0);
+            let fused: Vec<Vec<f64>> = oof
+                .iter()
+                .zip(&location_oof[location_index(d.location())])
+                .map(|(&a, &b)| vec![a, b])
+                .collect();
+            let combine = LogisticRegression::default().fit(&fused, &y);
+            assert_eq!(json(&locator.combine[mi]), json(&combine), "disposition {}", d.0);
         }
     }
 

@@ -163,7 +163,9 @@ impl BStump {
         normalize(&mut weights);
 
         let threads = if config.parallel && columns.len() >= 8 { 0 } else { 1 };
-        let mut stumps = Vec::with_capacity(config.iterations);
+        // Grown round by round: `iterations` is a budget, not a size, and
+        // may be far above the rounds a fit runs before it stops early.
+        let mut stumps = Vec::new();
 
         for _t in 0..config.iterations {
             let Some((c, res)) = search(columns, &weights, smoothing, threads) else { break };
@@ -523,6 +525,17 @@ mod tests {
         let y = vec![true, false, true, false];
         let cfg = BoostConfig { iterations: 5000, parallel: false, ..BoostConfig::default() };
         let model = BStump::fit_weighted(&x, &y, &[0.25; 4], &cfg);
+        assert!(model.stumps().is_empty(), "trained {} stumps", model.stumps().len());
+    }
+
+    #[test]
+    fn an_unbounded_budget_reserves_nothing_up_front() {
+        // A constant column admits no split, so the fit stops before its
+        // first round, whatever its budget.
+        let meta = vec![FeatureMeta::continuous("f")];
+        let x = FeatureMatrix::new(3, meta, vec![7.0; 3]);
+        let cfg = BoostConfig { iterations: usize::MAX, ..BoostConfig::default() };
+        let model = BStump::fit(&Dataset::new(x, vec![true, false, true]), &cfg);
         assert!(model.stumps().is_empty(), "trained {} stumps", model.stumps().len());
     }
 

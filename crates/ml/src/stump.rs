@@ -19,7 +19,9 @@
 //! under [`f32::total_cmp`], and edges and bin ids are those of the sort
 //! and binary search the kernel replaced (DESIGN.md §14, "One sort per
 //! column"). Binning a matrix reuses one set of sort buffers for every
-//! column.
+//! column. [`SortedColumns`] keeps every column's sorted order instead, so
+//! that the binning of any subset of the rows (a cross-validation fold) is
+//! read off the one sort.
 //!
 //! The accumulation fills one *slot histogram* per feature: slot `2·b + y`
 //! holds the weight of bin `b`'s rows with label `y`, and slot `2·k` (for a
@@ -107,38 +109,24 @@ impl BinnedFeature {
         n_bins: usize,
         buffers: &mut SortBuffers,
     ) -> Self {
+        let n_rows = values.len();
+        Self::from_sorted(buffers.sort(values), n_rows, n_bins)
+    }
+
+    /// The edges and bins of a column of `n_rows` rows from its sorted
+    /// entries ([`SortBuffers::sort`]'s order; every row id below
+    /// `n_rows`). Rows with no entry are missing.
+    fn from_sorted(sorted: &[u64], n_rows: usize, n_bins: usize) -> Self {
         assert!(n_bins >= 2, "need at least 2 bins");
         assert!(
             n_bins <= MAX_BINS,
             "bin count {n_bins} above {MAX_BINS}: slot codes must fit in u16"
         );
-        let n_rows = values.len();
-        assert!(u32::try_from(n_rows).is_ok(), "{n_rows} rows: packed row ids must fit in u32");
-        let SortBuffers { entries, scratch } = buffers;
-        entries.clear();
-        // Sized to the row count, not grown by doubling: a matrix's first
-        // column allocates what every later column reuses.
-        entries.reserve_exact(n_rows);
-        // Bits set in some key, and bits set in every key: a bit where the
-        // two agree is the same in every key.
-        let (mut any, mut all) = (0u32, u32::MAX);
-        for (row, v) in values.enumerate() {
-            if !v.is_nan() {
-                let key = order_key(v);
-                any |= key;
-                all &= key;
-                entries.push(u64::from(key) << 32 | row as u64);
-            }
-        }
         let mut bin_of_row = vec![MISSING_BIN; n_rows];
-        let m = entries.len();
+        let m = sorted.len();
         if m == 0 {
             return Self { edges: vec![0.0], bin_of_row };
         }
-        if scratch.len() < m {
-            scratch.resize(n_rows, 0);
-        }
-        let sorted = radix_sort(entries, &mut scratch[..m], any ^ all);
         let value = |entry: u64| from_order_key((entry >> 32) as u32);
 
         // Quantile cut points; dedup keeps edges strictly increasing.
@@ -223,6 +211,90 @@ pub(crate) fn binned_columns(
     })
 }
 
+/// Every column of a matrix sorted once, kept so that the binning of the
+/// whole matrix and of any subset of its rows is read off the one sort:
+/// 8 B per present cell, in one buffer sized for every cell.
+///
+/// A binning's edges depend only on the sorted values and a row's bin only
+/// on its value, so filtering a column's sorted entries to a subset's rows
+/// gives the order a sort of that subset would, bins and edges alike
+/// (DESIGN.md §14, "One sort per column").
+#[derive(Debug)]
+pub struct SortedColumns {
+    n_rows: usize,
+    /// Each column's present values as sorted `key << 32 | row` entries,
+    /// column after column.
+    entries: Vec<u64>,
+    /// Column `c`'s entries are `entries[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl SortedColumns {
+    /// Sorts every column of `x`.
+    ///
+    /// # Panics
+    /// Panics if `x` has more than `u32::MAX` rows.
+    pub fn new(x: &FeatureMatrix) -> Self {
+        let mut buffers = SortBuffers::default();
+        let mut entries = Vec::with_capacity(x.n_rows() * x.n_cols());
+        let mut starts = Vec::with_capacity(x.n_cols() + 1);
+        starts.push(0);
+        for c in 0..x.n_cols() {
+            entries.extend_from_slice(buffers.sort((0..x.n_rows()).map(|r| x.get(r, c))));
+            starts.push(entries.len());
+        }
+        Self { n_rows: x.n_rows(), entries, starts }
+    }
+
+    fn columns(&self) -> impl Iterator<Item = &[u64]> + '_ {
+        self.starts.windows(2).map(|w| &self.entries[w[0]..w[1]])
+    }
+
+    /// The binning of the whole matrix: [`BinnedDataset::from_matrix`]'s.
+    pub fn binned(&self, n_bins: usize) -> BinnedDataset {
+        let features = self
+            .columns()
+            .map(|sorted| BinnedFeature::from_sorted(sorted, self.n_rows, n_bins))
+            .collect();
+        BinnedDataset { n_rows: self.n_rows, features }
+    }
+
+    /// The binning of the listed rows, in the listed order: the binning
+    /// [`BinnedDataset::from_matrix`] gives `x.select_rows(rows)`.
+    ///
+    /// # Panics
+    /// Panics if a row is out of range or listed twice.
+    pub fn binned_rows(&self, rows: &[usize], n_bins: usize) -> BinnedDataset {
+        // Each source row's position in `rows`; rows ≤ u32::MAX, so no
+        // position reaches the `u32::MAX` that marks a row left out.
+        let mut position = vec![u32::MAX; self.n_rows];
+        for (i, &row) in rows.iter().enumerate() {
+            assert!(position[row] == u32::MAX, "row {row} listed twice");
+            position[row] = i as u32;
+        }
+        let mut subset = Vec::new();
+        let features = self
+            .columns()
+            .map(|sorted| {
+                // Branch-free: whether a row is kept is a coin flip for a
+                // fold, so every entry is written (re-keyed by position)
+                // and only a kept one moves the end past it.
+                if subset.len() < sorted.len() {
+                    subset.resize(sorted.len(), 0);
+                }
+                let mut kept = 0;
+                for &entry in sorted {
+                    let at = position[entry as u32 as usize];
+                    subset[kept] = entry >> 32 << 32 | u64::from(at);
+                    kept += usize::from(at != u32::MAX);
+                }
+                BinnedFeature::from_sorted(&subset[..kept], rows.len(), n_bins)
+            })
+            .collect();
+        BinnedDataset { n_rows: rows.len(), features }
+    }
+}
+
 /// The two buffers of a column sort, 8 B per row each: the
 /// packed `key << 32 | row` entries and the scratch the radix passes
 /// scatter into. Their capacity outlives one column so that binning a
@@ -231,6 +303,43 @@ pub(crate) fn binned_columns(
 struct SortBuffers {
     entries: Vec<u64>,
     scratch: Vec<u64>,
+}
+
+impl SortBuffers {
+    /// Sorts a column's present values, given in row order, as packed
+    /// `key << 32 | row` entries in [`f32::total_cmp`] order (ties in row
+    /// order); `NaN`s get no entry.
+    ///
+    /// # Panics
+    /// Panics if the column has more than `u32::MAX` rows.
+    fn sort(&mut self, values: impl ExactSizeIterator<Item = f32>) -> &[u64] {
+        let n_rows = values.len();
+        assert!(u32::try_from(n_rows).is_ok(), "{n_rows} rows: packed row ids must fit in u32");
+        let Self { entries, scratch } = self;
+        entries.clear();
+        // Sized to the row count, not grown by doubling: a matrix's first
+        // column allocates what every later column reuses.
+        entries.reserve_exact(n_rows);
+        // Bits set in some key, and bits set in every key: a bit where the
+        // two agree is the same in every key.
+        let (mut any, mut all) = (0u32, u32::MAX);
+        for (row, v) in values.enumerate() {
+            if !v.is_nan() {
+                let key = order_key(v);
+                any |= key;
+                all &= key;
+                entries.push(u64::from(key) << 32 | row as u64);
+            }
+        }
+        let m = entries.len();
+        if m == 0 {
+            return entries;
+        }
+        if scratch.len() < m {
+            scratch.resize(n_rows, 0);
+        }
+        radix_sort(entries, &mut scratch[..m], any ^ all)
+    }
 }
 
 /// The `u32` whose unsigned order is [`f32::total_cmp`]'s order on
@@ -422,6 +531,7 @@ pub fn best_stump(
 mod tests {
     use super::*;
     use crate::data::FeatureMeta;
+    use rand::seq::SliceRandom;
     use rand::{RngExt, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -546,6 +656,65 @@ mod tests {
                 assert_same_binning(&reused, &want);
             }
         }
+    }
+
+    fn assert_same_dataset(got: &BinnedDataset, want: &BinnedDataset) {
+        assert_eq!(got.n_rows(), want.n_rows());
+        assert_eq!(got.n_features(), want.n_features());
+        for c in 0..want.n_features() {
+            assert_same_binning(got.feature(c), want.feature(c));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(160))]
+
+        /// The binnings read off one sort of a matrix equal a fresh binning
+        /// of the whole matrix and of a copy of each row subset, bit for
+        /// bit: cross-validation folds (`k_folds`' shuffled train rows) and
+        /// shuffled subsets of every size from one row to all of them.
+        #[test]
+        fn sorted_columns_bin_like_a_fresh_binning_of_the_rows(
+            seed in 0u64..u64::MAX,
+            n in 1usize..700,
+            n_cols in 1usize..8,
+            n_bins in 2usize..257,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let cols: Vec<(&str, Vec<f32>)> = (0..n_cols)
+                .map(|_| {
+                    let shape = rng.random_range(0..7u32);
+                    let missing = [0.0, 0.01, 0.3, 0.9, 1.0][rng.random_range(0..5usize)];
+                    ("c", shaped_column(&mut rng, n, shape, missing))
+                })
+                .collect();
+            let x = matrix(cols);
+            let sorted = SortedColumns::new(&x);
+            assert_same_dataset(&sorted.binned(n_bins), &BinnedDataset::from_matrix(&x, n_bins));
+
+            let mut subsets: Vec<Vec<usize>> = Vec::new();
+            if n >= 2 {
+                let k = rng.random_range(2..=n.min(5));
+                subsets.extend(crate::cv::k_folds(n, k, rng.random()).into_iter().map(|f| f.train));
+            }
+            for len in [1, rng.random_range(1..=n), n] {
+                let mut rows: Vec<usize> = (0..n).collect();
+                rows.shuffle(&mut rng);
+                rows.truncate(len);
+                subsets.push(rows);
+            }
+            for rows in &subsets {
+                let want = BinnedDataset::from_matrix(&x.select_rows(rows), n_bins);
+                assert_same_dataset(&sorted.binned_rows(rows, n_bins), &want);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 listed twice")]
+    fn subset_binning_rejects_a_repeated_row() {
+        let x = matrix(vec![("f", vec![1.0, 2.0, 3.0])]);
+        SortedColumns::new(&x).binned_rows(&[1, 0, 1], 4);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The one fan-out behind every parallel stage.
 //!
-//! Simulator days, boosting rounds, feature selection, weekly ingest and
-//! encode, gather scoring and top-`B` selection all spread their work
-//! through this module, so they share one set of rules:
+//! Simulator days, boosting rounds, feature selection, the trouble
+//! locator's models, weekly ingest and encode, gather scoring and top-`B`
+//! selection all spread their work through this module, so they share one
+//! set of rules:
 //!
 //! * **Part count**: `0` asks for every available core, `n` asks for `n`;
 //!   either is clamped to `[1, items]`.
