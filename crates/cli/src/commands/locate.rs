@@ -1,7 +1,7 @@
 //! `nevermind locate` — fit the trouble locator on a saved dataset and
 //! show ranked dispositions for held-out dispatches.
 
-use super::{load_dataset, CliResult};
+use super::{iterations, load_dataset, CliResult};
 use crate::args::Args;
 use nevermind::locator::{
     collect_dispatch_examples, LocatorConfig, LocatorEvaluation, TroubleLocator,
@@ -25,10 +25,7 @@ pub(crate) fn run(args: &Args) -> CliResult {
 
     let days = data.config.days;
     let mid = days * 2 / 3;
-    let config = LocatorConfig {
-        iterations: args.get_parsed_or("iterations", 80usize)?,
-        ..LocatorConfig::default()
-    };
+    let config = LocatorConfig { iterations: iterations(args, 80)?, ..LocatorConfig::default() };
     eprintln!("fitting the trouble locator on dispatches in [30, {mid}) ...");
     let locator = TroubleLocator::fit(&data, 30, mid, &config)?;
     println!(

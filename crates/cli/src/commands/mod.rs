@@ -238,6 +238,28 @@ pub(crate) fn budget_fraction(args: &crate::args::Args) -> Result<f64, crate::ar
     }
 }
 
+/// Largest `--iterations` budget accepted (the paper's T is 800).
+pub(crate) const MAX_ITERATIONS: usize = 100_000;
+
+/// `--iterations T`: the boosting budget, `default` when absent. A budget
+/// above [`MAX_ITERATIONS`] is an error naming the flag — a boosting fit
+/// runs until its budget or until no stump lowers `Z`, so a mistyped
+/// budget would look like a hang.
+pub(crate) fn iterations(
+    args: &crate::args::Args,
+    default: usize,
+) -> Result<usize, crate::args::ArgError> {
+    let iterations = args.get_parsed_or("iterations", default)?;
+    if iterations <= MAX_ITERATIONS {
+        Ok(iterations)
+    } else {
+        Err(crate::args::ArgError(format!(
+            "--iterations: '{}' is above {MAX_ITERATIONS}",
+            args.get("iterations").unwrap_or_default()
+        )))
+    }
+}
+
 /// Loads a dataset written by `nevermind simulate` and checks its line ids
 /// against its topology.
 pub(crate) fn load_dataset(

@@ -1,6 +1,6 @@
 //! `nevermind train` — fit the ticket predictor on a saved dataset.
 
-use super::{budget_fraction, load_dataset, CliResult};
+use super::{budget_fraction, iterations, load_dataset, CliResult};
 use crate::args::Args;
 use nevermind::pipeline::SplitSpec;
 use nevermind::predictor::{PredictorConfig, TicketPredictor};
@@ -27,7 +27,7 @@ pub(crate) fn run(args: &Args) -> CliResult {
     let data = load_dataset(&data_path)?;
     let split = SplitSpec::paper_like(&data)?;
     let config = PredictorConfig {
-        iterations: args.get_parsed_or("iterations", 150usize)?,
+        iterations: iterations(args, 150)?,
         budget_fraction,
         n_base: args.get_parsed_or("n-base", 40usize)?,
         n_quadratic: args.get_parsed_or("n-quadratic", 25usize)?,

@@ -2,7 +2,7 @@
 //! model-health telemetry judged by the built-in rule set and optional
 //! drift injection.
 
-use super::{budget_fraction, sim_config_from, CliResult, ObsPlane};
+use super::{budget_fraction, iterations, sim_config_from, CliResult, ObsPlane};
 use crate::args::Args;
 use nevermind::pipeline::{run_proactive_trial_with, TrialOptions};
 use nevermind::predictor::PredictorConfig;
@@ -47,7 +47,7 @@ pub(crate) fn run(args: &Args) -> CliResult {
         warmup = max_warmup;
     }
     let predictor_cfg = PredictorConfig {
-        iterations: args.get_parsed_or("iterations", 120usize)?,
+        iterations: iterations(args, 120)?,
         budget_fraction: budget_fraction(args)?,
         selection_row_cap: 8_000,
         ..PredictorConfig::default()

@@ -436,6 +436,36 @@ fn budget_fraction_outside_zero_to_one_is_a_typed_error() {
 }
 
 #[test]
+fn iterations_above_the_bound_are_a_typed_error() {
+    let (dir, _) = simulated_dataset("iterations");
+    let data = dir.join("dataset.json");
+    let model = dir.join("model.json");
+    let train = vec!["train", "--data", data.to_str().expect("utf8")]
+        .into_iter()
+        .chain(["--model", model.to_str().expect("utf8")])
+        .collect::<Vec<_>>();
+    let locate = vec!["locate", "--data", data.to_str().expect("utf8")];
+    let trial = vec!["trial", "--lines", "300", "--days", "120"];
+    for command in [train, locate, trial] {
+        let run = |extra: &[&str]| bin().args(&command).args(extra).output().expect("run");
+        for bad in ["100001", "18446744073709551615"] {
+            let out = run(&["--iterations", bad]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{} {bad}: {stderr}", command[0]);
+            let needle = format!("error: --iterations: '{bad}' is above 100000");
+            assert!(stderr.contains(&needle), "{} {bad}: {stderr}", command[0]);
+        }
+        // `0` and the subcommand's default keep working.
+        for good in [&["--iterations", "0"][..], &[]] {
+            let out = run(good);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{} {good:?}: {stderr}", command[0]);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn out_of_range_ticket_line_is_a_typed_error() {
     let (dir, json) = simulated_dataset("bad-ticket-line");
     let tampered = tamper_in(&json, "tickets", "line", "999999");

@@ -366,13 +366,7 @@ impl TroubleLocator {
     /// posteriors. This is the greedy optimum for minimizing expected total
     /// testing time when test outcomes are independent.
     pub fn rank_cost_aware(&self, row: &[f32]) -> Vec<DispositionScore> {
-        let mut scores = self.rank_combined(row);
-        scores.sort_by(|a, b| {
-            let ua = a.probability / a.disposition.info().test_minutes;
-            let ub = b.probability / b.disposition.info().test_minutes;
-            ub.total_cmp(&ua).then(a.disposition.0.cmp(&b.disposition.0))
-        });
-        scores
+        cost_aware_order(self.rank_combined(row))
     }
 
     /// The flat model and location model backing one disposition, if
@@ -491,6 +485,18 @@ pub struct ExampleRanks {
     pub cost_aware_minutes: f64,
 }
 
+/// Reorders a combined-model ranking by expected value per minute,
+/// `P(C_ij|x) / test_minutes(C_ij)`, descending, ties by disposition id —
+/// the cost-aware order of [`TroubleLocator::rank_cost_aware`].
+fn cost_aware_order(mut scores: Vec<DispositionScore>) -> Vec<DispositionScore> {
+    scores.sort_by(|a, b| {
+        let ua = a.probability / a.disposition.info().test_minutes;
+        let ub = b.probability / b.disposition.info().test_minutes;
+        ub.total_cmp(&ua).then(a.disposition.0.cmp(&b.disposition.0))
+    });
+    scores
+}
+
 /// Minutes spent testing while walking `order` until `truth` is found: the
 /// sum of each tested disposition's
 /// [`test_minutes`](nevermind_dslsim::disposition::DispositionInfo::test_minutes).
@@ -531,7 +537,7 @@ impl LocatorEvaluation {
                 let truth = e.disposition;
                 let flat_scores = locator.rank_flat(row);
                 let combined_scores = locator.rank_combined(row);
-                let cost_scores = locator.rank_cost_aware(row);
+                let cost_scores = cost_aware_order(combined_scores.clone());
                 let flat = rank_of(&flat_scores, truth);
                 let combined = rank_of(&combined_scores, truth);
                 let cost_aware = rank_of(&cost_scores, truth);
@@ -790,6 +796,26 @@ mod tests {
             cost_min <= combined_min * 1.05,
             "cost-aware {cost_min} vs combined {combined_min}"
         );
+    }
+
+    #[test]
+    fn evaluation_cost_aware_order_matches_rank_cost_aware() {
+        // `run` derives the cost-aware order from the combined ranking it
+        // already holds; each example must read exactly what a separate
+        // `rank_cost_aware` query gives.
+        let (data, locator) = fitted();
+        let days = data.config.days;
+        let ex = collect_dispatch_examples(&data.output.notes, days / 2, days);
+        let ds = locator.encode_examples(&data, &ex);
+        let eval = LocatorEvaluation::run(&locator, &data, days / 2, days);
+        assert!(!ex.is_empty());
+        assert_eq!(eval.per_example.len(), ex.len());
+        for (i, (e, got)) in ex.iter().zip(&eval.per_example).enumerate() {
+            let want = locator.rank_cost_aware(ds.x.row(i));
+            assert_eq!(got.cost_aware, rank_of(&want, e.disposition), "example {i}");
+            let minutes = minutes_walked(want.iter().map(|s| s.disposition), e.disposition);
+            assert_eq!(got.cost_aware_minutes.to_bits(), minutes.to_bits(), "example {i}");
+        }
     }
 
     #[test]

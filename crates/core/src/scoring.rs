@@ -319,9 +319,10 @@ impl<'a> WeeklyScorer<'a> {
     /// rolling state. Equivalent to [`TicketPredictor::rank`] over the
     /// observed logs, at a per-week cost independent of elapsed time.
     ///
-    /// The encoder writes the store's tracked lanes for the week (one
-    /// frame; time-series z-score lanes are independent Welford streams,
-    /// so the subset stays bit-identical per column) — or, if a
+    /// The encoder writes each line straight into the store's tracked
+    /// lanes for the week (one frame, the week's only materialization;
+    /// time-series z-score lanes are independent Welford streams, so the
+    /// subset stays bit-identical per column) — or, if a
     /// checkpointed frame for this day was preloaded, that frame is
     /// adopted and the encode skipped. The compiled plan then scores the
     /// frame: each base column it asks for is read from (or multiplied in
@@ -340,8 +341,7 @@ impl<'a> WeeklyScorer<'a> {
             nevermind_obs::counter_add!("weekly/frames_adopted", 1);
             self.store.adopt_frame(frame);
         } else {
-            let ds = self.encoder.encode_day_cols_sharded(day, self.store.cols(), self.shards);
-            self.store.ingest_frame(day, &ds);
+            self.encoder.encode_week_into(day, self.shards, &mut self.store);
         }
         let n_rows = self.lines.len();
         nevermind_obs::counter_add!("weekly/lines_scored", n_rows);

@@ -220,7 +220,7 @@ impl<'a> BaseEncoder<'a> {
                 }
                 next_test += 1;
             }
-            let (_, label) = encode_line_into(
+            let label = encode_line_into(
                 &self.lines[line.index()],
                 &mut st,
                 day,

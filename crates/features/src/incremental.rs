@@ -19,15 +19,26 @@
 //! encoder runs it over its rolling state; [`crate::BaseEncoder`] replays
 //! each line of a fixed log through one reused `LineState` and runs it at
 //! every requested `(line, Saturday)` key. So a model is scored on features
-//! computed exactly as the ones it was trained on.
+//! computed exactly as the ones it was trained on. It finds the frontier
+//! between a line's history and its current test by scanning back from
+//! the newest test (the tests are day-sorted, so this is the binary
+//! search's index, without its cache-missing probes), and runs the
+//! time-series z-score lanes in groups of four whose arithmetic compiles
+//! to packed `f64` instructions, each lane in `RunningMoments`' exact
+//! operation order.
 //!
 //! Both phases shard by contiguous line ranges
 //! ([`IncrementalEncoder::ingest_sharded`],
+//! [`IncrementalEncoder::encode_week_into`],
 //! [`IncrementalEncoder::encode_day_cols_sharded`]) over
 //! [`nevermind_obs::par`] parts: per-line state is independent, so each
 //! part owns a disjoint slice of it and writes a disjoint slice of the
 //! output — every part count runs the identical per-line routine, which
-//! keeps every shard count bit-identical.
+//! keeps every shard count bit-identical. The weekly writer
+//! ([`IncrementalEncoder::encode_week_into`]) encodes straight into the
+//! store's lanes; its parts start on 64-line boundaries, so no two write
+//! the same bitmap word. [`IncrementalEncoder::encode_day_cols_sharded`]
+//! runs the same per-part loop into a row-major matrix.
 
 use crate::encode::{days_since_ticket, fill_row_except_ts, EncodedDataset, EncoderConfig, RowKey};
 use crate::BaseEncoder;
@@ -88,8 +99,8 @@ pub struct IncrementalEncoder<'a> {
 }
 
 /// Encodes one line into `values_out` (one slot per requested column),
-/// returning its row key and label — the single per-line routine behind
-/// the weekly encoder (serial and sharded) and [`BaseEncoder`]'s replay.
+/// returning its label — the single per-line routine behind the weekly
+/// encoder (row-major and lane writer) and [`BaseEncoder`]'s replay.
 ///
 /// `st` must hold the line's tests up to `day` in day order (later ones are
 /// not visible yet) and its customer-edge ticket days; tests before
@@ -105,7 +116,7 @@ pub(crate) fn encode_line_into(
     config: &EncoderConfig,
     scratch: &mut [f32],
     values_out: &mut [f32],
-) -> (RowKey, bool) {
+) -> bool {
     while st.tests.front().is_some_and(|&(d, _)| d < window_start) {
         st.tests.pop_front();
     }
@@ -113,8 +124,11 @@ pub(crate) fn encode_line_into(
 
     // Tests strictly before `day` are history; one at `day` is the
     // current test (ingesting ahead of the encode day is allowed —
-    // later events are simply not visible yet).
-    let cut = st.tests.partition_point(|&(d, _)| d < day);
+    // later events are simply not visible yet). The tests are day-sorted
+    // and both encoders hold them up to about `day`, so the cut is found
+    // by scanning back from the newest test: the same index as a binary
+    // search, without its cache-missing probes into the deque.
+    let cut = st.tests.len() - st.tests.iter().rev().take_while(|&&(d, _)| d >= day).count();
     let cur = st.tests.get(cut).filter(|&&(d, _)| d == day).map(|(_, v)| v);
     let prev = cut
         .checked_sub(1)
@@ -153,8 +167,48 @@ pub(crate) fn encode_line_into(
 
     // The paper's label window `(day, day + horizon]`.
     let c = st.tickets.partition_point(|&d| d <= day);
-    let label = st.tickets.get(c).is_some_and(|&d| d <= config.label_end(day));
-    (RowKey { line: line.id, day }, label)
+    st.tickets.get(c).is_some_and(|&d| d <= config.label_end(day))
+}
+
+/// Encodes one part's lines at `day` — line `lines[k]` from its rolling
+/// state `state[k]` — handing each row to `put(k, row, label)`, one value
+/// per requested column. The one per-part loop behind both weekly
+/// writers: the row-major matrix and the store's lanes.
+fn encode_part(
+    lines: &[Line],
+    state: &mut [LineState],
+    week: &Week<'_>,
+    config: &EncoderConfig,
+    mut put: impl FnMut(usize, &[f32], bool),
+) {
+    let mut scratch = vec![f32::NAN; week.width];
+    let mut row = vec![0.0f32; week.cols.len()];
+    for (k, (line, st)) in lines.iter().zip(state).enumerate() {
+        let label = encode_line_into(
+            line,
+            st,
+            week.day,
+            week.window_start,
+            week.cols,
+            &week.lanes,
+            config,
+            &mut scratch,
+            &mut row,
+        );
+        put(k, &row, label);
+    }
+}
+
+/// One population encode's inputs, shared by every part.
+struct Week<'c> {
+    day: u32,
+    window_start: u32,
+    /// The requested base columns, in output order.
+    cols: &'c [usize],
+    /// The time-series lanes those columns need.
+    lanes: Vec<usize>,
+    /// The full base width (the per-line scratch row).
+    width: usize,
 }
 
 impl<'a> IncrementalEncoder<'a> {
@@ -239,10 +293,17 @@ impl<'a> IncrementalEncoder<'a> {
         self.encode_day_cols_sharded(day, cols, 1)
     }
 
-    /// Encodes the population at `day` directly into `store` — the
-    /// weekly writer of the week-major [`crate::FeatureStore`]. Encodes
-    /// exactly the store's tracked lanes (sharded) and ingests the result
-    /// through [`crate::FeatureStore::ingest_frame`].
+    /// Encodes the population at `day` straight into a new frame of
+    /// `store` — the weekly writer of the week-major
+    /// [`crate::FeatureStore`] — and retains it. Encodes exactly the
+    /// store's tracked lanes, spread over `shards`
+    /// [`nevermind_obs::par`] parts cut on 64-line boundaries, so no two
+    /// parts write the same bitmap word; each line's row goes straight
+    /// into the frame's lanes, missing bitmaps and label bitmap. The frame
+    /// is byte-identical to [`crate::FeatureStore::ingest_frame`] of
+    /// [`IncrementalEncoder::encode_day_cols_sharded`] over the store's
+    /// columns, at any shard count: both run the same per-line routine and
+    /// the same row writer.
     ///
     /// # Panics
     /// Panics under [`IncrementalEncoder::encode_day_cols`]'s conditions,
@@ -253,8 +314,23 @@ impl<'a> IncrementalEncoder<'a> {
         shards: usize,
         store: &'s mut crate::FeatureStore,
     ) -> &'s crate::store::WeekFrame {
-        let ds = self.encode_day_cols_sharded(day, store.cols(), shards);
-        store.ingest_frame(day, &ds)
+        let _span = nevermind_obs::span!("features/encode_day");
+        let week = self.begin_week(day, store.cols());
+        let n_rows = self.lines.len();
+        assert_eq!(store.n_lines(), n_rows, "store population must match the encoder's");
+        let mut frame = crate::store::WeekFrame::zeroed(day, n_rows, store.n_lanes());
+        let ranges = crate::store::word_bounds(n_rows, shards);
+        let parts = nevermind_obs::par::split_mut(&mut self.state, &ranges, 1)
+            .into_iter()
+            .zip(frame.rows_mut(&ranges))
+            .zip(&ranges);
+        let (lines, config) = (self.lines, &self.config);
+        nevermind_obs::par::run(parts, |((state, mut rows), range)| {
+            encode_part(&lines[range.clone()], state, &week, config, |k, row, label| {
+                rows.put(k, row, label);
+            });
+        });
+        store.adopt_frame(frame)
     }
 
     /// [`IncrementalEncoder::encode_day_cols`] spread over `shards`
@@ -272,6 +348,39 @@ impl<'a> IncrementalEncoder<'a> {
         shards: usize,
     ) -> EncodedDataset {
         let _span = nevermind_obs::span!("features/encode_day");
+        let week = self.begin_week(day, cols);
+        let (meta_full, classes_full) = BaseEncoder::base_meta();
+        let meta: Vec<_> = cols.iter().map(|&c| meta_full[c].clone()).collect();
+        let classes: Vec<_> = cols.iter().map(|&c| classes_full[c]).collect();
+
+        let n_rows = self.lines.len();
+        let n_cols = cols.len();
+        let mut values = vec![0.0f32; n_rows * n_cols];
+        let mut labels = vec![false; n_rows];
+        let ranges = nevermind_obs::par::bounds(n_rows, shards);
+        let parts = nevermind_obs::par::split_mut(&mut self.state, &ranges, 1)
+            .into_iter()
+            .zip(nevermind_obs::par::split_mut(&mut values, &ranges, n_cols))
+            .zip(nevermind_obs::par::split_mut(&mut labels, &ranges, 1))
+            .zip(&ranges);
+        let (lines, config) = (self.lines, &self.config);
+        nevermind_obs::par::run(parts, |(((state, vals), lbs), range)| {
+            encode_part(&lines[range.clone()], state, &week, config, |k, row, label| {
+                vals[k * n_cols..(k + 1) * n_cols].copy_from_slice(row);
+                lbs[k] = label;
+            });
+        });
+
+        EncodedDataset {
+            data: Dataset::new(FeatureMatrix::new(n_rows, meta, values), labels),
+            rows: self.lines.iter().map(|l| RowKey { line: l.id, day }).collect(),
+            classes,
+        }
+    }
+
+    /// Opens one population encode at `day` over `cols`: checks the day
+    /// and the columns, advances the frontier and counts the rows.
+    fn begin_week<'c>(&mut self, day: u32, cols: &'c [usize]) -> Week<'c> {
         nevermind_obs::counter_add!("features/rows_encoded", self.lines.len());
         assert_eq!(day % 7, 6, "prediction day {day} is not a Saturday");
         assert!(
@@ -281,56 +390,52 @@ impl<'a> IncrementalEncoder<'a> {
             self.last_encoded
         );
         self.last_encoded = day;
-
-        let (meta_full, classes_full) = BaseEncoder::base_meta();
-        let n_full = meta_full.len();
-        assert!(cols.iter().all(|&c| c < n_full), "column index out of range");
-        let meta: Vec<_> = cols.iter().map(|&c| meta_full[c].clone()).collect();
-        let classes: Vec<_> = cols.iter().map(|&c| classes_full[c]).collect();
+        let width = BaseEncoder::base_meta().0.len();
+        assert!(cols.iter().all(|&c| c < width), "column index out of range");
         // The time-series lanes the requested columns need.
-        let lanes: Vec<usize> = cols
+        let lanes = cols
             .iter()
             .filter(|&&c| (2 * N_METRICS..3 * N_METRICS).contains(&c))
             .map(|&c| c - 2 * N_METRICS)
             .collect();
+        Week { day, window_start: self.config.window_start(day), cols, lanes, width }
+    }
+}
 
-        let n_rows = self.lines.len();
-        let window_start = self.config.window_start(day);
-        let mut values = vec![0.0f32; n_rows * cols.len()];
-        let mut rows = vec![RowKey { line: LineId(0), day }; n_rows];
-        let mut labels = vec![false; n_rows];
+/// Lanes per group of the z-score pass: on the default x86-64 target a
+/// group's arithmetic compiles to packed SSE2 `f64` instructions, two lanes
+/// per instruction.
+const GROUP: usize = 4;
 
-        let ranges = nevermind_obs::par::bounds(n_rows, shards);
-        let parts = nevermind_obs::par::split_mut(&mut self.state, &ranges, 1)
-            .into_iter()
-            .zip(nevermind_obs::par::split_mut(&mut values, &ranges, cols.len()))
-            .zip(nevermind_obs::par::split_mut(&mut rows, &ranges, 1))
-            .zip(nevermind_obs::par::split_mut(&mut labels, &ranges, 1))
-            .zip(&ranges);
-        let (lines, config) = (self.lines, &self.config);
-        nevermind_obs::par::run(parts, |((((state, vals), rks), lbs), range)| {
-            let mut scratch = vec![f32::NAN; n_full];
-            for (k, st) in state.iter_mut().enumerate() {
-                let (rk, label) = encode_line_into(
-                    &lines[range.start + k],
-                    st,
-                    day,
-                    window_start,
-                    cols,
-                    &lanes,
-                    config,
-                    &mut scratch,
-                    &mut vals[k * cols.len()..(k + 1) * cols.len()],
-                );
-                rks[k] = rk;
-                lbs[k] = label;
-            }
-        });
+/// Most groups a row can need (all 25 lanes).
+const MAX_GROUPS: usize = N_METRICS.div_ceil(GROUP);
 
-        EncodedDataset {
-            data: Dataset::new(FeatureMatrix::new(n_rows, meta, values), labels),
-            rows,
-            classes,
+/// [`nevermind_ml::stats::RunningMoments`]' state for one group of lanes.
+#[derive(Clone, Copy, Default)]
+struct GroupMoments {
+    n: [f64; GROUP],
+    mean: [f64; GROUP],
+    m2: [f64; GROUP],
+}
+
+impl GroupMoments {
+    /// `RunningMoments::push` on every lane of the group at once:
+    /// `n += 1; delta = x - mean; mean += delta / n; m2 += delta * (x - mean)`.
+    /// A missing (`NaN`) lane must keep its state, as `push` skips it: a
+    /// branch-free bit select turns that lane's three increments into
+    /// `+0.0`, and adding `+0.0` leaves `n`, `mean` and `m2` bit for bit —
+    /// none of them is ever `-0.0` (each starts at `+0.0`, and a
+    /// round-to-nearest sum is `-0.0` only when both terms are), and a
+    /// `NaN` state stays the same `NaN`.
+    #[inline(always)]
+    fn push(&mut self, x: [f64; GROUP]) {
+        for (i, x) in x.into_iter().enumerate() {
+            let keep = if x.is_nan() { 0 } else { u64::MAX };
+            let masked = |v: f64| f64::from_bits(v.to_bits() & keep);
+            self.n[i] += masked(1.0);
+            let delta = x - self.mean[i];
+            self.mean[i] += masked(delta / self.n[i]);
+            self.m2[i] += masked(delta * (x - self.mean[i]));
         }
     }
 }
@@ -340,13 +445,16 @@ impl<'a> IncrementalEncoder<'a> {
 /// truncated to the tests strictly before the encode day), in a single
 /// fused pass.
 ///
-/// Each lane performs *exactly* the floating-point operation sequence of
-/// [`nevermind_ml::stats::RunningMoments`] (`push` per non-NaN sample, then
-/// population `std_dev`), and lanes never interact — so every computed lane
-/// is bit-identical to one `RunningMoments` pass over that metric
-/// regardless of which other lanes are requested. The window is traversed
-/// once instead of once per metric, and the NaN skip is a branchless select
-/// over plain slices the compiler can vectorise.
+/// The lanes run in groups of [`GROUP`]; the last group is padded with
+/// copies of its first lane whose results are dropped. Every test updates
+/// every group, so the groups' division chains interleave. Each lane
+/// performs *exactly* the floating-point operation sequence of
+/// [`nevermind_ml::stats::RunningMoments`] (`push` per non-NaN sample,
+/// then population `std_dev`) — a packed instruction rounds each lane as
+/// its scalar form does, and a missing sample adds `+0.0`s that change no
+/// bit ([`GroupMoments::push`]) — and lanes never interact, so every
+/// computed lane is bit-identical to one `RunningMoments` pass over that
+/// metric regardless of which other lanes are requested.
 fn fill_ts_fused(
     history_front: &[(u32, [f32; N_METRICS])],
     history_back: &[(u32, [f32; N_METRICS])],
@@ -355,31 +463,26 @@ fn fill_ts_fused(
     slot: &mut [f32],
 ) {
     assert!(lanes.len() <= N_METRICS);
-    let mut n = [0.0f64; N_METRICS];
-    let mut mean = [0.0f64; N_METRICS];
-    let mut m2 = [0.0f64; N_METRICS];
+    let n_groups = lanes.len().div_ceil(GROUP);
+    let mut index = [[0usize; GROUP]; MAX_GROUPS];
+    for (idx, group) in index.iter_mut().zip(lanes.chunks(GROUP)) {
+        *idx = [group[0]; GROUP];
+        idx[..group.len()].copy_from_slice(group);
+    }
+    let mut moments = [GroupMoments::default(); MAX_GROUPS];
     for part in [history_front, history_back] {
         for (_, v) in part {
-            for (j, &lane) in lanes.iter().enumerate() {
-                let x = f64::from(v[lane]);
-                // RunningMoments::push, with the NaN skip as a select:
-                //   n += 1; delta = x - mean; mean += delta / n; m2 += delta * (x - mean)
-                let miss = x.is_nan();
-                let n1 = n[j] + 1.0;
-                let delta = x - mean[j];
-                let mean1 = mean[j] + delta / n1;
-                let m21 = m2[j] + delta * (x - mean1);
-                n[j] = if miss { n[j] } else { n1 };
-                mean[j] = if miss { mean[j] } else { mean1 };
-                m2[j] = if miss { m2[j] } else { m21 };
+            for (m, idx) in moments[..n_groups].iter_mut().zip(&index) {
+                m.push(idx.map(|lane| f64::from(v[lane])));
             }
         }
     }
     for (j, &lane) in lanes.iter().enumerate() {
+        let m = &moments[j / GROUP];
+        let (n, mean, m2) = (m.n[j % GROUP], m.mean[j % GROUP], m.m2[j % GROUP]);
         // RunningMoments: mean() and variance() are NaN while empty;
         // variance is the population m2 / n.
-        let (mu, sd) =
-            if n[j] == 0.0 { (f64::NAN, f64::NAN) } else { (mean[j], (m2[j] / n[j]).sqrt()) };
+        let (mu, sd) = if n == 0.0 { (f64::NAN, f64::NAN) } else { (mean, (m2 / n).sqrt()) };
         let c = f64::from(cur[lane]);
         let z = if sd > 1e-6 {
             (c - mu) / sd
@@ -396,6 +499,8 @@ fn fill_ts_fused(
 mod tests {
     use super::*;
     use nevermind_dslsim::{SimConfig, SimOutput, World};
+    use nevermind_ml::stats::RunningMoments;
+    use proptest::prelude::*;
 
     fn sim(seed: u64) -> (Vec<Line>, SimOutput) {
         let cfg = SimConfig::small(seed);
@@ -524,9 +629,94 @@ mod tests {
         }
     }
 
+    /// The z-score of one lane from one `RunningMoments` pass over the
+    /// window — the reference the grouped pass must reproduce bit for bit.
+    fn reference_z(
+        history: &[(u32, [f32; N_METRICS])],
+        cur: &[f32; N_METRICS],
+        lane: usize,
+    ) -> f32 {
+        let mut mom = RunningMoments::new();
+        for (_, v) in history {
+            mom.push(f64::from(v[lane]));
+        }
+        let (sd, c) = (mom.std_dev(), f64::from(cur[lane]));
+        let z = if sd > 1e-6 {
+            (c - mom.mean()) / sd
+        } else if (c - mom.mean()).abs() < 1e-6 {
+            0.0
+        } else {
+            f64::NAN
+        };
+        z as f32
+    }
+
+    /// A splitmix64 stream: the proptest's values from one drawn seed.
+    fn stream(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// One metric value of a lane of `kind`: 0 ordinary, 1 with NaN holes,
+    /// 2 constant, 3 all `NaN`.
+    fn lane_value(kind: u64, next: &mut impl FnMut() -> u64) -> f32 {
+        match kind {
+            2 => 7.25,
+            3 => f32::NAN,
+            1 if next() % 3 == 0 => f32::NAN,
+            _ => (next() % 2001) as f32 / 16.0 - 60.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The grouped pass equals one `RunningMoments` pass per lane for
+        /// every lane count 0..=25 — whole groups and padded ones — in any
+        /// lane order, over windows split anywhere across the deque's two
+        /// runs, with NaN holes, constant lanes and all-NaN lanes. Slots
+        /// it was not asked for stay untouched.
+        #[test]
+        fn grouped_lanes_match_running_moments(seed in any::<u64>(), n_tests in 0usize..30) {
+            let mut next = stream(seed);
+            let kinds: Vec<u64> = (0..N_METRICS).map(|_| next() % 4).collect();
+            let tests: Vec<(u32, [f32; N_METRICS])> = (0..n_tests)
+                .map(|t| (7 * t as u32 + 6, std::array::from_fn(|m| lane_value(kinds[m], &mut next))))
+                .collect();
+            // A current test on the constant (z = 0), off it (NaN), or missing.
+            let cur: [f32; N_METRICS] = std::array::from_fn(|m| match next() % 4 {
+                0 => f32::NAN,
+                1 => 7.25,
+                _ => lane_value(kinds[m] % 2, &mut next),
+            });
+            let split = (next() % (n_tests as u64 + 1)) as usize;
+            let sentinel = -1234.5f32;
+            for count in 0..=N_METRICS {
+                let mut order: Vec<usize> = (0..N_METRICS).collect();
+                for i in (1..N_METRICS).rev() {
+                    order.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                let lanes = &order[..count];
+                let mut slot = vec![sentinel; 3 * N_METRICS + 7];
+                fill_ts_fused(&tests[..split], &tests[split..], &cur, lanes, &mut slot);
+                let mut want = vec![sentinel; slot.len()];
+                for &lane in lanes {
+                    want[2 * N_METRICS + lane] = reference_z(&tests, &cur, lane);
+                }
+                for (i, (g, w)) in slot.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(g.to_bits(), w.to_bits(), "lanes {:?}, slot {}: {} vs {}", lanes, i, g, w);
+                }
+            }
+        }
+    }
+
     #[test]
     fn fused_lanes_match_running_moments_with_nan_gaps() {
-        use nevermind_ml::stats::RunningMoments;
         // Windows with NaN holes, constant lanes, and an all-NaN lane — the
         // corner cases of the z-score branches.
         let mk = |vals: [f32; 4]| {
@@ -550,18 +740,7 @@ mod tests {
         fill_ts_fused(&tests[..1], &tests[1..], &cur, &all_lanes, &mut slot);
 
         for i in 0..N_METRICS {
-            let mut mom = RunningMoments::new();
-            for (_, v) in &tests {
-                mom.push(f64::from(v[i]));
-            }
-            let sd = mom.std_dev();
-            let want = if sd > 1e-6 {
-                (f64::from(cur[i]) - mom.mean()) / sd
-            } else if (f64::from(cur[i]) - mom.mean()).abs() < 1e-6 {
-                0.0
-            } else {
-                f64::NAN
-            } as f32;
+            let want = reference_z(&tests, &cur, i);
             let got = slot[2 * N_METRICS + i];
             assert_eq!(got.to_bits(), want.to_bits(), "lane {i}: {got} vs {want}");
         }

@@ -11,15 +11,16 @@
 //! [`FeatureStore`] replaces all of that with one structure-of-arrays
 //! store: per retained week a [`WeekFrame`] holding one contiguous f32
 //! *lane* per tracked base column (lane-major: `lane * n_lines + line`),
-//! one missing-bitmap per lane, and one label bitmap. Every encoded week
-//! enters through [`FeatureStore::ingest_frame`]: the weekly
-//! [`crate::IncrementalEncoder`] writes through
-//! [`crate::IncrementalEncoder::encode_week_into`], and a
-//! [`crate::BaseEncoder`] week can be ingested the same way
-//! (`store.ingest_frame(day, &enc.encode(&[day]).select_columns(store.cols()))`)
-//! — both encoders run one per-line routine, so they fill the store with
-//! the same bytes. Readers borrow lane slices
-//! ([`WeekFrame::lane`], [`WeekFrame::lane_missing`]) zero-copy.
+//! one missing-bitmap per lane, and one label bitmap. The weekly
+//! [`crate::IncrementalEncoder::encode_week_into`] encodes each line
+//! straight into a new frame's lanes, in parts cut on 64-line bitmap-word
+//! boundaries, so a week is materialized once. Any other encoded week
+//! enters through [`FeatureStore::ingest_frame`] — a [`crate::BaseEncoder`]
+//! week as `store.ingest_frame(day, &enc.encode(&[day]).select_columns(store.cols()))`
+//! — which transposes it with the same row writer. Both encoders run one
+//! per-line routine, so they fill the store with the same bytes. Readers
+//! borrow lane slices ([`WeekFrame::lane`], [`WeekFrame::lane_missing`])
+//! zero-copy.
 //!
 //! # Missing-value canonicalization
 //!
@@ -67,7 +68,7 @@
 //! always serialize to the same bytes (pinned by the store tests).
 
 use crate::encode::{saturating_u32, EncodedDataset, EncoderConfig};
-use nevermind_ml::data::FeatureMatrix;
+use std::ops::Range;
 
 /// Magic bytes opening a `nevermind-store/v1` document.
 pub const STORE_MAGIC: [u8; 8] = *b"NVMSTOR1";
@@ -121,8 +122,10 @@ impl std::fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// One retained week: lane-major values, per-lane missing bitmaps, and the
-/// label bitmap. Produced by [`FeatureStore::ingest_frame`]; row order is
-/// the plant's line order (row `r` is line index `r`).
+/// label bitmap. Produced by
+/// [`crate::IncrementalEncoder::encode_week_into`] or
+/// [`FeatureStore::ingest_frame`]; row order is the plant's line order
+/// (row `r` is line index `r`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeekFrame {
     day: u32,
@@ -138,6 +141,47 @@ pub struct WeekFrame {
 /// Bitmap words needed for `n` rows.
 fn words_for(n: usize) -> usize {
     n.div_ceil(64)
+}
+
+/// The [`nevermind_obs::par::bounds`] partition of `0..n_lines` cut on
+/// 64-row word boundaries: every part starts at a multiple of 64, so parts
+/// writing one frame never share a missing or label bitmap word.
+pub(crate) fn word_bounds(n_lines: usize, shards: usize) -> Vec<Range<usize>> {
+    nevermind_obs::par::bounds(words_for(n_lines), shards)
+        .into_iter()
+        .map(|w| w.start * 64..(w.end * 64).min(n_lines))
+        .collect()
+}
+
+/// One part's rows of a frame being written ([`WeekFrame::rows_mut`]):
+/// part row `k` is frame row `start + k` of the part's range.
+pub(crate) struct FrameRows<'a> {
+    /// Per lane, the part's slice of the value page.
+    values: Vec<&'a mut [f32]>,
+    /// Per lane, the part's words of the missing bitmap.
+    missing: Vec<&'a mut [u64]>,
+    /// The part's words of the label bitmap.
+    labels: &'a mut [u64],
+}
+
+impl FrameRows<'_> {
+    /// Writes part row `k` of a zeroed frame: `row` holds one value per
+    /// lane, a `NaN` becomes a missing bit over the page's `0.0`, and a
+    /// positive label sets the row's label bit.
+    #[inline]
+    pub(crate) fn put(&mut self, k: usize, row: &[f32], label: bool) {
+        let (w, bit) = (k / 64, 1u64 << (k % 64));
+        for ((lane, missing), &v) in self.values.iter_mut().zip(&mut self.missing).zip(row) {
+            if v.is_nan() {
+                missing[w] |= bit;
+            } else {
+                lane[k] = v;
+            }
+        }
+        if label {
+            self.labels[w] |= bit;
+        }
+    }
 }
 
 #[inline]
@@ -169,6 +213,44 @@ fn for_set_bits(bits: &[u64], rows: &core::ops::Range<usize>, mut f: impl FnMut(
 }
 
 impl WeekFrame {
+    /// A frame of `n_lanes` lanes over `n_lines` rows with every value
+    /// `0.0`, no missing bit and no positive label, ready for
+    /// [`WeekFrame::rows_mut`].
+    pub(crate) fn zeroed(day: u32, n_lines: usize, n_lanes: usize) -> Self {
+        let words = words_for(n_lines);
+        WeekFrame {
+            day,
+            n_lines,
+            values: vec![0.0; n_lanes * n_lines],
+            missing: vec![0; n_lanes * words],
+            labels: vec![0; words],
+        }
+    }
+
+    /// One writer per range of `ranges`, a [`word_bounds`] partition of
+    /// the frame's rows: each owns its rows of every lane and its words of
+    /// every bitmap, so the parts can be written concurrently.
+    pub(crate) fn rows_mut(&mut self, ranges: &[Range<usize>]) -> Vec<FrameRows<'_>> {
+        use nevermind_obs::par::split_mut;
+        let (n, words) = (self.n_lines, words_for(self.n_lines));
+        let word_ranges: Vec<Range<usize>> =
+            ranges.iter().map(|r| r.start / 64..r.end.div_ceil(64)).collect();
+        let mut parts: Vec<FrameRows<'_>> = split_mut(&mut self.labels, &word_ranges, 1)
+            .into_iter()
+            .map(|labels| FrameRows { values: Vec::new(), missing: Vec::new(), labels })
+            .collect();
+        let lanes = self.values.chunks_mut(n.max(1)).zip(self.missing.chunks_mut(words.max(1)));
+        for (values, missing) in lanes {
+            let lane_parts =
+                split_mut(values, ranges, 1).into_iter().zip(split_mut(missing, &word_ranges, 1));
+            for (part, (v, m)) in parts.iter_mut().zip(lane_parts) {
+                part.values.push(v);
+                part.missing.push(m);
+            }
+        }
+        parts
+    }
+
     /// The Saturday this frame encodes.
     pub fn day(&self) -> u32 {
         self.day
@@ -385,11 +467,13 @@ impl FeatureStore {
 
     /// Transposes one encoded week into a frame and retains it: values go
     /// lane-major, `NaN`s become missing bits over a `0.0`, labels pack
-    /// into the label bitmap. Returns the ingested frame.
+    /// into the label bitmap — the row writer the weekly
+    /// [`crate::IncrementalEncoder::encode_week_into`] fills its frames
+    /// with. Returns the ingested frame.
     ///
     /// The dataset's columns must be exactly [`FeatureStore::cols`] in
-    /// order (what [`crate::IncrementalEncoder::encode_week_into`] and
-    /// `select_columns(store.cols())` produce).
+    /// order (what [`crate::IncrementalEncoder::encode_day_cols`] over
+    /// the store's columns and `select_columns(store.cols())` produce).
     ///
     /// # Panics
     /// Panics if the dataset's shape does not match the store, or `day`
@@ -397,7 +481,12 @@ impl FeatureStore {
     pub fn ingest_frame(&mut self, day: u32, ds: &EncodedDataset) -> &WeekFrame {
         assert_eq!(ds.data.len(), self.n_lines, "frame row count must match the plant");
         assert_eq!(ds.data.x.n_cols(), self.cols.len(), "frame must carry one column per lane");
-        let frame = Self::transpose(day, self.n_lines, &ds.data.x, &ds.data.y);
+        let mut frame = WeekFrame::zeroed(day, self.n_lines, self.cols.len());
+        for mut rows in frame.rows_mut(&word_bounds(self.n_lines, 1)) {
+            for (r, &label) in ds.data.y.iter().enumerate() {
+                rows.put(r, ds.data.x.row(r), label);
+            }
+        }
         self.push_frame(frame)
     }
 
@@ -432,30 +521,6 @@ impl FeatureStore {
         self.frames.push(frame);
         // lint:allow(no-panic-in-lib) -- a frame was pushed on the line above
         self.frames.last().expect("frame just pushed")
-    }
-
-    fn transpose(day: u32, n_lines: usize, x: &FeatureMatrix, y: &[bool]) -> WeekFrame {
-        let n_lanes = x.n_cols();
-        let words = words_for(n_lines);
-        let mut values = vec![0.0f32; n_lanes * n_lines];
-        let mut missing = vec![0u64; n_lanes * words];
-        for r in 0..n_lines {
-            let row = x.row(r);
-            for (l, &v) in row.iter().enumerate() {
-                if v.is_nan() {
-                    missing[l * words + r / 64] |= 1 << (r % 64);
-                } else {
-                    values[l * n_lines + r] = v;
-                }
-            }
-        }
-        let mut labels = vec![0u64; words];
-        for (r, &pos) in y.iter().enumerate() {
-            if pos {
-                labels[r / 64] |= 1 << (r % 64);
-            }
-        }
-        WeekFrame { day, n_lines, values, missing, labels }
     }
 
     // --- nevermind-store/v1 serialization ---
@@ -678,7 +743,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nevermind_ml::data::{Dataset, FeatureMeta};
+    use nevermind_ml::data::{Dataset, FeatureMatrix, FeatureMeta};
 
     fn tiny_dataset(
         n_rows: usize,

@@ -6,8 +6,10 @@
 //! equivalence: `BaseEncoder` (batch, rebuilt from truncated logs each
 //! week, replaying each line) and `IncrementalEncoder` (weekly, sharded)
 //! drive the same per-line routine, so the frames they fill — values,
-//! missing bitmaps, labels — must agree exactly, for every lane subset
-//! and shard count.
+//! missing bitmaps, labels — must agree exactly, for every lane subset,
+//! shard count and plant size. The weekly writer encodes straight into
+//! the frame in parts cut on 64-line bitmap words, so the plant sizes
+//! include whole words, a ragged last word and plants under one word.
 
 use nevermind_dslsim::{SimConfig, SimOutput, World};
 use nevermind_features::encode::{BaseEncoder, EncoderConfig};
@@ -15,7 +17,11 @@ use nevermind_features::{FeatureStore, IncrementalEncoder, Retention};
 use proptest::prelude::*;
 
 fn sim(seed: u64) -> (Vec<nevermind_dslsim::topology::Line>, SimOutput) {
-    let cfg = SimConfig::small(seed);
+    sim_lines(seed, SimConfig::small(seed).n_lines)
+}
+
+fn sim_lines(seed: u64, n_lines: usize) -> (Vec<nevermind_dslsim::topology::Line>, SimOutput) {
+    let cfg = SimConfig { n_lines, ..SimConfig::small(seed) };
     let world = World::generate(cfg);
     let lines = world.topology().lines.clone();
     (lines, world.run())
@@ -31,19 +37,21 @@ fn lane_subset(picks: &[u32]) -> Vec<usize> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// One store filled by weekly truncated-log `BaseEncoder` runs, one by
-    /// a streaming sharded `IncrementalEncoder` — identical export bytes,
-    /// and those bytes survive an import → export round trip unchanged.
+    /// a streaming sharded `IncrementalEncoder` writing straight into its
+    /// lanes — identical export bytes, and those bytes survive an import →
+    /// export round trip unchanged.
     #[test]
     fn both_encoders_fill_byte_identical_stores(
         seed in 0u64..1000,
+        n_lines in prop_oneof![Just(2_000usize), Just(1_024), Just(1_025), 1usize..200],
         weeks in 2usize..6,
         shards in 1usize..8,
         picks in prop::collection::vec(any::<u32>(), 1..10),
     ) {
-        let (lines, out) = sim(seed);
+        let (lines, out) = sim_lines(seed, n_lines);
         let ecfg = EncoderConfig::default();
         let cols = lane_subset(&picks);
 

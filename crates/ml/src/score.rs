@@ -18,8 +18,12 @@
 //!
 //! Scoring a row is then one table load per stump, added **in boosting
 //! order** — the same left-to-right summation as [`BStump::margin`], so the
-//! result is bit-identical to the per-row path. Rows are independent, which
-//! lets [`BatchScorer::margins_gather_parallel`] spread row ranges over
+//! result is bit-identical to the per-row path. The walk takes four rows
+//! at a time: one pass over the stumps feeds four independent add chains,
+//! each starting at `0.0` and adding its own row's entries in boosting
+//! order, so the adds overlap instead of waiting on one chain and every
+//! margin keeps its bytes. Rows are independent, which lets
+//! [`BatchScorer::margins_gather_parallel`] spread row ranges over
 //! [`nevermind_obs::par`] parts with no effect on the output.
 
 use crate::boost::BStump;
@@ -135,7 +139,12 @@ impl BatchScorer {
                     };
                 }
             }
-            for (i, acc) in block.iter_mut().enumerate() {
+            let mut quads = block.chunks_exact_mut(4);
+            for (q, acc) in (&mut quads).enumerate() {
+                acc.copy_from_slice(&self.walk(&bins[4 * q * n_feat..4 * (q + 1) * n_feat]));
+            }
+            let done = n - quads.into_remainder().len();
+            for (i, acc) in block.iter_mut().enumerate().skip(done) {
                 let row_bins = &bins[i * n_feat..(i + 1) * n_feat];
                 let mut m = 0.0f64;
                 for s in &self.stumps {
@@ -144,6 +153,27 @@ impl BatchScorer {
                 *acc = m;
             }
         }
+    }
+
+    /// The margins of four consecutive rows (`bins` holds their bin rows
+    /// back to back): one walk over the stumps feeds four independent add
+    /// chains, each starting at `0.0` and adding its row's LUT entries in
+    /// boosting order, exactly as the one-row walk does.
+    #[inline]
+    fn walk(&self, bins: &[u32]) -> [f64; 4] {
+        let n_feat = bins.len() / 4;
+        let (b0, rest) = bins.split_at(n_feat);
+        let (b1, rest) = rest.split_at(n_feat);
+        let (b2, b3) = rest.split_at(n_feat);
+        let mut m = [0.0f64; 4];
+        for s in &self.stumps {
+            let slot = s.slot as usize;
+            m[0] += s.lut[b0[slot] as usize];
+            m[1] += s.lut[b1[slot] as usize];
+            m[2] += s.lut[b2[slot] as usize];
+            m[3] += s.lut[b3[slot] as usize];
+        }
+        m
     }
 
     /// The distinct (training-space) columns the ensemble reads, in slot
@@ -296,6 +326,24 @@ mod tests {
         for threads in [0, 1, 2, 3, 7, 64] {
             let gathered = scorer.margins_gather_parallel(test.len(), threads, &fill);
             assert_bits_eq(&reference, &gathered, &format!("{threads} threads"));
+        }
+    }
+
+    #[test]
+    fn four_row_walk_matches_the_model_at_every_remainder() {
+        // Whole quads, every remainder 0..=3, and blocks past the 256-row
+        // block edge, split into 1-3 parts (parts start mid-quad too).
+        let train = noisy_dataset(1200, 6, 51);
+        let model = BStump::fit(&train, &BoostConfig::with_iterations(100));
+        let scorer = BatchScorer::new(&model);
+        let test = noisy_dataset(513, 6, 52);
+        let reference = model.margins(&test.x);
+        let fill = matrix_fill(&scorer, &test.x);
+        for n in (0..=9).chain([255, 257, 513]) {
+            for parts in 1..=3 {
+                let margins = scorer.margins_gather_parallel(n, parts, &fill);
+                assert_bits_eq(&reference[..n], &margins, &format!("{n} rows, {parts} parts"));
+            }
         }
     }
 

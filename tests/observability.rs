@@ -18,9 +18,13 @@
 //!    built-in model-health alerts pending → firing and flips the live
 //!    `/health` endpoint to 503.
 //!
+//! 4. The counters count the work done: a locator evaluation records one
+//!    inference per ranking it computes.
+//!
 //! The tests toggle the process-global registry, so they serialise on one
 //! mutex rather than trusting the harness to run them on separate processes.
 
+use nevermind::locator::{LocatorConfig, LocatorEvaluation, TroubleLocator};
 use nevermind::pipeline::{run_proactive_trial_with, ExperimentData, SplitSpec, TrialOptions};
 use nevermind::predictor::{PredictorConfig, TicketPredictor};
 use nevermind::scoring::WeeklyScorer;
@@ -186,6 +190,32 @@ fn instrumented_scoring_is_bit_identical() {
     let scored = snap.counters.get("weekly/lines_scored").copied().unwrap_or(0);
     assert_eq!(scored as usize, lit.rows.len(), "lines_scored counter matches the ranked rows");
     nevermind_obs::global().reset();
+}
+
+/// `LocatorEvaluation::run` makes two inferences per held-out dispatch:
+/// the flat and the combined ranking. Its cost-aware order reuses the
+/// combined ranking, so it adds none.
+#[test]
+fn locator_evaluation_counts_two_inferences_per_dispatch() {
+    let _guard = GLOBAL_REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
+    let mut cfg = SimConfig::small(91);
+    cfg.n_lines = 6_000;
+    cfg.faults_per_line_year = 1.3;
+    let data = ExperimentData::simulate(cfg);
+    let days = data.config.days;
+    let lcfg = LocatorConfig { iterations: 40, min_examples: 10, ..LocatorConfig::default() };
+    let locator = TroubleLocator::fit(&data, 30, days / 2, &lcfg).expect("window has dispatches");
+
+    let reg = nevermind_obs::global();
+    reg.reset();
+    reg.set_enabled(true);
+    let eval = LocatorEvaluation::run(&locator, &data, days / 2, days);
+    let inferences = reg.counter("locator/inferences").get();
+    reg.set_enabled(false);
+    reg.reset();
+
+    assert!(!eval.per_example.is_empty(), "the held-out window has dispatches");
+    assert_eq!(inferences, 2 * eval.per_example.len() as u64);
 }
 
 /// One blocking HTTP/1.1 GET against the live plane; returns (status code,
