@@ -39,16 +39,23 @@ pub(crate) fn run(args: &Args) -> CliResult {
         println!("no held-out dispatches to demonstrate on");
         return Ok(());
     }
+    // The evaluation ranks every held-out dispatch, the shown ones too,
+    // and traces each ranking keyed by its dispatch. The shown dispatches
+    // are ranked again for display with tracing suspended, so each
+    // dispatch's events appear once.
+    let eval = LocatorEvaluation::run(&locator, &data, mid, days);
+    let tracing = nevermind_obs::trace::enabled();
+    nevermind_obs::trace::set_enabled(false);
     let ds = locator.encode_examples(&data, &examples[..n_show.min(examples.len())]);
-    for (i, e) in examples.iter().take(n_show).enumerate() {
+    let shown: Vec<_> = (0..ds.x.n_rows()).map(|i| locator.rank_combined(ds.x.row(i))).collect();
+    nevermind_obs::trace::set_enabled(tracing);
+    for (e, ranked) in examples.iter().zip(&shown) {
         println!(
             "\ndispatch to {} (day {}), technician recorded {}:",
             e.line,
             e.day,
             e.disposition.info().code
         );
-        // Tag the locator's trace events with the dispatch they explain.
-        let ranked = locator.rank_combined_traced(ds.x.row(i), Some((e.line.0, e.day)));
         for s in ranked.iter().take(top) {
             let marker = if s.disposition == e.disposition { "  <-- true" } else { "" };
             println!(
@@ -60,7 +67,6 @@ pub(crate) fn run(args: &Args) -> CliResult {
         }
     }
 
-    let eval = LocatorEvaluation::run(&locator, &data, mid, days);
     let (basic, flat, combined) = eval.tests_to_locate(0.5);
     let (bm, fm, cm, costm) = eval.mean_minutes();
     println!("\n--- aggregate over {} held-out dispatches ---", eval.per_example.len());

@@ -1,5 +1,6 @@
 //! `nevermind report` — render a `--metrics` JSON dump as a terminal
-//! report: top spans by total time, per-week series as sparkline tables,
+//! report: top spans by total time, a trial's peak RSS by phase,
+//! per-week series as sparkline tables,
 //! the model-health drift/calibration numbers, and — for dumps written
 //! with the history layer on — the `nevermind-history/v1` section as
 //! week-window sparklines plus the alert scoreboard and transition
@@ -14,6 +15,7 @@
 
 use super::{CliResult, SchemaError};
 use crate::args::Args;
+use nevermind::pipeline::PEAK_RSS_GAUGES;
 use nevermind_obs::trace::EventView;
 use serde_json::Value;
 
@@ -62,6 +64,7 @@ pub(crate) fn run(args: &Args, path: Option<&str>) -> CliResult {
 
     println!("nevermind metrics report — {path} ({schema})");
     render_spans(doc);
+    render_peak_rss(doc);
     render_series(doc);
     render_telemetry(doc);
     render_history(doc);
@@ -179,6 +182,36 @@ fn render_spans(doc: &serde_json::Map) {
     println!("  {:>12}  {:>7}  {:>12}  path", "total", "calls", "mean");
     for (path, total_ns, count, mean_ns) in rows.iter().take(TOP_SPANS) {
         println!("  {:>12}  {count:>7}  {:>12}  {path}", fmt_ns(*total_ns), fmt_ns(*mean_ns));
+    }
+}
+
+/// Renders a trial's peak-RSS gauges ([`PEAK_RSS_GAUGES`]) as one table in
+/// phase order: each phase's wall time (its span under `proactive_trial`),
+/// the process's peak resident set at its end, and how far the phase
+/// raised it. Dumps without the gauges (other subcommands, or a platform
+/// with no peak to read) print nothing here.
+fn render_peak_rss(doc: &serde_json::Map) {
+    let gauges = doc.get("gauges").and_then(Value::as_object);
+    let peaks: Vec<(&str, f64)> = PEAK_RSS_GAUGES
+        .iter()
+        .filter_map(|name| Some((*name, gauges?.get(name)?.as_f64()?)))
+        .collect();
+    if peaks.is_empty() {
+        return;
+    }
+    let spans = doc.get("spans").and_then(Value::as_object);
+    println!("\npeak RSS by phase");
+    println!("  {:<16}  {:>12}  {:>10}  {:>10}", "phase", "time", "peak MB", "rise MB");
+    let mut before = 0.0;
+    for (name, peak) in peaks {
+        let phase = name.trim_start_matches("trial/").trim_end_matches("/peak_rss_mb");
+        let suffix = format!("proactive_trial/{phase}");
+        let time = spans
+            .and_then(|spans| spans.iter().find(|(path, _)| path.ends_with(&suffix)))
+            .and_then(|(_, s)| s.as_object()?.get("total_ns")?.as_f64())
+            .map_or_else(|| "-".to_string(), fmt_ns);
+        println!("  {phase:<16}  {time:>12}  {peak:>10.1}  {:>+10.1}", peak - before);
+        before = peak;
     }
 }
 

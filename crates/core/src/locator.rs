@@ -536,7 +536,8 @@ impl LocatorEvaluation {
                 let row = ds.x.row(i);
                 let truth = e.disposition;
                 let flat_scores = locator.rank_flat(row);
-                let combined_scores = locator.rank_combined(row);
+                // Keyed, so a traced evaluation's events name their dispatch.
+                let combined_scores = locator.rank_combined_traced(row, Some((e.line.0, e.day)));
                 let cost_scores = cost_aware_order(combined_scores.clone());
                 let flat = rank_of(&flat_scores, truth);
                 let combined = rank_of(&combined_scores, truth);

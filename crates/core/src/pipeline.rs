@@ -250,6 +250,19 @@ impl ProactiveOutcome {
     }
 }
 
+/// The gauges [`run_proactive_trial_with`] sets to the process's peak
+/// resident set size (`VmHWM`, MB) at the end of each of its phases, in
+/// phase order: the warm-up, the reactive twin, training (the predictor
+/// and the health monitor's reference) and the policy loop. Set only
+/// while the metrics registry records; like span timings they vary from
+/// run to run, so no output, trace, store or history series reads them.
+pub const PEAK_RSS_GAUGES: [&str; 4] = [
+    "trial/warmup/peak_rss_mb",
+    "trial/baseline_world/peak_rss_mb",
+    "trial/train/peak_rss_mb",
+    "trial/policy_loop/peak_rss_mb",
+];
+
 /// Optional behaviors of [`run_proactive_trial_with`] beyond the paper's
 /// basic twin-world loop.
 #[derive(Debug, Clone, Default)]
@@ -376,6 +389,7 @@ pub fn run_proactive_trial_with(
             world.step_day();
         }
     }
+    nevermind_obs::mem::gauge_peak_rss(PEAK_RSS_GAUGES[0]);
 
     // Reactive baseline. The twin is a counterfactual: its technician
     // visits answer to no rank or dispatch decision an operator could ask
@@ -404,16 +418,19 @@ pub fn run_proactive_trial_with(
         baseline.customer_edge_tickets().filter(|t| t.day >= policy_start_day).count();
     let reactive_churn = baseline.churn_events.iter().filter(|c| c.day >= policy_start_day).count();
     // Those two counts are all the trial needs of the twin: free its logs
-    // before training copies the live world's.
+    // before training.
     drop(baseline);
+    nevermind_obs::mem::gauge_peak_rss(PEAK_RSS_GAUGES[1]);
 
     // Train on warm-up logs: the live world's own (paper protocol), or a
-    // separately simulated world's (drift injection).
+    // separately simulated world's (drift injection). The live world lends
+    // its logs rather than copying them, and gets them back before the
+    // policy loop steps it: training holds one copy of its data.
     let train_data = match &options.train_config {
         None => ExperimentData {
             config: sim_config.clone(),
             topology: world.topology().clone(),
-            output: world.output().clone(),
+            output: world.lend_output(),
         },
         Some(train_cfg) => {
             let _s = nevermind_obs::span!("train_world");
@@ -455,6 +472,13 @@ pub fn run_proactive_trial_with(
             &options.telemetry,
         )
     });
+    // Training is done with its logs: the live world takes back the ones
+    // it lent; a drift-injection world's go.
+    match options.train_config {
+        None => world.return_output(train_for_split.output),
+        Some(_) => drop(train_for_split),
+    }
+    nevermind_obs::mem::gauge_peak_rss(PEAK_RSS_GAUGES[2]);
 
     // The incremental weekly scoring engine: rolling encoder state fed only
     // each week's fresh log events, compiled parallel stump evaluation, and
@@ -550,6 +574,7 @@ pub fn run_proactive_trial_with(
         }
     }
     drop(_policy_span);
+    nevermind_obs::mem::gauge_peak_rss(PEAK_RSS_GAUGES[3]);
 
     let telemetry = monitor.map(|m| m.finish(&world.output().tickets, end_day.saturating_sub(1)));
     let store = options.keep_store.then(|| scorer.into_store());

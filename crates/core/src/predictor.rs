@@ -14,20 +14,25 @@
 //! 5. calibrate the margins into probabilities with Platt scaling on the
 //!    evaluation window.
 //!
-//! Training matrices are built by `nevermind_features::encode::assemble`
-//! (the selected base columns, then the derived columns). Every population
-//! score — ranking, and the margins calibration fits on — goes through the
-//! one compiled plan of [`crate::scoring`], which gathers the used columns
+//! The final model trains on the assembled feature space (the selected
+//! base columns, then the derived columns) without building it:
+//! `nevermind_features::encode::AssembledColumns` writes one assembled
+//! column at a time from the base encoding into the column-fed
+//! `BStump::fit_columns`, which bins and codes it before asking for the
+//! next. Selection's matrices are built by
+//! `nevermind_features::encode::assemble`. Every population score —
+//! ranking, and the margins calibration fits on — goes through the one
+//! compiled plan of [`crate::scoring`], which gathers the used columns
 //! straight from the base encoding: no assembled matrix is built to rank.
 
 use crate::error::PipelineError;
 use crate::pipeline::{ExperimentData, SplitSpec};
 use crate::scoring::CompiledPredictor;
 use nevermind_features::encode::{
-    all_products, all_quadratics, assemble, EncodedDataset, EncoderConfig, RowKey,
+    all_products, all_quadratics, assemble, AssembledColumns, EncodedDataset, EncoderConfig, RowKey,
 };
 use nevermind_features::registry::{DerivedFeature, FeatureClass};
-use nevermind_ml::boost::{BStump, BoostConfig};
+use nevermind_ml::boost::{uniform_weights, BStump, BoostConfig};
 use nevermind_ml::calibrate::PlattScale;
 use nevermind_ml::data::Dataset;
 use nevermind_ml::metrics;
@@ -311,16 +316,9 @@ impl TicketPredictor {
         };
 
         // --- final model ---
-        let train_assembled = assemble(&base_train, &selected_base, &selected_derived);
-        let boost_cfg = BoostConfig {
-            iterations: config.iterations,
-            n_bins: config.n_bins,
-            smoothing: None,
-            parallel: true,
-        };
         let model = {
             let _s = nevermind_obs::span!("boost_final");
-            BStump::fit(&train_assembled, &boost_cfg)
+            fit_assembled(&base_train, &selected_base, &selected_derived, config)
         };
 
         // Calibrate on the (unsubsampled) evaluation window.
@@ -411,14 +409,7 @@ impl TicketPredictor {
         let scores = score_features(&train_sub.data, &eval_sub.data, criterion, &select_cfg);
         let selected_base = top_scores(&scores, top_k);
 
-        let train_assembled = assemble(&base_train, &selected_base, &[]);
-        let boost_cfg = BoostConfig {
-            iterations: config.iterations,
-            n_bins: config.n_bins,
-            smoothing: None,
-            parallel: true,
-        };
-        let model = BStump::fit(&train_assembled, &boost_cfg);
+        let model = fit_assembled(&base_train, &selected_base, &[], config);
         let margins =
             CompiledPredictor::new(&model, &selected_base, &[]).matrix_margins(&base_eval.data.x);
         let calibration = PlattScale::fit(&margins, &base_eval.data.y)?;
@@ -562,6 +553,28 @@ impl TicketPredictor {
     pub fn encoder_config(&self) -> &EncoderConfig {
         &self.encoder_config
     }
+}
+
+/// The final BStump over the assembled feature space of `base` — the
+/// model `BStump::fit(&assemble(base, cols, derived), ..)` trains — fed
+/// one assembled column at a time, so no assembled matrix is built.
+fn fit_assembled(
+    base: &EncodedDataset,
+    cols: &[usize],
+    derived: &[DerivedFeature],
+    config: &PredictorConfig,
+) -> BStump {
+    let boost_cfg = BoostConfig {
+        iterations: config.iterations,
+        n_bins: config.n_bins,
+        smoothing: None,
+        parallel: true,
+    };
+    let columns = AssembledColumns::new(base, cols, derived);
+    let y = &base.data.y;
+    BStump::fit_columns(columns.n_cols(), y, &uniform_weights(y.len()), &boost_cfg, |j, out| {
+        columns.write(j, out)
+    })
 }
 
 /// Deterministic row subsample that keeps every positive example (they are

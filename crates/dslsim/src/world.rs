@@ -193,6 +193,9 @@ pub struct World {
     day: u32,
     next_ticket: u32,
     out: SimOutput,
+    /// Whether [`World::lend_output`] has `out`'s logs (an empty stand-in
+    /// holds their place until [`World::return_output`]).
+    lent: bool,
 }
 
 /// Read-only context shared by all shards during one day.
@@ -800,6 +803,7 @@ impl World {
             line_tests: true,
             day: 0,
             next_ticket: 0,
+            lent: false,
             out: SimOutput {
                 measurements: Vec::new(),
                 tickets: Vec::new(),
@@ -867,13 +871,63 @@ impl World {
     }
 
     /// Logs accumulated so far.
+    ///
+    /// # Panics
+    /// Panics while the logs are lent ([`World::lend_output`]).
     pub fn output(&self) -> &SimOutput {
+        self.assert_logs_home();
         &self.out
     }
 
     /// Consumes the world, returning the logs.
+    ///
+    /// # Panics
+    /// Panics while the logs are lent ([`World::lend_output`]).
     pub fn into_output(self) -> SimOutput {
+        self.assert_logs_home();
         self.out
+    }
+
+    /// Lends the logs so far out of the world without copying them, until
+    /// [`World::return_output`] takes them back: a proactive trial trains
+    /// on its live world's warm-up logs this way. While they are out the
+    /// world holds an empty stand-in, so stepping it, reading its logs or
+    /// consuming it panics instead of writing to or reading the wrong logs.
+    ///
+    /// # Panics
+    /// Panics if the logs are already lent.
+    pub fn lend_output(&mut self) -> SimOutput {
+        self.assert_logs_home();
+        self.lent = true;
+        let stand_in = SimOutput {
+            measurements: Vec::new(),
+            tickets: Vec::new(),
+            notes: Vec::new(),
+            outage_events: Vec::new(),
+            traffic: TrafficTable::new(Vec::new(), self.out.days),
+            ivr_calls: Vec::new(),
+            churn_events: Vec::new(),
+            days: self.out.days,
+        };
+        std::mem::replace(&mut self.out, stand_in)
+    }
+
+    /// Takes back the logs [`World::lend_output`] lent. They must come back
+    /// as they left: the world steps on by appending to them.
+    ///
+    /// # Panics
+    /// Panics if the logs are not lent, or if `out` covers a different
+    /// horizon than the world's.
+    pub fn return_output(&mut self, out: SimOutput) {
+        assert!(self.lent, "the world's logs are not lent");
+        assert_eq!(out.days, self.out.days, "returned logs cover a different horizon");
+        self.out = out;
+        self.lent = false;
+    }
+
+    /// The guard of [`World::lend_output`]: the world's logs must be home.
+    fn assert_logs_home(&self) {
+        assert!(!self.lent, "the world's logs are lent out");
     }
 
     /// Full fault history of a line (ground truth for evaluation).
@@ -911,7 +965,7 @@ impl World {
         while self.day < self.config.days {
             self.step_day();
         }
-        self.out
+        self.into_output()
     }
 
     /// Advances the simulation by one day, stepping the shards as
@@ -919,11 +973,13 @@ impl World {
     /// shard order.
     ///
     /// # Panics
-    /// Panics if stepped past the configured horizon.
+    /// Panics if stepped past the configured horizon, or while the logs
+    /// are lent ([`World::lend_output`]).
     pub fn step_day(&mut self) {
         let _span = nevermind_obs::span!("sim/step_day");
         nevermind_obs::counter_add!("sim/days_stepped", 1);
         assert!(self.day < self.config.days, "stepped past the simulation horizon");
+        self.assert_logs_home();
         let day = self.day;
 
         let ctx = StepCtx {

@@ -19,10 +19,12 @@
 //!
 //! [`assemble`] builds a model's feature space from a base encoding in one
 //! pass: the selected base columns, then the derived quadratic and product
-//! columns, each computed by [`DerivedFeature::value`]. Training, feature
-//! selection and the locator build their matrices with it; population
-//! scoring never builds one (the core crate's compiled plan gathers the
-//! base columns it needs instead).
+//! columns, each computed by [`DerivedFeature::value`]. Feature selection
+//! and the locator build their matrices with it. The ticket predictor's
+//! final fit never builds one: [`AssembledColumns`] writes the same
+//! columns one at a time for a column-fed fit. Population scoring never
+//! builds one either (the core crate's compiled plan gathers the base
+//! columns it needs instead).
 
 use crate::incremental::{encode_line_into, LineState};
 use crate::indexes::{MeasurementIndex, TicketIndex};
@@ -335,6 +337,56 @@ pub fn all_products(base: &EncodedDataset) -> Vec<DerivedFeature> {
         }
     }
     out
+}
+
+/// The columns of [`assemble`]'s feature space, written one at a time
+/// straight from the base encoding: a fit that bins its columns one by
+/// one ([`nevermind_ml::boost::BStump::fit_columns`]) trains on the
+/// assembled space without the matrix being built.
+#[derive(Debug, Clone, Copy)]
+pub struct AssembledColumns<'a> {
+    x: &'a FeatureMatrix,
+    cols: &'a [usize],
+    derived: &'a [DerivedFeature],
+}
+
+impl<'a> AssembledColumns<'a> {
+    /// The columns [`assemble`]`(base, cols, derived)` would lay out.
+    pub fn new(base: &'a EncodedDataset, cols: &'a [usize], derived: &'a [DerivedFeature]) -> Self {
+        Self { x: &base.data.x, cols, derived }
+    }
+
+    /// Number of assembled columns: the base ones, then the derived ones.
+    pub fn n_cols(&self) -> usize {
+        self.cols.len() + self.derived.len()
+    }
+
+    /// Writes assembled column `j` into `out`, one value per base row:
+    /// bit for bit column `j` of [`assemble`]'s matrix (the same base
+    /// values, the same [`DerivedFeature::value`] arithmetic).
+    ///
+    /// # Panics
+    /// Panics if `j` is not below [`Self::n_cols`], if a column index is
+    /// outside the base encoding, or if `out` is not one value per row.
+    pub fn write(&self, j: usize, out: &mut [f32]) {
+        let x = self.x;
+        assert_eq!(out.len(), x.n_rows(), "one value per row");
+        match self.cols.get(j) {
+            Some(&c) => {
+                assert!(c < x.n_cols(), "base column {c} of {}", x.n_cols());
+                for (r, v) in out.iter_mut().enumerate() {
+                    *v = x.row(r)[c];
+                }
+            }
+            None => {
+                let f = self.derived[j - self.cols.len()];
+                for (r, v) in out.iter_mut().enumerate() {
+                    let row = x.row(r);
+                    *v = f.value(|c| row[c]);
+                }
+            }
+        }
+    }
 }
 
 /// The assembled feature space of a base encoding, built in one pass:

@@ -28,7 +28,7 @@
 
 use crate::data::{Dataset, FeatureMatrix};
 use crate::stump::{
-    best_split, binned_columns, BinnedDataset, BinnedFeature, Stump, StumpSearchResult, MAX_BINS,
+    best_split, BinnedDataset, BinnedFeature, SortBuffers, Stump, StumpSearchResult, MAX_BINS,
     MISSING_BIN,
 };
 use serde::{Deserialize, Serialize};
@@ -92,17 +92,11 @@ pub struct BStump {
 impl BStump {
     /// Trains on a dataset with uniform initial weights.
     pub fn fit(data: &Dataset, config: &BoostConfig) -> Self {
-        let n = data.len();
-        let w0 = vec![1.0 / n.max(1) as f64; n];
-        Self::fit_weighted(&data.x, &data.y, &w0, config)
+        Self::fit_weighted(&data.x, &data.y, &uniform_weights(data.len()), config)
     }
 
     /// Trains with caller-supplied initial weights (they are normalized
-    /// internally).
-    ///
-    /// The columns are binned and coded one at a time, so the fit holds its
-    /// slot codes (2 bytes per cell) but never a whole binned copy of `x`
-    /// beside them.
+    /// internally): [`Self::fit_columns`] fed from the matrix's columns.
     ///
     /// # Panics
     /// Panics if the label or weight slices do not match the matrix rows, or
@@ -114,14 +108,49 @@ impl BStump {
         config: &BoostConfig,
     ) -> Self {
         assert_eq!(x.n_rows(), y.len(), "label/row mismatch");
-        assert_eq!(x.n_rows(), initial_weights.len(), "weight/row mismatch");
-        assert!(x.n_rows() > 0, "cannot train on an empty dataset");
+        Self::fit_columns(x.n_cols(), y, initial_weights, config, |c, column| {
+            for (r, v) in column.iter_mut().enumerate() {
+                *v = x.get(r, c);
+            }
+        })
+    }
 
-        let columns: Vec<CodedColumn> = binned_columns(x, config.n_bins)
-            .enumerate()
-            .map(|(c, column)| CodedColumn::new(c, &column, y))
+    /// Trains on `n_cols` feature columns that `write_column(c, column)`
+    /// writes on demand, one value per row into `column` (`NaN` =
+    /// missing), with caller-supplied initial weights (normalized
+    /// internally).
+    ///
+    /// Each column is written into one reused buffer, binned and coded
+    /// before the next is asked for, so the fit holds its slot codes
+    /// (2 bytes per cell) and one column of values, never a whole matrix:
+    /// a caller can derive its columns from a narrower source without
+    /// building the matrix it describes. The model is the one
+    /// [`Self::fit_weighted`] trains on a matrix holding the same values.
+    ///
+    /// # Panics
+    /// Panics if the weight slice does not match the labels, or if there
+    /// are no rows.
+    pub fn fit_columns(
+        n_cols: usize,
+        y: &[bool],
+        initial_weights: &[f64],
+        config: &BoostConfig,
+        mut write_column: impl FnMut(usize, &mut [f32]),
+    ) -> Self {
+        assert_eq!(y.len(), initial_weights.len(), "weight/row mismatch");
+        assert!(!y.is_empty(), "cannot train on an empty dataset");
+
+        let mut buffers = SortBuffers::default();
+        let mut column = vec![0.0f32; y.len()];
+        let columns: Vec<CodedColumn> = (0..n_cols)
+            .map(|c| {
+                write_column(c, &mut column);
+                let values = column.iter().copied();
+                let binned = BinnedFeature::quantize(values, config.n_bins, &mut buffers);
+                CodedColumn::new(c, &binned, y)
+            })
             .collect();
-        Self::boost(&columns, initial_weights, config, x.n_cols())
+        Self::boost(&columns, initial_weights, config, n_cols)
     }
 
     /// Trains from an already-binned dataset, restricted to the given
@@ -236,6 +265,11 @@ impl BStump {
     pub fn n_features(&self) -> usize {
         self.n_features
     }
+}
+
+/// The initial weights [`BStump::fit`] starts from: `1/n` per row.
+pub fn uniform_weights(n: usize) -> Vec<f64> {
+    vec![1.0 / n.max(1) as f64; n]
 }
 
 fn normalize(weights: &mut [f64]) {

@@ -10,8 +10,9 @@
 //!
 //! * the distinct features used by any stump, each with its sorted list of
 //!   distinct stump thresholds — a row is reduced to one small *bin index*
-//!   per used feature (binary search over the thresholds, `NaN` → a
-//!   dedicated missing bin);
+//!   per used feature (the count of thresholds below the value, taken a
+//!   row block at a time with one branch-free vectorized pass per
+//!   threshold; `NaN` → a dedicated missing bin);
 //! * per stump, a bin→score lookup table over that feature's bins:
 //!   `lut[bin]` is `s_le` for bins at or below the stump's own threshold,
 //!   `s_gt` above it, and `0` (abstain) for the missing bin.
@@ -30,6 +31,28 @@ use crate::boost::BStump;
 
 /// Cache-sized row block the scoring loop works in.
 const BLOCK: usize = 256;
+
+/// Bins a block of one slot's values against its sorted, distinct
+/// thresholds `ts`: a present value's bin is the number of thresholds
+/// below it, a `NaN`'s (any payload) the missing bin `ts.len() + 1`.
+///
+/// One branch-free pass over the block per threshold, `bin += (t < v)`,
+/// which the compiler vectorizes across the block; the `NaN`s, below no
+/// threshold, are moved to the missing bin after. Because `t < v` holds
+/// for a prefix of the sorted thresholds, the count is the
+/// `partition_point(|t| t < v)` of a binary search.
+fn bin_block(ts: &[f32], vals: &[f32], bins: &mut [u32]) {
+    bins.fill(0);
+    for &t in ts {
+        for (b, &v) in bins.iter_mut().zip(vals) {
+            *b += u32::from(t < v);
+        }
+    }
+    let missing = ts.len() as u32 + 1; // the last LUT entry
+    for (b, &v) in bins.iter_mut().zip(vals) {
+        *b = if v.is_nan() { missing } else { *b };
+    }
+}
 
 /// One compiled stump: which reduced feature it reads and its bin→score
 /// table.
@@ -125,18 +148,17 @@ impl BatchScorer {
         let n_feat = self.features.len();
         let mut bins = vec![0u32; BLOCK * n_feat];
         let mut vals = vec![0.0f32; BLOCK];
+        let mut slot_bins = vec![0u32; BLOCK];
         for (block_idx, block) in out.chunks_mut(BLOCK).enumerate() {
             let base = first_row + block_idx * BLOCK;
             let n = block.len();
             for (slot, (_, ts)) in self.features.iter().enumerate() {
                 let vals = &mut vals[..n];
                 fill(slot, base..base + n, vals);
-                for (i, &v) in vals.iter().enumerate() {
-                    bins[i * n_feat + slot] = if v.is_nan() {
-                        ts.len() as u32 + 1 // missing bin: last LUT entry
-                    } else {
-                        ts.partition_point(|&t| t < v) as u32
-                    };
+                let slot_bins = &mut slot_bins[..n];
+                bin_block(ts, vals, slot_bins);
+                for (i, &b) in slot_bins.iter().enumerate() {
+                    bins[i * n_feat + slot] = b;
                 }
             }
             let mut quads = block.chunks_exact_mut(4);
@@ -359,6 +381,99 @@ mod tests {
             let margins = scorer.margins_gather_parallel(3, threads, &fill);
             assert_eq!(margins, model.margins(&x), "{threads} threads");
             assert!(margins.iter().all(|&m| m == 0.0));
+        }
+    }
+
+    /// Values that sit on the edges of binning: every threshold exactly,
+    /// its neighbours one ulp away, ±0.0, ±inf, the extremes and `NaN`s
+    /// with assorted payloads and signs.
+    fn edge_values(ts: &[f32]) -> Vec<f32> {
+        let mut vals = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffc0_1234),
+            f32::from_bits(0x7f80_0001), // signaling payload
+        ];
+        for &t in ts {
+            vals.extend([t, f32::from_bits(t.to_bits().wrapping_add(1)), t - 0.5, t + 0.5]);
+        }
+        vals
+    }
+
+    /// 40 sorted, distinct thresholds around zero, with both zeros (total
+    /// order keeps `-0.0` and `0.0` apart) and an infinite end.
+    fn many_thresholds() -> Vec<f32> {
+        let mut ts: Vec<f32> = (-19..=19).map(|i| i as f32 * 0.75).collect();
+        ts.extend([-0.0, f32::INFINITY]);
+        ts.sort_by(f32::total_cmp);
+        ts.dedup_by(|a, b| a.to_bits() == b.to_bits());
+        ts
+    }
+
+    #[test]
+    fn block_bins_match_a_binary_search() {
+        let ts = many_thresholds();
+        assert!(ts.len() >= 32, "{} thresholds", ts.len());
+        let vals = edge_values(&ts);
+        for ts in [&ts[..], &ts[..1], &ts[..2], &ts[7..9], &[][..]] {
+            for n in [1, 3, vals.len().min(BLOCK)] {
+                for chunk in vals.chunks(n) {
+                    let mut bins = vec![u32::MAX; chunk.len()];
+                    bin_block(ts, chunk, &mut bins);
+                    for (&v, &b) in chunk.iter().zip(&bins) {
+                        let want = if v.is_nan() {
+                            ts.len() as u32 + 1
+                        } else {
+                            ts.partition_point(|&t| t < v) as u32
+                        };
+                        assert_eq!(b, want, "value {v:?} ({:#x}) over {ts:?}", v.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn margins_match_the_model_on_edge_values() {
+        // A slot with 40 thresholds (both zeros and +inf among them) and a
+        // slot with one, written as a model file: training never cuts at
+        // `-0.0` and `0.0` both.
+        let ts = many_thresholds();
+        let mut stumps: Vec<String> = ts
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| {
+                let t = if t.is_infinite() { "3.4028235e38".into() } else { format!("{t:?}") };
+                format!(
+                    r#"{{"feature":1,"threshold":{t},"s_le":{},"s_gt":{}}}"#,
+                    0.01 * i as f64,
+                    -0.03 * i as f64
+                )
+            })
+            .collect();
+        stumps.insert(3, r#"{"feature":0,"threshold":-0.0,"s_le":0.5,"s_gt":-0.25}"#.into());
+        let json = format!(r#"{{"stumps":[{}],"n_features":2}}"#, stumps.join(","));
+        let model: BStump = serde_json::from_str(&json).expect("model parses");
+        let scorer = BatchScorer::new(&model);
+        assert_eq!(scorer.used_columns().collect::<Vec<_>>(), [1, 0]);
+
+        let vals = edge_values(&ts);
+        let meta = vec![FeatureMeta::continuous("a"), FeatureMeta::continuous("b")];
+        let values = vals.iter().zip(vals.iter().rev()).flat_map(|(&a, &b)| [a, b]).collect();
+        let x = FeatureMatrix::new(vals.len(), meta, values);
+        let reference = model.margins(&x);
+        for threads in [1, 3] {
+            let margins =
+                scorer.margins_gather_parallel(x.n_rows(), threads, &matrix_fill(&scorer, &x));
+            assert_bits_eq(&reference, &margins, &format!("{threads} threads"));
         }
     }
 

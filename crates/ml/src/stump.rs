@@ -104,7 +104,7 @@ impl BinnedFeature {
     /// [`Self::from_column`] over a column's values in row order, sorting
     /// in `buffers` (kept between calls, so a caller binning many columns
     /// allocates them once).
-    fn quantize(
+    pub(crate) fn quantize(
         values: impl ExactSizeIterator<Item = f32>,
         n_bins: usize,
         buffers: &mut SortBuffers,
@@ -178,7 +178,14 @@ pub struct BinnedDataset {
 impl BinnedDataset {
     /// Quantizes every column of a feature matrix.
     pub fn from_matrix(x: &FeatureMatrix, n_bins: usize) -> Self {
-        Self { n_rows: x.n_rows(), features: binned_columns(x, n_bins).collect() }
+        let mut buffers = SortBuffers::default();
+        let features = (0..x.n_cols())
+            .map(|c| {
+                let column = (0..x.n_rows()).map(|r| x.get(r, c));
+                BinnedFeature::quantize(column, n_bins, &mut buffers)
+            })
+            .collect();
+        Self { n_rows: x.n_rows(), features }
     }
 
     /// Number of rows in the quantized dataset.
@@ -195,20 +202,6 @@ impl BinnedDataset {
     pub fn feature(&self, idx: usize) -> &BinnedFeature {
         &self.features[idx]
     }
-}
-
-/// Quantizes the columns of `x` one at a time, in column order, for
-/// callers that need each binned column only briefly. One set of sort
-/// buffers serves every column.
-pub(crate) fn binned_columns(
-    x: &FeatureMatrix,
-    n_bins: usize,
-) -> impl Iterator<Item = BinnedFeature> + '_ {
-    let mut buffers = SortBuffers::default();
-    (0..x.n_cols()).map(move |c| {
-        let column = (0..x.n_rows()).map(|r| x.get(r, c));
-        BinnedFeature::quantize(column, n_bins, &mut buffers)
-    })
 }
 
 /// Every column of a matrix sorted once, kept so that the binning of the
@@ -300,7 +293,7 @@ impl SortedColumns {
 /// scatter into. Their capacity outlives one column so that binning a
 /// matrix allocates them once (why: DESIGN.md §14, "One sort per column").
 #[derive(Default)]
-struct SortBuffers {
+pub(crate) struct SortBuffers {
     entries: Vec<u64>,
     scratch: Vec<u64>,
 }

@@ -14,8 +14,9 @@
 //!
 //! * **Deterministic.** The store is clocked exclusively on simulated
 //!   days ([`tick`] is called from the simulator's day loop); it never
-//!   reads the wall clock, and wall-clock-tainted inputs — span timings,
-//!   and any metric whose name ends in `_ms` or `_ns` — are excluded
+//!   reads the wall clock, and inputs that differ from run to run — span
+//!   timings, and any metric whose name ends in `_ms` or `_ns` (a
+//!   duration) or `_mb` (a memory peak, [`crate::mem`]) — are excluded
 //!   from capture, so two identically seeded runs produce byte-identical
 //!   history exports at any shard count.
 //! * **Invisible when off.** A disabled store's [`tick`] is one relaxed
@@ -198,10 +199,11 @@ impl Default for HistoryStore {
     }
 }
 
-/// A metric name whose values are wall-clock durations; such series are
-/// excluded from capture so history exports stay deterministic.
-fn wallclock_tainted(name: &str) -> bool {
-    name.ends_with("_ms") || name.ends_with("_ns")
+/// A metric name whose values differ from run to run — wall-clock
+/// durations and memory peaks; such series are excluded from capture so
+/// history exports stay deterministic.
+fn varies_by_run(name: &str) -> bool {
+    name.ends_with("_ms") || name.ends_with("_ns") || name.ends_with("_mb")
 }
 
 impl HistoryStore {
@@ -238,8 +240,8 @@ impl HistoryStore {
     }
 
     /// Folds one registry snapshot, attributing every captured value to
-    /// simulated day `day`. Spans and `_ms`/`_ns`-named metrics are
-    /// skipped (wall-clock taint — see the module docs).
+    /// simulated day `day`. Spans and `_ms`/`_ns`/`_mb`-named metrics
+    /// are skipped (they vary by run — see the module docs).
     pub fn fold_snapshot(&self, day: u64, snap: &Snapshot) {
         if !self.enabled() {
             return;
@@ -248,17 +250,17 @@ impl HistoryStore {
         inner.last_tick_day = Some(day);
         inner.ticks += 1;
         for (k, v) in &snap.counters {
-            if !wallclock_tainted(k) {
+            if !varies_by_run(k) {
                 inner.series.entry(k.clone()).or_default().fold(day, *v as f64);
             }
         }
         for (k, v) in &snap.gauges {
-            if !wallclock_tainted(k) && v.is_finite() {
+            if !varies_by_run(k) && v.is_finite() {
                 inner.series.entry(k.clone()).or_default().fold(day, *v);
             }
         }
         for (k, pts) in &snap.series {
-            if wallclock_tainted(k) {
+            if varies_by_run(k) {
                 continue;
             }
             if let Some(&(_, y)) = pts.last() {
@@ -520,6 +522,7 @@ mod tests {
         let mut snap = Snapshot::default();
         snap.counters.insert("weekly/lines_scored".into(), 10);
         snap.gauges.insert("alerts/firing".into(), 1.0);
+        snap.gauges.insert("trial/train/peak_rss_mb".into(), 239.3);
         snap.series.insert("trial/week_rank_ms".into(), vec![(0.0, 4.2)]);
         snap.series.insert("trial/week_dispatches".into(), vec![(0.0, 7.0)]);
         snap.spans.insert(
@@ -533,7 +536,7 @@ mod tests {
         assert_eq!(
             names,
             vec!["alerts/firing", "trial/week_dispatches", "weekly/lines_scored"],
-            "no _ms series, no spans"
+            "no _ms series, no _mb gauges, no spans"
         );
         assert_eq!(store.last_tick_day(), Some(6));
     }

@@ -34,6 +34,9 @@
 //! are expected to drop in LIFO order within a thread (the natural result
 //! of binding them to scopes).
 //!
+//! Besides time, [`mem`] reads the process's peak resident set (Linux
+//! `VmHWM`) for gauges set at phase boundaries.
+//!
 //! Aggregates answer "how much"; the sibling [`trace`] module answers
 //! "*why this line*" — a bounded ring of typed decision-provenance events
 //! with its own independent enable flag and a JSONL export
@@ -60,6 +63,7 @@ pub mod distribution;
 pub mod history;
 pub mod http;
 pub mod json;
+pub mod mem;
 pub mod par;
 pub mod profile;
 pub mod registry;

@@ -16,8 +16,11 @@
 //! All tests flip the process-global trace buffer's enabled bit, so they
 //! serialise on one mutex (same pattern as `tests/observability.rs`).
 
+use nevermind::locator::{
+    collect_dispatch_examples, LocatorConfig, LocatorEvaluation, TroubleLocator,
+};
 use nevermind::pipeline::{
-    run_proactive_trial, run_proactive_trial_with, ProactiveOutcome, TrialOptions,
+    run_proactive_trial, run_proactive_trial_with, ExperimentData, ProactiveOutcome, TrialOptions,
 };
 use nevermind::predictor::PredictorConfig;
 use nevermind::provenance::TOP_STUMPS;
@@ -359,4 +362,42 @@ fn traced_ranks_follow_the_ranking_order_through_ties() {
     }
     assert!(weeks > 0, "the trial must rank weeks");
     assert!(tied_lines > 0, "the trial must produce tied probabilities for this test to bite");
+}
+
+/// The locator's evaluation traces each held-out dispatch's combined
+/// ranking keyed by that dispatch: one `locate` event per modeled
+/// disposition, each carrying the dispatch's line and day, so `explain`
+/// can attribute every one.
+#[test]
+fn locator_evaluation_events_name_their_dispatch() {
+    let _guard = GLOBAL_TRACE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut cfg = SimConfig::small(91);
+    cfg.n_lines = 3_000;
+    cfg.faults_per_line_year = 1.3;
+    let data = ExperimentData::simulate(cfg);
+    let days = data.config.days;
+    let config = LocatorConfig { iterations: 10, min_examples: 10, ..LocatorConfig::default() };
+    let locator = TroubleLocator::fit(&data, 30, days / 2, &config).expect("window has dispatches");
+    let modeled = locator.modeled_dispositions().len();
+    assert!(modeled > 0, "the world must model some disposition");
+
+    let buf = nevermind_obs::trace::global();
+    buf.reset();
+    nevermind_obs::trace::set_enabled(true);
+    let eval = LocatorEvaluation::run(&locator, &data, days / 2, days);
+    let jsonl = buf.to_jsonl();
+    nevermind_obs::trace::set_enabled(false);
+    buf.reset();
+
+    let examples = collect_dispatch_examples(&data.output.notes, days / 2, days);
+    assert!(!examples.is_empty() && eval.per_example.len() == examples.len());
+    let locates: Vec<Ev> =
+        parse_events(&jsonl).into_iter().filter(|e| e.kind == "locate").collect();
+    assert_eq!(locates.len(), examples.len() * modeled, "one event per dispatch and model");
+    for (events, e) in locates.chunks(modeled).zip(&examples) {
+        for ev in events {
+            let key = (Some(u64::from(e.line.0)), Some(u64::from(e.day)));
+            assert_eq!((ev.line, ev.day), key, "{:?}", ev.fields);
+        }
+    }
 }
