@@ -249,15 +249,43 @@ pub(crate) fn iterations(
     args: &crate::args::Args,
     default: usize,
 ) -> Result<usize, crate::args::ArgError> {
-    let iterations = args.get_parsed_or("iterations", default)?;
-    if iterations <= MAX_ITERATIONS {
-        Ok(iterations)
-    } else {
-        Err(crate::args::ArgError(format!(
-            "--iterations: '{}' is above {MAX_ITERATIONS}",
-            args.get("iterations").unwrap_or_default()
-        )))
+    count_in(args, "iterations", default, 0..=MAX_ITERATIONS)
+}
+
+/// Largest `--shards` count accepted.
+pub(crate) const MAX_SHARDS: usize = 256;
+
+/// `--shards N`: the part count of the simulator and the weekly stages,
+/// `default` when absent (`0` = one per core). A count above
+/// [`MAX_SHARDS`] is an error naming the flag: every part but one is a
+/// thread, started anew for each simulated day and each weekly stage, so
+/// a mistyped count would start that many threads hundreds of times.
+pub(crate) fn shards(
+    args: &crate::args::Args,
+    default: usize,
+) -> Result<usize, crate::args::ArgError> {
+    count_in(args, "shards", default, 0..=MAX_SHARDS)
+}
+
+/// `--NAME N`: a count, `default` when absent, that must lie in `range`;
+/// a count outside it is an error naming the flag and the bound it broke.
+pub(crate) fn count_in(
+    args: &crate::args::Args,
+    name: &str,
+    default: usize,
+    range: std::ops::RangeInclusive<usize>,
+) -> Result<usize, crate::args::ArgError> {
+    let count = args.get_parsed_or(name, default)?;
+    if range.contains(&count) {
+        return Ok(count);
     }
+    let given = args.get(name).unwrap_or_default();
+    let broken = if count > *range.end() {
+        format!("is above {}", range.end())
+    } else {
+        format!("is below {}", range.start())
+    };
+    Err(crate::args::ArgError(format!("--{name}: '{given}' {broken}")))
 }
 
 /// Loads a dataset written by `nevermind simulate` and checks its line ids

@@ -25,7 +25,7 @@ pub(crate) fn run(args: &Args) -> CliResult {
     ])?;
     let out_dir = std::path::PathBuf::from(args.require("out")?);
     let cfg = sim_config_from(args)?;
-    let shards: usize = args.get_parsed_or("shards", 1usize)?;
+    let shards = super::shards(args, 1)?;
     super::setup_history(args, None)?;
     let plane = ObsPlane::start(args)?;
 

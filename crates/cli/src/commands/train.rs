@@ -1,6 +1,6 @@
 //! `nevermind train` — fit the ticket predictor on a saved dataset.
 
-use super::{budget_fraction, iterations, load_dataset, CliResult};
+use super::{budget_fraction, count_in, iterations, load_dataset, CliResult};
 use crate::args::Args;
 use nevermind::pipeline::SplitSpec;
 use nevermind::predictor::{PredictorConfig, TicketPredictor};
@@ -22,19 +22,21 @@ pub(crate) fn run(args: &Args) -> CliResult {
     ])?;
     let data_path = args.require("data")?;
     let model_path = args.require("model")?;
-    let budget_fraction = budget_fraction(args)?;
-
-    let data = load_dataset(&data_path)?;
-    let split = SplitSpec::paper_like(&data)?;
+    // Every flag is checked before the dataset is read.
     let config = PredictorConfig {
         iterations: iterations(args, 150)?,
-        budget_fraction,
+        budget_fraction: budget_fraction(args)?,
         n_base: args.get_parsed_or("n-base", 40usize)?,
         n_quadratic: args.get_parsed_or("n-quadratic", 25usize)?,
         n_product: args.get_parsed_or("n-product", 25usize)?,
-        selection_row_cap: args.get_parsed_or("selection-row-cap", 12_000usize)?,
+        // An empty cap leaves selection no eval rows: every candidate
+        // would score AP(N) = 0 over nothing.
+        selection_row_cap: count_in(args, "selection-row-cap", 12_000, 1..=usize::MAX)?,
         ..PredictorConfig::default()
     };
+
+    let data = load_dataset(&data_path)?;
+    let split = SplitSpec::paper_like(&data)?;
 
     eprintln!(
         "training on {:?} (selection eval {:?}) ...",

@@ -34,6 +34,7 @@ pub(crate) fn run(args: &Args) -> CliResult {
         "history",
     ])?;
     let cfg = sim_config_from(args)?;
+    let shards = super::shards(args, 0)?;
     let mut warmup: u32 = args.get_parsed_or("warmup-weeks", 30u32)?;
     // The warm-up must leave room for the policy to run (and the split
     // machinery needs the warm-up window itself to hold a full protocol);
@@ -85,7 +86,6 @@ pub(crate) fn run(args: &Args) -> CliResult {
             )
         }
     };
-    let shards: usize = args.get_parsed_or("shards", 0usize)?;
     let options = TrialOptions {
         train_config,
         shards,

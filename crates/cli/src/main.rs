@@ -121,6 +121,7 @@ nevermind — proactive DSL troubleshooting (CoNEXT 2010 reproduction)
 USAGE:
   nevermind simulate --out DIR [--scenario NAME] [--lines N] [--days D] [--seed S] [--shards N]
   nevermind train    --data FILE --model FILE [--iterations N] [--budget-fraction F]
+                     [--selection-row-cap N]
   nevermind rank     --data FILE --model FILE [--top N] [--explain N]
   nevermind locate   --data FILE [--top N] [--dispatches N] [--iterations N]
   nevermind trial    [--scenario NAME] [--lines N] [--days D] [--seed S] [--warmup-weeks W]
@@ -145,8 +146,10 @@ causal chain, and 'nevermind report FILE' summarizes a trace file.
 'trial --train-scenario NAME' trains the model in a separate world to
 inject drift that the telemetry must detect. '--shards N' (simulate,
 trial) steps the plant N DSLAM-subtree shards in parallel and runs the
-weekly scoring stages N-way; '--shards 0' (trial's default) means one
-shard per available core, and simulate defaults to 1. Training always
+weekly scoring stages N-way, N at most 256; '--shards 0' (trial's
+default) means one shard per available core, and simulate defaults to 1.
+'train --selection-row-cap N' (at least 1, default 12000) caps the rows
+of each feature-selection window. Training always
 uses every core. Outputs are bit-identical for every N; only wall time
 changes. 'nevermind lint' walks the
 workspace sources and enforces the determinism/robustness rules — token

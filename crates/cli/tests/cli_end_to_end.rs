@@ -466,6 +466,58 @@ fn iterations_above_the_bound_are_a_typed_error() {
 }
 
 #[test]
+fn shards_above_the_bound_are_a_typed_error() {
+    let dir = named_work_dir("shards");
+    let out_dir = dir.join("data");
+    let simulate = vec!["simulate", "--out", out_dir.to_str().expect("utf8")]
+        .into_iter()
+        .chain(["--lines", "300", "--days", "120"])
+        .collect::<Vec<_>>();
+    let trial = vec!["trial", "--lines", "300", "--days", "120", "--iterations", "5"];
+    for command in [simulate, trial] {
+        let run = |extra: &[&str]| bin().args(&command).args(extra).output().expect("run");
+        // Rejected while the arguments are read, before any part starts.
+        for bad in ["257", "100000", "18446744073709551615"] {
+            let out = run(&["--shards", bad]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{} {bad}: {stderr}", command[0]);
+            let needle = format!("error: --shards: '{bad}' is above 256");
+            assert!(stderr.contains(&needle), "{} {bad}: {stderr}", command[0]);
+        }
+        // `0` and the subcommand's default keep working.
+        for good in [&["--shards", "0"][..], &[]] {
+            let out = run(good);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{} {good:?}: {stderr}", command[0]);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_empty_selection_row_cap_is_a_typed_error() {
+    let (dir, _) = simulated_dataset("selection-row-cap");
+    let data = dir.join("dataset.json");
+    let model = dir.join("model.json");
+    let run = |cap: &str| {
+        bin()
+            .args(["train", "--data", data.to_str().expect("utf8")])
+            .args(["--model", model.to_str().expect("utf8"), "--iterations", "5"])
+            .args(["--selection-row-cap", cap])
+            .output()
+            .expect("run train")
+    };
+    let out = run("0");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: --selection-row-cap: '0' is below 1"), "{stderr}");
+    assert!(!model.exists(), "no model written");
+    let out = run("1");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn out_of_range_ticket_line_is_a_typed_error() {
     let (dir, json) = simulated_dataset("bad-ticket-line");
     let tampered = tamper_in(&json, "tickets", "line", "999999");

@@ -19,11 +19,13 @@
 //! `nevermind_features::encode::AssembledColumns` writes one assembled
 //! column at a time from the base encoding into the column-fed
 //! `BStump::fit_columns`, which bins and codes it before asking for the
-//! next. Selection's matrices are built by
-//! `nevermind_features::encode::assemble`. Every population score —
-//! ranking, and the margins calibration fits on — goes through the one
-//! compiled plan of [`crate::scoring`], which gathers the used columns
-//! straight from the base encoding: no assembled matrix is built to rank.
+//! next. Selection builds no matrix either: it gathers its two subsamples
+//! column-major once and writes each candidate's column from them into
+//! the column-fed `nevermind_ml::select::score_columns`. Every population
+//! score — ranking, and the margins calibration fits on — goes through
+//! the one compiled plan of [`crate::scoring`], which gathers the used
+//! columns straight from the base encoding: no assembled matrix is built
+//! to rank.
 
 use crate::error::PipelineError;
 use crate::pipeline::{ExperimentData, SplitSpec};
@@ -37,7 +39,9 @@ use nevermind_ml::calibrate::PlattScale;
 use nevermind_ml::data::Dataset;
 use nevermind_ml::metrics;
 use nevermind_ml::rank::top_k_sharded;
-use nevermind_ml::select::{score_features, FeatureScore, SelectConfig, SelectionCriterion};
+use nevermind_ml::select::{
+    score_columns, score_features, FeatureScore, SelectConfig, SelectionCriterion,
+};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -252,68 +256,11 @@ impl TicketPredictor {
             (encoder.encode(&split.train_days), encoder.encode(&split.selection_eval_days))
         };
 
-        // Deterministic selection subsamples. The *training* subsample keeps
-        // every positive (they are <1% and single-feature models need them);
-        // the *evaluation* subsample must stay uniform — AP(N) is a ranking
-        // metric and enriching positives would distort exactly the head of
-        // the ranking the criterion is supposed to measure.
-        let train_sub =
-            subsample_keep_positives(&base_train, config.selection_row_cap, config.seed);
-        let eval_sub = subsample_uniform(&base_eval, config.selection_row_cap, config.seed ^ 1);
-        let selection_budget = config.budget(eval_sub.data.len());
-
-        let select_cfg =
-            SelectConfig { model_iterations: config.selection_iterations, n_bins: config.n_bins };
-        let criterion = SelectionCriterion::TopNAp { n: selection_budget };
-
-        // --- base features ---
-        let base_scores = {
-            let _s = nevermind_obs::span!("select_base");
-            score_features(&train_sub.data, &eval_sub.data, criterion, &select_cfg)
-        };
-        let selected_base = top_scores(&base_scores, config.n_base);
-
-        // --- derived features ---
-        let mut report_quadratic = Vec::new();
-        let mut report_product = Vec::new();
-        let mut selected_derived = Vec::new();
-        if config.use_derived {
-            let quads = all_quadratics(&base_train);
-            let quad_scores = {
-                let _s = nevermind_obs::span!("select_quadratic");
-                score_derived(&train_sub, &eval_sub, &quads, criterion, &select_cfg)
-            };
-            for (f, s) in quads.iter().zip(&quad_scores) {
-                report_quadratic.push(scored(&base_train, *f, *s));
-            }
-            selected_derived.extend(top_derived(&quads, &quad_scores, config.n_quadratic));
-
-            let prods = all_products(&base_train);
-            let prod_scores = {
-                let _s = nevermind_obs::span!("select_product");
-                score_derived(&train_sub, &eval_sub, &prods, criterion, &select_cfg)
-            };
-            for (f, s) in prods.iter().zip(&prod_scores) {
-                report_product.push(scored(&base_train, *f, *s));
-            }
-            selected_derived.extend(top_derived(&prods, &prod_scores, config.n_product));
-        }
-
-        let report = SelectionReport {
-            base: base_scores
-                .iter()
-                .map(|fs| ScoredFeature {
-                    name: base_train.data.x.meta()[fs.feature].name.clone(),
-                    class: base_train.classes[fs.feature],
-                    score: fs.score,
-                })
-                .collect(),
-            quadratic: report_quadratic,
-            product: report_product,
-            selected_base: selected_base.clone(),
-            selected_derived: selected_derived.clone(),
-            selection_budget,
-        };
+        // The selection subsamples live only while `select` runs, so they
+        // are gone before the final fit, where training's memory peaks.
+        let report = select(&base_train, &base_eval, config);
+        let (selected_base, selected_derived) =
+            (report.selected_base.clone(), report.selected_derived.clone());
 
         // --- final model ---
         let model = {
@@ -400,13 +347,20 @@ impl TicketPredictor {
         let encoder = data.encoder(config.encoder.clone());
         let base_train = encoder.encode(&split.train_days);
         let base_eval = encoder.encode(&split.selection_eval_days);
-        let train_sub =
-            subsample_keep_positives(&base_train, config.selection_row_cap, config.seed);
-        let eval_sub = subsample_uniform(&base_eval, config.selection_row_cap, config.seed ^ 1);
+        let train_sub = base_train.data.select_rows(&subsample_keep_positives(
+            &base_train.data.y,
+            config.selection_row_cap,
+            config.seed,
+        ));
+        let eval_sub = base_eval.data.select_rows(&subsample_uniform(
+            base_eval.data.len(),
+            config.selection_row_cap,
+            config.seed ^ 1,
+        ));
 
         let select_cfg =
             SelectConfig { model_iterations: config.selection_iterations, n_bins: config.n_bins };
-        let scores = score_features(&train_sub.data, &eval_sub.data, criterion, &select_cfg);
+        let scores = score_features(&train_sub, &eval_sub, criterion, &select_cfg);
         let selected_base = top_scores(&scores, top_k);
 
         let model = fit_assembled(&base_train, &selected_base, &[], config);
@@ -577,45 +531,165 @@ fn fit_assembled(
     })
 }
 
+/// Steps 2–3 of the recipe: scores every base, quadratic and product
+/// candidate by the AP(N) of its single-feature model and keeps the best
+/// of each class.
+///
+/// The two selection subsamples are gathered column-major once, and every
+/// candidate's column is written from them into the column-fed scorer;
+/// they are dropped when this returns.
+fn select(
+    base_train: &EncodedDataset,
+    base_eval: &EncodedDataset,
+    config: &PredictorConfig,
+) -> SelectionReport {
+    // Deterministic selection subsamples. The *training* subsample keeps
+    // every positive (they are <1% and single-feature models need them);
+    // the *evaluation* subsample must stay uniform — AP(N) is a ranking
+    // metric and enriching positives would distort exactly the head of
+    // the ranking the criterion is supposed to measure.
+    let train_rows =
+        subsample_keep_positives(&base_train.data.y, config.selection_row_cap, config.seed);
+    let train_sub = Subsample::gather(&base_train.data, &train_rows);
+    let eval_rows =
+        subsample_uniform(base_eval.data.len(), config.selection_row_cap, config.seed ^ 1);
+    let eval_sub = Subsample::gather(&base_eval.data, &eval_rows);
+    let selection_budget = config.budget(eval_rows.len());
+
+    let select_cfg =
+        SelectConfig { model_iterations: config.selection_iterations, n_bins: config.n_bins };
+    let criterion = SelectionCriterion::TopNAp { n: selection_budget };
+    let score = |n: usize, write: &(dyn Fn(&Subsample, usize, &mut [f32]) + Sync)| {
+        let write_train = |c: usize, out: &mut [f32]| write(&train_sub, c, out);
+        let write_eval = |c: usize, out: &mut [f32]| write(&eval_sub, c, out);
+        score_columns(n, &train_sub.y, &eval_sub.y, criterion, &select_cfg, write_train, write_eval)
+    };
+
+    // --- base features ---
+    let base_scores = {
+        let _s = nevermind_obs::span!("select_base");
+        score(base_train.data.x.n_cols(), &|sub, c, out| out.copy_from_slice(sub.column(c)))
+    };
+    let selected_base = top_scores(&base_scores, config.n_base);
+
+    // --- derived features ---
+    let mut report_quadratic = Vec::new();
+    let mut report_product = Vec::new();
+    let mut selected_derived = Vec::new();
+    if config.use_derived {
+        let mut select_derived = |feats: &[DerivedFeature], k: usize, report: &mut Vec<_>| {
+            let scores: Vec<f64> = score(feats.len(), &|sub, j, out| sub.write(feats[j], out))
+                .into_iter()
+                .map(|s| s.score)
+                .collect();
+            report.extend(feats.iter().zip(&scores).map(|(f, s)| scored(base_train, *f, *s)));
+            selected_derived.extend(top_derived(feats, &scores, k));
+        };
+        let quads = all_quadratics(base_train);
+        {
+            let _s = nevermind_obs::span!("select_quadratic");
+            select_derived(&quads, config.n_quadratic, &mut report_quadratic);
+        }
+        let prods = all_products(base_train);
+        {
+            let _s = nevermind_obs::span!("select_product");
+            select_derived(&prods, config.n_product, &mut report_product);
+        }
+    }
+
+    SelectionReport {
+        base: base_scores
+            .iter()
+            .map(|fs| ScoredFeature {
+                name: base_train.data.x.meta()[fs.feature].name.clone(),
+                class: base_train.classes[fs.feature],
+                score: fs.score,
+            })
+            .collect(),
+        quadratic: report_quadratic,
+        product: report_product,
+        selected_base,
+        selected_derived,
+        selection_budget,
+    }
+}
+
+/// A selection subsample with its base columns gathered column-major, so
+/// that writing a candidate's column reads one or two contiguous columns.
+struct Subsample {
+    /// Base column `c` over the subsample's rows is `values[c·n..(c+1)·n]`
+    /// for `n` rows.
+    values: Vec<f32>,
+    /// The rows' labels.
+    y: Vec<bool>,
+}
+
+impl Subsample {
+    /// The listed rows of `data`, in the listed order.
+    fn gather(data: &Dataset, rows: &[usize]) -> Self {
+        let n = rows.len();
+        let mut values = vec![0.0f32; n * data.x.n_cols()];
+        for (i, &r) in rows.iter().enumerate() {
+            for (c, &v) in data.x.row(r).iter().enumerate() {
+                values[c * n + i] = v;
+            }
+        }
+        Self { values, y: rows.iter().map(|&r| data.y[r]).collect() }
+    }
+
+    /// Base column `c`.
+    fn column(&self, c: usize) -> &[f32] {
+        let n = self.y.len();
+        &self.values[c * n..(c + 1) * n]
+    }
+
+    /// Writes derived feature `f`'s column into `out`: each row's
+    /// [`DerivedFeature::value`] over its base values, as
+    /// `nevermind_features::encode::assemble` computes it.
+    fn write(&self, f: DerivedFeature, out: &mut [f32]) {
+        let (a, b) = match f {
+            DerivedFeature::Quadratic { col } => (col, col),
+            DerivedFeature::Product { a, b } => (a, b),
+        };
+        for ((v, &x), &y) in out.iter_mut().zip(self.column(a)).zip(self.column(b)) {
+            *v = f.value(|c| if c == a { x } else { y });
+        }
+    }
+}
+
 /// Deterministic row subsample that keeps every positive example (they are
 /// rare and single-feature *training* needs them) and fills the remainder
-/// with a seeded shuffle of the negatives.
-fn subsample_keep_positives(ds: &EncodedDataset, cap: usize, seed: u64) -> EncodedDataset {
-    if ds.data.len() <= cap {
-        return ds.clone();
+/// with a seeded shuffle of the negatives. Returns the kept rows of the
+/// labels `y`, ascending.
+fn subsample_keep_positives(y: &[bool], cap: usize, seed: u64) -> Vec<usize> {
+    if y.len() <= cap {
+        return (0..y.len()).collect();
     }
-    let positives: Vec<usize> = (0..ds.data.len()).filter(|&i| ds.data.y[i]).collect();
-    let mut negatives: Vec<usize> = (0..ds.data.len()).filter(|&i| !ds.data.y[i]).collect();
+    let positives: Vec<usize> = (0..y.len()).filter(|&i| y[i]).collect();
+    let mut negatives: Vec<usize> = (0..y.len()).filter(|&i| !y[i]).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     negatives.shuffle(&mut rng);
     let room = cap.saturating_sub(positives.len());
     let mut rows: Vec<usize> = positives;
     rows.extend(negatives.into_iter().take(room));
     rows.sort_unstable();
-    take_rows(ds, rows)
+    rows
 }
 
-/// Deterministic *uniform* row subsample, preserving the natural class
-/// balance — used for the selection-evaluation window, where AP(N) must be
-/// computed under real prevalence.
-fn subsample_uniform(ds: &EncodedDataset, cap: usize, seed: u64) -> EncodedDataset {
-    if ds.data.len() <= cap {
-        return ds.clone();
+/// Deterministic *uniform* row subsample of `n` rows, preserving the
+/// natural class balance — used for the selection-evaluation window,
+/// where AP(N) must be computed under real prevalence. Returns the kept
+/// rows, ascending.
+fn subsample_uniform(n: usize, cap: usize, seed: u64) -> Vec<usize> {
+    let mut rows: Vec<usize> = (0..n).collect();
+    if n <= cap {
+        return rows;
     }
-    let mut rows: Vec<usize> = (0..ds.data.len()).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     rows.shuffle(&mut rng);
     rows.truncate(cap);
     rows.sort_unstable();
-    take_rows(ds, rows)
-}
-
-fn take_rows(ds: &EncodedDataset, rows: Vec<usize>) -> EncodedDataset {
-    EncodedDataset {
-        data: ds.data.select_rows(&rows),
-        rows: rows.iter().map(|&r| ds.rows[r]).collect(),
-        classes: ds.classes.clone(),
-    }
+    rows
 }
 
 /// Top-`k` feature indices by score (positive scores only).
@@ -633,26 +707,6 @@ fn top_derived(feats: &[DerivedFeature], scores: &[f64], k: usize) -> Vec<Derive
 
 fn scored(base: &EncodedDataset, f: DerivedFeature, score: f64) -> ScoredFeature {
     ScoredFeature { name: f.name(base.data.x.meta()), class: f.class(), score }
-}
-
-/// Scores derived features in bounded-memory chunks: materialize ≤256
-/// columns at a time on the selection subsamples, score them, drop them.
-fn score_derived(
-    train_sub: &EncodedDataset,
-    eval_sub: &EncodedDataset,
-    feats: &[DerivedFeature],
-    criterion: SelectionCriterion,
-    select_cfg: &SelectConfig,
-) -> Vec<f64> {
-    const CHUNK: usize = 256;
-    let mut scores = Vec::with_capacity(feats.len());
-    for chunk in feats.chunks(CHUNK) {
-        let train_d = assemble(train_sub, &[], chunk);
-        let eval_d = assemble(eval_sub, &[], chunk);
-        let chunk_scores = score_features(&train_d, &eval_d, criterion, select_cfg);
-        scores.extend(chunk_scores.into_iter().map(|s| s.score));
-    }
-    scores
 }
 
 #[cfg(test)]
@@ -839,6 +893,44 @@ mod tests {
         assert_eq!(best, 60);
     }
 
+    /// Every column selection writes from a column-major subsample — each
+    /// base column, and each quadratic and product candidate — equals,
+    /// bit for bit, the matching column of `assemble` over a row-major
+    /// copy of the same rows, and so do the labels.
+    #[test]
+    fn subsample_columns_are_the_assembled_columns() {
+        let data = ExperimentData::simulate(SimConfig::small(79));
+        let split = SplitSpec::paper_like(&data).expect("horizon fits the protocol");
+        let base = data.encoder(EncoderConfig::default()).encode(&split.train_days);
+        let rows = subsample_keep_positives(&base.data.y, 700, 5);
+        let sub = Subsample::gather(&base.data, &rows);
+        let copy = EncodedDataset {
+            data: base.data.select_rows(&rows),
+            rows: rows.iter().map(|&r| base.rows[r]).collect(),
+            classes: base.classes.clone(),
+        };
+        assert_eq!(sub.y, copy.data.y);
+        let bits =
+            |column: &mut dyn Iterator<Item = f32>| column.map(f32::to_bits).collect::<Vec<_>>();
+        let all_base: Vec<usize> = (0..base.data.x.n_cols()).collect();
+        let assembled = assemble(&copy, &all_base, &[]);
+        for c in all_base {
+            let written = bits(&mut sub.column(c).iter().copied());
+            assert_eq!(written, bits(&mut assembled.x.column(c)), "base column {c}");
+        }
+        let mut derived = all_quadratics(&base);
+        derived.extend(all_products(&base));
+        let assembled = assemble(&copy, &[], &derived);
+        let mut out = vec![0.0f32; rows.len()];
+        for (j, &f) in derived.iter().enumerate() {
+            sub.write(f, &mut out);
+            let written = bits(&mut out.iter().copied());
+            assert_eq!(written, bits(&mut assembled.x.column(j)), "{f:?}");
+        }
+        let holes = sub.values.iter().filter(|v| v.is_nan()).count();
+        assert!(holes > 0, "the base columns have missing values");
+    }
+
     #[test]
     fn subsample_keeps_positives() {
         let data = ExperimentData::simulate(SimConfig::small(79));
@@ -846,8 +938,9 @@ mod tests {
         let encoder = data.encoder(EncoderConfig::default());
         let base = encoder.encode(&split.train_days);
         let n_pos = base.data.n_positive();
-        let sub = subsample_keep_positives(&base, n_pos + 50, 3);
-        assert_eq!(sub.data.len(), n_pos + 50);
-        assert_eq!(sub.data.n_positive(), n_pos, "all positives retained");
+        let rows = subsample_keep_positives(&base.data.y, n_pos + 50, 3);
+        assert_eq!(rows.len(), n_pos + 50);
+        let kept_positives = rows.iter().filter(|&&r| base.data.y[r]).count();
+        assert_eq!(kept_positives, n_pos, "all positives retained");
     }
 }

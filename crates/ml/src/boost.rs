@@ -25,6 +25,13 @@
 //! [`nevermind_obs::par`] parts; the model is bit-identical for any part
 //! count because the per-part winners reduce under the total order
 //! `(Z, feature index)`.
+//!
+//! The same loop boosts several single-column models in lockstep (feature
+//! selection's, `BStump::fit_each_column`): a pass fills four models'
+//! histograms, each lane from its own weights, and another multiplies and
+//! sums their four weight vectors. Each lane adds the same weights in the
+//! same order as a fit of its column alone, so each model is that fit's
+//! (DESIGN.md §14, "Selection: one column per candidate").
 
 use crate::data::{Dataset, FeatureMatrix};
 use crate::stump::{
@@ -135,28 +142,47 @@ impl BStump {
         y: &[bool],
         initial_weights: &[f64],
         config: &BoostConfig,
-        mut write_column: impl FnMut(usize, &mut [f32]),
+        write_column: impl FnMut(usize, &mut [f32]),
     ) -> Self {
         assert_eq!(y.len(), initial_weights.len(), "weight/row mismatch");
         assert!(!y.is_empty(), "cannot train on an empty dataset");
+        let columns = coded_columns(n_cols, y, config.n_bins, write_column, |c| c);
+        Self::fit_one(columns, initial_weights, config, n_cols)
+    }
 
-        let mut buffers = SortBuffers::default();
-        let mut column = vec![0.0f32; y.len()];
-        let columns: Vec<CodedColumn> = (0..n_cols)
-            .map(|c| {
-                write_column(c, &mut column);
-                let values = column.iter().copied();
-                let binned = BinnedFeature::quantize(values, config.n_bins, &mut buffers);
-                CodedColumn::new(c, &binned, y)
+    /// One single-column model per column that `write_column(c, column)`
+    /// writes: model `c` is the one [`Self::fit_columns`]`(1, y,
+    /// initial_weights, config, |_, out| write_column(c, out))` trains,
+    /// reading its feature as column 0.
+    ///
+    /// The models boost in lockstep: each round fills the histograms of
+    /// up to four of them in one pass over the rows, each from its own
+    /// weights, and reweights them in one more pass (feature selection
+    /// trains its single-feature models four at a time this way).
+    pub(crate) fn fit_each_column(
+        n_cols: usize,
+        y: &[bool],
+        initial_weights: &[f64],
+        config: &BoostConfig,
+        write_column: impl FnMut(usize, &mut [f32]),
+    ) -> Vec<Self> {
+        assert_eq!(y.len(), initial_weights.len(), "weight/row mismatch");
+        let weights = normalized(initial_weights);
+        let mut fits: Vec<Fit> = coded_columns(n_cols, y, config.n_bins, write_column, |_| 0)
+            .into_iter()
+            .map(|column| Fit {
+                columns: vec![column],
+                weights: weights.clone(),
+                stumps: Vec::new(),
             })
             .collect();
-        Self::boost(&columns, initial_weights, config, n_cols)
+        boost(&mut fits, config);
+        fits.into_iter().map(|fit| Self { stumps: fit.stumps, n_features: 1 }).collect()
     }
 
     /// Trains from an already-binned dataset, restricted to the given
     /// candidate feature columns (lets callers amortize binning across many
-    /// models — e.g. the per-feature selection models train one single-column
-    /// model per candidate from one shared binning).
+    /// models — e.g. the locator's full fits share one binning).
     ///
     /// The fit holds 2 bytes per row and candidate of slot codes while it
     /// runs.
@@ -173,43 +199,23 @@ impl BStump {
     ) -> Self {
         assert_eq!(binned.n_rows(), y.len(), "label/row mismatch");
         assert_eq!(binned.n_rows(), initial_weights.len(), "weight/row mismatch");
-        let columns: Vec<CodedColumn> =
+        let columns =
             candidate_features.iter().map(|&f| CodedColumn::new(f, binned.feature(f), y)).collect();
-        Self::boost(&columns, initial_weights, config, binned.n_features())
+        Self::fit_one(columns, initial_weights, config, binned.n_features())
     }
 
-    /// The boosting rounds over a fit's coded candidate columns.
-    fn boost(
-        columns: &[CodedColumn],
+    /// The one-model case of [`boost`]: a model over `columns`.
+    fn fit_one(
+        columns: Vec<CodedColumn>,
         initial_weights: &[f64],
         config: &BoostConfig,
         n_features: usize,
     ) -> Self {
-        let _span = nevermind_obs::span!("ml/bstump_fit");
-        let n = initial_weights.len();
-        let smoothing = config.smoothing.unwrap_or(1.0 / (2.0 * n as f64));
-        let mut weights: Vec<f64> = initial_weights.to_vec();
-        normalize(&mut weights);
-
-        let threads = if config.parallel && columns.len() >= 8 { 0 } else { 1 };
-        // Grown round by round: `iterations` is a budget, not a size, and
-        // may be far above the rounds a fit runs before it stops early.
-        let mut stumps = Vec::new();
-
-        for _t in 0..config.iterations {
-            let Some((c, res)) = search(columns, &weights, smoothing, threads) else { break };
-            // Z >= 1 means the stump no longer reduces training loss; any
-            // further rounds would just oscillate.
-            if res.z >= 1.0 - 1e-12 {
-                break;
-            }
-
-            columns[c].reweight(&res.stump, &mut weights);
-            stumps.push(res.stump);
-        }
-        nevermind_obs::counter_add!("ml/boost_rounds", stumps.len());
-
-        Self { stumps, n_features }
+        let weights = normalized(initial_weights);
+        let mut fit = [Fit { columns, weights, stumps: Vec::new() }];
+        boost(&mut fit, config);
+        let [fit] = fit;
+        Self { stumps: fit.stumps, n_features }
     }
 
     /// Raw margin `Σ_t g_t(x)` for one feature row.
@@ -272,18 +278,47 @@ pub fn uniform_weights(n: usize) -> Vec<f64> {
     vec![1.0 / n.max(1) as f64; n]
 }
 
-fn normalize(weights: &mut [f64]) {
+/// A copy of `weights` scaled to sum to one.
+fn normalized(weights: &[f64]) -> Vec<f64> {
+    let mut weights = weights.to_vec();
     let total: f64 = weights.iter().sum();
+    divide(&mut weights, total);
+    weights
+}
+
+/// Divides every weight by their (already summed) `total`.
+fn divide(weights: &mut [f64], total: f64) {
     assert!(total > 0.0, "weights must not all be zero");
     for w in weights.iter_mut() {
         *w /= total;
     }
 }
 
-/// Candidates whose histograms one pass over the rows fills. Four
-/// independent `h[code] += w` chains keep the adds from waiting on each
-/// other's stores; eight measured no faster (DESIGN.md §14).
-const LANES: usize = 4;
+/// Histograms one pass over the rows fills. Four independent
+/// `h[code] += w` chains keep the adds from waiting on each other's
+/// stores; eight measured no faster (DESIGN.md §14).
+pub(crate) const LANES: usize = 4;
+
+/// `n_cols` columns that `write_column` writes into one reused buffer,
+/// each binned and coded before the next is asked for; column `c` gets
+/// the feature index `feature(c)`.
+fn coded_columns(
+    n_cols: usize,
+    y: &[bool],
+    n_bins: usize,
+    mut write_column: impl FnMut(usize, &mut [f32]),
+    feature: impl Fn(usize) -> usize,
+) -> Vec<CodedColumn> {
+    let mut buffers = SortBuffers::default();
+    let mut column = vec![0.0f32; y.len()];
+    (0..n_cols)
+        .map(|c| {
+            write_column(c, &mut column);
+            let binned = BinnedFeature::quantize(column.iter().copied(), n_bins, &mut buffers);
+            CodedColumn::new(feature(c), &binned, y)
+        })
+        .collect()
+}
 
 /// One candidate column of a fit with the fit's labels folded in: a `u16`
 /// slot code per row, `2·bin + y` for a present value and `2·k` for a
@@ -320,16 +355,15 @@ impl CodedColumn {
         Self { feature, edges: column.edges.clone(), codes }
     }
 
-    /// Applies the AdaBoost update `w_i ← w_i·exp(-y_i·g(x_i))` for a
-    /// stump on this column, then renormalizes. Every row with the same
-    /// slot code gets the same factor, so the `exp` runs once per slot,
-    /// not once per row.
-    fn reweight(&self, stump: &Stump, weights: &mut [f64]) {
+    /// The AdaBoost factor `exp(-y·g(x))` of a stump on this column, per
+    /// slot code: every row with the same code gets the same factor, so
+    /// the `exp` runs once per slot, not once per row.
+    fn factors(&self, stump: &Stump) -> Vec<f64> {
         let k = self.edges.len();
         // The stump threshold is always one of the bin edges; rows in bins
         // up to and including that edge go left.
         let split_bin = self.edges.partition_point(|&e| e < stump.threshold);
-        let factor: Vec<f64> = (0..=2 * k)
+        (0..=2 * k)
             .map(|code| {
                 let bin = code / 2;
                 let g = if bin == k {
@@ -342,83 +376,235 @@ impl CodedColumn {
                 let signed = if code % 2 == 1 { g } else { -g };
                 (-signed).exp()
             })
-            .collect();
-        for (w, &code) in weights.iter_mut().zip(&self.codes) {
-            *w *= factor[usize::from(code)];
-        }
-        normalize(weights);
+            .collect()
     }
 }
 
-/// The best stump over every column under `weights`, with the winner's
-/// position in `columns`. Groups of [`LANES`] columns are spread over
-/// `threads` [`nevermind_obs::par`] parts.
-fn search(
-    columns: &[CodedColumn],
-    weights: &[f64],
-    smoothing: f64,
-    threads: usize,
-) -> Option<(usize, StumpSearchResult)> {
-    let n_groups = columns.len().div_ceil(LANES);
-    let per_part = nevermind_obs::par::map(n_groups, threads, |groups| {
-        let mut hists = Default::default();
-        groups
-            .flat_map(|g| group_splits(columns, g, weights, smoothing, &mut hists))
-            .fold(None, best_of)
-    });
-    per_part.into_iter().flatten().fold(None, best_of)
+/// One model a boosting run trains: its candidate columns, its row
+/// weights (normalized) and the stumps it has chosen so far.
+struct Fit {
+    columns: Vec<CodedColumn>,
+    weights: Vec<f64>,
+    stumps: Vec<Stump>,
 }
 
-/// The best split of each column in group `g` (positions `g·LANES..`, at
-/// most [`LANES`] of them) that admits one, with its position — all from
-/// one pass over the rows. `hists` is scratch space.
+/// The boosting rounds of every fit in `fits`, all on the same rows and
+/// labels. Each round finds every live fit's best stump under its own
+/// weights ([`search`]); a fit whose best stump no longer lowers `Z`
+/// stops, the others add it and reweight ([`reweight`]). One fit is a
+/// plain model fit; several single-column fits advance in lockstep, up to
+/// [`LANES`] per pass over the rows.
+fn boost(fits: &mut [Fit], config: &BoostConfig) {
+    let _span = nevermind_obs::span!("ml/bstump_fit");
+    let n = fits.first().map_or(0, |fit| fit.weights.len());
+    let smoothing = config.smoothing.unwrap_or(1.0 / (2.0 * n as f64));
+    let mut live: Vec<usize> = (0..fits.len()).collect();
+    for _t in 0..config.iterations {
+        let n_columns: usize = live.iter().map(|&f| fits[f].columns.len()).sum();
+        let threads = if config.parallel && n_columns >= 8 { 0 } else { 1 };
+        // Each fit's step this round, as (column position, stump).
+        let mut steps: Vec<Option<(usize, Stump)>> = vec![None; fits.len()];
+        for (&f, winner) in live.iter().zip(search(fits, &live, smoothing, threads)) {
+            let Some((c, res)) = winner else { continue };
+            // Z >= 1 means the stump no longer reduces training loss; any
+            // further rounds would just oscillate.
+            if res.z >= 1.0 - 1e-12 {
+                continue;
+            }
+            steps[f] = Some((c, res.stump));
+        }
+        live = (0..fits.len()).filter(|&f| steps[f].is_some()).collect();
+        if live.is_empty() {
+            break;
+        }
+        reweight(fits, &steps);
+        for (fit, step) in fits.iter_mut().zip(steps) {
+            if let Some((_, stump)) = step {
+                fit.stumps.push(stump);
+            }
+        }
+    }
+    nevermind_obs::counter_add!(
+        "ml/boost_rounds",
+        fits.iter().map(|fit| fit.stumps.len()).sum::<usize>()
+    );
+}
+
+/// The best stump of each live fit (`fits[live[i]]`, in `live` order)
+/// under that fit's weights, with the winning column's position in the
+/// fit. The live fits' columns, fit after fit, are read in groups of
+/// [`LANES`], spread over `threads` [`nevermind_obs::par`] parts.
+fn search(
+    fits: &[Fit],
+    live: &[usize],
+    smoothing: f64,
+    threads: usize,
+) -> Vec<Option<(usize, StumpSearchResult)>> {
+    let lanes: Vec<(usize, usize)> = live
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &f)| (0..fits[f].columns.len()).map(move |c| (i, c)))
+        .collect();
+    let n_groups = lanes.len().div_ceil(LANES);
+    let per_part = nevermind_obs::par::map(n_groups, threads, |groups| {
+        let mut hists = Default::default();
+        let mut best = vec![None; live.len()];
+        for g in groups {
+            let group = &lanes[g * LANES..((g + 1) * LANES).min(lanes.len())];
+            for (i, c, res) in group_splits(fits, live, group, smoothing, &mut hists) {
+                best[i] = best_of(best[i].take(), (c, res));
+            }
+        }
+        best
+    });
+    let mut best = vec![None; live.len()];
+    for part in per_part {
+        for (best, candidate) in best.iter_mut().zip(part) {
+            if let Some(candidate) = candidate {
+                *best = best_of(best.take(), candidate);
+            }
+        }
+    }
+    best
+}
+
+/// The best split of each lane of `group` (`(i, c)`: column `c` of fit
+/// `fits[live[i]]`, at most [`LANES`] of them) that admits one, as
+/// `(i, c, split)` — all from one pass over the rows. Lanes of one fit
+/// read its one weight vector; lanes of several fits read each its own.
+/// `hists` is scratch space.
 fn group_splits(
-    columns: &[CodedColumn],
-    g: usize,
-    weights: &[f64],
+    fits: &[Fit],
+    live: &[usize],
+    group: &[(usize, usize)],
     smoothing: f64,
     hists: &mut [Vec<f64>; LANES],
-) -> Vec<(usize, StumpSearchResult)> {
-    let lanes = g * LANES..((g + 1) * LANES).min(columns.len());
-    let group = &columns[lanes.clone()];
+) -> Vec<(usize, usize, StumpSearchResult)> {
+    let columns: Vec<&CodedColumn> =
+        group.iter().map(|&(i, c)| &fits[live[i]].columns[c]).collect();
     let hists = &mut hists[..group.len()];
-    for (h, column) in hists.iter_mut().zip(group) {
+    for (h, column) in hists.iter_mut().zip(&columns) {
         h.clear();
         h.resize(2 * column.edges.len() + 1, 0.0);
     }
-    let codes: Vec<&[u16]> = group.iter().map(|column| column.codes.as_slice()).collect();
-    fill_histograms(&codes, weights, hists);
-    lanes
-        .zip(group.iter().zip(hists.iter()))
-        .filter_map(|(c, (column, h))| {
-            best_split(column.feature, &column.edges, h, smoothing).map(|res| (c, res))
+    let codes: Vec<&[u16]> = columns.iter().map(|column| column.codes.as_slice()).collect();
+    let weights: Vec<&[f64]> = if group.iter().all(|&(i, _)| i == group[0].0) {
+        vec![&fits[live[group[0].0]].weights]
+    } else {
+        group.iter().map(|&(i, _)| fits[live[i]].weights.as_slice()).collect()
+    };
+    fill_histograms(&codes, &weights, hists);
+    group
+        .iter()
+        .zip(columns.iter().zip(hists.iter()))
+        .filter_map(|(&(i, c), (column, h))| {
+            best_split(column.feature, &column.edges, h, smoothing).map(|res| (i, c, res))
         })
         .collect()
 }
 
 /// Adds each row's weight to slot `codes[j][row]` of `hists[j]`, for every
-/// lane `j` (one to [`LANES`]) in one pass over the rows.
-fn fill_histograms(codes: &[&[u16]], weights: &[f64], hists: &mut [Vec<f64>]) {
-    match (codes, hists) {
-        ([a, b, c, d], [ha, hb, hc, hd]) => fill([a, b, c, d], weights, [ha, hb, hc, hd]),
-        ([a, b, c], [ha, hb, hc]) => fill([a, b, c], weights, [ha, hb, hc]),
-        ([a, b], [ha, hb]) => fill([a, b], weights, [ha, hb]),
-        ([a], [ha]) => fill([a], weights, [ha]),
-        _ => {}
+/// lane `j` (one to [`LANES`]) in one pass over the rows. `weights` is one
+/// slice every lane reads, or one per lane.
+fn fill_histograms(codes: &[&[u16]], weights: &[&[f64]], hists: &mut [Vec<f64>]) {
+    match (codes, weights, hists) {
+        ([a, b, c, d], [w], [ha, hb, hc, hd]) => fill([a, b, c, d], [w], [ha, hb, hc, hd]),
+        ([a, b, c], [w], [ha, hb, hc]) => fill([a, b, c], [w], [ha, hb, hc]),
+        ([a, b], [w], [ha, hb]) => fill([a, b], [w], [ha, hb]),
+        ([a], [w], [ha]) => fill([a], [w], [ha]),
+        ([a, b, c, d], [wa, wb, wc, wd], [ha, hb, hc, hd]) => {
+            fill([a, b, c, d], [wa, wb, wc, wd], [ha, hb, hc, hd])
+        }
+        ([a, b, c], [wa, wb, wc], [ha, hb, hc]) => fill([a, b, c], [wa, wb, wc], [ha, hb, hc]),
+        ([a, b], [wa, wb], [ha, hb]) => fill([a, b], [wa, wb], [ha, hb]),
+        _ => unreachable!("one weight slice, or one per lane"),
     }
 }
 
-/// The branch-free histogram kernel: `N` independent scatters per row.
+/// The branch-free histogram kernel: `N` independent scatters per row,
+/// lane `j` adding weight `weights[j % M]` (`M` is 1 or `N`).
 #[inline(always)]
-fn fill<const N: usize>(codes: [&[u16]; N], weights: &[f64], hists: [&mut Vec<f64>; N]) {
-    let n = weights.len();
+fn fill<const N: usize, const M: usize>(
+    codes: [&[u16]; N],
+    weights: [&[f64]; M],
+    hists: [&mut Vec<f64>; N],
+) {
+    let n = weights[0].len();
     let codes = codes.map(|c| &c[..n]);
+    let weights = weights.map(|w| &w[..n]);
     let mut hists = hists.map(|h| h.as_mut_slice());
-    for (r, &w) in weights.iter().enumerate() {
-        for (h, c) in hists.iter_mut().zip(&codes) {
-            h[usize::from(c[r])] += w;
+    for r in 0..n {
+        let w: [f64; M] = std::array::from_fn(|j| weights[j][r]);
+        for (j, (h, c)) in hists.iter_mut().zip(&codes).enumerate() {
+            h[usize::from(c[r])] += w[j % M];
         }
     }
+}
+
+/// Applies the AdaBoost update `w_i ← w_i·exp(-y_i·g(x_i))` of each
+/// fit's step (`steps[f]`: the winning column's position and stump) to its
+/// weights, then renormalizes them. One pass over the rows multiplies and
+/// sums the weights of up to [`LANES`] fits, each total added in row
+/// order (the sum `normalized` takes), and one more per fit divides.
+fn reweight(fits: &mut [Fit], steps: &[Option<(usize, Stump)>]) {
+    let mut codes: Vec<&[u16]> = Vec::new();
+    let mut factors: Vec<Vec<f64>> = Vec::new();
+    let mut weights: Vec<&mut [f64]> = Vec::new();
+    for (fit, step) in fits.iter_mut().zip(steps) {
+        if let Some((c, stump)) = step {
+            let column = &fit.columns[*c];
+            codes.push(&column.codes);
+            factors.push(column.factors(stump));
+            weights.push(&mut fit.weights);
+        }
+    }
+    let factors: Vec<&[f64]> = factors.iter().map(Vec::as_slice).collect();
+    let groups = codes.chunks(LANES).zip(factors.chunks(LANES)).zip(weights.chunks_mut(LANES));
+    for ((codes, factors), weights) in groups {
+        let totals = scale_lanes(codes, factors, weights);
+        for (w, total) in weights.iter_mut().zip(totals) {
+            divide(w, total);
+        }
+    }
+}
+
+/// Multiplies each row's weight in lane `j` by `factors[j][codes[j][row]]`,
+/// for every lane (one to [`LANES`]) in one pass over the rows, and
+/// returns each lane's new total.
+fn scale_lanes(codes: &[&[u16]], factors: &[&[f64]], weights: &mut [&mut [f64]]) -> Vec<f64> {
+    match (codes, factors, weights) {
+        ([a, b, c, d], [fa, fb, fc, fd], [wa, wb, wc, wd]) => {
+            scale([a, b, c, d], [fa, fb, fc, fd], [wa, wb, wc, wd]).to_vec()
+        }
+        ([a, b, c], [fa, fb, fc], [wa, wb, wc]) => {
+            scale([a, b, c], [fa, fb, fc], [wa, wb, wc]).to_vec()
+        }
+        ([a, b], [fa, fb], [wa, wb]) => scale([a, b], [fa, fb], [wa, wb]).to_vec(),
+        ([a], [fa], [wa]) => scale([a], [fa], [wa]).to_vec(),
+        _ => unreachable!("one code slice, factor table and weight slice per lane"),
+    }
+}
+
+/// The reweighting kernel: `N` independent multiply-and-add chains per
+/// row, each lane's total added in row order.
+#[inline(always)]
+fn scale<const N: usize>(
+    codes: [&[u16]; N],
+    factors: [&[f64]; N],
+    weights: [&mut [f64]; N],
+) -> [f64; N] {
+    let n = weights[0].len();
+    let codes = codes.map(|c| &c[..n]);
+    let weights = weights.map(|w| &mut w[..n]);
+    let mut totals = [0.0f64; N];
+    for r in 0..n {
+        for j in 0..N {
+            let w = &mut weights[j][r];
+            *w *= factors[j][usize::from(codes[j][r])];
+            totals[j] += *w;
+        }
+    }
+    totals
 }
 
 /// Folds a candidate (with its candidate position) into the running best
@@ -645,7 +831,9 @@ mod tests {
         /// Each candidate's split from the four-wide code kernel equals
         /// the row-by-row reference bit for bit, for every remainder of
         /// the four-wide pass (1–9 candidates) and every bin count the
-        /// ablations use.
+        /// ablations use: the candidates of one fit reading its one weight
+        /// vector, and single-column fits in lockstep, each lane reading
+        /// its own weights.
         #[test]
         fn kernel_splits_match_the_row_by_row_reference(
             seed in 0u64..u64::MAX,
@@ -655,47 +843,77 @@ mod tests {
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let data = random_dataset(&mut rng, n, n_cols);
-            let weights: Vec<f64> = (0..n).map(|_| rng.random_range(0.01..1.0)).collect();
+            let mut draw_weights =
+                || -> Vec<f64> { (0..n).map(|_| rng.random_range(0.01..1.0)).collect() };
             let smoothing = 1.0 / (2.0 * n as f64);
             let binned = BinnedDataset::from_matrix(&data.x, n_bins);
             // Candidates out of column order, so positions and feature
             // indices differ.
             let candidates: Vec<usize> = (0..n_cols).rev().collect();
-            let columns: Vec<CodedColumn> = candidates
+            let coded = |f: usize| CodedColumn::new(f, binned.feature(f), &data.y);
+            let shared = Fit {
+                columns: candidates.iter().map(|&f| coded(f)).collect(),
+                weights: draw_weights(),
+                stumps: Vec::new(),
+            };
+            let lockstep: Vec<Fit> = candidates
                 .iter()
-                .map(|&f| CodedColumn::new(f, binned.feature(f), &data.y))
+                .map(|&f| Fit { columns: vec![coded(f)], weights: draw_weights(), stumps: Vec::new() })
                 .collect();
+            let lanes = |fits: &[Fit]| -> Vec<(usize, usize)> {
+                fits.iter()
+                    .enumerate()
+                    .flat_map(|(i, fit)| (0..fit.columns.len()).map(move |c| (i, c)))
+                    .collect()
+            };
             let mut hists = Default::default();
-            let mut kernel = vec![None; n_cols];
-            for g in 0..n_cols.div_ceil(LANES) {
-                for (c, res) in group_splits(&columns, g, &weights, smoothing, &mut hists) {
-                    kernel[c] = Some(res);
-                }
-            }
-            for (c, &f) in candidates.iter().enumerate() {
-                let feature = binned.feature(f);
-                let reference = best_stump_for_feature(f, feature, &data.y, &weights, smoothing);
-                let present: Vec<f32> =
-                    data.x.column(f).filter(|v| !v.is_nan()).collect();
-                if present.iter().all(|&v| v == present.first().copied().unwrap_or(0.0)) {
-                    // Constant and all-missing columns admit no split.
-                    proptest::prop_assert!(kernel[c].is_none() && reference.is_none());
-                }
-                match (&kernel[c], &reference) {
-                    (None, None) => {}
-                    (Some(k), Some(r)) => {
-                        proptest::prop_assert_eq!(k.stump.feature, r.stump.feature);
-                        proptest::prop_assert_eq!(
-                            k.stump.threshold.to_bits(),
-                            r.stump.threshold.to_bits()
-                        );
-                        proptest::prop_assert_eq!(k.stump.s_le.to_bits(), r.stump.s_le.to_bits());
-                        proptest::prop_assert_eq!(k.stump.s_gt.to_bits(), r.stump.s_gt.to_bits());
-                        proptest::prop_assert_eq!(k.z.to_bits(), r.z.to_bits());
+            for fits in [std::slice::from_ref(&shared), &lockstep] {
+                let live: Vec<usize> = (0..fits.len()).collect();
+                let mut kernel = vec![None; n_cols];
+                for group in lanes(fits).chunks(LANES) {
+                    for (i, c, res) in group_splits(fits, &live, group, smoothing, &mut hists) {
+                        // One of fit `i` and column `c` is the candidate's
+                        // position, the other is 0.
+                        kernel[i + c] = Some(res);
                     }
-                    (k, r) => panic!("candidate {c}: kernel {k:?} vs reference {r:?}"),
+                }
+                for (at, &f) in candidates.iter().enumerate() {
+                    let feature = binned.feature(f);
+                    let weights = &fits[at.min(fits.len() - 1)].weights;
+                    let reference =
+                        best_stump_for_feature(f, feature, &data.y, weights, smoothing);
+                    let present: Vec<f32> =
+                        data.x.column(f).filter(|v| !v.is_nan()).collect();
+                    if present.iter().all(|&v| v == present.first().copied().unwrap_or(0.0)) {
+                        // Constant and all-missing columns admit no split.
+                        proptest::prop_assert!(kernel[at].is_none() && reference.is_none());
+                    }
+                    match (&kernel[at], &reference) {
+                        (None, None) => {}
+                        (Some(k), Some(r)) => {
+                            proptest::prop_assert_eq!(k.stump.feature, r.stump.feature);
+                            proptest::prop_assert_eq!(
+                                k.stump.threshold.to_bits(),
+                                r.stump.threshold.to_bits()
+                            );
+                            proptest::prop_assert_eq!(k.stump.s_le.to_bits(), r.stump.s_le.to_bits());
+                            proptest::prop_assert_eq!(k.stump.s_gt.to_bits(), r.stump.s_gt.to_bits());
+                            proptest::prop_assert_eq!(k.z.to_bits(), r.z.to_bits());
+                        }
+                        (k, r) => panic!("candidate {at}: kernel {k:?} vs reference {r:?}"),
+                    }
                 }
             }
+        }
+    }
+
+    /// The weight normalization the loop below ran: one sum, then one
+    /// division per weight.
+    fn normalize(weights: &mut [f64]) {
+        let total: f64 = weights.iter().sum();
+        assert!(total > 0.0, "weights must not all be zero");
+        for w in weights.iter_mut() {
+            *w /= total;
         }
     }
 
@@ -766,8 +984,28 @@ mod tests {
             balanced,
         ];
         let mut early_stops = 0;
+        let mut lockstep_rounds = std::collections::BTreeSet::new();
         for data in &datasets {
             for n_bins in [4, 64, 256] {
+                // Every column's single-column model, advanced in lockstep,
+                // is the reference fit of that column alone.
+                let cfg = BoostConfig { iterations: 40, n_bins, smoothing: None, parallel: false };
+                let models = BStump::fit_each_column(
+                    data.x.n_cols(),
+                    &data.y,
+                    &uniform_weights(data.len()),
+                    &cfg,
+                    |c, out| {
+                        for (v, value) in out.iter_mut().zip(data.x.column(c)) {
+                            *v = value;
+                        }
+                    },
+                );
+                for (c, model) in models.iter().enumerate() {
+                    let reference = reference_fit(&data.select_columns(&[c]), &cfg);
+                    assert_eq!(bits(model.stumps()), bits(&reference), "column {c}, {n_bins} bins");
+                    lockstep_rounds.insert(reference.len());
+                }
                 for parallel in [false, true] {
                     let cfg = BoostConfig { iterations: 40, n_bins, smoothing: None, parallel };
                     let fitted = BStump::fit(data, &cfg);
@@ -782,6 +1020,7 @@ mod tests {
             }
         }
         assert!(early_stops > 0, "some fit must stop before its budget");
+        assert!(lockstep_rounds.len() > 2, "lockstep lanes must stop in different rounds");
     }
 
     #[test]

@@ -7,26 +7,31 @@
 //! budget; the baselines (Table 4) are ROC AUC, classic average precision,
 //! PCA loadings and gain ratio.
 //!
-//! Model-based criteria spread the features over [`nevermind_obs::par`]
-//! parts on every core; results are deterministic because each feature's
-//! score depends only on its own column.
+//! Model-based criteria train their single-feature models from columns
+//! written on demand ([`score_columns`]; [`score_features`] writes them
+//! from a matrix): each [`nevermind_obs::par`] part takes groups of four
+//! candidates, writes and bins each one's training column, boosts the
+//! four models in lockstep (`BStump::fit_each_column`), then writes
+//! each one's eval column and scores the model on it. Results are
+//! deterministic because each feature's score depends only on its own
+//! column.
 //!
-//! `AP(N)` ranks no eval row. A single-feature model gives every value in
-//! one train bin the same margin, so selection counts each eval column's
-//! rows and positives per train bin once, and scores a candidate from its
-//! at most `k + 1` bin margins through the tie-group walk
+//! A fitted single-feature model's distinct thresholds cut the eval
+//! values into *cells*: every value in one cell sits on the same side of
+//! every stump, so it gets one margin. `AP(N)` ranks no eval row: it
+//! counts each cell's rows and positives, merges cells with equal margins
+//! into tie groups, and runs the walk
 //! [`crate::metrics::expected_top_n_average_precision`] runs over its
-//! argsort — the same score to the bit, in O(bins) per candidate. The
-//! Table-4 baselines `Auc` and `AveragePrecision` keep per-row margins.
+//! argsort — the same score to the bit, in O(cells) after the count. The
+//! Table-4 baselines `Auc` and `AveragePrecision` read each row's margin
+//! off its cell.
 
-use crate::boost::{BStump, BoostConfig};
-use crate::data::Dataset;
+use crate::boost::{uniform_weights, BStump, BoostConfig, LANES};
+use crate::data::{Dataset, FeatureMatrix};
 use crate::entropy::gain_ratio;
 use crate::metrics::{auc, average_precision, expected_top_n_ap_of_tie_groups, same_score};
 use crate::pca::Pca;
 use crate::rank::cmp_desc;
-use crate::stump::BinnedDataset;
-use std::ops::Range;
 
 /// A feature-selection criterion (Table 4 plus the paper's top-N AP).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,8 +144,37 @@ pub fn select_above_threshold(scores: &[FeatureScore], threshold: f64) -> Vec<us
     scores.iter().filter(|s| s.score > threshold).map(|s| s.feature).collect()
 }
 
-/// Model-based scores over `threads` [`nevermind_obs::par`] parts (`0` =
-/// every core; fewer than 4 features always score on the caller).
+/// Scores `n_features` candidate columns under a model-based criterion
+/// (`TopNAp`, `Auc` or `AveragePrecision`) without a matrix:
+/// `write_train(c, column)` writes candidate `c`'s value on each training
+/// row (labels `train_y`) into `column`, and `write_eval(c, column)` its
+/// value on each eval row (labels `eval_y`); `NaN` is missing. Returns
+/// what [`score_features`] returns for matrices holding those columns.
+///
+/// Every part of the fan-out holds the columns of one group of four
+/// candidates at a time, never a matrix: a caller can derive the
+/// candidates from a narrower source (the ticket predictor writes its
+/// quadratic and product candidates from the base columns).
+///
+/// # Panics
+/// Panics if the criterion needs a matrix (`Pca`, `GainRatio`), or if a
+/// candidate is scored over no training rows.
+pub fn score_columns(
+    n_features: usize,
+    train_y: &[bool],
+    eval_y: &[bool],
+    criterion: SelectionCriterion,
+    config: &SelectConfig,
+    write_train: impl Fn(usize, &mut [f32]) + Sync,
+    write_eval: impl Fn(usize, &mut [f32]) + Sync,
+) -> Vec<FeatureScore> {
+    let _span = nevermind_obs::span!("ml/score_features");
+    nevermind_obs::counter_add!("ml/features_scored", n_features);
+    score_written(n_features, train_y, eval_y, criterion, config, 0, &write_train, &write_eval)
+}
+
+/// [`score_columns`] over a matrix pair's columns, on `threads`
+/// [`nevermind_obs::par`] parts (`0` = every core).
 fn score_model_based(
     train: &Dataset,
     eval: &Dataset,
@@ -148,143 +182,185 @@ fn score_model_based(
     config: &SelectConfig,
     threads: usize,
 ) -> Vec<FeatureScore> {
-    let n_features = train.x.n_cols();
-    let binned = BinnedDataset::from_matrix(&train.x, config.n_bins);
-    let w0 = vec![1.0 / train.len().max(1) as f64; train.len()];
+    let write = |x: &FeatureMatrix, c: usize, out: &mut [f32]| {
+        for (v, value) in out.iter_mut().zip(x.column(c)) {
+            *v = value;
+        }
+    };
+    score_written(
+        train.x.n_cols(),
+        &train.y,
+        &eval.y,
+        criterion,
+        config,
+        threads,
+        &|c, out| write(&train.x, c, out),
+        &|c, out| write(&eval.x, c, out),
+    )
+}
+
+/// [`score_columns`] on `threads` parts, each taking groups of [`LANES`]
+/// candidates.
+#[allow(clippy::too_many_arguments)] // `score_columns`' arguments and a part count
+fn score_written(
+    n_features: usize,
+    train_y: &[bool],
+    eval_y: &[bool],
+    criterion: SelectionCriterion,
+    config: &SelectConfig,
+    threads: usize,
+    write_train: &(impl Fn(usize, &mut [f32]) + Sync),
+    write_eval: &(impl Fn(usize, &mut [f32]) + Sync),
+) -> Vec<FeatureScore> {
+    assert!(
+        matches!(
+            criterion,
+            SelectionCriterion::TopNAp { .. }
+                | SelectionCriterion::Auc
+                | SelectionCriterion::AveragePrecision
+        ),
+        "{criterion:?} scores a matrix, not single-feature models"
+    );
+    let w0 = uniform_weights(train_y.len());
     let boost_cfg = BoostConfig {
         iterations: config.model_iterations,
         n_bins: config.n_bins,
         smoothing: None,
         parallel: false, // parallelism is across features here
     };
-    let threads = if n_features < 4 { 1 } else { threads };
-    let scores = nevermind_obs::par::map(n_features, threads, |features| {
-        // AP(N) reads the eval rows only through their per-bin counts.
-        let counts = match criterion {
-            SelectionCriterion::TopNAp { .. } => eval_bin_counts(&binned, eval, features.clone()),
-            _ => Vec::new(),
-        };
-        features
-            .enumerate()
-            .map(|(i, feature)| {
-                let model = BStump::fit_binned(&binned, &train.y, &w0, &boost_cfg, &[feature]);
+    let scores = nevermind_obs::par::map(n_features.div_ceil(LANES), threads, |groups| {
+        let mut eval_column = vec![0.0f32; eval_y.len()];
+        let mut cells = Vec::new();
+        let mut scores = Vec::with_capacity(groups.len() * LANES);
+        for g in groups {
+            let first = g * LANES;
+            let lanes = first..(first + LANES).min(n_features);
+            let models =
+                BStump::fit_each_column(lanes.len(), train_y, &w0, &boost_cfg, |j, out| {
+                    write_train(first + j, out)
+                });
+            for (feature, model) in lanes.zip(&models) {
                 let score = if model.stumps().is_empty() {
                     0.0
                 } else {
+                    write_eval(feature, &mut eval_column);
+                    let scorer = CellScores::new(model);
+                    scorer.cells(&eval_column, &mut cells);
                     match criterion {
                         // Tie-averaged: single-feature models emit few
                         // distinct scores, and the exact AP@N would measure
                         // tie-order noise.
-                        SelectionCriterion::TopNAp { n } => {
-                            let edges = &binned.feature(feature).edges;
-                            grouped_top_n_ap(&model, edges, &counts[i], eval.len(), n)
-                        }
-                        SelectionCriterion::Auc => auc(&model.margins(&eval.x), &eval.y),
+                        SelectionCriterion::TopNAp { n } => scorer.top_n_ap(&cells, eval_y, n),
+                        SelectionCriterion::Auc => auc(&scorer.margins(&cells), eval_y),
                         SelectionCriterion::AveragePrecision => {
-                            average_precision(&model.margins(&eval.x), &eval.y)
+                            average_precision(&scorer.margins(&cells), eval_y)
                         }
-                        _ => unreachable!("non-model criterion routed here"),
+                        _ => unreachable!("checked above"),
                     }
                 };
-                FeatureScore { feature, score: if score.is_nan() { 0.0 } else { score } }
-            })
-            .collect::<Vec<_>>()
+                scores.push(FeatureScore {
+                    feature,
+                    score: if score.is_nan() { 0.0 } else { score },
+                });
+            }
+        }
+        scores
     });
     scores.concat()
 }
 
-/// Rows and positives of `eval` per bin of the train binning, for each
-/// feature in `features`: entry `b` of a `k`-bin feature counts the rows
-/// whose value falls in bin `b` (by the binning's own rule: the number of
-/// edges below the value, clamped to the last bin), entry `k` the rows
-/// missing it. One pass over the rows reads each row's slice of
-/// `features` contiguously.
-fn eval_bin_counts(
-    binned: &BinnedDataset,
-    eval: &Dataset,
-    features: Range<usize>,
-) -> Vec<Vec<(usize, usize)>> {
-    let edges: Vec<&[f32]> = features.clone().map(|f| binned.feature(f).edges.as_slice()).collect();
-    let mut counts: Vec<Vec<(usize, usize)>> =
-        edges.iter().map(|e| vec![(0, 0); e.len() + 1]).collect();
-    for (r, &label) in eval.y.iter().enumerate() {
-        let values = &eval.x.row(r)[features.clone()];
-        for ((&v, edges), counts) in values.iter().zip(&edges).zip(&mut counts) {
-            let bin = if v.is_nan() {
-                edges.len()
-            } else {
-                edges.partition_point(|&e| e < v).min(edges.len() - 1)
-            };
-            counts[bin].0 += 1;
-            counts[bin].1 += usize::from(label);
-        }
-    }
-    counts
+/// A single-feature model's margins by *cell*. Its `m` distinct
+/// thresholds, ascending, cut the present values into `m + 1` cells: a
+/// value's cell is the number of thresholds below it, and cell `m + 1`
+/// holds the missing values. A value is at most threshold `t_j` exactly
+/// when its cell is at most `j`, so every value in a cell gets the same
+/// stump scores: the cell's margin is [`BStump::margin`] of any of its
+/// values — its upper threshold, `+∞` above the last threshold (no fitted
+/// threshold is `+∞`: a split never leaves the last bin on its left), and
+/// `NaN` for the missing cell.
+struct CellScores {
+    /// The distinct thresholds, ascending.
+    thresholds: Vec<f32>,
+    /// Each cell's margin; the last is the missing cell's.
+    margins: Vec<f64>,
 }
 
-/// `expected_top_n_average_precision(&model.margins(eval), labels, n)` of
-/// a single-feature model, from the eval rows counted per train bin
-/// (`counts`, as [`eval_bin_counts`] builds them; `n_rows` rows in all).
-///
-/// Every stump of the model splits at one of the feature's bin `edges`,
-/// and a present value is at most `edges[s]` exactly when its bin is at
-/// most `s` (the clamp only touches the last bin, which no split leaves
-/// on the left). So every row of one bin gets one margin, summed here as
-/// [`BStump::margin`] sums it, and missing rows get the sum of the
-/// stumps' abstentions. Bins with equal margins (`==`, so `+0.0` and
-/// `-0.0` too) form one tie group, as they do in the ranked rows; the
-/// groups in descending margin order go through the same walk.
-fn grouped_top_n_ap(
-    model: &BStump,
-    edges: &[f32],
-    counts: &[(usize, usize)],
-    n_rows: usize,
-    n: usize,
-) -> f64 {
-    let k = edges.len();
-    let splits: Vec<usize> =
-        model.stumps().iter().map(|s| edges.partition_point(|&e| e < s.threshold)).collect();
-    let mut bins: Vec<(f64, usize, usize)> = counts
-        .iter()
-        .enumerate()
-        .filter(|(_, &(rows, _))| rows > 0)
-        .map(|(bin, &(rows, positives))| {
-            let margin: f64 = model
-                .stumps()
-                .iter()
-                .zip(&splits)
-                .map(|(stump, &split)| {
-                    if bin == k {
-                        0.0
-                    } else if bin <= split {
-                        stump.s_le
-                    } else {
-                        stump.s_gt
-                    }
-                })
-                .sum();
-            (margin, rows, positives)
-        })
-        .collect();
-    bins.sort_by(|a, b| cmp_desc(a.0, b.0));
-    let mut tie_groups: Vec<(f64, usize, usize)> = Vec::with_capacity(bins.len());
-    for (margin, rows, positives) in bins {
-        match tie_groups.last_mut() {
-            Some(group) if same_score(group.0, margin) => {
-                group.1 += rows;
-                group.2 += positives;
+impl CellScores {
+    /// The cells of a model that reads its feature as column 0.
+    fn new(model: &BStump) -> Self {
+        let mut thresholds: Vec<f32> = model.stumps().iter().map(|s| s.threshold).collect();
+        thresholds.sort_by(f32::total_cmp);
+        thresholds.dedup();
+        let values = thresholds.iter().copied().chain([f32::INFINITY, f32::NAN]);
+        let margins = values.map(|v| model.margin(&[v])).collect();
+        Self { thresholds, margins }
+    }
+
+    /// Each value's cell, into `cells`: one branch-free pass per
+    /// threshold, then the missing values moved to the last cell.
+    fn cells(&self, column: &[f32], cells: &mut Vec<u16>) {
+        cells.clear();
+        cells.resize(column.len(), 0);
+        for &t in &self.thresholds {
+            for (cell, &v) in cells.iter_mut().zip(column) {
+                *cell += u16::from(t < v);
             }
-            _ => tie_groups.push((margin, rows, positives)),
+        }
+        // Fits: a fitted model's thresholds are distinct bin edges, at
+        // most `MAX_BINS` of them.
+        let missing = (self.margins.len() - 1) as u16;
+        for (cell, &v) in cells.iter_mut().zip(column) {
+            if v.is_nan() {
+                *cell = missing;
+            }
         }
     }
-    expected_top_n_ap_of_tie_groups(tie_groups.into_iter().map(|g| (g.1, g.2)), n_rows, n)
+
+    /// Each row's margin, read off its cell.
+    fn margins(&self, cells: &[u16]) -> Vec<f64> {
+        cells.iter().map(|&cell| self.margins[usize::from(cell)]).collect()
+    }
+
+    /// `expected_top_n_average_precision(&margins, labels, n)` from each
+    /// cell's rows and positives: cells with equal margins (`==`, so
+    /// `+0.0` and `-0.0` too) form one tie group, as they do in the
+    /// ranked rows, and the groups in descending margin order go through
+    /// the same walk.
+    fn top_n_ap(&self, cells: &[u16], labels: &[bool], n: usize) -> f64 {
+        let mut counts = vec![(0usize, 0usize); self.margins.len()];
+        for (&cell, &label) in cells.iter().zip(labels) {
+            let count = &mut counts[usize::from(cell)];
+            count.0 += 1;
+            count.1 += usize::from(label);
+        }
+        let mut groups: Vec<(f64, usize, usize)> = self
+            .margins
+            .iter()
+            .zip(counts)
+            .filter(|(_, (rows, _))| *rows > 0)
+            .map(|(&margin, (rows, positives))| (margin, rows, positives))
+            .collect();
+        groups.sort_by(|a, b| cmp_desc(a.0, b.0));
+        let mut tie_groups: Vec<(f64, usize, usize)> = Vec::with_capacity(groups.len());
+        for (margin, rows, positives) in groups {
+            match tie_groups.last_mut() {
+                Some(group) if same_score(group.0, margin) => {
+                    group.1 += rows;
+                    group.2 += positives;
+                }
+                _ => tie_groups.push((margin, rows, positives)),
+            }
+        }
+        expected_top_n_ap_of_tie_groups(tie_groups.into_iter().map(|g| (g.1, g.2)), cells.len(), n)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::{FeatureMatrix, FeatureMeta};
+    use crate::data::FeatureMeta;
     use crate::metrics::expected_top_n_average_precision;
+    use crate::stump::BinnedDataset;
     use rand::{RngExt, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -435,26 +511,31 @@ mod tests {
         (train, eval)
     }
 
-    /// Every bit of the grouped AP(N) of each single-feature model equals
-    /// `expected_top_n_average_precision` over the model's margins on
-    /// every eval row.
-    fn assert_grouped_matches_margins(train: &Dataset, eval: &Dataset, iterations: usize) {
+    /// Every bit of each eval row's cell margin, and of the cell-counted
+    /// AP(N), of each single-feature model equals the model's margin on
+    /// that row and `expected_top_n_average_precision` over those margins.
+    fn assert_cells_match_margins(train: &Dataset, eval: &Dataset, iterations: usize) {
         let n_bins = 16;
-        let binned = BinnedDataset::from_matrix(&train.x, n_bins);
         let w0 = vec![1.0 / train.len() as f64; train.len()];
         let boost_cfg = BoostConfig { iterations, n_bins, smoothing: None, parallel: false };
-        let counts = eval_bin_counts(&binned, eval, 0..train.x.n_cols());
-        for (feature, counts) in counts.iter().enumerate() {
-            let model = BStump::fit_binned(&binned, &train.y, &w0, &boost_cfg, &[feature]);
+        let mut cells = Vec::new();
+        for feature in 0..train.x.n_cols() {
+            let (train, eval) = (train.select_columns(&[feature]), eval.select_columns(&[feature]));
+            let binned = BinnedDataset::from_matrix(&train.x, n_bins);
+            let model = BStump::fit_binned(&binned, &train.y, &w0, &boost_cfg, &[0]);
             let margins = model.margins(&eval.x);
-            let edges = &binned.feature(feature).edges;
+            let scorer = CellScores::new(&model);
+            let column: Vec<f32> = eval.x.column(0).collect();
+            scorer.cells(&column, &mut cells);
+            let bits = |m: &[f64]| m.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&scorer.margins(&cells)), bits(&margins), "feature {feature}");
             for n in [1, eval.len(), eval.len() + 7, usize::MAX] {
-                let grouped = grouped_top_n_ap(&model, edges, counts, eval.len(), n);
+                let counted = scorer.top_n_ap(&cells, &eval.y, n);
                 let reference = expected_top_n_average_precision(&margins, &eval.y, n);
                 assert_eq!(
-                    grouped.to_bits(),
+                    counted.to_bits(),
                     reference.to_bits(),
-                    "feature {feature}, n {n}: {grouped} vs {reference}"
+                    "feature {feature}, n {n}: {counted} vs {reference}"
                 );
             }
         }
@@ -463,10 +544,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// Grouped AP(N) equals the metric over per-row margins bit for
-        /// bit: continuous, grid, binary and signed-zero columns, eval
+        /// Cell-counted AP(N) equals the metric over per-row margins bit
+        /// for bit: continuous, grid, binary and signed-zero columns, eval
         /// values outside the train range and missing, one to eight
-        /// stumps (so bins on one side of every split share a margin).
+        /// stumps (so cells on one side of every split share a margin).
         #[test]
         fn grouped_ap_matches_the_metric_over_row_margins(
             seed in 0u64..u64::MAX,
@@ -476,13 +557,13 @@ mod tests {
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let (train, eval) = shaped_pair(&mut rng, n_train, n_eval);
-            assert_grouped_matches_margins(&train, &eval, iterations);
+            assert_cells_match_margins(&train, &eval, iterations);
         }
     }
 
-    /// A bin whose every stump emits `-0.0` has margin `-0.0`; missing
-    /// rows and bins whose scores cancel have `+0.0`. They tie in the
-    /// ranked rows, and the grouped walk must merge them the same way.
+    /// A cell whose every stump emits `-0.0` has margin `-0.0`; missing
+    /// rows and cells whose scores cancel have `+0.0`. They tie in the
+    /// ranked rows, and the counted walk must merge them the same way.
     #[test]
     fn signed_zero_margins_form_one_tie_group() {
         let x = FeatureMatrix::new(
@@ -491,9 +572,6 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, f32::NAN, 1.0, 3.0, 2.0],
         );
         let eval = Dataset::new(x, vec![true, false, true, false, true, false, false, true]);
-        let binned = BinnedDataset::from_matrix(&eval.x, 8);
-        let edges = &binned.feature(0).edges;
-        assert_eq!(edges, &vec![1.0, 2.0, 3.0, 4.0]);
         let model: BStump = serde_json::from_str(
             r#"{"stumps": [
                 {"feature": 0, "threshold": 1.0, "s_le": -0.0, "s_gt": 0.25},
@@ -506,11 +584,215 @@ mod tests {
         let bits: Vec<u64> = margins.iter().map(|m| m.to_bits()).collect();
         let (neg, pos, half) = ((-0.0f64).to_bits(), 0.0f64.to_bits(), 0.5f64.to_bits());
         assert_eq!(bits, [neg, pos, pos, half, pos, neg, pos, pos], "{margins:?}");
-        let counts = eval_bin_counts(&binned, &eval, 0..1);
+        let scorer = CellScores::new(&model);
+        let column: Vec<f32> = eval.x.column(0).collect();
+        let mut cells = Vec::new();
+        scorer.cells(&column, &mut cells);
+        assert_eq!(
+            cells,
+            [0, 1, 1, 2, 3, 0, 1, 1],
+            "two thresholds, three cells and the missing one"
+        );
         for n in [1, 2, 5, 8, 100] {
-            let grouped = grouped_top_n_ap(&model, edges, &counts[0], eval.len(), n);
+            let counted = scorer.top_n_ap(&cells, &eval.y, n);
             let reference = expected_top_n_average_precision(&margins, &eval.y, n);
-            assert_eq!(grouped.to_bits(), reference.to_bits(), "n {n}");
+            assert_eq!(counted.to_bits(), reference.to_bits(), "n {n}");
+        }
+    }
+
+    /// Model-based scoring as it ran before the column-fed scorer: one
+    /// `fit_binned` per candidate over one shared binning of the train
+    /// matrix, AP(N) from the eval rows counted per train bin, and the
+    /// model's per-row margins for AUC and average precision.
+    fn reference_scores(
+        train: &Dataset,
+        eval: &Dataset,
+        criterion: SelectionCriterion,
+        config: &SelectConfig,
+    ) -> Vec<FeatureScore> {
+        let binned = BinnedDataset::from_matrix(&train.x, config.n_bins);
+        let w0 = vec![1.0 / train.len().max(1) as f64; train.len()];
+        let boost_cfg = BoostConfig {
+            iterations: config.model_iterations,
+            n_bins: config.n_bins,
+            smoothing: None,
+            parallel: false,
+        };
+        (0..train.x.n_cols())
+            .map(|feature| {
+                let model = BStump::fit_binned(&binned, &train.y, &w0, &boost_cfg, &[feature]);
+                let score = if model.stumps().is_empty() {
+                    0.0
+                } else {
+                    match criterion {
+                        SelectionCriterion::TopNAp { n } => {
+                            let edges = &binned.feature(feature).edges;
+                            let counts = reference_bin_counts(edges, eval, feature);
+                            reference_grouped_ap(&model, edges, &counts, eval.len(), n)
+                        }
+                        SelectionCriterion::Auc => auc(&model.margins(&eval.x), &eval.y),
+                        SelectionCriterion::AveragePrecision => {
+                            average_precision(&model.margins(&eval.x), &eval.y)
+                        }
+                        _ => unreachable!("model-based criteria only"),
+                    }
+                };
+                FeatureScore { feature, score: if score.is_nan() { 0.0 } else { score } }
+            })
+            .collect()
+    }
+
+    /// Rows and positives of `eval` per bin of a train binning with bin
+    /// `edges`, for one feature: entry `b` counts the rows whose value
+    /// falls in bin `b` (the number of edges below it, clamped to the last
+    /// bin), entry `k` the rows missing it.
+    fn reference_bin_counts(edges: &[f32], eval: &Dataset, feature: usize) -> Vec<(usize, usize)> {
+        let mut counts = vec![(0, 0); edges.len() + 1];
+        for (v, &label) in eval.x.column(feature).zip(&eval.y) {
+            let bin = if v.is_nan() {
+                edges.len()
+            } else {
+                edges.partition_point(|&e| e < v).min(edges.len() - 1)
+            };
+            counts[bin].0 += 1;
+            counts[bin].1 += usize::from(label);
+        }
+        counts
+    }
+
+    /// AP(N) of a single-feature model from its eval rows counted per
+    /// train bin: every row of a bin gets one margin, bins with equal
+    /// margins form one tie group.
+    fn reference_grouped_ap(
+        model: &BStump,
+        edges: &[f32],
+        counts: &[(usize, usize)],
+        n_rows: usize,
+        n: usize,
+    ) -> f64 {
+        let k = edges.len();
+        let splits: Vec<usize> =
+            model.stumps().iter().map(|s| edges.partition_point(|&e| e < s.threshold)).collect();
+        let mut bins: Vec<(f64, usize, usize)> = counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &(rows, _))| rows > 0)
+            .map(|(bin, &(rows, positives))| {
+                let margin: f64 = model
+                    .stumps()
+                    .iter()
+                    .zip(&splits)
+                    .map(|(stump, &split)| {
+                        if bin == k {
+                            0.0
+                        } else if bin <= split {
+                            stump.s_le
+                        } else {
+                            stump.s_gt
+                        }
+                    })
+                    .sum();
+                (margin, rows, positives)
+            })
+            .collect();
+        bins.sort_by(|a, b| cmp_desc(a.0, b.0));
+        let mut tie_groups: Vec<(f64, usize, usize)> = Vec::with_capacity(bins.len());
+        for (margin, rows, positives) in bins {
+            match tie_groups.last_mut() {
+                Some(group) if same_score(group.0, margin) => {
+                    group.1 += rows;
+                    group.2 += positives;
+                }
+                _ => tie_groups.push((margin, rows, positives)),
+            }
+        }
+        expected_top_n_ap_of_tie_groups(tie_groups.into_iter().map(|g| (g.1, g.2)), n_rows, n)
+    }
+
+    /// Train and eval datasets of `n_cols` columns of mixed shapes
+    /// (`shaped_column`'s, which include constant and all-`NaN` columns,
+    /// plus a column whose every value pairs an even row with the odd row
+    /// after it). A third of the train sets alternate their labels over an
+    /// even row count, so that paired column's every bin holds as many
+    /// positives as negatives: its first split has `Z = 1` and its model
+    /// stops before its first round.
+    fn lane_pair(
+        rng: &mut ChaCha8Rng,
+        n_train: usize,
+        n_eval: usize,
+        n_cols: usize,
+    ) -> (Dataset, Dataset) {
+        let balanced = rng.random_bool(0.3);
+        let n_train = if balanced { (n_train & !1).max(2) } else { n_train };
+        let shapes: Vec<u32> = (0..n_cols).map(|_| rng.random_range(0..6u32)).collect();
+        let positives = rng.random_range(0.02..0.5);
+        let mut dataset = |n: usize, spread: f32, alternate: bool| {
+            let cols: Vec<Vec<f32>> = shapes
+                .iter()
+                .map(|&shape| match shape {
+                    5 => (0..n).map(|r| ((r / 2) % 3) as f32).collect(),
+                    _ => shaped_column(rng, n, shape, spread),
+                })
+                .collect();
+            let values = (0..n).flat_map(|r| cols.iter().map(move |c| c[r])).collect();
+            let meta = (0..n_cols).map(|c| FeatureMeta::continuous(format!("f{c}"))).collect();
+            let labels = (0..n)
+                .map(|r| if alternate { r % 2 == 0 } else { rng.random_bool(positives) })
+                .collect();
+            Dataset::new(FeatureMatrix::new(n, meta, values), labels)
+        };
+        let train = dataset(n_train, 1.0, balanced);
+        let eval = dataset(n_eval, 1.5, false);
+        (train, eval)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The column-fed scorer gives every candidate the score the
+        /// per-candidate reference gives it, bit for bit, under all three
+        /// model-based criteria: 1–9 candidates (every remainder of a
+        /// four-wide group), lanes that stop in different rounds (constant,
+        /// all-`NaN` and `Z = 1` columns beside live ones), `NaN` holes,
+        /// `±0.0`, binary and coarse-grid columns, 2–256 bins and 0–12
+        /// iterations, on one part and on two.
+        #[test]
+        fn column_fed_scores_match_the_per_candidate_reference(
+            seed in 0u64..u64::MAX,
+            n_train in 2usize..300,
+            n_eval in 1usize..200,
+            n_cols in 1usize..10,
+            n_bins in 2usize..257,
+            iterations in 0usize..13,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let (train, eval) = lane_pair(&mut rng, n_train, n_eval, n_cols);
+            let config = SelectConfig { model_iterations: iterations, n_bins };
+            let n = rng.random_range(1..=n_eval + 3);
+            let criteria = [
+                SelectionCriterion::TopNAp { n },
+                SelectionCriterion::Auc,
+                SelectionCriterion::AveragePrecision,
+            ];
+            for criterion in criteria {
+                let reference = reference_scores(&train, &eval, criterion, &config);
+                for threads in [1, 2] {
+                    let scores = score_model_based(&train, &eval, criterion, &config, threads);
+                    proptest::prop_assert_eq!(scores.len(), reference.len());
+                    for (got, want) in scores.iter().zip(&reference) {
+                        proptest::prop_assert_eq!(got.feature, want.feature);
+                        proptest::prop_assert_eq!(
+                            got.score.to_bits(),
+                            want.score.to_bits(),
+                            "{:?}, feature {}: {} vs {}",
+                            criterion,
+                            got.feature,
+                            got.score,
+                            want.score
+                        );
+                    }
+                }
+            }
         }
     }
 
