@@ -92,7 +92,6 @@ pub(crate) fn run(args: &Args) -> CliResult {
         stop_after_week,
         resume_store,
         keep_store: store_out.is_some(),
-        ..TrialOptions::default()
     };
 
     // The live observability plane (`--obs-listen` / `--profile`) comes up

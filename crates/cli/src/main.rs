@@ -148,6 +148,8 @@ inject drift that the telemetry must detect. '--shards N' (simulate,
 trial) steps the plant N DSLAM-subtree shards in parallel and runs the
 weekly scoring stages N-way, N at most 256; '--shards 0' (trial's
 default) means one shard per available core, and simulate defaults to 1.
+'--lines N' (at most 10000000) and '--days D' (60 to 3650) bound the
+simulated plant (simulate, trial).
 'train --selection-row-cap N' (at least 1, default 12000) caps the rows
 of each feature-selection window. Training always
 uses every core. Outputs are bit-identical for every N; only wall time

@@ -495,6 +495,29 @@ fn shards_above_the_bound_are_a_typed_error() {
 }
 
 #[test]
+fn a_plant_beyond_the_bounds_is_a_typed_error() {
+    let dir = named_work_dir("plant-bounds");
+    let out_dir = dir.join("data");
+    let simulate = ["simulate", "--out", out_dir.to_str().expect("utf8")];
+    // `--lines 4294967296` would wrap the `u32` line ids and `--days
+    // 4294967295` would allocate gigabytes of calendar per region: both
+    // fail validation before the plant is generated.
+    for (flag, value, needle) in [
+        ("--lines", "4294967296", "error: invalid configuration: n_lines must be at most 10000000"),
+        ("--days", "4294967295", "error: invalid configuration: need at most 3650 simulated days"),
+    ] {
+        for command in [&simulate[..], &["trial"]] {
+            let out = bin().args(command).args([flag, value]).output().expect("run");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{} {flag} {value}: {stderr}", command[0]);
+            assert!(stderr.contains(needle), "{} {flag} {value}: {stderr}", command[0]);
+        }
+    }
+    assert!(!out_dir.exists(), "a rejected simulate wrote its output directory");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn an_empty_selection_row_cap_is_a_typed_error() {
     let (dir, _) = simulated_dataset("selection-row-cap");
     let data = dir.join("dataset.json");

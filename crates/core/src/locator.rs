@@ -44,22 +44,13 @@ pub struct LocatorConfig {
     pub min_examples: usize,
     /// Stump threshold-search bins.
     pub n_bins: usize,
-    /// Include quadratic derived features ("all the line features presented
-    /// in Table 3").
-    pub include_quadratics: bool,
     /// Feature-encoder settings.
     pub encoder: EncoderConfig,
 }
 
 impl Default for LocatorConfig {
     fn default() -> Self {
-        Self {
-            iterations: 200,
-            min_examples: 20,
-            n_bins: 64,
-            include_quadratics: true,
-            encoder: EncoderConfig::default(),
-        }
+        Self { iterations: 200, min_examples: 20, n_bins: 64, encoder: EncoderConfig::default() }
     }
 }
 
@@ -164,8 +155,9 @@ impl TroubleLocator {
         let keys: Vec<RowKey> =
             examples.iter().map(|e| RowKey { line: e.line, day: e.day }).collect();
         let base = encoder.encode_rows(&keys);
-        let selected_derived: Vec<DerivedFeature> =
-            if config.include_quadratics { all_quadratics(&base) } else { Vec::new() };
+        // Every quadratic derived feature: "all the line features presented
+        // in Table 3".
+        let selected_derived = all_quadratics(&base);
         let assembled = assemble(&base, &selected_derived);
 
         // Priors = training frequency.

@@ -235,18 +235,11 @@ impl ProactiveOutcome {
     }
 
     /// Fraction of proactive dispatches that found a real fault, or `None`
-    /// when no dispatch was sent — the accessor JSON consumers should use,
-    /// since the quotient is undefined (and JSON cannot represent NaN).
+    /// when no dispatch was sent: the quotient is undefined (and JSON
+    /// cannot represent NaN), so display code prints `n/a`.
     pub fn dispatch_precision_checked(&self) -> Option<f64> {
         (self.proactive_dispatches > 0)
             .then(|| self.proactive_hits as f64 / self.proactive_dispatches as f64)
-    }
-
-    /// Fraction of proactive dispatches that found a real fault. Returns a
-    /// `NaN` sentinel when no dispatch was sent; display code should prefer
-    /// [`ProactiveOutcome::dispatch_precision_checked`] and print `n/a`.
-    pub fn dispatch_precision(&self) -> f64 {
-        self.dispatch_precision_checked().unwrap_or(f64::NAN)
     }
 }
 
@@ -275,10 +268,6 @@ pub struct TrialOptions {
     /// baseline plant scoring an overprovisioned or storm-season live
     /// world, which the model-health telemetry must flag.
     pub train_config: Option<SimConfig>,
-    /// Sizing for the model-health monitor. The monitor itself runs only
-    /// while [`nevermind_obs::enabled`] — with recording off the trial is
-    /// telemetry-free (and bit-identical either way).
-    pub telemetry: crate::telemetry::TelemetryConfig,
     /// Part count for the simulated worlds and every weekly stage — the
     /// one `nevermind_obs::par` rule: `0` (the default) means one part per
     /// available core, `n` steps the plant `n` DSLAM-subtree shards at a
@@ -463,13 +452,17 @@ pub fn run_proactive_trial_with(
         crate::predictor::TicketPredictor::fit(&train_for_split, &split, predictor_config)?
     };
 
+    // The model-health monitor runs only while `nevermind_obs::enabled` —
+    // with recording off the trial is telemetry-free (and bit-identical
+    // either way).
+    let telemetry = crate::telemetry::TelemetryConfig::default();
     let mut monitor = nevermind_obs::enabled().then(|| {
         crate::telemetry::ModelHealthMonitor::from_training(
             &predictor,
             &train_for_split,
             &split,
             world.topology().lines.len(),
-            &options.telemetry,
+            &telemetry,
         )
     });
     // Training is done with its logs: the live world takes back the ones
@@ -492,7 +485,7 @@ pub fn run_proactive_trial_with(
     // observability is on: the lane set — and any exported store bytes —
     // must be a function of the configuration alone.
     let monitored: Vec<usize> =
-        predictor.selected_base().iter().take(options.telemetry.max_features).copied().collect();
+        predictor.selected_base().iter().take(telemetry.max_features).copied().collect();
     scorer.track_columns(&monitored);
     if options.keep_store {
         scorer.set_retention(nevermind_features::Retention::All);
@@ -781,7 +774,6 @@ mod tests {
             proactive_churn: 12,
         };
         assert!((outcome.ticket_reduction() - 0.25).abs() < 1e-12);
-        assert!((outcome.dispatch_precision() - 0.5).abs() < 1e-12);
         assert_eq!(outcome.dispatch_precision_checked(), Some(0.5));
 
         let degenerate = ProactiveOutcome {
@@ -794,7 +786,6 @@ mod tests {
             proactive_churn: 0,
         };
         assert_eq!(degenerate.ticket_reduction(), 0.0);
-        assert!(degenerate.dispatch_precision().is_nan());
         assert_eq!(degenerate.dispatch_precision_checked(), None);
     }
 

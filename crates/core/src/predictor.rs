@@ -64,8 +64,6 @@ pub struct PredictorConfig {
     pub n_quadratic: usize,
     /// How many product features to keep.
     pub n_product: usize,
-    /// Whether to use derived features at all (Fig. 7 ablates this).
-    pub use_derived: bool,
     /// Row cap per window during feature selection (selection runs on a
     /// deterministic subsample for tractability over ~1.5k product
     /// features).
@@ -87,7 +85,6 @@ impl Default for PredictorConfig {
             n_base: 40,
             n_quadratic: 25,
             n_product: 25,
-            use_derived: true,
             selection_row_cap: 25_000,
             n_bins: 64,
             encoder: EncoderConfig::default(),
@@ -576,25 +573,23 @@ fn select(
     let mut report_quadratic = Vec::new();
     let mut report_product = Vec::new();
     let mut selected_derived = Vec::new();
-    if config.use_derived {
-        let mut select_derived = |feats: &[DerivedFeature], k: usize, report: &mut Vec<_>| {
-            let scores: Vec<f64> = score(feats.len(), &|sub, j, out| sub.write(feats[j], out))
-                .into_iter()
-                .map(|s| s.score)
-                .collect();
-            report.extend(feats.iter().zip(&scores).map(|(f, s)| scored(base_train, *f, *s)));
-            selected_derived.extend(top_derived(feats, &scores, k));
-        };
-        let quads = all_quadratics(base_train);
-        {
-            let _s = nevermind_obs::span!("select_quadratic");
-            select_derived(&quads, config.n_quadratic, &mut report_quadratic);
-        }
-        let prods = all_products(base_train);
-        {
-            let _s = nevermind_obs::span!("select_product");
-            select_derived(&prods, config.n_product, &mut report_product);
-        }
+    let mut select_derived = |feats: &[DerivedFeature], k: usize, report: &mut Vec<_>| {
+        let scores: Vec<f64> = score(feats.len(), &|sub, j, out| sub.write(feats[j], out))
+            .into_iter()
+            .map(|s| s.score)
+            .collect();
+        report.extend(feats.iter().zip(&scores).map(|(f, s)| scored(base_train, *f, *s)));
+        selected_derived.extend(top_derived(feats, &scores, k));
+    };
+    let quads = all_quadratics(base_train);
+    {
+        let _s = nevermind_obs::span!("select_quadratic");
+        select_derived(&quads, config.n_quadratic, &mut report_quadratic);
+    }
+    let prods = all_products(base_train);
+    {
+        let _s = nevermind_obs::span!("select_product");
+        select_derived(&prods, config.n_product, &mut report_product);
     }
 
     SelectionReport {

@@ -8,6 +8,16 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Most lines [`SimConfig::validate`] accepts: ten times the largest plant
+/// the benchmarks simulate (the opt-in 1M-line rows), and far inside the
+/// `u32` line ids the topology numbers lines with.
+pub(crate) const MAX_LINES: usize = 10_000_000;
+
+/// Most days [`SimConfig::validate`] accepts: ten years (the paper's logs
+/// cover one). The exogenous calendar holds one flag per region and per
+/// DSLAM for every day, and day arithmetic is `u32`.
+pub(crate) const MAX_DAYS: u32 = 3_650;
+
 /// Top-level simulator configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -101,6 +111,9 @@ impl SimConfig {
         if self.n_lines == 0 {
             return Err("n_lines must be positive".into());
         }
+        if self.n_lines > MAX_LINES {
+            return Err(format!("n_lines must be at most {MAX_LINES}"));
+        }
         if self.lines_per_dslam == 0 || self.crossboxes_per_dslam == 0 {
             return Err("lines_per_dslam and crossboxes_per_dslam must be positive".into());
         }
@@ -109,6 +122,9 @@ impl SimConfig {
         }
         if self.days < 60 {
             return Err("need at least 60 simulated days".into());
+        }
+        if self.days > MAX_DAYS {
+            return Err(format!("need at most {MAX_DAYS} simulated days"));
         }
         if !(0.0..=1.0).contains(&self.off_when_idle_fraction) {
             return Err("off_when_idle_fraction must be a probability".into());
@@ -216,6 +232,20 @@ mod tests {
 
         let cfg = SimConfig { report_base_prob: 1.5, ..SimConfig::default() };
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn the_plant_is_bounded() {
+        let largest = SimConfig { n_lines: MAX_LINES, days: MAX_DAYS, ..SimConfig::default() };
+        assert_eq!(largest.validate(), Ok(()));
+        for n_lines in [MAX_LINES + 1, usize::MAX] {
+            let err = SimConfig { n_lines, ..SimConfig::default() }.validate();
+            assert_eq!(err, Err("n_lines must be at most 10000000".into()), "{n_lines} lines");
+        }
+        for days in [MAX_DAYS + 1, u32::MAX] {
+            let err = SimConfig { days, ..SimConfig::default() }.validate();
+            assert_eq!(err, Err("need at most 3650 simulated days".into()), "{days} days");
+        }
     }
 
     #[test]

@@ -23,12 +23,15 @@
 //! customer, measure, dispatch, misc), each seeded
 //! `subseed(subseed(world_seed, subsystem), dslam_id)` — so the draw
 //! sequence behind any line depends only on its DSLAM, never on how many
-//! shards the plant happens to be split into. `step_day` steps the shards
-//! as [`nevermind_obs::par`] parts, each writing tickets, notes,
-//! measurements, traffic and trace events into a private per-day buffer;
-//! the buffers are merged in shard order (= plant line order) with ticket
-//! ids renumbered at the merge. One shard runs the identical
-//! buffer-and-merge code inline, which is what makes `--shards N`
+//! shards the plant happens to be split into. The mutable state is one
+//! record per line and one per DSLAM, so a shard is a DSLAM range plus the
+//! two contiguous slices of records it owns. `step_day` steps the shards
+//! as [`nevermind_obs::par`] parts; each walks its DSLAMs and steps each
+//! one's whole day in one routine, writing tickets, notes, measurements,
+//! traffic and trace events into a private per-day buffer, every record
+//! kind in line order. The buffers are merged in shard order (= plant line
+//! order) with ticket ids renumbered at the merge. One shard runs the
+//! identical buffer-and-merge code inline, which is what makes `--shards N`
 //! bit-identical to serial for every `N` (see `tests/sharding.rs`).
 
 use crate::config::{DayOfWeek, SimConfig};
@@ -36,14 +39,15 @@ use crate::customer::{generate_customers, Customer};
 use crate::dispatch::{basic_order, run_dispatch, taxonomy_priors, DispositionNote};
 use crate::disposition::{DispositionId, FaultClass, N_DISPOSITIONS};
 use crate::fault::{disposition_weights, Fault};
-use crate::ids::{DslamId, LineId};
+use crate::ids::LineId;
 use crate::measurement::LineTest;
 use crate::outage::{OutageEvent, OutageSchedule};
 use crate::physics::{combine_effects, modem_answers, synthesize};
 use crate::ticket::{Ticket, TicketCategory};
-use crate::topology::Topology;
+use crate::topology::{Dslam, Topology};
 use crate::traffic::TrafficTable;
 use crate::weather::{ExogenousCalendar, CONSTRUCTION_MULTIPLIER, WET_MULTIPLIER};
+use nevermind_obs::par;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -117,21 +121,42 @@ struct LineHazard {
     extra_construction: f64,
 }
 
-/// One DSLAM subtree's RNG streams, derived `seed → subsystem → dslam`.
+/// One line's mutable state.
+#[derive(Clone, Default)]
+struct LineState {
+    /// Fault history.
+    faults: Vec<Fault>,
+    /// First day the customer noticed the current problem.
+    aware_since: Option<u32>,
+    /// Contract terminated.
+    churned: bool,
+    /// Trailing 8-day usage window (bit 0 = today).
+    usage_bits: u8,
+    /// The at-most-one scheduled truck roll.
+    pending: Option<PendingDispatch>,
+}
+
+/// One DSLAM subtree's mutable state: its five RNG streams, derived
+/// `seed → subsystem → dslam`, and its outage IVR bookkeeping.
 ///
 /// Deriving per-DSLAM (not per-shard) is what makes the draw sequence a
 /// property of the plant rather than of the partition: shard boundaries
 /// can move freely without perturbing a single sample.
 #[derive(Clone)]
-struct SubtreeRngs {
+struct DslamState {
     fault: ChaCha8Rng,
     customer: ChaCha8Rng,
     measure: ChaCha8Rng,
     dispatch: ChaCha8Rng,
     misc: ChaCha8Rng,
+    /// Outage calls that became tickets (u16 + saturation so a very large
+    /// DSLAM in a long outage can neither wrap nor panic).
+    outage_reports: u16,
+    /// The IVR announcement is up.
+    outage_known: bool,
 }
 
-impl SubtreeRngs {
+impl DslamState {
     fn new(seed: u64, dslam: u32) -> Self {
         let stream =
             |s: u64| ChaCha8Rng::seed_from_u64(subseed(subseed(seed, s), u64::from(dslam)));
@@ -141,30 +166,10 @@ impl SubtreeRngs {
             measure: stream(7),
             dispatch: stream(8),
             misc: stream(9),
+            outage_reports: 0,
+            outage_known: false,
         }
     }
-}
-
-/// Mutable per-line and per-DSLAM state, split into shard slices each day.
-#[derive(Clone)]
-struct PlantState {
-    /// Per line: fault history.
-    faults: Vec<Vec<Fault>>,
-    /// Per line: first day the customer noticed the current problem.
-    aware_since: Vec<Option<u32>>,
-    /// Per line: contract terminated.
-    churned: Vec<bool>,
-    /// Per line: trailing 8-day usage window (bit 0 = today).
-    usage_bits: Vec<u8>,
-    /// Per line: the at-most-one scheduled truck roll.
-    pending: Vec<Option<PendingDispatch>>,
-    /// Per DSLAM: subsystem RNG streams.
-    rngs: Vec<SubtreeRngs>,
-    /// Per DSLAM: outage calls that became tickets (u16 + saturation so a
-    /// very large DSLAM in a long outage can neither wrap nor panic).
-    outage_reports: Vec<u16>,
-    /// Per DSLAM: the IVR announcement is up.
-    outage_known: Vec<bool>,
 }
 
 /// The running simulation.
@@ -184,7 +189,10 @@ pub struct World {
     /// Per line: covered by the BRAS traffic sample.
     traffic_covered: Vec<bool>,
 
-    state: PlantState,
+    /// Per-line state, indexed by [`LineId`].
+    lines: Vec<LineState>,
+    /// Per-DSLAM state, indexed by DSLAM id.
+    dslams: Vec<DslamState>,
     priors: [f64; N_DISPOSITIONS],
 
     shards: usize,
@@ -209,26 +217,23 @@ struct StepCtx<'a> {
     hazards: &'a [LineHazard],
     traffic_covered: &'a [bool],
     mean_base_hazard: f64,
-    /// Day-start snapshot: every shard triages with the same priors.
-    priors: [f64; N_DISPOSITIONS],
+    /// The technicians' check order: the basic order of the day-start
+    /// priors, so no visit's triage depends on the shard partition.
+    order: &'a [DispositionId],
     day: u32,
     trace: bool,
     line_tests: bool,
 }
 
-/// One shard's slice of the mutable plant state: a contiguous DSLAM range
-/// and the contiguous line range it terminates.
-struct ShardMut<'a> {
-    first_dslam: usize,
-    first_line: usize,
-    faults: &'a mut [Vec<Fault>],
-    aware_since: &'a mut [Option<u32>],
-    churned: &'a mut [bool],
-    usage_bits: &'a mut [u8],
-    pending: &'a mut [Option<PendingDispatch>],
-    rngs: &'a mut [SubtreeRngs],
-    outage_reports: &'a mut [u16],
-    outage_known: &'a mut [bool],
+/// One DSLAM's day as its lines see it: the day's context, the DSLAM and
+/// its outage status, and the state and buffer its lines write.
+struct DslamDay<'a> {
+    ctx: &'a StepCtx<'a>,
+    dslam: &'a Dslam,
+    down: bool,
+    stress: f64,
+    state: &'a mut DslamState,
+    buf: &'a mut DayBuffer,
 }
 
 /// Everything a shard produced in one day, merged in shard order.
@@ -240,7 +245,7 @@ struct DayBuffer {
     tickets: Vec<(LineId, TicketCategory)>,
     /// Remote-fix notes (advance phase), with the local ticket index.
     remote_notes: Vec<(DispositionNote, u32)>,
-    /// Truck-roll notes (dispatch phase); their tickets are already global.
+    /// Truck-roll notes (visit phase); their tickets are already global.
     visit_notes: Vec<DispositionNote>,
     /// Reactive dispatches queued today, with the local ticket index.
     new_pending: Vec<(PendingDispatch, u32)>,
@@ -353,304 +358,264 @@ fn fault_onset_prob(daily_rate: f64, total_hazard: f64, mean_base_hazard: f64) -
     (daily_rate * total_hazard / mean_base_hazard).clamp(0.0, 1.0)
 }
 
-/// Carves the plant state into per-shard mutable slices along `dslams`
-/// (a partition of the DSLAMs) and the line ranges those DSLAMs terminate.
-fn split_shards<'a>(
-    topology: &Topology,
-    dslams: &[std::ops::Range<usize>],
-    state: &'a mut PlantState,
-) -> Vec<ShardMut<'a>> {
-    use nevermind_obs::par::split_mut;
-    // First line terminated at or after DSLAM `d`.
-    let line_at =
-        |d: usize| topology.dslams.get(d).map_or(topology.lines.len(), |x| x.first_line.index());
-    let lines: Vec<_> = dslams.iter().map(|d| line_at(d.start)..line_at(d.end)).collect();
-    let mut faults = split_mut(&mut state.faults, &lines, 1).into_iter();
-    let mut aware_since = split_mut(&mut state.aware_since, &lines, 1).into_iter();
-    let mut churned = split_mut(&mut state.churned, &lines, 1).into_iter();
-    let mut usage_bits = split_mut(&mut state.usage_bits, &lines, 1).into_iter();
-    let mut pending = split_mut(&mut state.pending, &lines, 1).into_iter();
-    let mut rngs = split_mut(&mut state.rngs, dslams, 1).into_iter();
-    let mut outage_reports = split_mut(&mut state.outage_reports, dslams, 1).into_iter();
-    let mut outage_known = split_mut(&mut state.outage_known, dslams, 1).into_iter();
-    dslams
-        .iter()
-        .zip(&lines)
-        .map_while(|(d, l)| {
-            Some(ShardMut {
-                first_dslam: d.start,
-                first_line: l.start,
-                faults: faults.next()?,
-                aware_since: aware_since.next()?,
-                churned: churned.next()?,
-                usage_bits: usage_bits.next()?,
-                pending: pending.next()?,
-                rngs: rngs.next()?,
-                outage_reports: outage_reports.next()?,
-                outage_known: outage_known.next()?,
-            })
-        })
-        .collect()
-}
-
-/// One shard's full day: outage bookkeeping, per-line advancement, due
-/// dispatches, and (Saturdays) line tests.
-fn step_shard(ctx: &StepCtx<'_>, shard: &mut ShardMut<'_>, buf: &mut DayBuffer) {
-    refresh_outage_state(ctx, shard);
-    advance_lines(ctx, shard, buf);
-    process_dispatches(ctx, shard, buf);
-    if ctx.line_tests && DayOfWeek::of(ctx.day).is_test_day() {
-        run_line_tests(ctx, shard, buf);
-    }
-}
-
-/// Resets IVR counters at outage boundaries.
-fn refresh_outage_state(ctx: &StepCtx<'_>, shard: &mut ShardMut<'_>) {
-    for d in 0..shard.outage_reports.len() {
-        let dslam = DslamId((shard.first_dslam + d) as u32);
-        if !ctx.outages.is_down(dslam, ctx.day) {
-            shard.outage_reports[d] = 0;
-            shard.outage_known[d] = false;
-        }
-    }
-}
-
-/// Per-line daily processing: usage, fault onsets/healing, awareness,
-/// calls and tickets, traffic.
-fn advance_lines(ctx: &StepCtx<'_>, shard: &mut ShardMut<'_>, buf: &mut DayBuffer) {
-    let day = ctx.day;
-    let daily_rate = ctx.config.faults_per_line_year / 365.0;
-
-    for d in 0..shard.rngs.len() {
-        let dslam_id = DslamId((shard.first_dslam + d) as u32);
-        let dslam = ctx.topology.dslam(dslam_id);
-        let region = dslam.region;
-        let dslam_down = ctx.outages.is_down(dslam_id, day);
-        let dslam_stress = ctx.outages.stress(dslam_id, day);
-
-        for line_id in dslam.lines() {
-            let gi = line_id.index();
-            let li = gi - shard.first_line;
-
-            // Churned customers are gone: no usage, no problems noticed,
-            // no calls. The copper stays in the plant but the service is
-            // disconnected.
-            if shard.churned[li] {
-                shard.usage_bits[li] <<= 1;
-                record_traffic(ctx, buf, line_id, false, &mut shard.rngs[d].misc);
-                continue;
-            }
-
-            let customer = &ctx.customers[gi];
-
-            // --- usage ---
-            let used = customer.uses_service(day, &mut shard.rngs[d].customer);
-            shard.usage_bits[li] = (shard.usage_bits[li] << 1) | u8::from(used);
-
-            // --- fault self-healing ---
-            for f in shard.faults[li].iter_mut() {
-                if f.repaired_day.is_none() && f.onset_day <= day {
-                    let heal_p = match f.disposition.info().class {
-                        FaultClass::Hard => 0.002,
-                        FaultClass::Intermittent => 0.02,
-                        FaultClass::Degraded => 0.018,
-                    };
-                    if shard.rngs[d].fault.random_bool(heal_p) {
-                        f.repaired_day = Some(day);
-                    }
-                }
-            }
-
-            // --- fault onset ---
-            let active_count = shard.faults[li].iter().filter(|f| f.active(day)).count();
-            if active_count < 3 {
-                let h = &ctx.hazards[gi];
-                let wet = ctx.calendar.is_wet(region, day);
-                let constr = ctx.calendar.is_construction(dslam_id, day);
-                let mut total = h.sum_base;
-                if wet {
-                    total += h.extra_wet;
-                }
-                if constr {
-                    total += h.extra_construction;
-                }
-                let p = fault_onset_prob(daily_rate, total, ctx.mean_base_hazard);
-                if shard.rngs[d].fault.random_bool(p) {
-                    if let Some(fault) = sample_new_fault(
-                        &ctx.topology.lines[gi],
-                        &shard.faults[li],
-                        day,
-                        wet,
-                        constr,
-                        &mut shard.rngs[d].fault,
-                    ) {
-                        shard.faults[li].push(fault);
-                    }
-                }
-            }
-
-            // --- outage handling (overrides individual awareness) ---
-            if dslam_down {
-                if used && !customer.is_away(day) {
-                    // The service is dead; the customer calls with outage
-                    // urgency modulated by the weekly pattern.
-                    let p = customer.call_prob(day, 1.0, ctx.config.report_base_prob * 1.6);
-                    if shard.rngs[d].customer.random_bool(p) {
-                        if shard.outage_known[d] {
-                            buf.ivr_calls.push(IvrCall { line: line_id, day });
-                        } else {
-                            buf.tickets.push((line_id, TicketCategory::Outage));
-                            shard.outage_reports[d] = shard.outage_reports[d].saturating_add(1);
-                            if shard.outage_reports[d] >= 3 {
-                                shard.outage_known[d] = true;
-                            }
-                        }
-                    }
-                }
-                // No individual fault reporting while the DSLAM is down.
-                record_traffic(ctx, buf, line_id, false, &mut shard.rngs[d].misc);
-                continue;
-            }
-
-            // --- awareness & reporting of line faults ---
-            // A degrading DSLAM card is user-visible too: sporadic drops in
-            // the precursor window produce some genuine pre-outage
-            // customer-edge tickets (and keep the measurement pattern from
-            // being a pure no-ticket signature).
-            let stress_perceived = 0.55 * dslam_stress * stress_susceptibility(line_id);
-            let perceived = shard.faults[li]
-                .iter()
-                .map(|f| f.perceived_severity(day))
-                .fold(stress_perceived, f64::max);
-            if perceived <= 0.0 {
-                shard.aware_since[li] = None;
-            } else {
-                if shard.aware_since[li].is_none() && used && perceived > customer.tolerance {
-                    shard.aware_since[li] = Some(day);
-                }
-                if let Some(since) = shard.aware_since[li] {
-                    let p = customer.call_prob(day, perceived, ctx.config.report_base_prob);
-                    if shard.rngs[d].customer.random_bool(p) {
-                        let local_ticket = buf.tickets.len() as u32;
-                        buf.tickets.push((line_id, TicketCategory::CustomerEdge));
-                        handle_customer_edge_ticket(ctx, shard, buf, d, li, local_ticket);
-                    }
-                    // A problem the customer has been living with for more
-                    // than a week starts burning goodwill; eventually they
-                    // terminate the contract.
-                    if day.saturating_sub(since) > 7 {
-                        let p_churn = customer.churn_propensity * 0.012;
-                        if shard.rngs[d].customer.random_bool(p_churn) {
-                            shard.churned[li] = true;
-                            buf.churn_events.push(ChurnEvent { line: line_id, day });
-                            continue;
-                        }
-                    }
-                }
-            }
-
-            // --- non-technical tickets ---
-            let p_nt = ctx.config.non_technical_tickets_per_line_year / 365.0;
-            if shard.rngs[d].misc.random_bool(p_nt.clamp(0.0, 1.0)) {
-                buf.tickets.push((line_id, TicketCategory::NonTechnical));
-            }
-
-            // --- traffic ---
-            let hard_down = shard.faults[li].iter().any(|f| {
-                f.active(day)
-                    && f.disposition.info().class == FaultClass::Hard
-                    && f.severity(day) > 0.8
-            });
-            record_traffic(ctx, buf, line_id, used && !hard_down, &mut shard.rngs[d].misc);
-        }
-    }
-}
-
-/// ATDS triage of a fresh customer-edge ticket: remote resolution or a
-/// field dispatch in 1–3 days (unless one is already scheduled).
-fn handle_customer_edge_ticket(
+/// One shard's day: each DSLAM of `plant` (whose states are `dslams`)
+/// steps its whole day in turn, over its own run of `lines` — the lines
+/// the shard's DSLAMs terminate, in order.
+fn step_shard(
     ctx: &StepCtx<'_>,
-    shard: &mut ShardMut<'_>,
+    plant: &[Dslam],
+    dslams: &mut [DslamState],
+    mut lines: &mut [LineState],
     buf: &mut DayBuffer,
-    d: usize,
-    li: usize,
-    local_ticket: u32,
 ) {
-    if shard.pending[li].is_some() {
-        return; // repeat ticket while a visit is pending
+    for (dslam, state) in plant.iter().zip(dslams) {
+        let (own, rest) = std::mem::take(&mut lines).split_at_mut(dslam.n_lines as usize);
+        lines = rest;
+        step_dslam(ctx, dslam, state, own, buf);
     }
-    let day = ctx.day;
-    let line_id = LineId((shard.first_line + li) as u32);
-    // Remote resolution path (configuration fixes, reboots).
-    if shard.rngs[d].dispatch.random_bool(0.15) {
-        let live_closest = shard.faults[li]
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.active(day))
-            .min_by_key(|(_, f)| f.disposition.location())
-            .map(|(i, _)| i);
-        if let Some(fi) = live_closest {
-            let disposition = shard.faults[li][fi].disposition;
-            // Remote fixes reliably handle only configuration-style
-            // problems; hardware faults bounce back to a dispatch.
-            if matches!(disposition.info().class, FaultClass::Degraded) {
-                shard.faults[li][fi].repaired_day = Some(day + 1);
-                buf.prior_counts[disposition.0 as usize] += 1;
-                buf.remote_notes.push((
-                    DispositionNote {
-                        ticket: None, // local id; patched to global at merge
-                        line: line_id,
-                        day: day + 1,
-                        disposition: Some(disposition),
-                        tests_performed: 0,
-                        minutes_spent: 0.0,
-                        proactive: false,
-                    },
-                    local_ticket,
-                ));
-                return;
-            }
-        }
-    }
-    let delay = shard.rngs[d].dispatch.random_range(1..=3u32);
-    buf.new_pending.push((
-        PendingDispatch { due_day: day + delay, line: line_id, ticket: None, proactive: false },
-        local_ticket,
-    ));
 }
 
-/// Runs all dispatches due today, in line order within the shard.
-fn process_dispatches(ctx: &StepCtx<'_>, shard: &mut ShardMut<'_>, buf: &mut DayBuffer) {
-    let day = ctx.day;
-    // All of today's visits triage with the day-start priors snapshot, so
-    // the disposition check order cannot depend on the shard partition.
-    let order = basic_order(&ctx.priors);
-    for li in 0..shard.pending.len() {
-        if !shard.pending[li].as_ref().is_some_and(|p| p.due_day <= day) {
-            continue;
+/// One DSLAM's whole day: its outage counters reset outside an outage,
+/// then its lines advance, its due visits run and, on Saturdays, its lines
+/// are tested. Only the DSLAM's own lines draw on its streams, each phase
+/// in line order, so the samples and every record kind's order are the
+/// same however the DSLAMs are grouped into shards.
+fn step_dslam(
+    ctx: &StepCtx<'_>,
+    dslam: &Dslam,
+    state: &mut DslamState,
+    lines: &mut [LineState],
+    buf: &mut DayBuffer,
+) {
+    let down = ctx.outages.is_down(dslam.id, ctx.day);
+    if !down {
+        state.outage_reports = 0;
+        state.outage_known = false;
+    }
+    let stress = ctx.outages.stress(dslam.id, ctx.day);
+    let mut today = DslamDay { ctx, dslam, down, stress, state, buf };
+    for (id, line) in dslam.lines().zip(lines.iter_mut()) {
+        today.advance(id, line);
+    }
+    for line in lines.iter_mut() {
+        today.visit_if_due(line);
+    }
+    if ctx.line_tests && DayOfWeek::of(ctx.day).is_test_day() {
+        for (id, line) in dslam.lines().zip(lines.iter()) {
+            today.test(id, line);
         }
-        let Some(p) = shard.pending[li].take() else {
-            continue;
+    }
+}
+
+impl DslamDay<'_> {
+    /// A line's daily processing: usage, fault onsets/healing, awareness,
+    /// calls and tickets, traffic.
+    fn advance(&mut self, id: LineId, line: &mut LineState) {
+        let ctx = self.ctx;
+        let day = ctx.day;
+
+        // Churned customers are gone: no usage, no problems noticed, no
+        // calls. The copper stays in the plant but the service is
+        // disconnected.
+        if line.churned {
+            line.usage_bits <<= 1;
+            self.traffic(id, false);
+            return;
+        }
+
+        let customer = &ctx.customers[id.index()];
+
+        // --- usage ---
+        let used = customer.uses_service(day, &mut self.state.customer);
+        line.usage_bits = (line.usage_bits << 1) | u8::from(used);
+
+        // --- fault self-healing ---
+        for f in line.faults.iter_mut() {
+            if f.repaired_day.is_none() && f.onset_day <= day {
+                let heal_p = match f.disposition.info().class {
+                    FaultClass::Hard => 0.002,
+                    FaultClass::Intermittent => 0.02,
+                    FaultClass::Degraded => 0.018,
+                };
+                if self.state.fault.random_bool(heal_p) {
+                    f.repaired_day = Some(day);
+                }
+            }
+        }
+
+        // --- fault onset ---
+        let active_count = line.faults.iter().filter(|f| f.active(day)).count();
+        if active_count < 3 {
+            let h = &ctx.hazards[id.index()];
+            let wet = ctx.calendar.is_wet(self.dslam.region, day);
+            let constr = ctx.calendar.is_construction(self.dslam.id, day);
+            let mut total = h.sum_base;
+            if wet {
+                total += h.extra_wet;
+            }
+            if constr {
+                total += h.extra_construction;
+            }
+            let daily_rate = ctx.config.faults_per_line_year / 365.0;
+            let p = fault_onset_prob(daily_rate, total, ctx.mean_base_hazard);
+            if self.state.fault.random_bool(p) {
+                if let Some(fault) = sample_new_fault(
+                    ctx.topology.line(id),
+                    &line.faults,
+                    day,
+                    wet,
+                    constr,
+                    &mut self.state.fault,
+                ) {
+                    line.faults.push(fault);
+                }
+            }
+        }
+
+        // --- outage handling (overrides individual awareness) ---
+        if self.down {
+            if used && !customer.is_away(day) {
+                // The service is dead; the customer calls with outage
+                // urgency modulated by the weekly pattern.
+                let p = customer.call_prob(day, 1.0, ctx.config.report_base_prob * 1.6);
+                if self.state.customer.random_bool(p) {
+                    if self.state.outage_known {
+                        self.buf.ivr_calls.push(IvrCall { line: id, day });
+                    } else {
+                        self.buf.tickets.push((id, TicketCategory::Outage));
+                        self.state.outage_reports = self.state.outage_reports.saturating_add(1);
+                        if self.state.outage_reports >= 3 {
+                            self.state.outage_known = true;
+                        }
+                    }
+                }
+            }
+            // No individual fault reporting while the DSLAM is down.
+            self.traffic(id, false);
+            return;
+        }
+
+        // --- awareness & reporting of line faults ---
+        // A degrading DSLAM card is user-visible too: sporadic drops in the
+        // precursor window produce some genuine pre-outage customer-edge
+        // tickets (and keep the measurement pattern from being a pure
+        // no-ticket signature).
+        let stress_perceived = 0.55 * self.stress * stress_susceptibility(id);
+        let perceived =
+            line.faults.iter().map(|f| f.perceived_severity(day)).fold(stress_perceived, f64::max);
+        if perceived <= 0.0 {
+            line.aware_since = None;
+        } else {
+            if line.aware_since.is_none() && used && perceived > customer.tolerance {
+                line.aware_since = Some(day);
+            }
+            if let Some(since) = line.aware_since {
+                let p = customer.call_prob(day, perceived, ctx.config.report_base_prob);
+                if self.state.customer.random_bool(p) {
+                    let local_ticket = self.buf.tickets.len() as u32;
+                    self.buf.tickets.push((id, TicketCategory::CustomerEdge));
+                    self.triage(id, line, local_ticket);
+                }
+                // A problem the customer has been living with for more than
+                // a week starts burning goodwill; eventually they terminate
+                // the contract.
+                if day.saturating_sub(since) > 7 {
+                    let p_churn = customer.churn_propensity * 0.012;
+                    if self.state.customer.random_bool(p_churn) {
+                        line.churned = true;
+                        self.buf.churn_events.push(ChurnEvent { line: id, day });
+                        return;
+                    }
+                }
+            }
+        }
+
+        // --- non-technical tickets ---
+        let p_nt = ctx.config.non_technical_tickets_per_line_year / 365.0;
+        if self.state.misc.random_bool(p_nt.clamp(0.0, 1.0)) {
+            self.buf.tickets.push((id, TicketCategory::NonTechnical));
+        }
+
+        // --- traffic ---
+        let hard_down = line.faults.iter().any(|f| {
+            f.active(day) && f.disposition.info().class == FaultClass::Hard && f.severity(day) > 0.8
+        });
+        self.traffic(id, used && !hard_down);
+    }
+
+    /// ATDS triage of a fresh customer-edge ticket: remote resolution or a
+    /// field dispatch in 1–3 days (unless one is already scheduled).
+    fn triage(&mut self, id: LineId, line: &mut LineState, local_ticket: u32) {
+        if line.pending.is_some() {
+            return; // repeat ticket while a visit is pending
+        }
+        let day = self.ctx.day;
+        // Remote resolution path (configuration fixes, reboots).
+        if self.state.dispatch.random_bool(0.15) {
+            let live_closest = line
+                .faults
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| f.active(day))
+                .min_by_key(|(_, f)| f.disposition.location())
+                .map(|(i, _)| i);
+            if let Some(fi) = live_closest {
+                let disposition = line.faults[fi].disposition;
+                // Remote fixes reliably handle only configuration-style
+                // problems; hardware faults bounce back to a dispatch.
+                if matches!(disposition.info().class, FaultClass::Degraded) {
+                    line.faults[fi].repaired_day = Some(day + 1);
+                    self.buf.prior_counts[disposition.0 as usize] += 1;
+                    self.buf.remote_notes.push((
+                        DispositionNote {
+                            ticket: None, // local id; patched to global at merge
+                            line: id,
+                            day: day + 1,
+                            disposition: Some(disposition),
+                            tests_performed: 0,
+                            minutes_spent: 0.0,
+                            proactive: false,
+                        },
+                        local_ticket,
+                    ));
+                    return;
+                }
+            }
+        }
+        let delay = self.state.dispatch.random_range(1..=3u32);
+        self.buf.new_pending.push((
+            PendingDispatch { due_day: day + delay, line: id, ticket: None, proactive: false },
+            local_ticket,
+        ));
+    }
+
+    /// Runs the line's truck roll if it is due today.
+    fn visit_if_due(&mut self, line: &mut LineState) {
+        let day = self.ctx.day;
+        if !line.pending.as_ref().is_some_and(|p| p.due_day <= day) {
+            return;
+        }
+        let Some(p) = line.pending.take() else {
+            return;
         };
-        let d = ctx.topology.lines[shard.first_line + li].dslam.index() - shard.first_dslam;
         let outcome = run_dispatch(
             p.line,
-            &mut shard.faults[li],
+            &mut line.faults,
             day,
-            &order,
+            self.ctx.order,
             p.ticket,
             p.proactive,
-            &mut shard.rngs[d].dispatch,
+            &mut self.state.dispatch,
         );
         if let Some(found) = outcome.note.disposition {
-            buf.prior_counts[found.0 as usize] += 1;
+            self.buf.prior_counts[found.0 as usize] += 1;
         }
-        if ctx.trace {
-            // Close the provenance loop: what the truck found, keyed
-            // back to the originating "dispatch" event by line (and to
-            // the week's "rank" event for proactive visits).
+        if self.ctx.trace {
+            // Close the provenance loop: what the truck found, keyed back
+            // to the originating "dispatch" event by line (and to the
+            // week's "rank" event for proactive visits).
             let note = &outcome.note;
-            buf.trace.push(
+            self.buf.trace.push(
                 nevermind_obs::trace::TraceEvent::new("visit")
                     .line(note.line.0)
                     .day(day)
@@ -661,59 +626,44 @@ fn process_dispatches(ctx: &StepCtx<'_>, shard: &mut ShardMut<'_>, buf: &mut Day
                     .attr("minutes_spent", note.minutes_spent),
             );
         }
-        buf.visit_notes.push(outcome.note);
+        self.buf.visit_notes.push(outcome.note);
     }
-}
 
-/// Saturday line tests across the shard.
-fn run_line_tests(ctx: &StepCtx<'_>, shard: &mut ShardMut<'_>, buf: &mut DayBuffer) {
-    let day = ctx.day;
-    for d in 0..shard.rngs.len() {
-        let dslam_id = DslamId((shard.first_dslam + d) as u32);
-        let dslam = ctx.topology.dslam(dslam_id);
-        let down = ctx.outages.is_down(dslam_id, day);
-        let raw_stress = ctx.outages.stress(dslam_id, day);
-
-        for line_id in dslam.lines() {
-            let gi = line_id.index();
-            let li = gi - shard.first_line;
-            if shard.churned[li] {
-                continue; // service disconnected: the test gets no answer
-            }
-            let line = &ctx.topology.lines[gi];
-            let customer = &ctx.customers[gi];
-            let used_today = shard.usage_bits[li] & 1 == 1;
-
-            // Customer-side modem silence first.
-            let p_off = customer.modem_off_prob(day, used_today);
-            if shard.rngs[d].measure.random_bool(p_off) {
-                continue;
-            }
-
-            let stress = if down { 1.0 } else { raw_stress * stress_susceptibility(line_id) };
-            let effects = combine_effects(line, &shard.faults[li], day, stress);
-            if !modem_answers(&effects, &mut shard.rngs[d].measure) {
-                continue;
-            }
-            let usage = weekly_usage(shard.usage_bits[li]);
-            let values = synthesize(line, &effects, usage, &mut shard.rngs[d].measure);
-            buf.measurements.push(LineTest { line: line_id, day, values });
+    /// The line's Saturday test.
+    fn test(&mut self, id: LineId, line: &LineState) {
+        if line.churned {
+            return; // service disconnected: the test gets no answer
         }
-    }
-}
+        let ctx = self.ctx;
+        let day = ctx.day;
+        let plant_line = ctx.topology.line(id);
+        let customer = &ctx.customers[id.index()];
+        let used_today = line.usage_bits & 1 == 1;
 
-fn record_traffic(
-    ctx: &StepCtx<'_>,
-    buf: &mut DayBuffer,
-    line: LineId,
-    active: bool,
-    rng: &mut ChaCha8Rng,
-) {
-    if !ctx.traffic_covered[line.index()] {
-        return;
+        // Customer-side modem silence first.
+        let p_off = customer.modem_off_prob(day, used_today);
+        if self.state.measure.random_bool(p_off) {
+            return;
+        }
+
+        let stress = if self.down { 1.0 } else { self.stress * stress_susceptibility(id) };
+        let effects = combine_effects(plant_line, &line.faults, day, stress);
+        if !modem_answers(&effects, &mut self.state.measure) {
+            return;
+        }
+        let usage = weekly_usage(line.usage_bits);
+        let values = synthesize(plant_line, &effects, usage, &mut self.state.measure);
+        self.buf.measurements.push(LineTest { line: id, day, values });
     }
-    let kb = if active { rng.random_range(200..8_000u32) } else { 0 };
-    buf.traffic.push((line, kb));
+
+    /// Logs the line's traffic counter if the BRAS sample covers it.
+    fn traffic(&mut self, id: LineId, active: bool) {
+        if !self.ctx.traffic_covered[id.index()] {
+            return;
+        }
+        let kb = if active { self.state.misc.random_range(200..8_000u32) } else { 0 };
+        self.buf.traffic.push((id, kb));
+    }
 }
 
 impl World {
@@ -775,11 +725,10 @@ impl World {
             topology.lines.iter().filter(|l| traffic_covered[l.id.index()]).map(|l| l.id).collect();
         let traffic = TrafficTable::new(sampled_lines, config.days);
 
-        let n_lines = topology.lines.len();
-        let n_dslams = topology.dslams.len();
         let outage_events = outages.events().to_vec();
-        let rngs: Vec<SubtreeRngs> =
-            (0..n_dslams).map(|d| SubtreeRngs::new(config.seed, d as u32)).collect();
+        let lines = vec![LineState::default(); topology.lines.len()];
+        let dslams =
+            (0..topology.dslams.len()).map(|d| DslamState::new(config.seed, d as u32)).collect();
 
         Self {
             customers,
@@ -788,16 +737,8 @@ impl World {
             hazards,
             mean_base_hazard,
             traffic_covered,
-            state: PlantState {
-                faults: vec![Vec::new(); n_lines],
-                aware_since: vec![None; n_lines],
-                churned: vec![false; n_lines],
-                usage_bits: vec![0; n_lines],
-                pending: vec![None; n_lines],
-                rngs,
-                outage_reports: vec![0; n_dslams],
-                outage_known: vec![false; n_dslams],
-            },
+            lines,
+            dslams,
             priors: taxonomy_priors(),
             shards: 1,
             line_tests: true,
@@ -932,14 +873,14 @@ impl World {
 
     /// Full fault history of a line (ground truth for evaluation).
     pub fn fault_history(&self, line: LineId) -> &[Fault] {
-        &self.state.faults[line.index()]
+        &self.lines[line.index()].faults
     }
 
     /// Schedules a proactive (NEVERMIND) dispatch for `line`, `delay_days`
     /// from now. Ignored if a dispatch is already scheduled for the line.
     pub fn schedule_proactive_dispatch(&mut self, line: LineId, delay_days: u32) {
-        let li = line.index();
-        if self.state.pending[li].is_some() {
+        let pending = &mut self.lines[line.index()].pending;
+        if pending.is_some() {
             return;
         }
         nevermind_obs::counter_add!("sim/proactive_scheduled", 1);
@@ -955,8 +896,7 @@ impl World {
                     .attr("proactive", true),
             );
         }
-        self.state.pending[li] =
-            Some(PendingDispatch { due_day, line, ticket: None, proactive: true });
+        *pending = Some(PendingDispatch { due_day, line, ticket: None, proactive: true });
     }
 
     /// Runs the remaining horizon reactively and returns the logs.
@@ -991,16 +931,27 @@ impl World {
             hazards: &self.hazards,
             traffic_covered: &self.traffic_covered,
             mean_base_hazard: self.mean_base_hazard,
-            priors: self.priors,
+            order: &basic_order(&self.priors),
             day,
             trace: nevermind_obs::trace::enabled(),
             line_tests: self.line_tests,
         };
-        let bounds = nevermind_obs::par::bounds(self.topology.dslams.len(), self.shards);
-        let shards = split_shards(&self.topology, &bounds, &mut self.state);
-        let bufs = nevermind_obs::par::run(shards, |mut shard| {
+        // A shard is a contiguous DSLAM range and the contiguous line range
+        // those DSLAMs terminate.
+        let plant = &self.topology.dslams;
+        let n_lines = self.lines.len();
+        let first_line = |d: usize| plant.get(d).map_or(n_lines, |x| x.first_line.index());
+        let dslam_parts = par::bounds(plant.len(), self.shards);
+        let line_parts: Vec<_> =
+            dslam_parts.iter().map(|d| first_line(d.start)..first_line(d.end)).collect();
+        let shards = dslam_parts
+            .iter()
+            .map(|d| &plant[d.clone()])
+            .zip(par::split_mut(&mut self.dslams, &dslam_parts, 1))
+            .zip(par::split_mut(&mut self.lines, &line_parts, 1));
+        let bufs = par::run(shards, |((plant, dslams), lines)| {
             let mut buf = DayBuffer::default();
-            step_shard(&ctx, &mut shard, &mut buf);
+            step_shard(&ctx, plant, dslams, lines, &mut buf);
             buf
         });
         self.merge_day(day, bufs);
@@ -1027,7 +978,7 @@ impl World {
         }
         // Notes keep their two producer phases separate: every shard's
         // remote fixes (advance phase) land before any shard's truck rolls
-        // (dispatch phase), matching the single-shard emission order.
+        // (visit phase), whatever the shard count.
         for (buf, &base) in bufs.iter_mut().zip(&bases) {
             for (mut note, local) in buf.remote_notes.drain(..) {
                 note.ticket = Some(base + local);
@@ -1049,7 +1000,7 @@ impl World {
             for (mut p, local) in buf.new_pending.drain(..) {
                 p.ticket = Some(base + local);
                 let li = p.line.index();
-                self.state.pending[li] = Some(p);
+                self.lines[li].pending = Some(p);
             }
         }
         for buf in &mut bufs {
@@ -1080,6 +1031,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::DslamId;
 
     fn run_small(seed: u64) -> (SimConfig, SimOutput) {
         let cfg = SimConfig::small(seed);
@@ -1326,14 +1278,14 @@ mod tests {
         cfg.outages_per_dslam_year = 400.0;
         let mut world = World::generate(cfg);
         assert!(world.outages.is_down(DslamId(0), 0), "outage must start on day 0");
-        world.state.outage_reports[0] = u16::MAX;
+        world.dslams[0].outage_reports = u16::MAX;
         world.step_day();
         // The counter held (or was consumed by the IVR flip) — it did not
         // wrap to a small value that would lose outage awareness.
         assert!(
-            world.state.outage_known[0] || world.state.outage_reports[0] == u16::MAX,
+            world.dslams[0].outage_known || world.dslams[0].outage_reports == u16::MAX,
             "counter wrapped: {}",
-            world.state.outage_reports[0]
+            world.dslams[0].outage_reports
         );
     }
 

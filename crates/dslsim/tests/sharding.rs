@@ -9,7 +9,8 @@
 //! field of every record including the f64s bit-for-bit (serde prints the
 //! shortest roundtrip representation).
 
-use nevermind_dslsim::{SimConfig, SimOutput, World};
+use nevermind_dslsim::topology::Topology;
+use nevermind_dslsim::{LineId, SimConfig, SimOutput, World};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [2, 7, 16];
@@ -45,29 +46,51 @@ fn shards_beyond_dslam_count_are_clamped() {
     assert_eq!(serial, output_json(&world.run()), "clamped shards diverged");
 }
 
+/// The lines the proactive test dispatches to: ten spread over the plant
+/// (`97·k`), the first and last line of every DSLAM — where one DSLAM's run
+/// of line records ends and the next one's begins — and every fifth line of
+/// the partial last DSLAM.
+fn proactive_targets(topology: &Topology) -> Vec<LineId> {
+    let mut lines: Vec<LineId> = (0..10u32).map(|k| LineId((k * 97) % 1_000)).collect();
+    for dslam in &topology.dslams {
+        lines.extend([dslam.first_line, LineId(dslam.first_line.0 + dslam.n_lines - 1)]);
+    }
+    let last = topology.dslams.last().expect("the plant has DSLAMs");
+    // 1,000 lines at 48 per DSLAM leave 40 lines in the 21st.
+    assert_eq!((topology.dslams.len(), last.n_lines), (21, 40));
+    lines.extend(last.lines().step_by(5));
+    lines
+}
+
 #[test]
 fn sharded_stepping_interoperates_with_proactive_dispatches() {
     // The operational loop: step day by day, injecting proactive
     // dispatches between days, under different shard counts.
-    let run = |shards: usize| -> String {
+    let run = |shards: usize| -> (String, Vec<LineId>) {
         let cfg = small_config(0x5AAD_ED03, 1_000, 90);
         let mut world = World::generate(cfg).with_shards(shards);
+        let targets = proactive_targets(world.topology());
         while world.day() < world.config().days {
             world.step_day();
             // Every other Saturday, "rank" a deterministic set of lines.
             let day = world.day() - 1;
             if day % 14 == 6 {
-                for k in 0..10u32 {
-                    let line = nevermind_dslsim::LineId((k * 97) % 1_000);
+                for &line in &targets {
                     world.schedule_proactive_dispatch(line, 2);
                 }
             }
         }
-        output_json(&world.into_output())
+        let out = world.into_output();
+        let unvisited = targets
+            .into_iter()
+            .filter(|&line| !out.notes.iter().any(|n| n.proactive && n.line == line))
+            .collect();
+        (output_json(&out), unvisited)
     };
-    let serial = run(1);
+    let (serial, unvisited) = run(1);
+    assert!(unvisited.is_empty(), "no proactive visit reached {unvisited:?}");
     for shards in SHARD_COUNTS {
-        assert_eq!(serial, run(shards), "proactive trial diverged at {shards} shards");
+        assert_eq!(serial, run(shards).0, "proactive trial diverged at {shards} shards");
     }
 }
 

@@ -38,11 +38,14 @@ fn main() {
     println!("reactive twin   : {} customer-edge tickets", outcome.reactive_tickets);
     println!("proactive twin  : {} customer-edge tickets", outcome.proactive_tickets);
     println!("ticket reduction: {:.1}%", 100.0 * outcome.ticket_reduction());
+    // No dispatch → the precision quotient is undefined: print "n/a".
+    let precision = match outcome.dispatch_precision_checked() {
+        Some(p) => format!("{:.1}% precision", 100.0 * p),
+        None => "precision n/a".to_string(),
+    };
     println!(
-        "proactive dispatches: {} ({} found a real fault, {:.1}% precision)",
-        outcome.proactive_dispatches,
-        outcome.proactive_hits,
-        100.0 * outcome.dispatch_precision()
+        "proactive dispatches: {} ({} found a real fault, {precision})",
+        outcome.proactive_dispatches, outcome.proactive_hits,
     );
     println!(
         "churned customers : {} reactive vs {} proactive",
