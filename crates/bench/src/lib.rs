@@ -1,4 +1,5 @@
-//! Shared infrastructure for the experiment harness and criterion benches.
+//! The experiment harness: the `experiments` binary regenerates each table
+//! and figure of the paper's evaluation.
 //!
 //! [`ctx::Ctx`] simulates one world and lazily fits/caches the predictor,
 //! ranking, and locator that most experiments share; [`report`] holds the

@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! nevermind simulate --out DIR [--scenario S] [--lines N] [--days D] [--seed S] [--shards N]
-//! nevermind train    --data DIR/dataset.json --model FILE [--iterations N] ...
+//! nevermind train    --data DIR/dataset.json --model FILE [--iterations N] [--budget-fraction F]
+//!                    [--n-base N] [--n-quadratic N] [--n-product N] [--selection-row-cap N]
 //! nevermind rank     --data DIR/dataset.json --model FILE [--top N] [--explain N]
 //! nevermind locate   --data DIR/dataset.json [--top N] [--dispatches N] [--iterations N]
 //! nevermind lint     [--root PATH] [--format text|json] [--out FILE] [--rules a,b]
@@ -121,7 +122,7 @@ nevermind — proactive DSL troubleshooting (CoNEXT 2010 reproduction)
 USAGE:
   nevermind simulate --out DIR [--scenario NAME] [--lines N] [--days D] [--seed S] [--shards N]
   nevermind train    --data FILE --model FILE [--iterations N] [--budget-fraction F]
-                     [--selection-row-cap N]
+                     [--n-base N] [--n-quadratic N] [--n-product N] [--selection-row-cap N]
   nevermind rank     --data FILE --model FILE [--top N] [--explain N]
   nevermind locate   --data FILE [--top N] [--dispatches N] [--iterations N]
   nevermind trial    [--scenario NAME] [--lines N] [--days D] [--seed S] [--warmup-weeks W]
@@ -150,8 +151,10 @@ weekly scoring stages N-way, N at most 256; '--shards 0' (trial's
 default) means one shard per available core, and simulate defaults to 1.
 '--lines N' (at most 10000000) and '--days D' (60 to 3650) bound the
 simulated plant (simulate, trial).
-'train --selection-row-cap N' (at least 1, default 12000) caps the rows
-of each feature-selection window. Training always
+'train --n-base N', '--n-quadratic N' and '--n-product N' (defaults 40,
+25 and 25) set how many base, quadratic and product features selection
+keeps. 'train --selection-row-cap N' (at least 1, default 12000) caps the
+rows of each feature-selection window. Training always
 uses every core. Outputs are bit-identical for every N; only wall time
 changes. 'nevermind lint' walks the
 workspace sources and enforces the determinism/robustness rules — token

@@ -117,7 +117,8 @@ impl ExperimentData {
 
     /// Saturdays whose 4-week label window fits inside the horizon.
     pub fn label_complete_saturdays(&self, horizon_days: u32) -> Vec<u32> {
-        self.saturdays().into_iter().filter(|&d| d + horizon_days <= self.config.days).collect()
+        let days = self.config.days;
+        self.saturdays().into_iter().filter(|&d| d.saturating_add(horizon_days) <= days).collect()
     }
 }
 
@@ -178,8 +179,11 @@ impl SplitSpec {
         let test_start = test_days[0];
 
         // Selection-eval windows must close before testing begins.
-        let eval_candidates: Vec<u32> =
-            usable.iter().copied().filter(|&d| d + horizon_days <= test_start).collect();
+        let eval_candidates: Vec<u32> = usable
+            .iter()
+            .copied()
+            .filter(|&d| d.saturating_add(horizon_days) <= test_start)
+            .collect();
         if eval_candidates.is_empty() {
             return Err(PipelineError::SplitTooShort {
                 window: "selection-eval",
@@ -627,6 +631,19 @@ mod tests {
             assert_eq!(d % 7, 6, "day {d} not a Saturday");
             assert!(d + 28 <= data.config.days, "label window of {d} is truncated");
         }
+    }
+
+    #[test]
+    fn a_horizon_past_the_day_range_leaves_no_test_window() {
+        // A label window that ends past the last `u32` day never closes:
+        // the window end saturates instead of overflowing.
+        let data = small_data();
+        assert!(data.label_complete_saturdays(u32::MAX).is_empty());
+        let split = SplitSpec::with_horizon(&data, u32::MAX);
+        assert!(
+            matches!(split, Err(PipelineError::SplitTooShort { window: "test", .. })),
+            "{split:?}"
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@
 
 use crate::predictor::{RankedPredictions, TicketPredictor};
 use nevermind_dslsim::topology::Line;
-use nevermind_dslsim::{LineId, LineTest, Ticket};
+use nevermind_dslsim::{LineTest, Ticket};
 use nevermind_features::encode::RowKey;
 use nevermind_features::{DerivedFeature, FeatureStore, IncrementalEncoder, Retention, WeekFrame};
 use nevermind_ml::boost::BStump;
@@ -368,18 +368,6 @@ impl<'a> WeeklyScorer<'a> {
         }
         Some(self.plan.assembled_row(|c| frame.value(lane_of(&self.store, c), row)))
     }
-
-    /// The week's top-`budget` lines, best first — the dispatch list.
-    pub fn top_lines(&mut self, day: u32, budget: usize) -> Vec<LineId> {
-        let top: Vec<LineId> = self
-            .rank_week(day)
-            .top_rows_sharded(budget, self.shards)
-            .into_iter()
-            .map(|(key, _, _)| key.line)
-            .collect();
-        nevermind_obs::counter_add!("weekly/lines_dispatched", top.len());
-        top
-    }
 }
 
 /// The plan's base values from a row-major base-space matrix.
@@ -419,7 +407,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{ExperimentData, SplitSpec};
     use crate::predictor::PredictorConfig;
-    use nevermind_dslsim::SimConfig;
+    use nevermind_dslsim::{LineId, SimConfig};
     use nevermind_features::encode::{assemble, EncodedDataset, EncoderConfig};
     use nevermind_features::FeatureClass;
     use nevermind_ml::boost::BoostConfig;

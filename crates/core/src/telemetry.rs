@@ -56,6 +56,7 @@
 use crate::pipeline::{ExperimentData, SplitSpec};
 use crate::predictor::{RankedPredictions, TicketPredictor};
 use nevermind_dslsim::Ticket;
+use nevermind_features::encode::EncoderConfig;
 use nevermind_features::{BaseEncoder, FeatureStore};
 use nevermind_ml::calibrate::{brier_score, expected_calibration_error};
 use nevermind_ml::drift::{bin_counts, bin_counts_from, psi, quantile_edges};
@@ -150,7 +151,9 @@ impl TelemetryReport {
 /// training-window reference. See the module docs for the design.
 pub struct ModelHealthMonitor {
     n_bins: usize,
-    horizon_days: u32,
+    /// The predictor's encoder settings; their label window decides when a
+    /// scored week's labels are final.
+    encoder_config: EncoderConfig,
     features: Vec<FeatureRef>,
     monitored_cols: Vec<usize>,
     score_edges: Vec<f64>,
@@ -218,7 +221,7 @@ impl ModelHealthMonitor {
 
         Self {
             n_bins: config.n_bins,
-            horizon_days: predictor.encoder_config().horizon_days,
+            encoder_config: predictor.encoder_config().clone(),
             features,
             monitored_cols,
             score_edges,
@@ -357,10 +360,10 @@ impl ModelHealthMonitor {
     /// `(day, day + horizon]` lies fully within the ingested ticket range.
     fn mature_through(&mut self, frontier_day: u32) {
         let reg = nevermind_obs::global();
-        let horizon = self.horizon_days;
         let mut still_pending = Vec::new();
         for week in self.pending.drain(..) {
-            if week.day + horizon > frontier_day {
+            let label_end = self.encoder_config.label_end(week.day);
+            if label_end > frontier_day {
                 still_pending.push(week);
                 continue;
             }
@@ -370,7 +373,7 @@ impl ModelHealthMonitor {
                 .map(|&li| {
                     let days = &self.ticket_days[li];
                     let cut = days.partition_point(|&d| d <= week.day);
-                    days.get(cut).is_some_and(|&d| d <= week.day + horizon)
+                    days.get(cut).is_some_and(|&d| d <= label_end)
                 })
                 .collect();
             let ece = expected_calibration_error(&week.probabilities, &labels, self.n_bins);

@@ -9,8 +9,8 @@
 use serde::{Deserialize, Serialize};
 
 /// Most lines [`SimConfig::validate`] accepts: ten times the largest plant
-/// the benchmarks simulate (the opt-in 1M-line rows), and far inside the
-/// `u32` line ids the topology numbers lines with.
+/// run end to end (a 1M-line trial), and far inside the `u32` line ids the
+/// topology numbers lines with.
 pub(crate) const MAX_LINES: usize = 10_000_000;
 
 /// Most days [`SimConfig::validate`] accepts: ten years (the paper's logs

@@ -68,7 +68,7 @@ impl EncoderConfig {
 
     /// Last day of the label window `(day, day + horizon]`. A horizon past
     /// the `u32` day range ends on its last day.
-    pub(crate) fn label_end(&self, day: u32) -> u32 {
+    pub fn label_end(&self, day: u32) -> u32 {
         day.saturating_add(self.horizon_days)
     }
 }

@@ -122,12 +122,10 @@ impl Profiler {
         threads.push(stack);
     }
 
-    /// The cadence the CLI (and the `weekly_rerank` overhead bench) run
-    /// the sampler at. 5ms keeps thousands of samples over any
-    /// minutes-long trial while staying inside the <5% hot-path overhead
-    /// budget even on a single-core host, where every sweep wakeup
-    /// preempts the worker it is observing (at 1ms that preemption tax
-    /// measured ~12% on the 10k-line bench row; at 5ms it is noise).
+    /// The cadence the CLI runs the sampler at. 5ms keeps thousands of
+    /// samples over any minutes-long trial; a shorter interval preempts
+    /// the observed workers more often (on a single-core host, every sweep
+    /// wakeup preempts the worker it is observing).
     pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(5);
 
     /// Starts the sampler thread with the given sampling interval

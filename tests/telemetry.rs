@@ -88,6 +88,35 @@ fn telemetry_does_not_perturb_the_trial() {
 }
 
 #[test]
+fn a_label_window_past_the_day_range_never_matures() {
+    // Regression: the monitor added `day + horizon_days` in `u32`, which
+    // overflowed for a horizon near `u32::MAX`. It now ends each week's
+    // label window where the encoder does (`EncoderConfig::label_end`,
+    // saturating), so such a window never closes and no week matures.
+    let _guard = GLOBAL_REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
+    nevermind_obs::global().reset();
+    nevermind_obs::set_enabled(true);
+    let mut config = predictor_config();
+    config.encoder.horizon_days = u32::MAX;
+    let result = run_proactive_trial_with(
+        sim_config("baseline"),
+        &config,
+        WARMUP_WEEKS,
+        &TrialOptions::default(),
+    );
+    nevermind_obs::set_enabled(false);
+    nevermind_obs::global().reset();
+
+    let report = result
+        .expect("trial config is valid")
+        .telemetry
+        .expect("instrumented trial must report telemetry");
+    assert!(report.weeks_observed > 0, "the monitor saw every policy week");
+    assert_eq!(report.last_ece, None, "{}", report.summary());
+    assert_eq!(report.last_brier, None, "{}", report.summary());
+}
+
+#[test]
 fn zero_scored_week_is_skipped_not_fatal() {
     // Regression: a week with nothing to score — an empty plant, a horizon
     // tail with no ranked rows — used to panic inside the PSI computation
