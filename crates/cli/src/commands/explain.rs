@@ -7,6 +7,7 @@ use super::CliResult;
 use crate::args::Args;
 use nevermind_obs::trace::{render_explain, EventView};
 use serde_json::Value;
+use std::io::Write;
 
 /// One parsed trace event.
 pub(crate) struct Event {
@@ -64,7 +65,7 @@ pub(crate) fn run(args: &Args) -> CliResult {
         )
         .into());
     };
-    print!("{text}");
+    write!(std::io::stdout().lock(), "{text}")?;
     Ok(())
 }
 

@@ -3,6 +3,7 @@
 
 use super::CliResult;
 use crate::args::Args;
+use std::io::Write;
 use std::path::Path;
 
 /// Runs the subcommand.
@@ -18,9 +19,10 @@ pub(crate) fn run(args: &Args) -> CliResult {
         "trace-sample",
     ])?;
     let _span = nevermind_obs::span!("cli/lint");
+    let mut out = std::io::stdout().lock();
     if args.get_parsed_or("list-rules", false)? {
         for r in nevermind_lint::RULES {
-            println!("{:<26} {}", r.id, r.summary);
+            writeln!(out, "{:<26} {}", r.id, r.summary)?;
         }
         return Ok(());
     }
@@ -38,7 +40,7 @@ pub(crate) fn run(args: &Args) -> CliResult {
     let rendered = if format == "json" { report.render_json() } else { report.render_text() };
     match args.get("out") {
         Some(path) => nevermind_lint::engine::write_report(path, &rendered)?,
-        None => print!("{rendered}"),
+        None => write!(out, "{rendered}")?,
     }
     if report.clean() {
         Ok(())

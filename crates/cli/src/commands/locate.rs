@@ -6,6 +6,7 @@ use crate::args::Args;
 use nevermind::locator::{
     collect_dispatch_examples, LocatorConfig, LocatorEvaluation, TroubleLocator,
 };
+use std::io::Write;
 
 /// Runs the subcommand.
 pub(crate) fn run(args: &Args) -> CliResult {
@@ -28,15 +29,17 @@ pub(crate) fn run(args: &Args) -> CliResult {
     let config = LocatorConfig { iterations: iterations(args, 80)?, ..LocatorConfig::default() };
     eprintln!("fitting the trouble locator on dispatches in [30, {mid}) ...");
     let locator = TroubleLocator::fit(&data, 30, mid, &config)?;
-    println!(
+    let mut out = std::io::stdout().lock();
+    writeln!(
+        out,
         "{} of 52 dispositions modeled from {} training dispatches",
         locator.modeled_dispositions().len(),
         collect_dispatch_examples(&data.output.notes, 30, mid).len()
-    );
+    )?;
 
     let examples = collect_dispatch_examples(&data.output.notes, mid, days);
     if examples.is_empty() {
-        println!("no held-out dispatches to demonstrate on");
+        writeln!(out, "no held-out dispatches to demonstrate on")?;
         return Ok(());
     }
     // The evaluation ranks every held-out dispatch, the shown ones too,
@@ -50,30 +53,32 @@ pub(crate) fn run(args: &Args) -> CliResult {
     let shown: Vec<_> = (0..ds.x.n_rows()).map(|i| locator.rank_combined(ds.x.row(i))).collect();
     nevermind_obs::trace::set_enabled(tracing);
     for (e, ranked) in examples.iter().zip(&shown) {
-        println!(
+        writeln!(
+            out,
             "\ndispatch to {} (day {}), technician recorded {}:",
             e.line,
             e.day,
             e.disposition.info().code
-        );
+        )?;
         for s in ranked.iter().take(top) {
             let marker = if s.disposition == e.disposition { "  <-- true" } else { "" };
-            println!(
+            writeln!(
+                out,
                 "  {:<20} P = {:.3} ({}){marker}",
                 s.disposition.info().code,
                 s.probability,
                 s.disposition.location().label()
-            );
+            )?;
         }
     }
 
     let (basic, flat, combined) = eval.tests_to_locate(0.5);
     let (bm, fm, cm, costm) = eval.mean_minutes();
-    println!("\n--- aggregate over {} held-out dispatches ---", eval.per_example.len());
-    println!("tests to locate 50%: basic {basic} / flat {flat} / combined {combined}");
-    println!(
+    writeln!(out, "\n--- aggregate over {} held-out dispatches ---", eval.per_example.len())?;
+    writeln!(out, "tests to locate 50%: basic {basic} / flat {flat} / combined {combined}")?;
+    writeln!(out,
         "mean technician minutes: basic {bm:.0} / flat {fm:.0} / combined {cm:.0} / cost-aware {costm:.0}"
-    );
-    println!("major-location accuracy: {:.1}%", 100.0 * eval.location_accuracy());
+    )?;
+    writeln!(out, "major-location accuracy: {:.1}%", 100.0 * eval.location_accuracy())?;
     Ok(())
 }

@@ -10,8 +10,10 @@ pub(crate) mod train;
 pub(crate) mod trial;
 
 use nevermind_dslsim::scenario::Scenario;
+use std::io::Write;
 
-/// Shared error type: user-facing message strings.
+/// Shared error type: user-facing message strings, or the `io::Error` of
+/// a failed write to stdout.
 pub(crate) type CliResult = Result<(), Box<dyn std::error::Error>>;
 
 /// A typed "recognized family, unsupported version" failure for
@@ -168,10 +170,11 @@ pub(crate) fn setup_history(args: &crate::args::Args, builtin: Option<&str>) -> 
 /// `nevermind scenarios` — list the named presets.
 pub(crate) fn scenarios(args: &crate::args::Args) -> CliResult {
     args.reject_unknown(&["metrics", "trace", "trace-sample"])?;
-    println!("{:<18} description", "scenario");
-    println!("{:<18} -----------", "--------");
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{:<18} description", "scenario")?;
+    writeln!(out, "{:<18} -----------", "--------")?;
     for s in Scenario::ALL {
-        println!("{:<18} {}", s.name(), s.description());
+        writeln!(out, "{:<18} {}", s.name(), s.description())?;
     }
     Ok(())
 }

@@ -6,6 +6,7 @@ use crate::args::Args;
 use nevermind::pipeline::SplitSpec;
 use nevermind::predictor::TicketPredictor;
 use nevermind_ml::rank::top_k;
+use std::io::Write;
 
 /// Runs the subcommand.
 pub(crate) fn run(args: &Args) -> CliResult {
@@ -29,18 +30,24 @@ pub(crate) fn run(args: &Args) -> CliResult {
     let base = data.encoder(predictor.encoder_config().clone()).encode(&split.test_days);
     let ranking = predictor.rank_encoded(&base);
 
-    println!("{:<12} {:>5} {:>22} {:>8}", "line", "day", "P(ticket in 4 wks)", "outcome");
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{:<12} {:>5} {:>22} {:>8}", "line", "day", "P(ticket in 4 wks)", "outcome")?;
     for (key, prob, label) in ranking.top_rows(top) {
-        println!(
+        writeln!(
+            out,
             "{:<12} {:>5} {:>22.3} {:>8}",
             key.line.to_string(),
             key.day,
             prob,
             if label { "ticket" } else { "-" }
-        );
+        )?;
     }
     let budget = ((ranking.len() as f64) * 0.01).ceil() as usize;
-    println!("\nprecision@{budget} (1% budget) = {:.1}%", 100.0 * ranking.precision_at(budget));
+    writeln!(
+        out,
+        "\nprecision@{budget} (1% budget) = {:.1}%",
+        100.0 * ranking.precision_at(budget)
+    )?;
 
     // With `--trace`, emit the provenance chain for every printed row so
     // `nevermind explain` can reconstruct the batch ranking too. Ranked row
@@ -65,12 +72,16 @@ pub(crate) fn run(args: &Args) -> CliResult {
     }
 
     if explain > 0 {
-        println!("\n--- why the top {explain} picks ---");
+        writeln!(out, "\n--- why the top {explain} picks ---")?;
         for i in top_k(probs, explain) {
             let contributions = predictor.explain(assembled.x.row(i));
-            println!("\n{} @ day {} (P = {:.3}):", rows[i].line, rows[i].day, probs[i]);
+            writeln!(out, "\n{} @ day {} (P = {:.3}):", rows[i].line, rows[i].day, probs[i])?;
             for c in contributions.iter().take(5) {
-                println!("  {:<40} value {:>12.3}  margin {:+.3}", c.name, c.value, c.contribution);
+                writeln!(
+                    out,
+                    "  {:<40} value {:>12.3}  margin {:+.3}",
+                    c.name, c.value, c.contribution
+                )?;
             }
         }
     }

@@ -18,6 +18,7 @@ use crate::args::Args;
 use nevermind::pipeline::PEAK_RSS_GAUGES;
 use nevermind_obs::trace::EventView;
 use serde_json::Value;
+use std::io::{self, Write};
 
 /// How many spans the "top spans" table shows.
 const TOP_SPANS: usize = 12;
@@ -62,12 +63,13 @@ pub(crate) fn run(args: &Args, path: Option<&str>) -> CliResult {
         return Err(SchemaError { found: schema.to_string(), supported: SUPPORTED }.into());
     }
 
-    println!("nevermind metrics report — {path} ({schema})");
-    render_spans(doc);
-    render_peak_rss(doc);
-    render_series(doc);
-    render_telemetry(doc);
-    render_history(doc);
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "nevermind metrics report — {path} ({schema})")?;
+    render_spans(&mut out, doc)?;
+    render_peak_rss(&mut out, doc)?;
+    render_series(&mut out, doc)?;
+    render_telemetry(&mut out, doc)?;
+    render_history(&mut out, doc)?;
     Ok(())
 }
 
@@ -134,38 +136,46 @@ fn render_profile(path: &str) -> CliResult {
             row.1 += count;
         }
     }
-    println!("nevermind profile report — {path} ({total_samples} samples, {stacks} stacks)");
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "nevermind profile report — {path} ({total_samples} samples, {stacks} stacks)")?;
     if total_samples == 0 {
-        println!(
+        writeln!(
+            out,
             "\n(no samples — was the profiler running? start it with --profile or --obs-listen)"
-        );
+        )?;
         return Ok(());
     }
     frames.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let pct = |n: u64| 100.0 * n as f64 / total_samples as f64;
-    println!("\ntop frames by self samples ({} of {})", frames.len().min(TOP_FRAMES), frames.len());
-    println!("  {:>7}  {:>8}  {:>7}  {:>8}  frame", "self%", "self", "total%", "total");
+    writeln!(
+        out,
+        "\ntop frames by self samples ({} of {})",
+        frames.len().min(TOP_FRAMES),
+        frames.len()
+    )?;
+    writeln!(out, "  {:>7}  {:>8}  {:>7}  {:>8}  frame", "self%", "self", "total%", "total")?;
     for (frame, self_n, total_n) in frames.iter().take(TOP_FRAMES) {
-        println!(
+        writeln!(
+            out,
             "  {:>6.1}%  {:>8}  {:>6.1}%  {:>8}  {}",
             pct(*self_n),
             self_n,
             pct(*total_n),
             total_n,
             frame
-        );
+        )?;
     }
     Ok(())
 }
 
-fn render_spans(doc: &serde_json::Map) {
+fn render_spans(out: &mut dyn Write, doc: &serde_json::Map) -> io::Result<()> {
     let Some(spans) = doc.get("spans").and_then(Value::as_object) else {
-        println!("\n(no spans section)");
-        return;
+        writeln!(out, "\n(no spans section)")?;
+        return Ok(());
     };
     if spans.is_empty() {
-        println!("\n(no spans recorded)");
-        return;
+        writeln!(out, "\n(no spans recorded)")?;
+        return Ok(());
     }
     let mut rows: Vec<(&str, f64, u64, f64)> = spans
         .iter()
@@ -178,11 +188,12 @@ fn render_spans(doc: &serde_json::Map) {
         })
         .collect();
     rows.sort_by(|a, b| b.1.total_cmp(&a.1));
-    println!("\ntop spans by total time ({} of {})", rows.len().min(TOP_SPANS), rows.len());
-    println!("  {:>12}  {:>7}  {:>12}  path", "total", "calls", "mean");
+    writeln!(out, "\ntop spans by total time ({} of {})", rows.len().min(TOP_SPANS), rows.len())?;
+    writeln!(out, "  {:>12}  {:>7}  {:>12}  path", "total", "calls", "mean")?;
     for (path, total_ns, count, mean_ns) in rows.iter().take(TOP_SPANS) {
-        println!("  {:>12}  {count:>7}  {:>12}  {path}", fmt_ns(*total_ns), fmt_ns(*mean_ns));
+        writeln!(out, "  {:>12}  {count:>7}  {:>12}  {path}", fmt_ns(*total_ns), fmt_ns(*mean_ns))?;
     }
+    Ok(())
 }
 
 /// Renders a trial's peak-RSS gauges ([`PEAK_RSS_GAUGES`]) as one table in
@@ -190,18 +201,18 @@ fn render_spans(doc: &serde_json::Map) {
 /// the process's peak resident set at its end, and how far the phase
 /// raised it. Dumps without the gauges (other subcommands, or a platform
 /// with no peak to read) print nothing here.
-fn render_peak_rss(doc: &serde_json::Map) {
+fn render_peak_rss(out: &mut dyn Write, doc: &serde_json::Map) -> io::Result<()> {
     let gauges = doc.get("gauges").and_then(Value::as_object);
     let peaks: Vec<(&str, f64)> = PEAK_RSS_GAUGES
         .iter()
         .filter_map(|name| Some((*name, gauges?.get(name)?.as_f64()?)))
         .collect();
     if peaks.is_empty() {
-        return;
+        return Ok(());
     }
     let spans = doc.get("spans").and_then(Value::as_object);
-    println!("\npeak RSS by phase");
-    println!("  {:<16}  {:>12}  {:>10}  {:>10}", "phase", "time", "peak MB", "rise MB");
+    writeln!(out, "\npeak RSS by phase")?;
+    writeln!(out, "  {:<16}  {:>12}  {:>10}  {:>10}", "phase", "time", "peak MB", "rise MB")?;
     let mut before = 0.0;
     for (name, peak) in peaks {
         let phase = name.trim_start_matches("trial/").trim_end_matches("/peak_rss_mb");
@@ -210,15 +221,16 @@ fn render_peak_rss(doc: &serde_json::Map) {
             .and_then(|spans| spans.iter().find(|(path, _)| path.ends_with(&suffix)))
             .and_then(|(_, s)| s.as_object()?.get("total_ns")?.as_f64())
             .map_or_else(|| "-".to_string(), fmt_ns);
-        println!("  {phase:<16}  {time:>12}  {peak:>10.1}  {:>+10.1}", peak - before);
+        writeln!(out, "  {phase:<16}  {time:>12}  {peak:>10.1}  {:>+10.1}", peak - before)?;
         before = peak;
     }
+    Ok(())
 }
 
-fn render_series(doc: &serde_json::Map) {
+fn render_series(out: &mut dyn Write, doc: &serde_json::Map) -> io::Result<()> {
     let Some(series) = doc.get("series").and_then(Value::as_object) else {
-        println!("\n(no series section)");
-        return;
+        writeln!(out, "\n(no series section)")?;
+        return Ok(());
     };
     let mut printed_header = false;
     for (name, points) in series.iter() {
@@ -234,12 +246,13 @@ fn render_series(doc: &serde_json::Map) {
             continue;
         }
         if !printed_header {
-            println!("\nper-week series");
+            writeln!(out, "\nper-week series")?;
             printed_header = true;
         }
         let ys: Vec<f64> = pts.iter().map(|&(_, y)| y).collect();
         let (min, max) = min_max(&ys);
-        println!(
+        writeln!(
+            out,
             "  {name}: {} pts, x {:.0}→{:.0}, min {}, max {}, last {}",
             pts.len(),
             pts[0].0,
@@ -247,38 +260,46 @@ fn render_series(doc: &serde_json::Map) {
             fmt_val(min),
             fmt_val(max),
             fmt_val(ys[ys.len() - 1]),
-        );
-        println!("    {}", sparkline(&ys, SPARK_WIDTH));
+        )?;
+        writeln!(out, "    {}", sparkline(&ys, SPARK_WIDTH))?;
     }
     if !printed_header {
-        println!("\n(no series recorded)");
+        writeln!(out, "\n(no series recorded)")?;
     }
+    Ok(())
 }
 
-fn render_telemetry(doc: &serde_json::Map) {
+fn render_telemetry(out: &mut dyn Write, doc: &serde_json::Map) -> io::Result<()> {
     let Some(tele) = doc.get("telemetry").and_then(Value::as_object) else {
-        println!("\n(no telemetry section — dump predates model-health telemetry)");
-        return;
+        writeln!(out, "\n(no telemetry section — dump predates model-health telemetry)")?;
+        return Ok(());
     };
     let weeks = tele.get("weeks_observed").and_then(Value::as_u64).unwrap_or(0);
-    println!("\nmodel-health telemetry");
+    writeln!(out, "\nmodel-health telemetry")?;
     if weeks == 0 {
-        println!("  (none recorded — run a trial with --metrics to populate it)");
-        return;
+        writeln!(out, "  (none recorded — run a trial with --metrics to populate it)")?;
+        return Ok(());
     }
-    println!("  weeks observed: {weeks}");
+    writeln!(out, "  weeks observed: {weeks}")?;
     let Some(series) = tele.get("series").and_then(Value::as_object) else {
-        return;
+        return Ok(());
     };
     if series.is_empty() {
-        return;
+        return Ok(());
     }
-    println!("  {:<34}  {:>9}  {:>9}  {:>9}", "metric", "last", "max", "mean");
+    writeln!(out, "  {:<34}  {:>9}  {:>9}  {:>9}", "metric", "last", "max", "mean")?;
     for (name, summary) in series.iter() {
         let Some(s) = summary.as_object() else { continue };
         let stat = |key: &str| fmt_val(s.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN));
-        println!("  {name:<34}  {:>9}  {:>9}  {:>9}", stat("last"), stat("max"), stat("mean"));
+        writeln!(
+            out,
+            "  {name:<34}  {:>9}  {:>9}  {:>9}",
+            stat("last"),
+            stat("max"),
+            stat("mean")
+        )?;
     }
+    Ok(())
 }
 
 /// Renders the optional `nevermind-history/v1` section of a metrics dump:
@@ -286,15 +307,15 @@ fn render_telemetry(doc: &serde_json::Map) {
 /// ran — the alert/SLO scoreboard and the transition timeline recorded in
 /// the engine's notification log. Dumps written without `--history` have
 /// no section and print nothing here.
-fn render_history(doc: &serde_json::Map) {
-    let Some(hist) = doc.get("history").and_then(Value::as_object) else { return };
+fn render_history(out: &mut dyn Write, doc: &serde_json::Map) -> io::Result<()> {
+    let Some(hist) = doc.get("history").and_then(Value::as_object) else { return Ok(()) };
     let schema = hist.get("schema").and_then(Value::as_str).unwrap_or("<missing>");
     if schema != "nevermind-history/v1" {
-        println!("\n(history section has unsupported schema '{schema}'; skipping)");
-        return;
+        writeln!(out, "\n(history section has unsupported schema '{schema}'; skipping)")?;
+        return Ok(());
     }
     let ticks = hist.get("ticks").and_then(Value::as_u64).unwrap_or(0);
-    println!("\nmetrics history ({ticks} sim-day ticks, week windows)");
+    writeln!(out, "\nmetrics history ({ticks} sim-day ticks, week windows)")?;
     let mut printed_series = false;
     if let Some(series) = hist.get("series").and_then(Value::as_object) {
         for (name, rings) in series.iter() {
@@ -319,24 +340,25 @@ fn render_history(doc: &serde_json::Map) {
             }
             printed_series = true;
             let (min, max) = min_max(&ys);
-            println!(
+            writeln!(
+                out,
                 "  {name}: {} windows, min {}, max {}, last {}",
                 ys.len(),
                 fmt_val(min),
                 fmt_val(max),
                 fmt_val(ys[ys.len() - 1]),
-            );
-            println!("    {}", sparkline(&ys, SPARK_WIDTH));
+            )?;
+            writeln!(out, "    {}", sparkline(&ys, SPARK_WIDTH))?;
         }
     }
     if !printed_series {
-        println!("  (no series retained)");
+        writeln!(out, "  (no series retained)")?;
     }
 
-    let Some(alerting) = hist.get("alerting").and_then(Value::as_object) else { return };
+    let Some(alerting) = hist.get("alerting").and_then(Value::as_object) else { return Ok(()) };
     let firing = alerting.get("firing").and_then(Value::as_u64).unwrap_or(0);
     let evals = alerting.get("evaluations").and_then(Value::as_u64).unwrap_or(0);
-    println!("\nalerting — {evals} evaluations, {firing} firing");
+    writeln!(out, "\nalerting — {evals} evaluations, {firing} firing")?;
     if let Some(alerts) = alerting.get("alerts").and_then(Value::as_array) {
         for a in alerts {
             let Some(a) = a.as_object() else { continue };
@@ -345,12 +367,13 @@ fn render_history(doc: &serde_json::Map) {
             let severity = a.get("severity").and_then(Value::as_str).unwrap_or("?");
             let value = a.get("value").and_then(Value::as_f64).unwrap_or(f64::NAN);
             let threshold = a.get("threshold").and_then(Value::as_f64).unwrap_or(f64::NAN);
-            println!(
+            writeln!(
+                out,
                 "  alert {name} [{severity}]: {}  (value {}, threshold {})",
                 if state == "firing" { "FIRING" } else { state },
                 fmt_val(value),
                 fmt_val(threshold)
-            );
+            )?;
         }
     }
     if let Some(slos) = alerting.get("slos").and_then(Value::as_array) {
@@ -360,19 +383,22 @@ fn render_history(doc: &serde_json::Map) {
             let status = s.get("status").and_then(Value::as_str).unwrap_or("?");
             let burn = s.get("burn").and_then(Value::as_f64).unwrap_or(f64::NAN);
             let objective = s.get("objective").and_then(Value::as_f64).unwrap_or(f64::NAN);
-            println!(
+            writeln!(
+                out,
                 "  slo {name}: {status}  (burn {}, objective {})",
                 fmt_val(burn),
                 fmt_val(objective)
-            );
+            )?;
         }
     }
-    let Some(notes) = alerting.get("notifications").and_then(Value::as_array) else { return };
+    let Some(notes) = alerting.get("notifications").and_then(Value::as_array) else {
+        return Ok(());
+    };
     if notes.is_empty() {
-        println!("  timeline: (no transitions recorded)");
-        return;
+        writeln!(out, "  timeline: (no transitions recorded)")?;
+        return Ok(());
     }
-    println!("  timeline:");
+    writeln!(out, "  timeline:")?;
     for n in notes {
         let Some(n) = n.as_object() else { continue };
         let day = n.get("day").and_then(Value::as_u64).unwrap_or(0);
@@ -380,8 +406,9 @@ fn render_history(doc: &serde_json::Map) {
         let rule = f.get("rule").and_then(Value::as_str).unwrap_or("?");
         let from = f.get("from").and_then(Value::as_str).unwrap_or("?");
         let to = f.get("to").and_then(Value::as_str).unwrap_or("?");
-        println!("    day {day:>4}  {rule}: {from} -> {to}");
+        writeln!(out, "    day {day:>4}  {rule}: {from} -> {to}")?;
     }
+    Ok(())
 }
 
 fn min_max(ys: &[f64]) -> (f64, f64) {
@@ -455,7 +482,8 @@ fn fmt_val(v: f64) -> String {
 /// proactive dispatch → technician disposition confusion counts.
 fn render_trace(path: &str) -> CliResult {
     let events = super::explain::load_trace(path)?;
-    println!("nevermind trace report — {path} (nevermind-trace/v1)");
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "nevermind trace report — {path} (nevermind-trace/v1)")?;
 
     // Events by kind, most frequent first (name-ordered ties).
     let mut kinds: Vec<(String, usize)> = Vec::new();
@@ -466,18 +494,18 @@ fn render_trace(path: &str) -> CliResult {
         }
     }
     kinds.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    println!("\n{} events by kind", events.len());
+    writeln!(out, "\n{} events by kind", events.len())?;
     for (kind, n) in &kinds {
-        println!("  {n:>7}  {kind}");
+        writeln!(out, "  {n:>7}  {kind}")?;
     }
 
     // Close the loop: what did proactive truck rolls actually find?
     let proactive: Vec<_> =
         events.iter().filter(|e| e.kind == "visit" && e.num("proactive") == Some(1.0)).collect();
-    println!("\nproactive dispatch outcomes");
+    writeln!(out, "\nproactive dispatch outcomes")?;
     if proactive.is_empty() {
-        println!("  dispatched lines visited: 0");
-        println!("  fault-found precision: n/a");
+        writeln!(out, "  dispatched lines visited: 0")?;
+        writeln!(out, "  fault-found precision: n/a")?;
     } else {
         let mut by_disposition: Vec<(String, usize)> = Vec::new();
         let mut found = 0usize;
@@ -492,12 +520,12 @@ fn render_trace(path: &str) -> CliResult {
             }
         }
         by_disposition.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        println!("  dispatched lines visited: {}", proactive.len());
+        writeln!(out, "  dispatched lines visited: {}", proactive.len())?;
         let precision = found as f64 / proactive.len() as f64;
-        println!("  fault-found precision: {precision:.3} ({found}/{})", proactive.len());
-        println!("  disposition counts:");
+        writeln!(out, "  fault-found precision: {precision:.3} ({found}/{})", proactive.len())?;
+        writeln!(out, "  disposition counts:")?;
         for (code, n) in &by_disposition {
-            println!("    {n:>7}  {code}");
+            writeln!(out, "    {n:>7}  {code}")?;
         }
     }
     Ok(())

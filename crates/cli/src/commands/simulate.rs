@@ -5,6 +5,7 @@ use crate::args::Args;
 use nevermind::pipeline::ExperimentData;
 use nevermind_dslsim::export::export_csv_dir;
 use nevermind_dslsim::summary::OutputSummary;
+use std::io::Write;
 
 /// Runs the subcommand.
 pub(crate) fn run(args: &Args) -> CliResult {
@@ -42,7 +43,8 @@ pub(crate) fn run(args: &Args) -> CliResult {
     drop(span);
 
     let summary = OutputSummary::compute(&data.output, cfg.n_lines);
-    println!("{summary}");
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{summary}")?;
 
     std::fs::create_dir_all(&out_dir)?;
     export_csv_dir(&out_dir, &data.output)?;
@@ -50,10 +52,11 @@ pub(crate) fn run(args: &Args) -> CliResult {
     let dataset_path = out_dir.join("dataset.json");
     let file = std::io::BufWriter::new(std::fs::File::create(&dataset_path)?);
     serde_json::to_writer(file, &data)?;
-    println!(
+    writeln!(
+        out,
         "\nwrote {} (self-contained; feed it to 'nevermind train') plus CSV tables in {}/",
         dataset_path.display(),
         out_dir.display()
-    );
+    )?;
     plane.finish()
 }

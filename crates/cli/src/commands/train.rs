@@ -4,6 +4,7 @@ use super::{budget_fraction, count_in, iterations, load_dataset, CliResult};
 use crate::args::Args;
 use nevermind::pipeline::SplitSpec;
 use nevermind::predictor::{PredictorConfig, TicketPredictor};
+use std::io::Write;
 
 /// Runs the subcommand.
 pub(crate) fn run(args: &Args) -> CliResult {
@@ -47,14 +48,16 @@ pub(crate) fn run(args: &Args) -> CliResult {
     eprintln!("fit finished in {:.1}s", span.elapsed().as_secs_f64());
     drop(span);
 
-    println!(
+    let mut out = std::io::stdout().lock();
+    writeln!(
+        out,
         "selected {} features ({} base + {} derived); selection AP budget {}",
         report.n_selected(),
         report.selected_base.len(),
         report.selected_derived.len(),
         report.selection_budget
-    );
-    println!("top selected features by single-feature AP:");
+    )?;
+    writeln!(out, "top selected features by single-feature AP:")?;
     // A degenerate selection window (single-class labels) yields NaN AP for
     // every feature scored on it; `total_cmp` keeps the sort panic-free,
     // and NaN-scored features are reported separately rather than ranked.
@@ -63,27 +66,29 @@ pub(crate) fn run(args: &Args) -> CliResult {
     let (unscored, mut scored): (Vec<_>, Vec<_>) = all.into_iter().partition(|f| f.score.is_nan());
     scored.sort_by(|a, b| b.score.total_cmp(&a.score));
     for f in scored.iter().take(10) {
-        println!("  {:<40} AP = {:.3}", f.name, f.score);
+        writeln!(out, "  {:<40} AP = {:.3}", f.name, f.score)?;
     }
     if !unscored.is_empty() {
-        println!(
+        writeln!(
+            out,
             "note: {} features have undefined AP (degenerate selection window?), e.g. {}",
             unscored.len(),
             unscored[0].name
-        );
+        )?;
     }
 
     let file = std::io::BufWriter::new(std::fs::File::create(&model_path)?);
     serde_json::to_writer(file, &predictor)?;
-    println!("\nwrote model to {model_path}");
+    writeln!(out, "\nwrote model to {model_path}")?;
 
     // Quick self-check on the held-out test window.
     let ranking = predictor.rank(&data, &split.test_days);
     let budget = config.budget(ranking.len());
-    println!(
+    writeln!(
+        out,
         "held-out check: precision@{budget} = {:.1}% over {} (line, week) pairs",
         100.0 * ranking.precision_at(budget),
         ranking.len()
-    );
+    )?;
     Ok(())
 }

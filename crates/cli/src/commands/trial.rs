@@ -9,6 +9,7 @@ use nevermind::predictor::PredictorConfig;
 use nevermind::telemetry::MODEL_HEALTH_RULES;
 use nevermind_dslsim::scenario::Scenario;
 use nevermind_features::FeatureStore;
+use std::io::Write;
 
 /// Runs the subcommand.
 pub(crate) fn run(args: &Args) -> CliResult {
@@ -136,26 +137,29 @@ pub(crate) fn run(args: &Args) -> CliResult {
     }
 
     let outcome = &result.outcome;
-    println!("policy active from day {}", outcome.policy_start_day);
-    println!("reactive twin : {} customer-edge tickets", outcome.reactive_tickets);
-    println!("proactive twin: {} customer-edge tickets", outcome.proactive_tickets);
-    println!("ticket reduction: {:.1}%", 100.0 * outcome.ticket_reduction());
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "policy active from day {}", outcome.policy_start_day)?;
+    writeln!(out, "reactive twin : {} customer-edge tickets", outcome.reactive_tickets)?;
+    writeln!(out, "proactive twin: {} customer-edge tickets", outcome.proactive_tickets)?;
+    writeln!(out, "ticket reduction: {:.1}%", 100.0 * outcome.ticket_reduction())?;
     // No dispatch → the precision quotient is undefined; print "n/a"
     // rather than the NaN sentinel (`NaN%` was a long-standing eyesore).
     let precision = match outcome.dispatch_precision_checked() {
         Some(p) => format!("{:.1}% precision", 100.0 * p),
         None => "precision n/a".to_string(),
     };
-    println!(
+    writeln!(
+        out,
         "proactive dispatches: {} ({} found a fault; {precision})",
         outcome.proactive_dispatches, outcome.proactive_hits,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "churned customers: {} reactive vs {} proactive",
         outcome.reactive_churn, outcome.proactive_churn
-    );
+    )?;
     if let Some(report) = &result.telemetry {
-        println!("{}", report.summary());
+        writeln!(out, "{}", report.summary())?;
     }
     plane.finish()
 }

@@ -28,6 +28,7 @@ mod args;
 mod commands;
 
 use args::Args;
+use std::io::{ErrorKind, Write};
 
 fn main() {
     let mut argv = std::env::args().skip(1);
@@ -88,16 +89,20 @@ fn main() {
         "report" => commands::report::run(&parsed, parsed.positional().first().map(String::as_str)),
         "explain" => commands::explain::run(&parsed),
         "scenarios" => commands::scenarios(&parsed),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => writeln!(std::io::stdout(), "{USAGE}").map_err(Into::into),
         other => {
             eprintln!("unknown command '{other}'\n\n{USAGE}");
             std::process::exit(2);
         }
     };
 
+    // A reader that closed the pipe early (`nevermind report m.json | head`)
+    // wants no more output: the command stops writing and the run ends as
+    // a success.
+    let result = result.or_else(|e| match e.downcast_ref::<std::io::Error>() {
+        Some(io) if io.kind() == ErrorKind::BrokenPipe => Ok(()),
+        _ => Err(e),
+    });
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);

@@ -1,8 +1,9 @@
 //! End-to-end CLI test: simulate → train → rank → locate → trial on a tiny
 //! world, driving the actual binary.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_nevermind"))
@@ -237,6 +238,50 @@ fn scenarios_lists_presets() {
     for name in ["baseline", "storm-season", "aging-plant", "overprovisioned", "quiet-network"] {
         assert!(stdout.contains(name), "missing {name}: {stdout}");
     }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // `nevermind scenarios | head -0`: the reader is gone before the first
+    // line, so the first write fails with `EPIPE` (Rust ignores SIGPIPE).
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = bin().arg("scenarios").stdout(writer).output().expect("run scenarios");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status.code());
+    assert!(stderr.is_empty(), "{stderr}");
+
+    // `nevermind report m.json | head -1`: the reader takes one line and
+    // closes mid-report. The history section renders far more than a pipe
+    // holds, so the report is still writing it when the reader goes.
+    let dir = named_work_dir("closed-stdout");
+    let dump = dir.join("history.json");
+    let series: Vec<String> =
+        (0..4000).map(|i| format!(r#""series/{i}":{{"week":[[0,1,3,4,2,2]]}}"#)).collect();
+    std::fs::write(
+        &dump,
+        format!(
+            r#"{{"schema":"nevermind-metrics/v1","counters":{{}},"gauges":{{}},"spans":{{}},"series":{{}},"history":{{"schema":"nevermind-history/v1","ticks":7,"series":{{{}}}}}}}"#,
+            series.join(",")
+        ),
+    )
+    .expect("write dump");
+    let mut child = bin()
+        .args(["report", dump.to_str().expect("utf8")])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run report");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    assert!(first.starts_with("nevermind metrics report"), "{first}");
+    let out = child.wait_with_output().expect("wait for report");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status.code());
+    assert!(stderr.is_empty(), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

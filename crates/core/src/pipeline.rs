@@ -389,7 +389,8 @@ pub fn run_proactive_trial_with(
     // about, and at scale they would flood the bounded trace ring before
     // the proactive world steps on — so decision tracing is suspended for
     // its lifetime (deterministically: plain flag save/restore). It runs no
-    // line tests either: the trial reads only its tickets and churn.
+    // line tests and starts from empty logs: the trial reads only the
+    // tickets and churn it logs after the fork.
     let baseline = {
         let _s = nevermind_obs::span!("baseline_world");
         let tracing = nevermind_obs::trace::enabled();
@@ -407,9 +408,9 @@ pub fn run_proactive_trial_with(
         nevermind_obs::trace::set_enabled(tracing);
         out
     };
-    let reactive_tickets =
-        baseline.customer_edge_tickets().filter(|t| t.day >= policy_start_day).count();
-    let reactive_churn = baseline.churn_events.iter().filter(|c| c.day >= policy_start_day).count();
+    // Every record of the twin is from the policy window.
+    let reactive_tickets = baseline.customer_edge_tickets().count();
+    let reactive_churn = baseline.churn_events.len();
     // Those two counts are all the trial needs of the twin: free its logs
     // before training.
     drop(baseline);
@@ -521,6 +522,7 @@ pub fn run_proactive_trial_with(
         }
     }
     let budget = predictor_config.budget(lines.len());
+    let mut tickets_ingested = 0;
     let _policy_span = nevermind_obs::span!("policy_loop");
     while world.day() < end_day {
         world.step_day();
@@ -531,8 +533,13 @@ pub fn run_proactive_trial_with(
             // off, so timing can never perturb the model path.
             let week_timer = nevermind_obs::Stopwatch::start();
             let ranking = {
-                let out = world.output();
-                scorer.observe(&out.measurements, &out.tickets);
+                // The new tests move out of the live world into the scorer's
+                // rolling state; the tickets stay, for the monitor and the
+                // outcome.
+                let tests = world.take_measurements();
+                let tickets = &world.output().tickets;
+                scorer.ingest(&tests, &tickets[tickets_ingested..]);
+                tickets_ingested = tickets.len();
                 scorer.rank_week(just_finished)
             };
             let to_dispatch: Vec<_> = ranking

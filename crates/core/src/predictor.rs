@@ -26,12 +26,17 @@
 //! the one compiled plan of [`crate::scoring`], which gathers the used
 //! columns straight from the base encoding: no assembled matrix is built
 //! to rank.
+//!
+//! The two windows are never resident together: step 1 encodes only the
+//! evaluation window's selection subsample, and step 5 encodes the whole
+//! window after the final fit has released the training window.
 
 use crate::error::PipelineError;
 use crate::pipeline::{ExperimentData, SplitSpec};
 use crate::scoring::CompiledPredictor;
 use nevermind_features::encode::{
-    all_products, all_quadratics, assemble, AssembledColumns, EncodedDataset, EncoderConfig, RowKey,
+    all_products, all_quadratics, assemble, AssembledColumns, BaseEncoder, EncodedDataset,
+    EncoderConfig, RowKey,
 };
 use nevermind_features::registry::{DerivedFeature, FeatureClass};
 use nevermind_ml::boost::{uniform_weights, BStump, BoostConfig};
@@ -248,14 +253,16 @@ impl TicketPredictor {
     ) -> Result<(Self, SelectionReport), PipelineError> {
         let _fit_span = nevermind_obs::span!("predictor/fit");
         let encoder = data.encoder(config.encoder.clone());
-        let (base_train, base_eval) = {
+        let (base_train, eval_sub) = {
             let _s = nevermind_obs::span!("encode_windows");
-            (encoder.encode(&split.train_days), encoder.encode(&split.selection_eval_days))
+            let eval_sub = encode_eval_subsample(&encoder, &split.selection_eval_days, config);
+            (encoder.encode(&split.train_days), eval_sub)
         };
 
         // The selection subsamples live only while `select` runs, so they
         // are gone before the final fit, where training's memory peaks.
-        let report = select(&base_train, &base_eval, config);
+        let report = select(&base_train, &eval_sub, config);
+        drop(eval_sub);
         let (selected_base, selected_derived) =
             (report.selected_base.clone(), report.selected_derived.clone());
 
@@ -264,13 +271,9 @@ impl TicketPredictor {
             let _s = nevermind_obs::span!("boost_final");
             fit_assembled(&base_train, &selected_base, &selected_derived, config)
         };
+        drop(base_train);
 
-        // Calibrate on the (unsubsampled) evaluation window.
-        let calibration = {
-            let _s = nevermind_obs::span!("calibrate");
-            let plan = CompiledPredictor::new(&model, &selected_base, &selected_derived);
-            PlattScale::fit(&plan.matrix_margins(&base_eval.data.x), &base_eval.data.y)?
-        };
+        let calibration = calibrate(&encoder, split, &model, &selected_base, &selected_derived)?;
         nevermind_obs::counter_add!(
             "predictor/features_selected",
             selected_base.len() + selected_derived.len()
@@ -343,17 +346,12 @@ impl TicketPredictor {
     ) -> Result<Self, PipelineError> {
         let encoder = data.encoder(config.encoder.clone());
         let base_train = encoder.encode(&split.train_days);
-        let base_eval = encoder.encode(&split.selection_eval_days);
         let train_sub = base_train.data.select_rows(&subsample_keep_positives(
             &base_train.data.y,
             config.selection_row_cap,
             config.seed,
         ));
-        let eval_sub = base_eval.data.select_rows(&subsample_uniform(
-            base_eval.data.len(),
-            config.selection_row_cap,
-            config.seed ^ 1,
-        ));
+        let eval_sub = encode_eval_subsample(&encoder, &split.selection_eval_days, config);
 
         let select_cfg =
             SelectConfig { model_iterations: config.selection_iterations, n_bins: config.n_bins };
@@ -361,9 +359,8 @@ impl TicketPredictor {
         let selected_base = top_scores(&scores, top_k);
 
         let model = fit_assembled(&base_train, &selected_base, &[], config);
-        let margins =
-            CompiledPredictor::new(&model, &selected_base, &[]).matrix_margins(&base_eval.data.x);
-        let calibration = PlattScale::fit(&margins, &base_eval.data.y)?;
+        drop(base_train);
+        let calibration = calibrate(&encoder, split, &model, &selected_base, &[])?;
         Ok(Self {
             model,
             calibration,
@@ -528,16 +525,48 @@ fn fit_assembled(
     })
 }
 
+/// The evaluation window's selection subsample, encoded on its own: the
+/// rows [`subsample_uniform`] keeps of the window's keys in
+/// `BaseEncoder::encode` order. A row depends on its key alone, so these
+/// are bit for bit the rows of the whole window's encoding, which training
+/// encodes only for calibration, after the final fit.
+fn encode_eval_subsample(encoder: &BaseEncoder, days: &[u32], config: &PredictorConfig) -> Dataset {
+    let keys = encoder.keys(days);
+    let rows = subsample_uniform(keys.len(), config.selection_row_cap, config.seed ^ 1);
+    let keys: Vec<RowKey> = rows.into_iter().map(|r| keys[r]).collect();
+    encoder.encode_rows(&keys).data
+}
+
+/// Step 5 of the recipe: Platt scaling of `model`'s margins over the whole
+/// (unsubsampled) evaluation window, encoded here, after the final fit,
+/// so that it is never resident beside the training window.
+fn calibrate(
+    encoder: &BaseEncoder,
+    split: &SplitSpec,
+    model: &BStump,
+    cols: &[usize],
+    derived: &[DerivedFeature],
+) -> Result<PlattScale, PipelineError> {
+    let base_eval = {
+        let _s = nevermind_obs::span!("encode_windows");
+        encoder.encode(&split.selection_eval_days)
+    };
+    let _s = nevermind_obs::span!("calibrate");
+    let margins = CompiledPredictor::new(model, cols, derived).matrix_margins(&base_eval.data.x);
+    Ok(PlattScale::fit(&margins, &base_eval.data.y)?)
+}
+
 /// Steps 2–3 of the recipe: scores every base, quadratic and product
 /// candidate by the AP(N) of its single-feature model and keeps the best
-/// of each class.
+/// of each class, over a subsample of the training window and the
+/// evaluation subsample `eval_sub` ([`encode_eval_subsample`]).
 ///
 /// The two selection subsamples are gathered column-major once, and every
 /// candidate's column is written from them into the column-fed scorer;
 /// they are dropped when this returns.
 fn select(
     base_train: &EncodedDataset,
-    base_eval: &EncodedDataset,
+    eval_sub: &Dataset,
     config: &PredictorConfig,
 ) -> SelectionReport {
     // Deterministic selection subsamples. The *training* subsample keeps
@@ -548,10 +577,8 @@ fn select(
     let train_rows =
         subsample_keep_positives(&base_train.data.y, config.selection_row_cap, config.seed);
     let train_sub = Subsample::gather(&base_train.data, &train_rows);
-    let eval_rows =
-        subsample_uniform(base_eval.data.len(), config.selection_row_cap, config.seed ^ 1);
-    let eval_sub = Subsample::gather(&base_eval.data, &eval_rows);
-    let selection_budget = config.budget(eval_rows.len());
+    let selection_budget = config.budget(eval_sub.len());
+    let eval_sub = Subsample::gather(eval_sub, &(0..eval_sub.len()).collect::<Vec<_>>());
 
     let select_cfg =
         SelectConfig { model_iterations: config.selection_iterations, n_bins: config.n_bins };
@@ -746,6 +773,42 @@ mod tests {
             p_at_budget > 3.0 * base_rate,
             "precision@{budget} = {p_at_budget}, base rate {base_rate}"
         );
+    }
+
+    /// The fit encodes the evaluation window's selection subsample alone
+    /// and the whole window only after the final fit. Encoding both
+    /// windows up front, as public calls do, and drawing the subsample
+    /// from the whole window's rows must give the same selection report
+    /// and, from the final model's margins, the same calibration.
+    #[test]
+    fn fit_matches_encoding_both_windows_up_front() {
+        let (data, split, predictor, report) = fitted();
+        let cfg = quick_config();
+        let encoder = data.encoder(cfg.encoder.clone());
+        let base_train = encoder.encode(&split.train_days);
+        let base_eval = encoder.encode(&split.selection_eval_days);
+        let rows = subsample_uniform(base_eval.data.len(), cfg.selection_row_cap, cfg.seed ^ 1);
+        assert!(rows.len() < base_eval.data.len(), "the subsample must drop rows");
+        let eval_sub = base_eval.data.select_rows(&rows);
+
+        let want = select(&base_train, &eval_sub, &cfg);
+        assert_eq!(report.selected_base, want.selected_base);
+        assert_eq!(report.selected_derived, want.selected_derived);
+        assert_eq!(report.selection_budget, want.selection_budget);
+        let scores = |r: &SelectionReport| -> Vec<(String, u64)> {
+            r.base
+                .iter()
+                .chain(&r.quadratic)
+                .chain(&r.product)
+                .map(|f| (f.name.clone(), f.score.to_bits()))
+                .collect()
+        };
+        assert_eq!(scores(&report), scores(&want));
+
+        let margins = predictor.model().margins(&predictor.assemble(&base_eval).x);
+        let platt = PlattScale::fit(&margins, &base_eval.data.y).expect("calibratable window");
+        let bits = |p: &PlattScale| (p.a.to_bits(), p.b.to_bits());
+        assert_eq!(bits(predictor.calibration()), bits(&platt));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! [`WeeklyScorer`] glues together the incremental pieces:
 //!
 //! * [`IncrementalEncoder`] — per-line rolling state fed only the *new*
-//!   log events each week, borrowed straight from the world's output
-//!   (cursors remember how far previous weeks got; nothing is cloned);
+//!   log events each week ([`WeeklyScorer::ingest`]: the trial moves each
+//!   week's tests out of the live world; [`WeeklyScorer::observe`] reads
+//!   growing logs from a cursor; nothing is cloned);
 //! * [`FeatureStore`] — the engine's single per-week materialization: the
 //!   encoder writes the week's tracked base columns into the store's
 //!   lane-major frame once, and every downstream reader — stump scoring,
@@ -294,23 +295,30 @@ impl<'a> WeeklyScorer<'a> {
         self.shards = shards;
     }
 
-    /// Ingests whatever the logs have accrued since the last call. Pass the
-    /// world's full (growing) log slices each week; internal cursors skip
-    /// everything already seen, so only the fresh suffix is processed.
+    /// Ingests one batch of fresh log records: tests and tickets that no
+    /// earlier call passed, in log order. The proactive trial hands it each
+    /// Saturday's tests moved out of the live world
+    /// (`World::take_measurements`), so no ingested test stays resident.
+    ///
+    /// # Panics
+    /// Panics if a line's tests arrive out of day order.
+    pub fn ingest(&mut self, measurements: &[LineTest], tickets: &[Ticket]) {
+        let _span = nevermind_obs::span!("weekly/observe");
+        self.encoder.ingest_sharded(measurements, tickets, self.shards);
+    }
+
+    /// [`Self::ingest`] of whatever the logs have accrued since the last
+    /// call. Pass the full (growing) log slices each week; internal cursors
+    /// skip everything already seen, so only the fresh suffix is ingested.
     ///
     /// # Panics
     /// Panics if a log slice shrank since the previous call.
     pub fn observe(&mut self, measurements: &[LineTest], tickets: &[Ticket]) {
-        let _span = nevermind_obs::span!("weekly/observe");
         assert!(
             measurements.len() >= self.meas_cursor && tickets.len() >= self.ticket_cursor,
             "logs must only grow between observations"
         );
-        self.encoder.ingest_sharded(
-            &measurements[self.meas_cursor..],
-            &tickets[self.ticket_cursor..],
-            self.shards,
-        );
+        self.ingest(&measurements[self.meas_cursor..], &tickets[self.ticket_cursor..]);
         self.meas_cursor = measurements.len();
         self.ticket_cursor = tickets.len();
     }
@@ -623,6 +631,68 @@ mod tests {
         let batch = predictor.rank(&data, &[day]);
         let streaming = engine.rank_week(day);
         assert_eq!(batch.probabilities, streaming.probabilities);
+    }
+
+    /// The trial moves each Saturday's tests out of its live world into
+    /// [`WeeklyScorer::ingest`]. Those drained batches must leave the
+    /// scorer exactly where [`WeeklyScorer::observe`] over the whole log of
+    /// an undrained run of the same world does: the same ranking and the
+    /// same frame every week.
+    #[test]
+    fn drained_weekly_batches_match_observing_the_whole_log() {
+        let sim = SimConfig::small(92);
+        let data = ExperimentData::simulate(sim.clone());
+        let split = SplitSpec::paper_like(&data).expect("horizon fits the protocol");
+        let cfg = PredictorConfig {
+            iterations: 20,
+            selection_iterations: 3,
+            n_base: 10,
+            n_quadratic: 4,
+            n_product: 4,
+            selection_row_cap: 4_000,
+            ..PredictorConfig::default()
+        };
+        let (predictor, _) =
+            TicketPredictor::fit(&data, &split, &cfg).expect("well-formed training data");
+        let lines = &data.topology.lines;
+        let (log, tickets) = (&data.output.measurements, &data.output.tickets);
+
+        let mut drained = WeeklyScorer::new(&predictor, lines);
+        let mut whole = WeeklyScorer::new(&predictor, lines);
+        for scorer in [&mut drained, &mut whole] {
+            scorer.set_retention(Retention::All);
+        }
+        let mut world = nevermind_dslsim::World::generate(sim);
+        let mut tickets_ingested = 0;
+        let mut weeks = 0;
+        while world.day() < data.config.days {
+            world.step_day();
+            let day = world.day() - 1;
+            if day % 7 != 6 {
+                continue;
+            }
+            let tests = world.take_measurements();
+            assert!(tests.iter().all(|t| t.day > day.saturating_sub(7)), "day {day}: one week");
+            let live = &world.output().tickets;
+            drained.ingest(&tests, &live[tickets_ingested..]);
+            tickets_ingested = live.len();
+            whole.observe(
+                &log[..log.partition_point(|t| t.day <= day)],
+                &tickets[..tickets.partition_point(|t| t.day <= day)],
+            );
+
+            let (a, b) = (drained.rank_week(day), whole.rank_week(day));
+            assert_eq!(a.rows, b.rows, "day {day}: rows");
+            assert_eq!(a.labels, b.labels, "day {day}: labels");
+            let bits = |r: &RankedPredictions| -> Vec<u64> {
+                r.probabilities.iter().map(|p| p.to_bits()).collect()
+            };
+            assert_eq!(bits(&a), bits(&b), "day {day}: probabilities");
+            weeks += 1;
+        }
+        assert!(weeks > 30, "{weeks} weeks ranked");
+        assert!(world.output().measurements.is_empty(), "the live world keeps no drained test");
+        assert_eq!(drained.store().export(), whole.store().export(), "frames");
     }
 
     #[test]

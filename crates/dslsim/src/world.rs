@@ -51,6 +51,7 @@ use nevermind_obs::par;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A customer call suppressed by the outage IVR (the call happened, the
 /// ticket did not — Sec. 5.2's first scenario).
@@ -97,6 +98,21 @@ pub struct SimOutput {
 }
 
 impl SimOutput {
+    /// Logs with no records over a `days`-day horizon: a traffic table
+    /// covering no line, no outage schedule.
+    pub(crate) fn empty(days: u32) -> Self {
+        Self {
+            measurements: Vec::new(),
+            tickets: Vec::new(),
+            notes: Vec::new(),
+            outage_events: Vec::new(),
+            traffic: TrafficTable::new(Vec::new(), days),
+            ivr_calls: Vec::new(),
+            churn_events: Vec::new(),
+            days,
+        }
+    }
+
     /// Customer-edge tickets only (what the predictor trains against).
     pub fn customer_edge_tickets(&self) -> impl Iterator<Item = &Ticket> {
         self.tickets.iter().filter(|t| t.is_customer_edge())
@@ -174,20 +190,22 @@ impl DslamState {
 
 /// The running simulation.
 ///
-/// `Clone` copies everything — plant state, every per-DSLAM RNG stream and
-/// the logs so far — so a clone steps on bit-for-bit like the original.
+/// `Clone` copies the mutable state — plant state, every per-DSLAM RNG
+/// stream and the logs so far — and shares the plant, customers and
+/// schedules fixed at generation, so a clone steps on bit-for-bit like the
+/// original.
 #[derive(Clone)]
 pub struct World {
     config: SimConfig,
-    topology: Topology,
-    customers: Vec<Customer>,
-    calendar: ExogenousCalendar,
-    outages: OutageSchedule,
+    topology: Arc<Topology>,
+    customers: Arc<[Customer]>,
+    calendar: Arc<ExogenousCalendar>,
+    outages: Arc<OutageSchedule>,
 
-    hazards: Vec<LineHazard>,
+    hazards: Arc<[LineHazard]>,
     mean_base_hazard: f64,
     /// Per line: covered by the BRAS traffic sample.
-    traffic_covered: Vec<bool>,
+    traffic_covered: Arc<[bool]>,
 
     /// Per-line state, indexed by [`LineId`].
     lines: Vec<LineState>,
@@ -731,12 +749,12 @@ impl World {
             (0..topology.dslams.len()).map(|d| DslamState::new(config.seed, d as u32)).collect();
 
         Self {
-            customers,
-            calendar,
-            outages,
-            hazards,
+            customers: customers.into(),
+            calendar: Arc::new(calendar),
+            outages: Arc::new(outages),
+            hazards: hazards.into(),
             mean_base_hazard,
-            traffic_covered,
+            traffic_covered: traffic_covered.into(),
             lines,
             dslams,
             priors: taxonomy_priors(),
@@ -755,7 +773,7 @@ impl World {
                 churn_events: Vec::new(),
                 days: config.days,
             },
-            topology,
+            topology: Arc::new(topology),
             config,
         }
     }
@@ -777,18 +795,38 @@ impl World {
         self.shards
     }
 
-    /// A copy of the world that runs no Saturday line tests: the same
-    /// plant state, every per-DSLAM RNG stream and the logs so far.
+    /// A copy of the world that runs no Saturday line tests and starts
+    /// from empty logs: the same plant state and every per-DSLAM RNG
+    /// stream, none of the records so far.
     ///
     /// The line tests draw only from each DSLAM's `measure` stream and
-    /// write only measurements, so skipping them moves no other stream.
-    /// Stepped the same way, the copy logs exactly the tickets, notes,
-    /// churn events, IVR calls, outages and traffic the original would;
-    /// its measurements stop at the fork day. This is the reactive twin
-    /// of a proactive trial, which reads only tickets and churn from it.
+    /// write only measurements, and stepping only appends to the logs, so
+    /// neither choice moves a stream. Stepped the same way, the copy logs
+    /// exactly the tickets, notes, churn events and IVR calls the original
+    /// appends after the fork, ticket ids included; it holds no
+    /// measurement, traffic or outage record. This is the reactive twin of
+    /// a proactive trial, which reads only its post-fork tickets and churn.
     #[must_use]
     pub fn counterfactual(&self) -> Self {
-        Self { line_tests: false, ..self.clone() }
+        Self {
+            config: self.config.clone(),
+            topology: Arc::clone(&self.topology),
+            customers: Arc::clone(&self.customers),
+            calendar: Arc::clone(&self.calendar),
+            outages: Arc::clone(&self.outages),
+            hazards: Arc::clone(&self.hazards),
+            mean_base_hazard: self.mean_base_hazard,
+            traffic_covered: Arc::clone(&self.traffic_covered),
+            lines: self.lines.clone(),
+            dslams: self.dslams.clone(),
+            priors: self.priors,
+            shards: self.shards,
+            line_tests: false,
+            day: self.day,
+            next_ticket: self.next_ticket,
+            out: SimOutput::empty(self.out.days),
+            lent: false,
+        }
     }
 
     /// The configuration the world was built from.
@@ -840,16 +878,7 @@ impl World {
     pub fn lend_output(&mut self) -> SimOutput {
         self.assert_logs_home();
         self.lent = true;
-        let stand_in = SimOutput {
-            measurements: Vec::new(),
-            tickets: Vec::new(),
-            notes: Vec::new(),
-            outage_events: Vec::new(),
-            traffic: TrafficTable::new(Vec::new(), self.out.days),
-            ivr_calls: Vec::new(),
-            churn_events: Vec::new(),
-            days: self.out.days,
-        };
+        let stand_in = SimOutput::empty(self.out.days);
         std::mem::replace(&mut self.out, stand_in)
     }
 
@@ -864,6 +893,19 @@ impl World {
         assert_eq!(out.days, self.out.days, "returned logs cover a different horizon");
         self.out = out;
         self.lent = false;
+    }
+
+    /// Moves the line tests logged so far out of the world, leaving its
+    /// measurement log empty; stepping appends the next tests to it. A
+    /// proactive trial hands each Saturday's new tests to its weekly scorer
+    /// this way, so the live world keeps no measurement the scorer has
+    /// ingested.
+    ///
+    /// # Panics
+    /// Panics while the logs are lent ([`World::lend_output`]).
+    pub fn take_measurements(&mut self) -> Vec<LineTest> {
+        self.assert_logs_home();
+        std::mem::take(&mut self.out.measurements)
     }
 
     /// The guard of [`World::lend_output`]: the world's logs must be home.

@@ -160,22 +160,30 @@ impl<'a> BaseEncoder<'a> {
         (meta, classes)
     }
 
-    /// Encodes one row per line for each prediction day.
-    ///
-    /// # Panics
-    /// Panics if a prediction day is not a Saturday (`day % 7 == 6`).
-    pub fn encode(&self, prediction_days: &[u32]) -> EncodedDataset {
+    /// The rows [`Self::encode`] lays out for the prediction days: one per
+    /// line for each day, day after day, lines in plant order.
+    pub fn keys(&self, prediction_days: &[u32]) -> Vec<RowKey> {
         let mut keys = Vec::with_capacity(self.lines.len() * prediction_days.len());
         for &day in prediction_days {
             for line in self.lines {
                 keys.push(RowKey { line: line.id, day });
             }
         }
-        self.encode_rows(&keys)
+        keys
+    }
+
+    /// Encodes one row per line for each prediction day: [`Self::encode_rows`]
+    /// of [`Self::keys`].
+    ///
+    /// # Panics
+    /// Panics if a prediction day is not a Saturday (`day % 7 == 6`).
+    pub fn encode(&self, prediction_days: &[u32]) -> EncodedDataset {
+        self.encode_rows(&self.keys(prediction_days))
     }
 
     /// Encodes exactly the requested `(line, Saturday)` rows, in the given
-    /// order (repeats allowed).
+    /// order (repeats allowed). A row depends on its key alone, so a subset
+    /// of [`Self::keys`] encodes to exactly those rows of [`Self::encode`].
     ///
     /// The keys are visited by `(line, day)`. At each new line one reused
     /// `LineState` is cleared and loaded with the line's ticket days; at

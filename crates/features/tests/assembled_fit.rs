@@ -11,6 +11,7 @@ use nevermind_features::encode::{assemble, AssembledColumns, EncodedDataset, Row
 use nevermind_features::{DerivedFeature, FeatureClass};
 use nevermind_ml::boost::{uniform_weights, BStump, BoostConfig};
 use nevermind_ml::data::{Dataset, FeatureMatrix, FeatureMeta};
+use nevermind_ml::stump::MAX_BINS;
 use proptest::prelude::*;
 
 /// SplitMix64: the test draws its data from a seed without an RNG crate.
@@ -88,7 +89,7 @@ proptest! {
         n_base in 1usize..7,
         n_cols in 0usize..8,
         n_derived in 0usize..6,
-        n_bins in 2usize..=256,
+        n_bins in 2usize..=MAX_BINS,
         iterations in 0usize..60,
         parallel in any::<bool>(),
     ) {

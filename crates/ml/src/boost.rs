@@ -9,7 +9,7 @@
 //! label noise in ticket data (unreported problems are mislabelled
 //! negatives).
 //!
-//! A fit's labels never change, so each fit folds them into one `u16`
+//! A fit's labels never change, so each fit folds them into one `u8`
 //! *slot code* per row and candidate column before the first round:
 //! `2·bin + y` for a present value, `2·k` for a missing one (`k` = the
 //! column's bin count). Each round then fills the slot histograms of
@@ -129,7 +129,7 @@ impl BStump {
     ///
     /// Each column is written into one reused buffer, binned and coded
     /// before the next is asked for, so the fit holds its slot codes
-    /// (2 bytes per cell) and one column of values, never a whole matrix:
+    /// (1 byte per cell) and one column of values, never a whole matrix:
     /// a caller can derive its columns from a narrower source without
     /// building the matrix it describes. The model is the one
     /// [`Self::fit_weighted`] trains on a matrix holding the same values.
@@ -184,7 +184,7 @@ impl BStump {
     /// candidate feature columns (lets callers amortize binning across many
     /// models — e.g. the locator's full fits share one binning).
     ///
-    /// The fit holds 2 bytes per row and candidate of slot codes while it
+    /// The fit holds 1 byte per row and candidate of slot codes while it
     /// runs.
     ///
     /// # Panics
@@ -320,7 +320,7 @@ fn coded_columns(
         .collect()
 }
 
-/// One candidate column of a fit with the fit's labels folded in: a `u16`
+/// One candidate column of a fit with the fit's labels folded in: a `u8`
 /// slot code per row, `2·bin + y` for a present value and `2·k` for a
 /// missing one (`k` = the column's bin count), so slot `code` of the
 /// column's histogram collects the row's weight.
@@ -330,7 +330,7 @@ struct CodedColumn {
     /// Its bin edges.
     edges: Vec<f32>,
     /// One slot code per row.
-    codes: Vec<u16>,
+    codes: Vec<u8>,
 }
 
 impl CodedColumn {
@@ -342,14 +342,15 @@ impl CodedColumn {
             MAX_BINS + 1
         );
         assert_eq!(column.bin_of_row.len(), y.len(), "feature {feature}: bin/label mismatch");
-        let missing = (2 * k) as u16;
+        // Every code is at most `2·k ≤ 2·(MAX_BINS + 1)`, which fits a `u8`.
+        let missing = (2 * k) as u8;
         let codes = column
             .bin_of_row
             .iter()
             .zip(y)
             .map(|(&bin, &label)| match bin {
                 MISSING_BIN => missing,
-                _ => 2 * bin + u16::from(label),
+                _ => (2 * bin + u16::from(label)) as u8,
             })
             .collect();
         Self { feature, edges: column.edges.clone(), codes }
@@ -487,7 +488,7 @@ fn group_splits(
         h.clear();
         h.resize(2 * column.edges.len() + 1, 0.0);
     }
-    let codes: Vec<&[u16]> = columns.iter().map(|column| column.codes.as_slice()).collect();
+    let codes: Vec<&[u8]> = columns.iter().map(|column| column.codes.as_slice()).collect();
     let weights: Vec<&[f64]> = if group.iter().all(|&(i, _)| i == group[0].0) {
         vec![&fits[live[group[0].0]].weights]
     } else {
@@ -506,7 +507,7 @@ fn group_splits(
 /// Adds each row's weight to slot `codes[j][row]` of `hists[j]`, for every
 /// lane `j` (one to [`LANES`]) in one pass over the rows. `weights` is one
 /// slice every lane reads, or one per lane.
-fn fill_histograms(codes: &[&[u16]], weights: &[&[f64]], hists: &mut [Vec<f64>]) {
+fn fill_histograms(codes: &[&[u8]], weights: &[&[f64]], hists: &mut [Vec<f64>]) {
     match (codes, weights, hists) {
         ([a, b, c, d], [w], [ha, hb, hc, hd]) => fill([a, b, c, d], [w], [ha, hb, hc, hd]),
         ([a, b, c], [w], [ha, hb, hc]) => fill([a, b, c], [w], [ha, hb, hc]),
@@ -525,7 +526,7 @@ fn fill_histograms(codes: &[&[u16]], weights: &[&[f64]], hists: &mut [Vec<f64>])
 /// lane `j` adding weight `weights[j % M]` (`M` is 1 or `N`).
 #[inline(always)]
 fn fill<const N: usize, const M: usize>(
-    codes: [&[u16]; N],
+    codes: [&[u8]; N],
     weights: [&[f64]; M],
     hists: [&mut Vec<f64>; N],
 ) {
@@ -547,7 +548,7 @@ fn fill<const N: usize, const M: usize>(
 /// sums the weights of up to [`LANES`] fits, each total added in row
 /// order (the sum `normalized` takes), and one more per fit divides.
 fn reweight(fits: &mut [Fit], steps: &[Option<(usize, Stump)>]) {
-    let mut codes: Vec<&[u16]> = Vec::new();
+    let mut codes: Vec<&[u8]> = Vec::new();
     let mut factors: Vec<Vec<f64>> = Vec::new();
     let mut weights: Vec<&mut [f64]> = Vec::new();
     for (fit, step) in fits.iter_mut().zip(steps) {
@@ -571,7 +572,7 @@ fn reweight(fits: &mut [Fit], steps: &[Option<(usize, Stump)>]) {
 /// Multiplies each row's weight in lane `j` by `factors[j][codes[j][row]]`,
 /// for every lane (one to [`LANES`]) in one pass over the rows, and
 /// returns each lane's new total.
-fn scale_lanes(codes: &[&[u16]], factors: &[&[f64]], weights: &mut [&mut [f64]]) -> Vec<f64> {
+fn scale_lanes(codes: &[&[u8]], factors: &[&[f64]], weights: &mut [&mut [f64]]) -> Vec<f64> {
     match (codes, factors, weights) {
         ([a, b, c, d], [fa, fb, fc, fd], [wa, wb, wc, wd]) => {
             scale([a, b, c, d], [fa, fb, fc, fd], [wa, wb, wc, wd]).to_vec()
@@ -589,7 +590,7 @@ fn scale_lanes(codes: &[&[u16]], factors: &[&[f64]], weights: &mut [&mut [f64]])
 /// row, each lane's total added in row order.
 #[inline(always)]
 fn scale<const N: usize>(
-    codes: [&[u16]; N],
+    codes: [&[u8]; N],
     factors: [&[f64]; N],
     weights: [&mut [f64]; N],
 ) -> [f64; N] {
@@ -839,7 +840,7 @@ mod tests {
             seed in 0u64..u64::MAX,
             n in 1usize..400,
             n_cols in 1usize..10,
-            n_bins in 2usize..257,
+            n_bins in 2usize..=MAX_BINS,
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let data = random_dataset(&mut rng, n, n_cols);
@@ -986,7 +987,7 @@ mod tests {
         let mut early_stops = 0;
         let mut lockstep_rounds = std::collections::BTreeSet::new();
         for data in &datasets {
-            for n_bins in [4, 64, 256] {
+            for n_bins in [4, 64, MAX_BINS] {
                 // Every column's single-column model, advanced in lockstep,
                 // is the reference fit of that column alone.
                 let cfg = BoostConfig { iterations: 40, n_bins, smoothing: None, parallel: false };

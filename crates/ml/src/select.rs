@@ -360,7 +360,7 @@ mod tests {
     use super::*;
     use crate::data::FeatureMeta;
     use crate::metrics::expected_top_n_average_precision;
-    use crate::stump::BinnedDataset;
+    use crate::stump::{BinnedDataset, MAX_BINS};
     use rand::{RngExt, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -754,7 +754,7 @@ mod tests {
         /// model-based criteria: 1–9 candidates (every remainder of a
         /// four-wide group), lanes that stop in different rounds (constant,
         /// all-`NaN` and `Z = 1` columns beside live ones), `NaN` holes,
-        /// `±0.0`, binary and coarse-grid columns, 2–256 bins and 0–12
+        /// `±0.0`, binary and coarse-grid columns, 2–`MAX_BINS` bins and 0–12
         /// iterations, on one part and on two.
         #[test]
         fn column_fed_scores_match_the_per_candidate_reference(
@@ -762,7 +762,7 @@ mod tests {
             n_train in 2usize..300,
             n_eval in 1usize..200,
             n_cols in 1usize..10,
-            n_bins in 2usize..257,
+            n_bins in 2usize..=MAX_BINS,
             iterations in 0usize..13,
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);

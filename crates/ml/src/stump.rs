@@ -39,8 +39,8 @@ pub const MISSING_BIN: u16 = u16::MAX;
 
 /// Largest `n_bins` [`BinnedFeature::from_column`] accepts: the largest
 /// count for which `2·(n_bins + 1)`, the top slot code of a column with one
-/// extra bin, fits in a `u16`.
-pub const MAX_BINS: usize = (u16::MAX as usize) / 2 - 1;
+/// extra bin, fits in a `u8`.
+pub const MAX_BINS: usize = (u8::MAX as usize) / 2 - 1;
 
 /// A one-level decision tree with confidence-rated outputs.
 ///
@@ -93,7 +93,7 @@ impl BinnedFeature {
     ///
     /// # Panics
     /// Panics unless `2 ≤ n_bins ≤` [`MAX_BINS`]: boosting numbers the
-    /// `2·k + 1` histogram slots of a `k`-bin column with `u16` slot
+    /// `2·k + 1` histogram slots of a `k`-bin column with `u8` slot
     /// codes, and a column gets at most `n_bins + 1` bins. Also panics if
     /// the column has more than `u32::MAX` rows: the sort packs each row
     /// id into 32 bits beside its value's key.
@@ -120,7 +120,7 @@ impl BinnedFeature {
         assert!(n_bins >= 2, "need at least 2 bins");
         assert!(
             n_bins <= MAX_BINS,
-            "bin count {n_bins} above {MAX_BINS}: slot codes must fit in u16"
+            "bin count {n_bins} above {MAX_BINS}: slot codes must fit in u8"
         );
         let mut bin_of_row = vec![MISSING_BIN; n_rows];
         let m = sorted.len();
@@ -176,8 +176,11 @@ pub struct BinnedDataset {
 }
 
 impl BinnedDataset {
-    /// Quantizes every column of a feature matrix.
-    pub fn from_matrix(x: &FeatureMatrix, n_bins: usize) -> Self {
+    /// Quantizes every column of a feature matrix, each in one
+    /// [`BinnedFeature::quantize`]: the reference the tests hold
+    /// [`SortedColumns`]' binnings to.
+    #[cfg(test)]
+    pub(crate) fn from_matrix(x: &FeatureMatrix, n_bins: usize) -> Self {
         let mut buffers = SortBuffers::default();
         let features = (0..x.n_cols())
             .map(|c| {
@@ -243,7 +246,8 @@ impl SortedColumns {
         self.starts.windows(2).map(|w| &self.entries[w[0]..w[1]])
     }
 
-    /// The binning of the whole matrix: [`BinnedDataset::from_matrix`]'s.
+    /// The binning of the whole matrix: each column's
+    /// [`BinnedFeature::from_column`].
     pub fn binned(&self, n_bins: usize) -> BinnedDataset {
         let features = self
             .columns()
@@ -253,7 +257,8 @@ impl SortedColumns {
     }
 
     /// The binning of the listed rows, in the listed order: the binning
-    /// [`BinnedDataset::from_matrix`] gives `x.select_rows(rows)`.
+    /// [`BinnedFeature::from_column`] gives each column of
+    /// `x.select_rows(rows)`.
     ///
     /// # Panics
     /// Panics if a row is out of range or listed twice.
@@ -633,7 +638,7 @@ mod tests {
         fn radix_binning_matches_the_sort_and_search_reference(
             seed in 0u64..u64::MAX,
             n in 1usize..5000,
-            n_bins in 2usize..257,
+            n_bins in 2usize..=MAX_BINS,
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let n_bins = if rng.random_bool(0.1) { MAX_BINS } else { n_bins };
@@ -671,7 +676,7 @@ mod tests {
             seed in 0u64..u64::MAX,
             n in 1usize..700,
             n_cols in 1usize..8,
-            n_bins in 2usize..257,
+            n_bins in 2usize..=MAX_BINS,
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let cols: Vec<(&str, Vec<f32>)> = (0..n_cols)
@@ -773,18 +778,20 @@ mod tests {
     }
 
     #[test]
-    fn bin_count_bound_keeps_slot_codes_in_u16() {
+    fn bin_count_bound_keeps_slot_codes_in_u8() {
         // A column gets at most `n_bins + 1` bins; its top slot code,
-        // `2·bins`, fits in u16 at the bound and would not one above it.
-        assert_eq!(u16::try_from(2 * (MAX_BINS + 1)), Ok(u16::MAX - 1));
-        assert!(u16::try_from(2 * (MAX_BINS + 2)).is_err());
+        // `2·bins`, fits in u8 at the bound and would not one above it.
+        assert_eq!(MAX_BINS, 126);
+        assert_eq!(u8::try_from(2 * (MAX_BINS + 1)), Ok(u8::MAX - 1));
+        assert!(u8::try_from(2 * (MAX_BINS + 2)).is_err());
         let vals: Vec<f32> = (0..40).map(|v| v as f32).collect();
         assert_eq!(BinnedFeature::from_column(&vals, MAX_BINS).n_bins(), 40);
-        assert_eq!(BinnedFeature::from_column(&vals, 256).n_bins(), 40);
+        let many: Vec<f32> = (0..1000).map(|v| v as f32).collect();
+        assert_eq!(BinnedFeature::from_column(&many, MAX_BINS).n_bins(), MAX_BINS);
     }
 
     #[test]
-    #[should_panic(expected = "slot codes must fit in u16")]
+    #[should_panic(expected = "slot codes must fit in u8")]
     fn binning_rejects_bin_counts_above_the_bound() {
         BinnedFeature::from_column(&[1.0, 2.0], MAX_BINS + 1);
     }
