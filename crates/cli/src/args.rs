@@ -8,6 +8,8 @@ use std::collections::BTreeMap;
 pub(crate) struct Args {
     positional: Vec<String>,
     flags: BTreeMap<String, String>,
+    /// Whether `--help` or `-h` was given.
+    pub(crate) help: bool,
 }
 
 /// A parse/lookup failure with a user-facing message.
@@ -27,12 +29,15 @@ impl Args {
     ///
     /// Every `--key` must be followed by a value; bare `--key` at the end
     /// or followed by another flag is an error (the CLI has no boolean
-    /// flags — explicit values keep invocations self-documenting).
+    /// flags — explicit values keep invocations self-documenting). The one
+    /// exception is `--help` (or `-h`), which asks for the usage.
     pub(crate) fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, ArgError> {
         let mut args = Args::default();
         let mut iter = raw.into_iter().peekable();
         while let Some(a) = iter.next() {
-            if let Some(key) = a.strip_prefix("--") {
+            if a == "--help" || a == "-h" {
+                args.help = true;
+            } else if let Some(key) = a.strip_prefix("--") {
                 if key.is_empty() {
                     return Err(ArgError("empty flag name '--'".into()));
                 }
@@ -123,6 +128,16 @@ mod tests {
         assert!(parse(&["--lines", "--seed", "7"]).is_err());
         assert!(parse(&["--x", "1", "--x", "2"]).is_err());
         assert!(parse(&["--", "v"]).is_err());
+    }
+
+    #[test]
+    fn help_takes_no_value() {
+        for help in ["--help", "-h"] {
+            let a = parse(&["--lines", "5", help]).expect("parse");
+            assert!(a.help && a.positional().is_empty(), "{help}");
+            assert_eq!(a.get("lines"), Some("5"));
+        }
+        assert!(!parse(&["--lines", "5"]).expect("parse").help);
     }
 
     #[test]

@@ -80,6 +80,7 @@ fn main() {
     }
 
     let result = match command.as_str() {
+        _ if parsed.help => writeln!(std::io::stdout(), "{USAGE}").map_err(Into::into),
         "simulate" => commands::simulate::run(&parsed),
         "train" => commands::train::run(&parsed),
         "rank" => commands::rank::run(&parsed),
@@ -139,6 +140,7 @@ USAGE:
                      [--list-rules true]
   nevermind scenarios
 
+'--help' (or '-h') after any subcommand prints this usage and exits 0.
 Every subcommand also accepts '--metrics PATH' to dump per-phase span
 timings, counters, per-week series and model-health telemetry as one
 JSON document on exit (see the README's Observability section for the

@@ -285,6 +285,23 @@ fn a_closed_stdout_ends_the_run_quietly() {
 }
 
 #[test]
+fn subcommand_help_prints_the_usage() {
+    for args in [&["trial", "--help"][..], &["train", "-h"], &["simulate", "--out", "d", "--help"]]
+    {
+        let out = bin().args(args).output().expect("run");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains("nevermind trial") && stdout.contains("--lines"), "{stdout}");
+        assert!(out.stderr.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
 fn bad_invocations_fail_cleanly() {
     // Unknown command.
     let out = bin().arg("frobnicate").output().expect("run");

@@ -157,7 +157,7 @@ impl TroubleLocator {
         let base = encoder.encode_rows(&keys);
         // Every quadratic derived feature: "all the line features presented
         // in Table 3".
-        let selected_derived = all_quadratics(&base);
+        let selected_derived = all_quadratics(base.data.x.meta());
         let assembled = assemble(&base, &selected_derived);
 
         // Priors = training frequency.

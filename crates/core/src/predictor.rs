@@ -14,28 +14,28 @@
 //! 5. calibrate the margins into probabilities with Platt scaling on the
 //!    evaluation window.
 //!
-//! The final model trains on the assembled feature space (the selected
-//! base columns, then the derived columns) without building it:
-//! `nevermind_features::encode::AssembledColumns` writes one assembled
-//! column at a time from the base encoding into the column-fed
-//! `BStump::fit_columns`, which bins and codes it before asking for the
-//! next. Selection builds no matrix either: it gathers its two subsamples
-//! column-major once and writes each candidate's column from them into
-//! the column-fed `nevermind_ml::select::score_columns`. Every population
-//! score — ranking, and the margins calibration fits on — goes through
-//! the one compiled plan of [`crate::scoring`], which gathers the used
-//! columns straight from the base encoding: no assembled matrix is built
-//! to rank.
+//! Training encodes only what each step reads. Selection encodes just its
+//! two subsamples' keys, lane-major (the training window's labels, which
+//! pick its subsample, come from the ticket index alone), and writes each
+//! candidate's column from one or two lanes into the column-fed
+//! `nevermind_ml::select::score_columns`. The final fit encodes the
+//! training window lane-major for only the base columns its feature space
+//! reads, and `nevermind_features::encode::AssembledLanes` writes one
+//! assembled column at a time into the column-fed `BStump::fit_columns`,
+//! freeing each lane after its last reader. Every population score —
+//! ranking, and the margins calibration fits on — goes through the one
+//! compiled plan of [`crate::scoring`], which gathers the used columns
+//! straight from the base encoding: no assembled matrix is built to rank.
 //!
-//! The two windows are never resident together: step 1 encodes only the
-//! evaluation window's selection subsample, and step 5 encodes the whole
-//! window after the final fit has released the training window.
+//! The two windows are never resident together: the whole evaluation
+//! window is encoded for step 5 only after the final fit has released the
+//! training window's lanes.
 
 use crate::error::PipelineError;
 use crate::pipeline::{ExperimentData, SplitSpec};
 use crate::scoring::CompiledPredictor;
 use nevermind_features::encode::{
-    all_products, all_quadratics, assemble, AssembledColumns, BaseEncoder, EncodedDataset,
+    all_products, all_quadratics, assemble, AssembledLanes, BaseEncoder, EncodedDataset,
     EncoderConfig, RowKey,
 };
 use nevermind_features::registry::{DerivedFeature, FeatureClass};
@@ -253,25 +253,21 @@ impl TicketPredictor {
     ) -> Result<(Self, SelectionReport), PipelineError> {
         let _fit_span = nevermind_obs::span!("predictor/fit");
         let encoder = data.encoder(config.encoder.clone());
-        let (base_train, eval_sub) = {
-            let _s = nevermind_obs::span!("encode_windows");
-            let eval_sub = encode_eval_subsample(&encoder, &split.selection_eval_days, config);
-            (encoder.encode(&split.train_days), eval_sub)
-        };
-
+        let keys = encoder.keys(&split.train_days);
         // The selection subsamples live only while `select` runs, so they
         // are gone before the final fit, where training's memory peaks.
-        let report = select(&base_train, &eval_sub, config);
-        drop(eval_sub);
+        let report = {
+            let (train_sub, eval_sub) = {
+                let _s = nevermind_obs::span!("encode_windows");
+                let (train, eval) = selection_keys(&encoder, &keys, split, config);
+                (Subsample::encode(&encoder, &train), Subsample::encode(&encoder, &eval))
+            };
+            select(&train_sub, &eval_sub, config)
+        };
         let (selected_base, selected_derived) =
             (report.selected_base.clone(), report.selected_derived.clone());
 
-        // --- final model ---
-        let model = {
-            let _s = nevermind_obs::span!("boost_final");
-            fit_assembled(&base_train, &selected_base, &selected_derived, config)
-        };
-        drop(base_train);
+        let model = fit_lanes(&encoder, keys, &selected_base, &selected_derived, config);
 
         let calibration = calibrate(&encoder, split, &model, &selected_base, &selected_derived)?;
         nevermind_obs::counter_add!(
@@ -345,21 +341,19 @@ impl TicketPredictor {
         top_k: usize,
     ) -> Result<Self, PipelineError> {
         let encoder = data.encoder(config.encoder.clone());
-        let base_train = encoder.encode(&split.train_days);
-        let train_sub = base_train.data.select_rows(&subsample_keep_positives(
-            &base_train.data.y,
-            config.selection_row_cap,
-            config.seed,
-        ));
-        let eval_sub = encode_eval_subsample(&encoder, &split.selection_eval_days, config);
-
+        let keys = encoder.keys(&split.train_days);
+        let (train, eval) = selection_keys(&encoder, &keys, split, config);
         let select_cfg =
             SelectConfig { model_iterations: config.selection_iterations, n_bins: config.n_bins };
-        let scores = score_features(&train_sub, &eval_sub, criterion, &select_cfg);
+        let scores = score_features(
+            &encoder.encode_rows(&train).data,
+            &encoder.encode_rows(&eval).data,
+            criterion,
+            &select_cfg,
+        );
         let selected_base = top_scores(&scores, top_k);
 
-        let model = fit_assembled(&base_train, &selected_base, &[], config);
-        drop(base_train);
+        let model = fit_lanes(&encoder, keys, &selected_base, &[], config);
         let calibration = calibrate(&encoder, split, &model, &selected_base, &[])?;
         Ok(Self {
             model,
@@ -383,10 +377,7 @@ impl TicketPredictor {
     pub fn validate(&self) -> Result<(), PipelineError> {
         let invalid = |detail: String| Err(PipelineError::InvalidModel { detail });
         let n_base = nevermind_features::BaseEncoder::base_meta().0.len();
-        let derived_cols = self.selected_derived.iter().flat_map(|d| match *d {
-            DerivedFeature::Quadratic { col } => [col, col],
-            DerivedFeature::Product { a, b } => [a, b],
-        });
+        let derived_cols = self.selected_derived.iter().flat_map(|d| d.operands());
         if let Some(c) =
             self.selected_base.iter().copied().chain(derived_cols).find(|&c| c >= n_base)
         {
@@ -503,38 +494,57 @@ impl TicketPredictor {
     }
 }
 
-/// The final BStump over the assembled feature space of `base` — the
-/// model `BStump::fit(&assemble(base, cols, derived), ..)` trains — fed
-/// one assembled column at a time, so no assembled matrix is built.
-fn fit_assembled(
-    base: &EncodedDataset,
+/// The final BStump over the assembled feature space of the rows `keys` —
+/// the model `BStump::fit(&assemble(&encoder.encode_rows(keys), cols,
+/// derived), ..)` trains. Only the base columns the space reads are
+/// encoded, one lane each, and each lane is freed once the last assembled
+/// column that reads it is coded, so no base or assembled matrix is built.
+/// The keys are dropped once encoded.
+fn fit_lanes(
+    encoder: &BaseEncoder,
+    keys: Vec<RowKey>,
     cols: &[usize],
     derived: &[DerivedFeature],
     config: &PredictorConfig,
 ) -> BStump {
+    let (lanes, y) = {
+        let _s = nevermind_obs::span!("encode_windows");
+        encoder.encode_lanes(&keys, &AssembledLanes::reads(cols, derived))
+    };
+    drop(keys);
+    let _s = nevermind_obs::span!("boost_final");
     let boost_cfg = BoostConfig {
         iterations: config.iterations,
         n_bins: config.n_bins,
         smoothing: None,
         parallel: true,
     };
-    let columns = AssembledColumns::new(base, cols, derived);
-    let y = &base.data.y;
-    BStump::fit_columns(columns.n_cols(), y, &uniform_weights(y.len()), &boost_cfg, |j, out| {
+    let mut columns = AssembledLanes::new(cols, derived, lanes);
+    BStump::fit_columns(columns.n_cols(), &y, &uniform_weights(y.len()), &boost_cfg, |j, out| {
         columns.write(j, out)
     })
 }
 
-/// The evaluation window's selection subsample, encoded on its own: the
-/// rows [`subsample_uniform`] keeps of the window's keys in
-/// `BaseEncoder::encode` order. A row depends on its key alone, so these
-/// are bit for bit the rows of the whole window's encoding, which training
-/// encodes only for calibration, after the final fit.
-fn encode_eval_subsample(encoder: &BaseEncoder, days: &[u32], config: &PredictorConfig) -> Dataset {
-    let keys = encoder.keys(days);
-    let rows = subsample_uniform(keys.len(), config.selection_row_cap, config.seed ^ 1);
-    let keys: Vec<RowKey> = rows.into_iter().map(|r| keys[r]).collect();
-    encoder.encode_rows(&keys).data
+/// The keys of the two deterministic selection subsamples. The *training*
+/// one keeps every positive of the rows `keys` (they are <1% and
+/// single-feature models need them), picked by labels read from the
+/// ticket index alone ([`subsample_keep_positives`]). The *evaluation* one
+/// must stay uniform ([`subsample_uniform`]): AP(N) is a ranking metric,
+/// and enriching positives would distort exactly the head of the ranking
+/// the criterion is supposed to measure. A row depends on its key alone,
+/// so the keys encode to those rows of the whole windows.
+fn selection_keys(
+    encoder: &BaseEncoder,
+    keys: &[RowKey],
+    split: &SplitSpec,
+    config: &PredictorConfig,
+) -> (Vec<RowKey>, Vec<RowKey>) {
+    let pick = |keys: &[RowKey], rows: Vec<usize>| rows.into_iter().map(|r| keys[r]).collect();
+    let cap = config.selection_row_cap;
+    let train = subsample_keep_positives(&encoder.labels(keys), cap, config.seed);
+    let eval_keys = encoder.keys(&split.selection_eval_days);
+    let eval = subsample_uniform(eval_keys.len(), cap, config.seed ^ 1);
+    (pick(keys, train), pick(&eval_keys, eval))
 }
 
 /// Step 5 of the recipe: Platt scaling of `model`'s margins over the whole
@@ -558,41 +568,25 @@ fn calibrate(
 
 /// Steps 2–3 of the recipe: scores every base, quadratic and product
 /// candidate by the AP(N) of its single-feature model and keeps the best
-/// of each class, over a subsample of the training window and the
-/// evaluation subsample `eval_sub` ([`encode_eval_subsample`]).
-///
-/// The two selection subsamples are gathered column-major once, and every
-/// candidate's column is written from them into the column-fed scorer;
-/// they are dropped when this returns.
-fn select(
-    base_train: &EncodedDataset,
-    eval_sub: &Dataset,
-    config: &PredictorConfig,
-) -> SelectionReport {
-    // Deterministic selection subsamples. The *training* subsample keeps
-    // every positive (they are <1% and single-feature models need them);
-    // the *evaluation* subsample must stay uniform — AP(N) is a ranking
-    // metric and enriching positives would distort exactly the head of
-    // the ranking the criterion is supposed to measure.
-    let train_rows =
-        subsample_keep_positives(&base_train.data.y, config.selection_row_cap, config.seed);
-    let train_sub = Subsample::gather(&base_train.data, &train_rows);
-    let selection_budget = config.budget(eval_sub.len());
-    let eval_sub = Subsample::gather(eval_sub, &(0..eval_sub.len()).collect::<Vec<_>>());
-
+/// of each class, over the two windows' subsamples ([`selection_keys`]).
+/// Every candidate's column is written from the subsamples' lanes into the
+/// column-fed scorer.
+fn select(train: &Subsample, eval: &Subsample, config: &PredictorConfig) -> SelectionReport {
+    let (meta, classes) = BaseEncoder::base_meta();
+    let selection_budget = config.budget(eval.y.len());
     let select_cfg =
         SelectConfig { model_iterations: config.selection_iterations, n_bins: config.n_bins };
     let criterion = SelectionCriterion::TopNAp { n: selection_budget };
     let score = |n: usize, write: &(dyn Fn(&Subsample, usize, &mut [f32]) + Sync)| {
-        let write_train = |c: usize, out: &mut [f32]| write(&train_sub, c, out);
-        let write_eval = |c: usize, out: &mut [f32]| write(&eval_sub, c, out);
-        score_columns(n, &train_sub.y, &eval_sub.y, criterion, &select_cfg, write_train, write_eval)
+        let write_train = |c: usize, out: &mut [f32]| write(train, c, out);
+        let write_eval = |c: usize, out: &mut [f32]| write(eval, c, out);
+        score_columns(n, &train.y, &eval.y, criterion, &select_cfg, write_train, write_eval)
     };
 
     // --- base features ---
     let base_scores = {
         let _s = nevermind_obs::span!("select_base");
-        score(base_train.data.x.n_cols(), &|sub, c, out| out.copy_from_slice(sub.column(c)))
+        score(meta.len(), &|sub, c, out| out.copy_from_slice(&sub.lanes[c]))
     };
     let selected_base = top_scores(&base_scores, config.n_base);
 
@@ -601,19 +595,24 @@ fn select(
     let mut report_product = Vec::new();
     let mut selected_derived = Vec::new();
     let mut select_derived = |feats: &[DerivedFeature], k: usize, report: &mut Vec<_>| {
-        let scores: Vec<f64> = score(feats.len(), &|sub, j, out| sub.write(feats[j], out))
-            .into_iter()
-            .map(|s| s.score)
-            .collect();
-        report.extend(feats.iter().zip(&scores).map(|(f, s)| scored(base_train, *f, *s)));
+        let scores: Vec<f64> =
+            score(feats.len(), &|sub, j, out| feats[j].write_column(|c| &sub.lanes[c], out))
+                .into_iter()
+                .map(|s| s.score)
+                .collect();
+        report.extend(feats.iter().zip(&scores).map(|(f, &score)| ScoredFeature {
+            name: f.name(&meta),
+            class: f.class(),
+            score,
+        }));
         selected_derived.extend(top_derived(feats, &scores, k));
     };
-    let quads = all_quadratics(base_train);
+    let quads = all_quadratics(&meta);
     {
         let _s = nevermind_obs::span!("select_quadratic");
         select_derived(&quads, config.n_quadratic, &mut report_quadratic);
     }
-    let prods = all_products(base_train);
+    let prods = all_products(&meta);
     {
         let _s = nevermind_obs::span!("select_product");
         select_derived(&prods, config.n_product, &mut report_product);
@@ -623,8 +622,8 @@ fn select(
         base: base_scores
             .iter()
             .map(|fs| ScoredFeature {
-                name: base_train.data.x.meta()[fs.feature].name.clone(),
-                class: base_train.classes[fs.feature],
+                name: meta[fs.feature].name.clone(),
+                class: classes[fs.feature],
                 score: fs.score,
             })
             .collect(),
@@ -636,46 +635,21 @@ fn select(
     }
 }
 
-/// A selection subsample with its base columns gathered column-major, so
-/// that writing a candidate's column reads one or two contiguous columns.
+/// A selection subsample as lane-major base columns, so that writing a
+/// candidate's column reads one or two contiguous lanes.
 struct Subsample {
-    /// Base column `c` over the subsample's rows is `values[c·n..(c+1)·n]`
-    /// for `n` rows.
-    values: Vec<f32>,
+    /// Base column `c` over the subsample's rows.
+    lanes: Vec<Vec<f32>>,
     /// The rows' labels.
     y: Vec<bool>,
 }
 
 impl Subsample {
-    /// The listed rows of `data`, in the listed order.
-    fn gather(data: &Dataset, rows: &[usize]) -> Self {
-        let n = rows.len();
-        let mut values = vec![0.0f32; n * data.x.n_cols()];
-        for (i, &r) in rows.iter().enumerate() {
-            for (c, &v) in data.x.row(r).iter().enumerate() {
-                values[c * n + i] = v;
-            }
-        }
-        Self { values, y: rows.iter().map(|&r| data.y[r]).collect() }
-    }
-
-    /// Base column `c`.
-    fn column(&self, c: usize) -> &[f32] {
-        let n = self.y.len();
-        &self.values[c * n..(c + 1) * n]
-    }
-
-    /// Writes derived feature `f`'s column into `out`: each row's
-    /// [`DerivedFeature::value`] over its base values, as
-    /// `nevermind_features::encode::assemble` computes it.
-    fn write(&self, f: DerivedFeature, out: &mut [f32]) {
-        let (a, b) = match f {
-            DerivedFeature::Quadratic { col } => (col, col),
-            DerivedFeature::Product { a, b } => (a, b),
-        };
-        for ((v, &x), &y) in out.iter_mut().zip(self.column(a)).zip(self.column(b)) {
-            *v = f.value(|c| if c == a { x } else { y });
-        }
+    /// Every base column of the rows `keys`.
+    fn encode(encoder: &BaseEncoder, keys: &[RowKey]) -> Self {
+        let cols: Vec<usize> = (0..BaseEncoder::base_meta().0.len()).collect();
+        let (lanes, y) = encoder.encode_lanes(keys, &cols);
+        Self { lanes, y }
     }
 }
 
@@ -727,10 +701,6 @@ fn top_derived(feats: &[DerivedFeature], scores: &[f64], k: usize) -> Vec<Derive
     idx.into_iter().take(k).map(|i| feats[i]).collect()
 }
 
-fn scored(base: &EncodedDataset, f: DerivedFeature, score: f64) -> ScoredFeature {
-    ScoredFeature { name: f.name(base.data.x.meta()), class: f.class(), score }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -775,11 +745,22 @@ mod tests {
         );
     }
 
-    /// The fit encodes the evaluation window's selection subsample alone
-    /// and the whole window only after the final fit. Encoding both
-    /// windows up front, as public calls do, and drawing the subsample
-    /// from the whole window's rows must give the same selection report
-    /// and, from the final model's margins, the same calibration.
+    /// A selection subsample gathered from rows of a row-major window.
+    fn gather(data: &Dataset, rows: &[usize]) -> Subsample {
+        let lanes = (0..data.x.n_cols())
+            .map(|c| rows.iter().map(|&r| data.x.get(r, c)).collect())
+            .collect();
+        Subsample { lanes, y: rows.iter().map(|&r| data.y[r]).collect() }
+    }
+
+    /// The fit labels the training window from the ticket index, encodes
+    /// only its selection subsamples' keys, trains on lanes of the base
+    /// columns its model reads, and encodes the evaluation window after
+    /// the final fit. The same recipe rebuilt from public calls — both
+    /// windows encoded whole and row-major up front, selection on
+    /// subsamples gathered from their rows, `BStump::fit` on the assembled
+    /// matrix and Platt scaling on the whole evaluation window — must give
+    /// the same selection report, model bytes and calibration bits.
     #[test]
     fn fit_matches_encoding_both_windows_up_front() {
         let (data, split, predictor, report) = fitted();
@@ -787,11 +768,15 @@ mod tests {
         let encoder = data.encoder(cfg.encoder.clone());
         let base_train = encoder.encode(&split.train_days);
         let base_eval = encoder.encode(&split.selection_eval_days);
+        assert_eq!(encoder.labels(&base_train.rows), base_train.data.y);
+        let train_rows =
+            subsample_keep_positives(&base_train.data.y, cfg.selection_row_cap, cfg.seed);
         let rows = subsample_uniform(base_eval.data.len(), cfg.selection_row_cap, cfg.seed ^ 1);
+        assert!(train_rows.len() < base_train.data.len(), "the subsample must drop rows");
         assert!(rows.len() < base_eval.data.len(), "the subsample must drop rows");
-        let eval_sub = base_eval.data.select_rows(&rows);
 
-        let want = select(&base_train, &eval_sub, &cfg);
+        let want =
+            select(&gather(&base_train.data, &train_rows), &gather(&base_eval.data, &rows), &cfg);
         assert_eq!(report.selected_base, want.selected_base);
         assert_eq!(report.selected_derived, want.selected_derived);
         assert_eq!(report.selection_budget, want.selection_budget);
@@ -804,6 +789,16 @@ mod tests {
                 .collect()
         };
         assert_eq!(scores(&report), scores(&want));
+
+        let assembled = assemble(&base_train, &want.selected_base, &want.selected_derived);
+        let boost_cfg = BoostConfig {
+            iterations: cfg.iterations,
+            n_bins: cfg.n_bins,
+            smoothing: None,
+            parallel: true,
+        };
+        let json = |m: &BStump| serde_json::to_string(m).expect("model serializes");
+        assert_eq!(json(predictor.model()), json(&BStump::fit(&assembled, &boost_cfg)));
 
         let margins = predictor.model().margins(&predictor.assemble(&base_eval).x);
         let platt = PlattScale::fit(&margins, &base_eval.data.y).expect("calibratable window");
@@ -951,17 +946,19 @@ mod tests {
         assert_eq!(best, 60);
     }
 
-    /// Every column selection writes from a column-major subsample — each
+    /// Every column selection writes from a lane-major subsample — each
     /// base column, and each quadratic and product candidate — equals,
-    /// bit for bit, the matching column of `assemble` over a row-major
-    /// copy of the same rows, and so do the labels.
+    /// bit for bit, the matching column of `assemble` over the same rows
+    /// of the whole row-major window, and so do the labels.
     #[test]
     fn subsample_columns_are_the_assembled_columns() {
         let data = ExperimentData::simulate(SimConfig::small(79));
         let split = SplitSpec::paper_like(&data).expect("horizon fits the protocol");
-        let base = data.encoder(EncoderConfig::default()).encode(&split.train_days);
+        let encoder = data.encoder(EncoderConfig::default());
+        let base = encoder.encode(&split.train_days);
         let rows = subsample_keep_positives(&base.data.y, 700, 5);
-        let sub = Subsample::gather(&base.data, &rows);
+        let keys: Vec<RowKey> = rows.iter().map(|&r| base.rows[r]).collect();
+        let sub = Subsample::encode(&encoder, &keys);
         let copy = EncodedDataset {
             data: base.data.select_rows(&rows),
             rows: rows.iter().map(|&r| base.rows[r]).collect(),
@@ -973,19 +970,19 @@ mod tests {
         let all_base: Vec<usize> = (0..base.data.x.n_cols()).collect();
         let assembled = assemble(&copy, &all_base, &[]);
         for c in all_base {
-            let written = bits(&mut sub.column(c).iter().copied());
+            let written = bits(&mut sub.lanes[c].iter().copied());
             assert_eq!(written, bits(&mut assembled.x.column(c)), "base column {c}");
         }
-        let mut derived = all_quadratics(&base);
-        derived.extend(all_products(&base));
+        let mut derived = all_quadratics(base.data.x.meta());
+        derived.extend(all_products(base.data.x.meta()));
         let assembled = assemble(&copy, &[], &derived);
         let mut out = vec![0.0f32; rows.len()];
         for (j, &f) in derived.iter().enumerate() {
-            sub.write(f, &mut out);
+            f.write_column(|c| &sub.lanes[c], &mut out);
             let written = bits(&mut out.iter().copied());
             assert_eq!(written, bits(&mut assembled.x.column(j)), "{f:?}");
         }
-        let holes = sub.values.iter().filter(|v| v.is_nan()).count();
+        let holes = sub.lanes.iter().flatten().filter(|v| v.is_nan()).count();
         assert!(holes > 0, "the base columns have missing values");
     }
 

@@ -250,14 +250,6 @@ impl<'a> WeeklyScorer<'a> {
         self.store
     }
 
-    /// Resident bytes of retained per-week feature state. Under
-    /// [`Retention::Latest`] this is one frame regardless of tracing —
-    /// the regression guard for the old traced-clone double retention.
-    pub fn retained_bytes(&self) -> usize {
-        self.store.resident_bytes()
-            + self.pending.iter().map(WeekFrame::resident_bytes).sum::<usize>()
-    }
-
     /// Queues a checkpointed frame for adoption: when
     /// [`WeeklyScorer::rank_week`] reaches the frame's day it uses the
     /// frame instead of encoding, skipping the encode cost and reproducing
@@ -599,7 +591,7 @@ mod tests {
         // widened store's frame is bigger only by its extra lanes.
         assert_eq!(engine.store().frames().len(), 1);
         assert_eq!(sharded.store().frames().len(), 1);
-        assert!(sharded.retained_bytes() >= engine.retained_bytes());
+        assert!(sharded.store().resident_bytes() >= engine.store().resident_bytes());
     }
 
     #[test]

@@ -15,18 +15,19 @@
 //! rows. It keeps no row-filling code of its own: it replays each line's
 //! tests and tickets, one line at a time, through the weekly encoder's
 //! per-line state and routine (`crate::incremental`), so batch and weekly
-//! rows are the same bytes by construction.
+//! rows are the same bytes by construction. The replay writes rows
+//! ([`BaseEncoder::encode_rows`]) or lanes ([`BaseEncoder::encode_lanes`]).
 //!
 //! [`assemble`] builds a model's feature space from a base encoding in one
 //! pass: the selected base columns, then the derived quadratic and product
-//! columns, each computed by [`DerivedFeature::value`]. Feature selection
-//! and the locator build their matrices with it. The ticket predictor's
-//! final fit never builds one: [`AssembledColumns`] writes the same
-//! columns one at a time for a column-fed fit. Population scoring never
-//! builds one either (the core crate's compiled plan gathers the base
-//! columns it needs instead).
+//! columns, each computed by [`DerivedFeature::value`]. The locator and
+//! the ranking explanations build their matrices with it. The ticket
+//! predictor's final fit never builds one: [`AssembledLanes`] writes the
+//! same columns one at a time from lanes. Population scoring never builds
+//! one either (the core crate's compiled plan gathers the base columns it
+//! needs instead).
 
-use crate::incremental::{encode_line_into, LineState};
+use crate::incremental::{encode_line_into, ts_lanes, LineState};
 use crate::indexes::{MeasurementIndex, TicketIndex};
 use crate::registry::{DerivedFeature, FeatureClass};
 use nevermind_dslsim::topology::Line;
@@ -185,6 +186,57 @@ impl<'a> BaseEncoder<'a> {
     /// order (repeats allowed). A row depends on its key alone, so a subset
     /// of [`Self::keys`] encodes to exactly those rows of [`Self::encode`].
     ///
+    /// # Panics
+    /// Panics if a key's day is not a Saturday.
+    pub fn encode_rows(&self, keys: &[RowKey]) -> EncodedDataset {
+        let _span = nevermind_obs::span!("features/encode_rows");
+        let (meta, classes) = Self::base_meta();
+        let n_cols = meta.len();
+        let mut values = vec![0.0f32; keys.len() * n_cols];
+        let mut labels = vec![false; keys.len()];
+        let cols: Vec<usize> = (0..n_cols).collect();
+        self.replay(keys, &cols, |i, row, label| {
+            values[i * n_cols..(i + 1) * n_cols].copy_from_slice(row);
+            labels[i] = label;
+        });
+        EncodedDataset {
+            data: Dataset::new(FeatureMatrix::new(keys.len(), meta, values), labels),
+            rows: keys.to_vec(),
+            classes,
+        }
+    }
+
+    /// [`Self::encode_rows`]' columns `cols` (repeats allowed) and labels,
+    /// lane-major: lane `j` is column `cols[j]` on each key, in key order.
+    /// Only the time-series lanes those columns need run their z-score pass.
+    ///
+    /// # Panics
+    /// Panics if a key's day is not a Saturday or a column is out of range.
+    pub fn encode_lanes(&self, keys: &[RowKey], cols: &[usize]) -> (Vec<Vec<f32>>, Vec<bool>) {
+        let _span = nevermind_obs::span!("features/encode_lanes");
+        let mut lanes = vec![vec![0.0f32; keys.len()]; cols.len()];
+        let mut labels = vec![false; keys.len()];
+        self.replay(keys, cols, |i, row, label| {
+            for (lane, &v) in lanes.iter_mut().zip(row) {
+                lane[i] = v;
+            }
+            labels[i] = label;
+        });
+        (lanes, labels)
+    }
+
+    /// The label [`Self::encode_rows`] gives each key — a customer-edge
+    /// ticket in `(day, day + horizon]` — read from the ticket index
+    /// alone, without encoding a row.
+    pub fn labels(&self, keys: &[RowKey]) -> Vec<bool> {
+        let horizon = self.config.horizon_days;
+        keys.iter().map(|k| self.tickets.first_within(k.line, k.day, horizon).is_some()).collect()
+    }
+
+    /// Replays the keys' lines through the weekly encoder's routine and
+    /// hands key `i`'s row to `put(i, row, label)`, one value per column of
+    /// `cols` — the one loop behind the row and lane writers.
+    ///
     /// The keys are visited by `(line, day)`. At each new line one reused
     /// `LineState` is cleared and loaded with the line's ticket days; at
     /// each key it receives the line's tests up to the key's day (skipping
@@ -192,23 +244,14 @@ impl<'a> BaseEncoder<'a> {
     /// fills the row — the state a weekly ingest would hold on that day, so
     /// both encoders produce the same bytes. At most one line's window is
     /// copied at a time.
-    ///
-    /// # Panics
-    /// Panics if a key's day is not a Saturday.
-    pub fn encode_rows(&self, keys: &[RowKey]) -> EncodedDataset {
-        let _span = nevermind_obs::span!("features/encode_rows");
+    fn replay(&self, keys: &[RowKey], cols: &[usize], mut put: impl FnMut(usize, &[f32], bool)) {
         nevermind_obs::counter_add!("features/rows_encoded", keys.len());
-        let (meta, classes) = Self::base_meta();
-        let n_cols = meta.len();
-        let n_rows = keys.len();
-        let mut values = vec![0.0f32; n_rows * n_cols];
-        let mut labels = vec![false; n_rows];
-
-        let mut order: Vec<usize> = (0..n_rows).collect();
+        let width = Self::base_meta().0.len();
+        let lanes = ts_lanes(cols);
+        let mut order: Vec<usize> = (0..keys.len()).collect();
         order.sort_by_key(|&i| (keys[i].line, keys[i].day));
-        let cols: Vec<usize> = (0..n_cols).collect();
-        let lanes: Vec<usize> = (0..N_METRICS).collect();
-        let mut scratch = vec![f32::NAN; n_cols];
+        let mut scratch = vec![f32::NAN; width];
+        let mut row = vec![0.0f32; cols.len()];
         let mut st = LineState::default();
         let (mut current, mut next_test) = (None, 0);
         for i in order {
@@ -235,19 +278,13 @@ impl<'a> BaseEncoder<'a> {
                 &mut st,
                 day,
                 window_start,
-                &cols,
+                cols,
                 &lanes,
                 &self.config,
                 &mut scratch,
-                &mut values[i * n_cols..(i + 1) * n_cols],
+                &mut row,
             );
-            labels[i] = label;
-        }
-
-        EncodedDataset {
-            data: Dataset::new(FeatureMatrix::new(n_rows, meta, values), labels),
-            rows: keys.to_vec(),
-            classes,
+            put(i, &row, label);
         }
     }
 }
@@ -315,30 +352,16 @@ pub(crate) fn fill_row_except_ts(
     slot[pbase + 6] = frac_off as f32;
 }
 
-/// Every quadratic over continuous base columns.
-pub fn all_quadratics(base: &EncodedDataset) -> Vec<DerivedFeature> {
-    base.data
-        .x
-        .meta()
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| m.kind == FeatureKind::Continuous)
-        .map(|(col, _)| DerivedFeature::Quadratic { col })
-        .collect()
+/// Every quadratic over the continuous columns of a base space `meta`.
+pub fn all_quadratics(meta: &[FeatureMeta]) -> Vec<DerivedFeature> {
+    continuous(meta).map(|col| DerivedFeature::Quadratic { col }).collect()
 }
 
-/// Every pairwise product over continuous base columns (`a < b`).
-pub fn all_products(base: &EncodedDataset) -> Vec<DerivedFeature> {
-    let continuous: Vec<usize> = base
-        .data
-        .x
-        .meta()
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| m.kind == FeatureKind::Continuous)
-        .map(|(i, _)| i)
-        .collect();
-    let mut out = Vec::with_capacity(continuous.len() * (continuous.len() - 1) / 2);
+/// Every pairwise product over the continuous columns of a base space
+/// `meta` (`a < b`).
+pub fn all_products(meta: &[FeatureMeta]) -> Vec<DerivedFeature> {
+    let continuous: Vec<usize> = continuous(meta).collect();
+    let mut out = Vec::with_capacity(continuous.len() * continuous.len().saturating_sub(1) / 2);
     for (ai, &a) in continuous.iter().enumerate() {
         for &b in &continuous[ai + 1..] {
             out.push(DerivedFeature::Product { a, b });
@@ -347,21 +370,46 @@ pub fn all_products(base: &EncodedDataset) -> Vec<DerivedFeature> {
     out
 }
 
-/// The columns of [`assemble`]'s feature space, written one at a time
-/// straight from the base encoding: a fit that bins its columns one by
-/// one ([`nevermind_ml::boost::BStump::fit_columns`]) trains on the
-/// assembled space without the matrix being built.
-#[derive(Debug, Clone, Copy)]
-pub struct AssembledColumns<'a> {
-    x: &'a FeatureMatrix,
-    cols: &'a [usize],
-    derived: &'a [DerivedFeature],
+/// The continuous columns of a base space `meta`.
+fn continuous(meta: &[FeatureMeta]) -> impl Iterator<Item = usize> + '_ {
+    meta.iter().enumerate().filter(|(_, m)| m.kind == FeatureKind::Continuous).map(|(c, _)| c)
 }
 
-impl<'a> AssembledColumns<'a> {
-    /// The columns [`assemble`]`(base, cols, derived)` would lay out.
-    pub fn new(base: &'a EncodedDataset, cols: &'a [usize], derived: &'a [DerivedFeature]) -> Self {
-        Self { x: &base.data.x, cols, derived }
+/// [`assemble`]'s feature space written one column at a time from lanes of
+/// the base columns it reads, for a fit that bins its columns one by one
+/// ([`nevermind_ml::boost::BStump::fit_columns`]): no assembled matrix is
+/// built, and each lane is freed once the last column that reads it has
+/// been written.
+#[derive(Debug)]
+pub struct AssembledLanes<'a> {
+    cols: &'a [usize],
+    derived: &'a [DerivedFeature],
+    /// [`Self::reads`], and each one's lane until no column left reads it.
+    reads: Vec<usize>,
+    lanes: Vec<Option<Vec<f32>>>,
+}
+
+impl<'a> AssembledLanes<'a> {
+    /// The base columns [`assemble`]`(_, cols, derived)` reads — `cols` and
+    /// the derived features' operands — ascending and once each.
+    pub fn reads(cols: &[usize], derived: &[DerivedFeature]) -> Vec<usize> {
+        let operands = derived.iter().flat_map(|f| f.operands());
+        let mut reads: Vec<usize> = cols.iter().copied().chain(operands).collect();
+        reads.sort_unstable();
+        reads.dedup();
+        reads
+    }
+
+    /// The columns [`assemble`]`(base, cols, derived)` lays out, from
+    /// `lanes[i]`, base column `Self::reads(cols, derived)[i]` on each row
+    /// (as [`BaseEncoder::encode_lanes`] writes them).
+    ///
+    /// # Panics
+    /// Panics unless there is one lane per read column.
+    pub fn new(cols: &'a [usize], derived: &'a [DerivedFeature], lanes: Vec<Vec<f32>>) -> Self {
+        let reads = Self::reads(cols, derived);
+        assert_eq!(lanes.len(), reads.len(), "one lane per base column read");
+        Self { cols, derived, reads, lanes: lanes.into_iter().map(Some).collect() }
     }
 
     /// Number of assembled columns: the base ones, then the derived ones.
@@ -369,31 +417,41 @@ impl<'a> AssembledColumns<'a> {
         self.cols.len() + self.derived.len()
     }
 
-    /// Writes assembled column `j` into `out`, one value per base row:
-    /// bit for bit column `j` of [`assemble`]'s matrix (the same base
-    /// values, the same [`DerivedFeature::value`] arithmetic).
+    /// Writes assembled column `j` into `out`, bit for bit column `j` of
+    /// [`assemble`]'s matrix (the same base values, the same
+    /// [`DerivedFeature::value`] arithmetic), then frees each lane it read
+    /// that no later column reads. Columns are written in ascending order,
+    /// as `fit_columns` asks for them.
     ///
     /// # Panics
-    /// Panics if `j` is not below [`Self::n_cols`], if a column index is
-    /// outside the base encoding, or if `out` is not one value per row.
-    pub fn write(&self, j: usize, out: &mut [f32]) {
-        let x = self.x;
-        assert_eq!(out.len(), x.n_rows(), "one value per row");
+    /// Panics if `j` is not below [`Self::n_cols`], if a lane it reads was
+    /// freed, or if `out` is not one value per row.
+    pub fn write(&mut self, j: usize, out: &mut [f32]) {
         match self.cols.get(j) {
-            Some(&c) => {
-                assert!(c < x.n_cols(), "base column {c} of {}", x.n_cols());
-                for (r, v) in out.iter_mut().enumerate() {
-                    *v = x.row(r)[c];
-                }
-            }
-            None => {
-                let f = self.derived[j - self.cols.len()];
-                for (r, v) in out.iter_mut().enumerate() {
-                    let row = x.row(r);
-                    *v = f.value(|c| row[c]);
-                }
+            Some(&c) => out.copy_from_slice(self.lane(c)),
+            None => self.derived[j - self.cols.len()].write_column(|c| self.lane(c), out),
+        }
+        for c in self.operands(j) {
+            if !(j + 1..self.n_cols()).any(|k| self.operands(k).contains(&c)) {
+                let i = self.reads.partition_point(|&r| r < c);
+                self.lanes[i] = None;
             }
         }
+    }
+
+    /// The base columns assembled column `j` reads.
+    fn operands(&self, j: usize) -> [usize; 2] {
+        match self.cols.get(j) {
+            Some(&c) => [c, c],
+            None => self.derived[j - self.cols.len()].operands(),
+        }
+    }
+
+    /// Base column `c`'s lane, while it is held.
+    fn lane(&self, c: usize) -> &[f32] {
+        let lane = self.lanes[self.reads.partition_point(|&r| r < c)].as_deref();
+        assert!(lane.is_some(), "base column {c} was freed");
+        lane.unwrap_or_default()
     }
 }
 
@@ -590,6 +648,51 @@ mod tests {
                 .flat_map(|&day| lines.iter().map(move |l| RowKey { line: l.id, day }))
                 .collect();
             assert_same_bits(&enc.encode(&days), &reference_encode_rows(&enc, &sweep));
+        }
+
+        /// Each lane `encode_lanes` writes is, bit for bit, its column of
+        /// `encode_rows` over the same keys — `NaN` payloads and
+        /// time-series lanes included — for empty, full and repeated column
+        /// sets and keys in any order (repeats included); both writers'
+        /// labels are the ticket index's `labels`.
+        #[test]
+        fn lanes_are_the_columns_of_the_rows(
+            tests in test_log(),
+            tickets in ticket_log(),
+            cfg in config(),
+            keys in prop::collection::vec((0..N_LINES, 0u32..42), 0..40),
+            cols in prop::collection::vec(0..3 * N_METRICS + 7, 0..120),
+            payload in any::<u32>(),
+        ) {
+            // Every hole carries its own NaN payload, which a copy must keep.
+            let mut next = payload;
+            let tests: Vec<LineTest> = tests
+                .into_iter()
+                .map(|mut t| {
+                    for v in t.values.iter_mut().filter(|v| v.is_nan()) {
+                        next = next.wrapping_mul(0x9E37_79B9).wrapping_add(1);
+                        *v = f32::from_bits(0xFFC0_0000 | (next >> 10));
+                    }
+                    t
+                })
+                .collect();
+            let lines = plant();
+            let enc = BaseEncoder::new(&lines, &tests, &tickets, cfg);
+            let keys: Vec<RowKey> =
+                keys.iter().map(|&(l, w)| RowKey { line: LineId(l), day: w * 7 + 6 }).collect();
+            let rows = enc.encode_rows(&keys);
+            prop_assert_eq!(&enc.labels(&keys), &rows.data.y);
+            let full: Vec<usize> = (0..rows.data.x.n_cols()).collect();
+            for cols in [&cols, &full] {
+                let (lanes, labels) = enc.encode_lanes(&keys, cols);
+                prop_assert_eq!(&labels, &rows.data.y);
+                prop_assert_eq!(lanes.len(), cols.len());
+                for (lane, &c) in lanes.iter().zip(cols.iter()) {
+                    let want: Vec<u32> = rows.data.x.column(c).map(f32::to_bits).collect();
+                    let got: Vec<u32> = lane.iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(got, want, "column {}", c);
+                }
+            }
         }
     }
 
@@ -790,6 +893,57 @@ mod tests {
         assert!(saw_missing, "some modem was off that Saturday");
     }
 
+    /// `AssembledLanes` holds only the lanes its columns read and frees
+    /// each after its last reader: a base column selected twice stays
+    /// until its repeat, a selected time-series column stays until the
+    /// quadratic that squares it, the two unselected factors of a product
+    /// are held for it alone, and a base column no column reads is never
+    /// encoded. Every written column is `assemble`'s, bit for bit.
+    #[test]
+    fn assembled_lanes_free_each_lane_after_its_last_reader() {
+        let (lines, out) = sim();
+        let enc =
+            BaseEncoder::new(&lines, &out.measurements, &out.tickets, EncoderConfig::default());
+        let keys = enc.keys(&[20 * 7 + 6, 21 * 7 + 6]);
+        let n = N_METRICS;
+        let (ts, unread) = (2 * n + 3, 2 * n + 9);
+        let cols = [1, ts, 1, 0];
+        let derived =
+            [DerivedFeature::Quadratic { col: ts }, DerivedFeature::Product { a: 5, b: n + 2 }];
+        let reads = AssembledLanes::reads(&cols, &derived);
+        assert_eq!(reads, [0, 1, 5, n + 2, ts]);
+        assert!(!reads.contains(&unread));
+
+        let (lanes, labels) = enc.encode_lanes(&keys, &reads);
+        let base = enc.encode_rows(&keys);
+        assert_eq!(labels, base.data.y);
+        let assembled = assemble(&base, &cols, &derived);
+        let mut columns = AssembledLanes::new(&cols, &derived, lanes);
+        // The base columns whose lanes are still held.
+        let held = |c: &AssembledLanes| -> Vec<usize> {
+            c.reads.iter().zip(&c.lanes).filter(|(_, l)| l.is_some()).map(|(&c, _)| c).collect()
+        };
+        assert_eq!(columns.n_cols(), assembled.x.n_cols());
+        assert_eq!(held(&columns), reads);
+        let held_after: [&[usize]; 6] = [
+            &[0, 1, 5, n + 2, ts],
+            &[0, 1, 5, n + 2, ts],
+            &[0, 5, n + 2, ts],
+            &[5, n + 2, ts],
+            &[5, n + 2],
+            &[],
+        ];
+        let mut column = vec![0.0f32; keys.len()];
+        for (j, want_held) in held_after.into_iter().enumerate() {
+            columns.write(j, &mut column);
+            let want: Vec<u32> = assembled.x.column(j).map(f32::to_bits).collect();
+            let got: Vec<u32> = column.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "column {j}");
+            assert_eq!(held(&columns), want_held, "lanes held after column {j}");
+        }
+        assert!(base.data.x.column(unread).any(|v| !v.is_nan()), "the unread lane has values");
+    }
+
     /// A label horizon or history window past the `u32` day range covers
     /// the whole range, in the batch replay and the weekly encoder alike:
     /// with an unbounded horizon a row is positive when its line has any
@@ -830,8 +984,8 @@ mod tests {
             BaseEncoder::new(&lines, &out.measurements, &out.tickets, EncoderConfig::default());
         let ds = enc.encode(&[20 * 7 + 6]);
         let n_cont = ds.data.x.meta().iter().filter(|m| m.kind == FeatureKind::Continuous).count();
-        assert_eq!(all_quadratics(&ds).len(), n_cont);
-        assert_eq!(all_products(&ds).len(), n_cont * (n_cont - 1) / 2);
+        assert_eq!(all_quadratics(ds.data.x.meta()).len(), n_cont);
+        assert_eq!(all_products(ds.data.x.meta()).len(), n_cont * (n_cont - 1) / 2);
     }
 
     #[test]

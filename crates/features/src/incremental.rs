@@ -100,7 +100,8 @@ pub struct IncrementalEncoder<'a> {
 
 /// Encodes one line into `values_out` (one slot per requested column),
 /// returning its label — the single per-line routine behind the weekly
-/// encoder (row-major and lane writer) and [`BaseEncoder`]'s replay.
+/// encoder (row-major and lane writer) and [`BaseEncoder`]'s replay (rows
+/// and lanes).
 ///
 /// `st` must hold the line's tests up to `day` in day order (later ones are
 /// not visible yet) and its customer-edge ticket days; tests before
@@ -392,14 +393,17 @@ impl<'a> IncrementalEncoder<'a> {
         self.last_encoded = day;
         let width = BaseEncoder::base_meta().0.len();
         assert!(cols.iter().all(|&c| c < width), "column index out of range");
-        // The time-series lanes the requested columns need.
-        let lanes = cols
-            .iter()
-            .filter(|&&c| (2 * N_METRICS..3 * N_METRICS).contains(&c))
-            .map(|&c| c - 2 * N_METRICS)
-            .collect();
+        let lanes = ts_lanes(cols);
         Week { day, window_start: self.config.window_start(day), cols, lanes, width }
     }
+}
+
+/// The time-series lanes the base columns `cols` need, ascending and once
+/// each: the only lanes `encode_line_into` has to run its z-score pass on.
+pub(crate) fn ts_lanes(cols: &[usize]) -> Vec<usize> {
+    let ts = 2 * N_METRICS..3 * N_METRICS;
+    let lanes = cols.iter().filter(|c| ts.contains(c)).map(|c| c - ts.start);
+    lanes.collect::<std::collections::BTreeSet<_>>().into_iter().collect()
 }
 
 /// Lanes per group of the z-score pass: on the default x86-64 target a

@@ -3,8 +3,9 @@
 //! [`DerivedFeature`] is the one definition of a derived column: its class,
 //! its name ([`DerivedFeature::name`]) and its value
 //! ([`DerivedFeature::value`]). Assembling a training matrix
-//! (`crate::encode::assemble`) and re-expanding a scored row for
-//! provenance both compute derived values through it.
+//! (`crate::encode::assemble`), writing a column from base lanes
+//! ([`DerivedFeature::write_column`]) and re-expanding a scored row for
+//! provenance all compute derived values through it.
 
 use nevermind_ml::data::FeatureMeta;
 use serde::{Deserialize, Serialize};
@@ -106,6 +107,29 @@ impl DerivedFeature {
                 v * v
             }
             DerivedFeature::Product { a, b } => base(a) * base(b),
+        }
+    }
+
+    /// The base columns the value reads: `[col, col]` for a quadratic,
+    /// `[a, b]` for a product.
+    pub fn operands(self) -> [usize; 2] {
+        match self {
+            DerivedFeature::Quadratic { col } => [col, col],
+            DerivedFeature::Product { a, b } => [a, b],
+        }
+    }
+
+    /// Writes the derived column into `out`: row `r` gets [`Self::value`]
+    /// of the row, where `base(c)` is base column `c` over the same rows.
+    ///
+    /// # Panics
+    /// Panics if an operand's column is not one value per row of `out`.
+    pub fn write_column<'b>(self, base: impl Fn(usize) -> &'b [f32], out: &mut [f32]) {
+        let [a, b] = self.operands();
+        let (xs, ys) = (base(a), base(b));
+        assert!(xs.len() == out.len() && ys.len() == out.len(), "one value per row");
+        for ((v, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
+            *v = self.value(|c| if c == a { x } else { y });
         }
     }
 }

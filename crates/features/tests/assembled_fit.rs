@@ -1,13 +1,14 @@
-//! The column-fed fit of an assembled feature space is the matrix fit.
+//! The lane-fed fit of an assembled feature space is the matrix fit.
 //!
-//! `BStump::fit_columns` fed by `AssembledColumns` trains the ticket
-//! predictor's final model without building the assembled matrix. It must
-//! train the very model `BStump::fit(&assemble(base, cols, derived))`
-//! trains, down to the serialized bytes: the same column values in the
-//! same order, the same binning, the same boosting loop.
+//! `BStump::fit_columns` fed by `AssembledLanes` trains the ticket
+//! predictor's final model from lanes of the base columns the space reads,
+//! without building the assembled matrix. It must train the very model
+//! `BStump::fit(&assemble(base, cols, derived))` trains, down to the
+//! serialized bytes: the same column values in the same order, the same
+//! binning, the same boosting loop.
 
 use nevermind_dslsim::LineId;
-use nevermind_features::encode::{assemble, AssembledColumns, EncodedDataset, RowKey};
+use nevermind_features::encode::{assemble, AssembledLanes, EncodedDataset, RowKey};
 use nevermind_features::{DerivedFeature, FeatureClass};
 use nevermind_ml::boost::{uniform_weights, BStump, BoostConfig};
 use nevermind_ml::data::{Dataset, FeatureMatrix, FeatureMeta};
@@ -70,6 +71,12 @@ fn base_encoding(draw: &mut Draw, n: usize, n_base: usize) -> EncodedDataset {
     }
 }
 
+/// The lanes `AssembledLanes::new` takes for `(cols, derived)`, gathered
+/// from the base matrix.
+fn lanes(base: &EncodedDataset, cols: &[usize], derived: &[DerivedFeature]) -> Vec<Vec<f32>> {
+    AssembledLanes::reads(cols, derived).iter().map(|&c| base.data.x.column(c).collect()).collect()
+}
+
 /// Every stump field's bit pattern.
 fn bits(model: &BStump) -> Vec<(usize, u32, u64, u64)> {
     model
@@ -110,7 +117,7 @@ proptest! {
         let config = BoostConfig { iterations, n_bins, smoothing: None, parallel };
 
         let matrix_fit = BStump::fit(&assemble(&base, &cols, &derived), &config);
-        let columns = AssembledColumns::new(&base, &cols, &derived);
+        let mut columns = AssembledLanes::new(&cols, &derived, lanes(&base, &cols, &derived));
         let y = &base.data.y;
         let column_fit =
             BStump::fit_columns(columns.n_cols(), y, &uniform_weights(n), &config, |j, out| {
@@ -125,8 +132,8 @@ proptest! {
     }
 }
 
-/// The gather writes, column for column and bit for bit, the matrix
-/// `assemble` builds.
+/// Lanes gathered from the base matrix write, column for column and bit
+/// for bit, the matrix `assemble` builds.
 #[test]
 fn gathered_columns_are_the_assembled_columns() {
     let mut draw = Draw(0xA55E);
@@ -138,7 +145,7 @@ fn gathered_columns_are_the_assembled_columns() {
         DerivedFeature::Product { a: 2, b: 2 },
     ];
     let assembled = assemble(&base, &cols, &derived);
-    let columns = AssembledColumns::new(&base, &cols, &derived);
+    let mut columns = AssembledLanes::new(&cols, &derived, lanes(&base, &cols, &derived));
     assert_eq!(columns.n_cols(), assembled.x.n_cols());
     let mut out = vec![0.0f32; base.data.len()];
     for j in 0..columns.n_cols() {

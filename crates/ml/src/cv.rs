@@ -43,18 +43,6 @@ pub fn k_folds(n: usize, k: usize, seed: u64) -> Vec<Fold> {
     folds
 }
 
-/// Deterministic holdout split: `train_fraction` of rows train, the rest
-/// validate.
-pub fn train_test_split(n: usize, train_fraction: f64, seed: u64) -> Fold {
-    assert!((0.0..1.0).contains(&train_fraction) && train_fraction > 0.0);
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    order.shuffle(&mut rng);
-    let cut = ((n as f64) * train_fraction).round() as usize;
-    let cut = cut.clamp(1, n.saturating_sub(1).max(1));
-    Fold { train: order[..cut].to_vec(), validation: order[cut..].to_vec() }
-}
-
 /// Cross-validated selection of the boosting iteration count.
 ///
 /// Trains one model per fold at `max(candidates)` iterations and evaluates
@@ -142,13 +130,6 @@ mod tests {
                 assert!(!fold.train.contains(&i));
             }
         }
-    }
-
-    #[test]
-    fn holdout_split_fractions() {
-        let f = train_test_split(100, 0.8, 3);
-        assert_eq!(f.train.len(), 80);
-        assert_eq!(f.validation.len(), 20);
     }
 
     #[test]

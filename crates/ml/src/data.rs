@@ -122,15 +122,6 @@ impl FeatureMatrix {
         self.column(col).map(f64::from).collect()
     }
 
-    /// Fraction of missing entries in a column.
-    pub fn missing_fraction(&self, col: usize) -> f64 {
-        if self.n_rows == 0 {
-            return 0.0;
-        }
-        let missing = self.column(col).filter(|v| v.is_nan()).count();
-        missing as f64 / self.n_rows as f64
-    }
-
     /// Builds a new matrix keeping only the listed columns, in order.
     ///
     /// # Panics
@@ -193,15 +184,6 @@ impl Dataset {
         self.y.iter().filter(|&&v| v).count()
     }
 
-    /// Base rate of the positive class.
-    pub fn positive_rate(&self) -> f64 {
-        if self.y.is_empty() {
-            0.0
-        } else {
-            self.n_positive() as f64 / self.y.len() as f64
-        }
-    }
-
     /// Sub-dataset with the given rows.
     pub fn select_rows(&self, rows: &[usize]) -> Dataset {
         let y = rows.iter().map(|&r| self.y[r]).collect();
@@ -244,13 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_fraction_counts_nan() {
-        let m = toy();
-        assert!((m.missing_fraction(0) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(m.missing_fraction(1), 0.0);
-    }
-
-    #[test]
     fn select_columns_preserves_order_and_meta() {
         let m = toy();
         let s = m.select_columns(&[1]);
@@ -280,7 +255,6 @@ mod tests {
         let d = Dataset::new(toy(), vec![true, false, true]);
         assert_eq!(d.len(), 3);
         assert_eq!(d.n_positive(), 2);
-        assert!((d.positive_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

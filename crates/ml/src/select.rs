@@ -123,27 +123,6 @@ pub fn score_features(
     }
 }
 
-/// Indices of the `k` best features under the criterion (descending score,
-/// ties broken by column order).
-pub fn select_top_k(
-    train: &Dataset,
-    eval: &Dataset,
-    criterion: SelectionCriterion,
-    k: usize,
-    config: &SelectConfig,
-) -> Vec<usize> {
-    let mut scores = score_features(train, eval, criterion, config);
-    scores.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.feature.cmp(&b.feature)));
-    scores.into_iter().take(k).map(|s| s.feature).collect()
-}
-
-/// Indices of all features whose score strictly exceeds `threshold` —
-/// the Fig. 4 selection rule (0.2 for history/customer and quadratic
-/// features, 0.3 for product features).
-pub fn select_above_threshold(scores: &[FeatureScore], threshold: f64) -> Vec<usize> {
-    scores.iter().filter(|s| s.score > threshold).map(|s| s.feature).collect()
-}
-
 /// Scores `n_features` candidate columns under a model-based criterion
 /// (`TopNAp`, `Auc` or `AveragePrecision`) without a matrix:
 /// `write_train(c, column)` writes candidate `c`'s value on each training
@@ -389,11 +368,19 @@ mod tests {
         SelectConfig::default()
     }
 
+    /// The features by descending score under the criterion, ties by
+    /// column order.
+    fn ranked(train: &Dataset, eval: &Dataset, criterion: SelectionCriterion) -> Vec<usize> {
+        let mut scores = score_features(train, eval, criterion, &cfg());
+        scores.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.feature.cmp(&b.feature)));
+        scores.into_iter().map(|s| s.feature).collect()
+    }
+
     #[test]
     fn top_n_ap_ranks_strong_first() {
         let train = graded_dataset(3000, 1);
         let eval = graded_dataset(1500, 2);
-        let order = select_top_k(&train, &eval, SelectionCriterion::TopNAp { n: 150 }, 3, &cfg());
+        let order = ranked(&train, &eval, SelectionCriterion::TopNAp { n: 150 });
         assert_eq!(order[0], 0, "strong feature must rank first: {order:?}");
         assert_eq!(*order.last().expect("three features"), 2, "noise last: {order:?}");
     }
@@ -402,7 +389,7 @@ mod tests {
     fn auc_ranks_strong_first() {
         let train = graded_dataset(3000, 3);
         let eval = graded_dataset(1500, 4);
-        let order = select_top_k(&train, &eval, SelectionCriterion::Auc, 3, &cfg());
+        let order = ranked(&train, &eval, SelectionCriterion::Auc);
         assert_eq!(order[0], 0);
     }
 
@@ -410,7 +397,7 @@ mod tests {
     fn average_precision_ranks_strong_first() {
         let train = graded_dataset(3000, 5);
         let eval = graded_dataset(1500, 6);
-        let order = select_top_k(&train, &eval, SelectionCriterion::AveragePrecision, 3, &cfg());
+        let order = ranked(&train, &eval, SelectionCriterion::AveragePrecision);
         assert_eq!(order[0], 0);
     }
 
@@ -446,17 +433,6 @@ mod tests {
             assert_eq!(serial, parallel, "{threads} parts");
         }
         assert_eq!(serial, score_features(&train, &eval, criterion, &cfg()));
-    }
-
-    #[test]
-    fn threshold_selection_filters() {
-        let scores = vec![
-            FeatureScore { feature: 0, score: 0.35 },
-            FeatureScore { feature: 1, score: 0.2 },
-            FeatureScore { feature: 2, score: 0.05 },
-        ];
-        assert_eq!(select_above_threshold(&scores, 0.2), vec![0]);
-        assert_eq!(select_above_threshold(&scores, 0.01), vec![0, 1, 2]);
     }
 
     #[test]

@@ -1093,11 +1093,6 @@ pub fn installed() -> Option<Arc<RuleEngine>> {
     lock_recovering(slot()).clone()
 }
 
-/// Alerts currently firing on the installed engine (0 when none).
-pub fn firing_count() -> u64 {
-    installed().map_or(0, |e| e.firing())
-}
-
 /// The process's one health verdict: [`RuleEngine::health`] of the
 /// installed engine, or [`Health::None`] with nothing firing when no
 /// engine is installed.
@@ -1338,14 +1333,13 @@ mod tests {
     fn install_clear_round_trip() {
         clear();
         assert!(installed().is_none());
-        assert_eq!(firing_count(), 0);
         assert_eq!(health(), (Health::None, vec![]), "no engine, no verdict");
         assert!(alerts_json().contains("\"enabled\": false"));
         let engine = install(parse_rules("alert a if gauge(g) > 0 for 1").expect("parses"));
         assert!(installed().is_some());
         assert_eq!(health(), (Health::Healthy, vec![]));
         engine.evaluate(6, &snap_with_gauge("g", 1.0));
-        assert_eq!(firing_count(), 1);
+        assert_eq!(engine.firing(), 1);
         assert_eq!(health(), (Health::Warning, vec!["a".to_string()]));
         assert!(alerts_json().contains("\"firing\": 1"));
         clear();

